@@ -9,9 +9,9 @@ that root and are removed at exit; a traced run leaves its spans there, in
 
 ``--trace 0`` times ``flowdoc all`` and the three phases as child
 processes, the way users and build systems run them, and prints the
-end-to-end metrics. ``--trace 1`` runs the pipeline in-process through
-``cli.main`` with spans around every layer and prints the per-layer
-metrics. Both check every output tree against the corpus oracle. The last
+end-to-end metrics, scaled by the ``host_gauge.py`` runs around them.
+``--trace 1`` runs the pipeline in-process through ``cli.main`` with spans
+around every layer and prints the per-layer metrics. Both check every output tree against the corpus oracle. The last
 line of standard output is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics``. ``--workload all`` runs every workload in turn.
 """
@@ -38,6 +38,10 @@ import tracing
 ROOT = Path.cwd()
 SRC = ROOT / "src"
 STUB = Path(__file__).resolve().parent / "stub_render.sh"
+GAUGE = Path(__file__).resolve().parent / "host_gauge.py"
+# Every reported time is scaled to a host on which host_gauge.py takes this
+# long, about its median on the 2-vCPU host of the baseline.
+GAUGE_SECONDS = 0.19
 SETUP_PER_REP = 2
 MIN_REPS = 3
 
@@ -124,19 +128,47 @@ def write_corpus(c: corpus.Corpus, work: Path) -> Path:
 # ---------------------------------------------------------------------------
 # timed runs, tracing off
 
+def gauge(work: Path) -> float:
+    """Wall seconds of one host_gauge.py child: the host's current speed."""
+    wall, code, _ = _spawn([sys.executable, str(GAUGE)], work,
+                           work / "gauge.err")
+    if code != 0:
+        raise RuntimeError(f"host_gauge.py exited {code}")
+    return wall
+
+
 def timed(workload: str, c: corpus.Corpus, cdir: Path, work: Path,
           seconds: float, checks: check.Checks, log) -> dict:
+    """Time flowdoc child processes, each between two host gauges.
+
+    A time is reported as its wall time times GAUGE_SECONDS over the mean of
+    the gauge right before and right after it. On a shared host the speed of
+    the same code drifts by up to 2x; the gauge drifts with it, so the scaled
+    times spread less than half as much from run to run as the wall times.
+    """
     oracle = c.oracle
     render = workload == "render"
     per_tree = check.checks_per_tree(oracle, render)
     per_diag = check.checks_per_diagnostics(oracle)
     samples: dict[str, list[float]] = {"setup_s": [], "all_s": [],
                                        "phased_s": [], "peak_rss_mb": []}
+    walls: dict[str, list[float]] = {"setup_s": [], "all_s": [],
+                                     "phased_s": [], "gauge_s": []}
     digests: list[str] = []
     measure_setup(work, 1)  # warms the bytecode and file caches
+    before = gauge(work)
+
+    def record(name: str, raw: list[float]) -> None:
+        nonlocal before
+        after = gauge(work)
+        scale = GAUGE_SECONDS / ((before + after) / 2)
+        samples[name] += [w * scale for w in raw]
+        walls[name] += raw
+        walls["gauge_s"].append(after)
+        before = after
 
     def rep_once(rep: int) -> None:
-        samples["setup_s"] += measure_setup(work, SETUP_PER_REP)
+        record("setup_s", measure_setup(work, SETUP_PER_REP))
         out_all, out_ph = work / f"all{rep}", work / f"phased{rep}"
         err = work / "all.err"
         phase_codes = []
@@ -144,7 +176,7 @@ def timed(workload: str, c: corpus.Corpus, cdir: Path, work: Path,
             if mode == "all":
                 wall, code, rss = _spawn(_flowdoc("all", out_all, workload),
                                          cdir, err)
-                samples["all_s"].append(wall)
+                record("all_s", [wall])
                 samples["peak_rss_mb"].append(rss / 1024)
                 continue
             total = 0.0
@@ -153,7 +185,7 @@ def timed(workload: str, c: corpus.Corpus, cdir: Path, work: Path,
                                      cdir, work / "phase.err")
                 total += w
                 phase_codes.append(pcode)
-            samples["phased_s"].append(total)
+            record("phased_s", [total])
         if code != 0:
             checks.fail_all(per_tree + per_diag + 2,
                             f"flowdoc all exited {code}")
@@ -183,6 +215,9 @@ def timed(workload: str, c: corpus.Corpus, cdir: Path, work: Path,
         "setup_s": (statistics.median(samples["setup_s"]), "s",
                     len(samples["setup_s"])),
     }
+    for name, xs in walls.items():
+        log(f"  {workload} {name} unscaled wall median = "
+            f"{statistics.median(xs):.6g} s (n={len(xs)})")
     for name, xs in samples.items():
         if len(xs) >= 4:
             q1, _, q3 = statistics.quantiles(xs, n=4)
