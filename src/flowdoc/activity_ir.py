@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .annotations import Annotation, AnnotationKind
-from .cxx_structure import FunctionDef, Stmt, StmtKind
+from .cxx_structure import Stmt, StmtKind, innermost
 from .diagnostics import Diagnostic, sink, warning
-from .flowdb import FlowDb
+from .flowdb import AnnotatedFunction, FlowDb
 
 
 @dataclass
@@ -97,26 +97,18 @@ def collapse_ws(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
 
 
-def build_activity(fn: FunctionDef, stmt_root: Stmt,
-                   annos: list[Annotation], db: FlowDb,
-                   diags: list[Diagnostic] | None = None,
-                   anchor: str = "") -> ActivityTree | None:
-    """Build the activity tree for one function, or None when it carries no
-    annotations at all."""
+def build_activity(af: AnnotatedFunction, db: FlowDb,
+                   diags: list[Diagnostic] | None = None) -> ActivityTree:
+    """Build the activity tree of one annotated function from its statement
+    tree and the annotations ``flowdb.annotated_functions`` gave it."""
     diags = sink(diags)
-    inside = [a for a in annos
-              if fn.body_start.line <= a.line <= fn.body_end.line]
-    if not inside:
-        return None
-    builder = _Builder(fn, inside, db, diags)
-    root = builder.fuse_block(stmt_root)
+    builder = _Builder(af, db, diags)
+    root = builder.fuse_block(af.body)
     if not root or not isinstance(root[-1], StopNode):
         root.append(StopNode())
     builder.report_leftovers()
-    max_zoom = max((a.zoom for a in inside
-                    if a.kind is AnnotationKind.ACTION), default=0)
-    return ActivityTree(fn.qualified_name, fn.signature_text, anchor,
-                        root, max_zoom)
+    return ActivityTree(af.fn.qualified_name, af.fn.signature_text, af.anchor,
+                        root, af.max_zoom)
 
 
 class _Seq:
@@ -144,12 +136,18 @@ class _Seq:
 
 
 class _Builder:
-    def __init__(self, fn: FunctionDef, annos: list[Annotation],
-                 db: FlowDb, diags: list[Diagnostic]):
-        self.fn = fn
+    def __init__(self, af: AnnotatedFunction, db: FlowDb,
+                 diags: list[Diagnostic]):
+        annos = af.annotations
+        self.fn = af.fn
         self.db = db
         self.diags = diags
-        self.actions = [a for a in annos if a.kind is AnnotationKind.ACTION]
+        # each action goes to the innermost block holding its line
+        self.owned: dict[int, list[Annotation]] = {}
+        for a in annos:
+            if a.kind is AnnotationKind.ACTION:
+                owner = innermost(af.body, a.line, StmtKind.BLOCK)
+                self.owned.setdefault(id(owner), []).append(a)
         self.descs = {a.target: a for a in annos
                       if a.kind is AnnotationKind.CONDITION_DESC and a.target}
         self.ret_descs = {a.target: a for a in annos
@@ -163,6 +161,9 @@ class _Builder:
         self.trigger_lines = sorted(trigger)
         self.consumed_descs: set[tuple[int, int]] = set()
         self.surfaced_highlights: set[int] = set()
+        # (line, callee as written) -> its box entry: a callee repeated on
+        # one line is resolved, and reported, once
+        self.linked: dict[tuple[int, str], HighlightedCall] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -187,33 +188,14 @@ class _Builder:
         return _fork_pass(seq.out)
 
     def _fuse_into(self, block: Stmt, seq: _Seq) -> None:
-        mine = [a for a in self.actions
-                if block.span[0] <= a.line <= block.span[1]
-                and self._owning_block(block, a.line) is block]
         items: list = sorted(
-            list(block.children) + mine,
+            list(block.children) + self.owned.get(id(block), []),
             key=lambda x: x.line if isinstance(x, Annotation) else x.span[0])
         for item in items:
             if isinstance(item, Annotation):
                 seq.open(ActionNode(item.text, item.zoom, item.parallel))
             else:
                 self._fuse_stmt(item, seq)
-
-    def _owning_block(self, block: Stmt, line: int) -> Stmt:
-        for child in block.children:
-            if child.span[0] <= line <= child.span[1]:
-                deeper = self._deepest_block(child, line)
-                return deeper if deeper is not None else block
-        return block
-
-    def _deepest_block(self, stmt: Stmt, line: int) -> Stmt | None:
-        best = stmt if stmt.kind is StmtKind.BLOCK else None
-        for child in stmt.children:
-            if child.span[0] <= line <= child.span[1]:
-                deeper = self._deepest_block(child, line)
-                if deeper is not None:
-                    return deeper
-        return best
 
     def _fuse_stmt(self, stmt: Stmt, seq: _Seq) -> None:
         if stmt.kind is StmtKind.BLOCK:
@@ -250,18 +232,20 @@ class _Builder:
 
     def _absorb_calls(self, stmt: Stmt, seq: _Seq) -> None:
         for call in stmt.calls:
-            if call.line not in self.highlight_lines:
-                continue
-            link = self.db.resolve(call, self.fn.file, self.diags)
-            if link is not None:
-                hc = HighlightedCall(link.display + "()", link.href)
-            else:
-                self.diags.append(warning(
-                    "no-link",
-                    f"no diagram found for call '{call.callee_text}'; "
-                    f"shown without a link",
-                    self.fn.file, call.line))
-                hc = HighlightedCall(call.callee_text + "()", None)
+            key = (call.line, call.callee_text)
+            hc = self.linked.get(key)
+            if hc is None:
+                link = self.db.resolve(call, self.fn.file, self.diags)
+                if link is not None:
+                    hc = HighlightedCall(link.display + "()", link.href)
+                else:
+                    self.diags.append(warning(
+                        "no-link",
+                        f"no diagram found for call '{call.callee_text}'; "
+                        f"shown without a link",
+                        self.fn.file, call.line))
+                    hc = HighlightedCall(call.callee_text + "()", None)
+                self.linked[key] = hc
             seq.ensure().calls.append(hc)
             self.surfaced_highlights.add(call.line)
         for child in stmt.children:

@@ -23,9 +23,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .cxx_structure import CodeStream, detect_calls
+from .cxx_structure import CallSite, CodeStream, detect_calls
 from .diagnostics import Diagnostic, sink, warning
-from .scanner import Token, TokenKind, line_code_map
+from .scanner import Token
 
 
 class AnnotationKind(Enum):
@@ -44,13 +44,12 @@ class Annotation:
     parallel: bool = False
     # (line, col) of the keyword a description binds to
     target: tuple[int, int] | None = None
+    # call sites on a highlighted line
+    calls: tuple[CallSite, ...] = ()
 
 
 _MARKER_RE = re.compile(r"//\$(\d*)")
 _PARALLEL_TAG = "<parallel>"
-
-# keywords an annotation can describe, mapped from the lexeme(s) that follow
-_HEADER_KINDS = ("if", "elseif", "else", "loop", "return")
 
 
 def parse_marker(comment_text: str) -> tuple[int, bool, str] | None:
@@ -105,66 +104,56 @@ def classify(comment: Token, following_kind: str | None,
                       zoom=zoom, parallel=parallel)
 
 
-def collect(tokens: list[Token], file: str = "<input>",
+def collect(view: CodeStream, file: str = "<input>",
             diags: list[Diagnostic] | None = None) -> list[Annotation]:
-    """All annotations of a token stream, in source order.
+    """All annotations of a source's lexed view, in source order.
 
-    Postfix highlights whose line holds no detectable call are dropped with
-    a diagnostic; orphan bracket annotations are kept as actions and
-    reported.
+    Highlights keep the call sites found on their line. Postfix highlights
+    whose line holds no detectable call are dropped with a diagnostic;
+    orphan bracket annotations are kept as actions and reported.
     """
     diags = sink(diags)
-    view = CodeStream(tokens)
-    code_by_line = line_code_map(tokens)
+    markers = view.markers
     out: list[Annotation] = []
-    for idx, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.LINE_COMMENT or not tok.text.startswith("//$"):
-            continue
-        code = code_by_line.get(tok.line, "")
+    for k, tok in enumerate(markers):
+        code = view.code_by_line.get(tok.line, "")
         if code.strip():
-            if not detect_calls(code, tok.line):
+            calls = detect_calls(code, tok.line)
+            if not calls:
                 diags.append(warning(
                     "dangling-call-highlight",
                     "postfix '//$' on a line with no detectable call; ignored",
                     file, tok.line))
                 continue
             ann = classify(tok, None, standalone=False)
-            if ann is not None:
-                out.append(ann)
+            ann.calls = tuple(calls)
+            out.append(ann)
             continue
-        following_kind, target = _following_context(view, tokens, idx)
+        # the next '//$' comment claims whatever follows it
+        block_at = markers[k + 1].offset if k + 1 < len(markers) else None
+        following_kind, target = _following_context(view, tok, block_at)
         ann = classify(tok, following_kind, standalone=True)
-        if ann is None:
-            continue
         if ann.kind is AnnotationKind.ACTION:
-            parsed = parse_marker(tok.text)
-            if parsed is not None and _bracket_payload(parsed[2]) is not None:
+            if _bracket_payload(ann.text) is not None:
                 diags.append(warning(
                     "orphan-bracket-annotation",
                     "'[...]' annotation does not precede a branch, loop or "
                     "return; kept as a plain action",
                     file, tok.line))
-        elif ann.kind in (AnnotationKind.CONDITION_DESC, AnnotationKind.RETURN_DESC):
+        else:
             ann.target = target
         out.append(ann)
     return out
 
 
-def _following_context(view: CodeStream, tokens: list[Token],
-                       idx: int) -> tuple[str | None, tuple[int, int] | None]:
+def _following_context(view: CodeStream, tok: Token, block_at: int | None
+                       ) -> tuple[str | None, tuple[int, int] | None]:
     """Kind and keyword position of the code construct following a comment.
 
-    Scans past whitespace, plain comments and preprocessor lines. Another
-    ``//$`` comment blocks the binding.
+    Scans past whitespace, plain comments and preprocessor lines. The
+    ``//$`` comment at offset block_at, if any, blocks the binding.
     """
-    tok = tokens[idx]
-    comment_end = tok.offset + len(tok.text)
-    block_at: int | None = None
-    for later in tokens[idx + 1:]:
-        if later.kind is TokenKind.LINE_COMMENT and later.text.startswith("//$"):
-            block_at = later.offset
-            break
-    k = view.index_at_or_after(comment_end)
+    k = view.index_at_or_after(tok.offset + len(tok.text))
     lx = view.lexemes
     if k >= len(lx):
         return None, None

@@ -2,16 +2,20 @@
 
 Three phases, runnable separately or in one shot:
 
-    flowdoc build-db SOURCE...    write one .flowdb per source
+    flowdoc build-db SOURCE...    write one .flowdb per source stem
     flowdoc makeflows SOURCE...   write PlantUML texts under aux_files/
     flowdoc makehtml [SOURCE...]  write the HTML pages and the index
     flowdoc all SOURCE...         the three phases in order
 
 Phases communicate only through the output directory, so running them as
-separate processes gives byte-identical results to ``all``. Diagnostics go
-to stderr as ``file:line: severity: message [code]``; exit status is 0 for
-success, 1 when errors (or warnings under --werror) occurred, 2 for usage
-problems.
+separate processes gives byte-identical results to ``all``. ``all`` reads,
+scans and analyzes each source once, and builds and renders each diagram
+once for both the diagram files and the pages; a phase run on its own
+analyzes its own sources.
+
+Diagnostics go to stderr as ``file:line: severity: message [code]``; exit
+status is 0 for success, 1 when errors (or warnings under --werror)
+occurred, 2 for usage problems.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from . import activity_ir, cxx_structure, flowdb, html_emit, plantuml_emit
+from . import activity_ir, flowdb, html_emit, plantuml_emit
 from .diagnostics import Diagnostic, Severity, error, warning
 from .flowdb import SOURCE_SUFFIXES
 from .ioutil import atomic_write_text
@@ -120,47 +124,20 @@ def _stem_groups(sources: list[str]) -> list[tuple[str, list[str]]]:
     return list(groups.items())
 
 
-def _phase_build_db(cfg: Config, diags: list[Diagnostic]) -> None:
-    for _stem, group in _stem_groups(cfg.sources):
-        flowdb.build_db(group, cfg.out_dir, diags)
+Pages = list[tuple[str, list[html_emit.PageFunction]]]
 
 
-def _function_trees(group: list[str], db: flowdb.FlowDb,
-                    diags: list[Diagnostic]):
-    """[(AnnotatedFunction, ActivityTree)] for the sources of one stem, or
-    None when none of them is readable."""
-    taken: dict[str, int] = {}
-    pairs = []
-    readable = False
-    for src in group:
-        analysis = flowdb.analyze_source(src, diags, taken)
-        if analysis is None:
-            continue
-        readable = True
-        for af in analysis.annotated:
-            stmts = cxx_structure.parse_body(af.fn, analysis.tokens, diags)
-            tree = activity_ir.build_activity(af.fn, stmts, af.annotations,
-                                              db, diags, anchor=af.anchor)
-            if tree is not None:
-                pairs.append((af, tree))
-    return pairs if readable else None
-
-
-def _phase_makeflows(cfg: Config,
-                     diags: list[Diagnostic]) -> list[plantuml_emit.DiagramText]:
-    db = flowdb.load_merge(cfg.out_dir, diags)
-    texts: list[plantuml_emit.DiagramText] = []
-    for stem, group in _stem_groups(cfg.sources):
-        pairs = _function_trees(group, db, diags)
-        for _, tree in pairs or []:
-            texts.extend(plantuml_emit.render_function(tree, stem, cfg.out_dir))
+def _phase_makeflows(pages: Pages, cfg: Config,
+                     diags: list[Diagnostic]) -> None:
+    texts = [text for _, funcs in pages for fn in funcs
+             for text in fn.diagrams]
     for text in texts:
         atomic_write_text(text.path, text.content)
     if not texts:
         diags.append(warning("no-annotated-functions",
                              "no annotated functions found; "
                              "no diagrams were emitted"))
-    return texts
+    _phase_render(texts, cfg, diags)
 
 
 def _phase_render(texts: list[plantuml_emit.DiagramText], cfg: Config,
@@ -188,15 +165,8 @@ def _phase_render(texts: list[plantuml_emit.DiagramText], cfg: Config,
                 f"for {text.path.name}{suffix}"))
 
 
-def _phase_makehtml(cfg: Config, diags: list[Diagnostic]) -> None:
-    db = flowdb.load_merge(cfg.out_dir, diags)
-    for stem, group in _stem_groups(cfg.sources):
-        funcs = []
-        for af, tree in _function_trees(group, db, diags) or []:
-            diagrams = plantuml_emit.render_function(tree, stem, cfg.out_dir)
-            funcs.append(html_emit.PageFunction(
-                af.fn.qualified_name, af.fn.signature_text, af.anchor,
-                diagrams))
+def _phase_makehtml(pages: Pages, db: flowdb.FlowDb, cfg: Config) -> None:
+    for stem, funcs in pages:
         if funcs:
             html_emit.emit_page(stem, funcs, cfg.out_dir)
     html_emit.emit_index(db, cfg.out_dir)
@@ -204,25 +174,34 @@ def _phase_makehtml(cfg: Config, diags: list[Diagnostic]) -> None:
 
 # ---------------------------------------------------------------------------
 
-def _dedupe(diags: list[Diagnostic]) -> list[Diagnostic]:
-    seen = set()
-    out = []
-    for d in diags:
-        key = (d.file, d.line, d.severity, d.code, d.message)
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-    return out
-
-
 def run(cfg: Config, diags: list[Diagnostic]) -> None:
+    """Run the configured phase, or all three, analyzing each source once.
+
+    Every stem is analyzed, then its database is written (build-db). The
+    later phases merge the databases once, and build and render each
+    function's activity tree once; makeflows writes those diagram texts and
+    makehtml embeds the same texts in the pages.
+    """
+    stems = [(stem, flowdb.analyze_stem(group, diags))
+             for stem, group in _stem_groups(cfg.sources)]
     if cfg.command in ("build-db", "all"):
-        _phase_build_db(cfg, diags)
+        for stem, annotated in stems:
+            if annotated is not None:
+                flowdb.write_db(stem, annotated, cfg.out_dir)
+    if cfg.command == "build-db":
+        return
+    db = flowdb.load_merge(cfg.out_dir, diags)
+    pages = [(stem, [html_emit.PageFunction(
+                         af.fn.qualified_name, af.fn.signature_text, af.anchor,
+                         plantuml_emit.render_function(
+                             activity_ir.build_activity(af, db, diags),
+                             stem, cfg.out_dir))
+                     for af in annotated or []])
+             for stem, annotated in stems]
     if cfg.command in ("makeflows", "all"):
-        texts = _phase_makeflows(cfg, diags)
-        _phase_render(texts, cfg, diags)
+        _phase_makeflows(pages, cfg, diags)
     if cfg.command in ("makehtml", "all"):
-        _phase_makehtml(cfg, diags)
+        _phase_makehtml(pages, db, cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -247,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
 
     has_error = False
     has_warning = False
-    for d in _dedupe(diags):
+    for d in diags:
         if d.severity is Severity.ERROR:
             has_error = True
         else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -47,19 +48,27 @@ _LEXEME_RE = re.compile(r"[A-Za-z_]\w*|\.?[0-9](?:[\w.']|[eEpP][+-])*|::|->|\S")
 
 
 class CodeStream:
-    """Lexeme view over a token stream, with offset -> (line, col) mapping.
+    """The lexed view of one source file, built once and shared by every
+    layer that reads it.
 
-    Comments and preprocessor tokens vanish; string/char literals become
-    single opaque lexemes (their text keeps the quotes, so they can never be
-    mistaken for braces or parentheses).
+    Comments and preprocessor tokens vanish from ``lexemes``; string/char
+    literals become single opaque lexemes (their text keeps the quotes, so
+    they can never be mistaken for braces or parentheses). The view also
+    carries the offset -> (line, col) mapping, the per-line code text of
+    ``scanner.line_code_map`` and the ``//$`` comments, so the token list
+    need not outlive it.
     """
 
     def __init__(self, tokens: list[Token]):
         self.source = source_of(tokens)
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", self.source)]
+        self.code_by_line = line_code_map(tokens)
+        self.markers: list[Token] = []  # '//$' line comments, in source order
         lexemes: list[Lexeme] = []
         for tok in tokens:
-            if tok.kind is TokenKind.CODE:
+            if tok.kind is TokenKind.LINE_COMMENT and tok.text.startswith("//$"):
+                self.markers.append(tok)
+            elif tok.kind is TokenKind.CODE:
                 for m in _LEXEME_RE.finditer(tok.text):
                     text = m.group()
                     first = text[0]
@@ -124,14 +133,17 @@ class Stmt:
     condition_text: str | None = None
     children: list["Stmt"] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
+    # The sequences below that most kinds leave empty default to (), not to
+    # a list per statement, because a run keeps every annotated function's
+    # tree until its diagrams are built.
     # If only: conditions of the else-if arms (children[1:]) and whether the
     # final child is a bare else arm.
-    arm_conditions: list[str] = field(default_factory=list)
+    arm_conditions: Sequence[str] = ()
     has_else: bool = False
     # keyword positions annotations can bind to
     header_pos: tuple[int, int] | None = None
-    arm_header_positions: list[tuple[int, int]] = field(default_factory=list)
-    extra_bind_positions: list[tuple[int, int]] = field(default_factory=list)
+    arm_header_positions: Sequence[tuple[int, int]] = ()
+    extra_bind_positions: Sequence[tuple[int, int]] = ()
 
 
 _CLASS_KEYS = ("class", "struct", "union")
@@ -157,7 +169,7 @@ class _Scope:
     open_line: int
 
 
-def find_definitions(tokens: list[Token], file: str = "<input>",
+def find_definitions(view: CodeStream, file: str = "<input>",
                      diags: list[Diagnostic] | None = None) -> list[FunctionDef]:
     """Recognize function definitions in source order.
 
@@ -168,7 +180,6 @@ def find_definitions(tokens: list[Token], file: str = "<input>",
     a function can be mistaken for another definition.
     """
     diags = sink(diags)
-    view = CodeStream(tokens)
     lx = view.lexemes
     defs: list[FunctionDef] = []
     scopes: list[_Scope] = []
@@ -229,8 +240,7 @@ def find_definitions(tokens: list[Token], file: str = "<input>",
                     buffer.clear()
                     continue
                 if decision in ("namespace", "class", "extern"):
-                    scopes.append(_Scope(decision if decision != "extern" else "extern",
-                                         payload, brace_pos[0]))
+                    scopes.append(_Scope(decision, payload, brace_pos[0]))
                     buffer.clear()
                     i += 1
                     continue
@@ -290,6 +300,13 @@ def _match_forward(lx: list[Lexeme], i: int, open_t: str, close_t: str) -> int:
     return -1
 
 
+def _past_group(lx: list[Lexeme], i: int, open_t: str, close_t: str) -> int:
+    """Index just past the group opened at i, or past the end when the
+    group is unbalanced."""
+    close = _match_forward(lx, i, open_t, close_t)
+    return len(lx) if close == -1 else close + 1
+
+
 def _analyze_buffer(view: CodeStream, buffer: list[int]):
     """Classify the pending declaration ending at a '{'.
 
@@ -302,30 +319,10 @@ def _analyze_buffer(view: CodeStream, buffer: list[int]):
     s = 0
     while s < len(toks):
         if toks[s].text == "template" and s + 1 < len(toks) and toks[s + 1].text == "<":
-            depth = 0
-            k = s + 1
-            while k < len(toks):
-                if toks[k].text == "<":
-                    depth += 1
-                elif toks[k].text == ">":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                k += 1
-            s = k + 1
+            s = _past_group(toks, s + 1, "<", ">")
         elif (toks[s].text == "[" and s + 1 < len(toks)
               and toks[s + 1].text == "["):
-            k = s
-            depth = 0
-            while k < len(toks):
-                if toks[k].text == "[":
-                    depth += 1
-                elif toks[k].text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                k += 1
-            s = k + 1
+            s = _past_group(toks, s, "[", "]")
         else:
             break
     toks = toks[s:]
@@ -409,31 +406,13 @@ def _trailing_ok(toks: list[Lexeme], k: int) -> tuple[bool, bool]:
         if t in _TRAILING_WORDS:
             k += 1
             if t in ("noexcept", "throw") and k < n and toks[k].text == "(":
-                depth = 0
-                while k < n:
-                    if toks[k].text == "(":
-                        depth += 1
-                    elif toks[k].text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    k += 1
-                k += 1
+                k = _past_group(toks, k, "(", ")")
             continue
         if t == "&":
             k += 1
             continue
         if t == "[" and k + 1 < n and toks[k + 1].text == "[":
-            depth = 0
-            while k < n:
-                if toks[k].text == "[":
-                    depth += 1
-                elif toks[k].text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                k += 1
-            k += 1
+            k = _past_group(toks, k, "[", "]")
             continue
         return False, False
     return True, False
@@ -478,41 +457,43 @@ def _name_chain_before(toks: list[Lexeme], op: int) -> str | None:
 # ---------------------------------------------------------------------------
 # statement trees
 
-def parse_body(fn: FunctionDef, tokens: list[Token],
-               diags: list[Diagnostic] | None = None) -> Stmt:
+def parse_body(fn: FunctionDef, view: CodeStream,
+               diags: list[Diagnostic] | None = None,
+               calls: Iterable[CallSite] = ()) -> Stmt:
     """Parse a recognized function body into a statement tree.
 
-    The root is a Block spanning the braces. Call sites are attached to the
-    innermost statement owning their line, and only for lines that carry a
-    postfix ``//$`` marker.
+    The root is a Block spanning the braces. Each of ``calls`` (the call
+    sites of the body's ``//$`` highlights) is attached to the innermost
+    statement owning its line.
     """
     diags = sink(diags)
-    view = CodeStream(tokens)
     lo = view.index_at_or_after(fn.body_start.offset)
     hi = view.index_at_or_after(fn.body_end.offset)
     parser = _BodyParser(view, fn.file, diags)
     children = parser.parse_range(lo + 1, hi)
     root = Stmt(StmtKind.BLOCK, (fn.body_start.line, fn.body_end.line), children=children)
-
-    code_by_line = line_code_map(tokens)
-    for tok in tokens:
-        if tok.kind is not TokenKind.LINE_COMMENT or not tok.text.startswith("//$"):
-            continue
-        if not (fn.body_start.line <= tok.line <= fn.body_end.line):
-            continue
-        code = code_by_line.get(tok.line, "")
-        if not code.strip():
-            continue  # standalone annotation, not a call highlight
-        for call in detect_calls(code, tok.line):
-            _deepest_owner(root, call.line).calls.append(call)
+    for call in calls:
+        innermost(root, call.line).calls.append(call)
     return root
 
 
-def _deepest_owner(stmt: Stmt, line: int) -> Stmt:
-    for child in stmt.children:
-        if child.span[0] <= line <= child.span[1]:
-            return _deepest_owner(child, line)
-    return stmt
+def innermost(stmt: Stmt, line: int, kind: StmtKind | None = None) -> Stmt:
+    """The innermost statement under stmt whose span holds line.
+
+    At each level the first child holding the line is followed. With kind,
+    the innermost statement of that kind on that path is returned, or stmt
+    itself when there is none below it.
+    """
+    found = node = stmt
+    while True:
+        for child in node.children:
+            if child.span[0] <= line <= child.span[1]:
+                node = child
+                if kind is None or child.kind is kind:
+                    found = child
+                break
+        else:
+            return found
 
 
 _CALL_RE = re.compile(
@@ -582,7 +563,7 @@ class _BodyParser:
         if t == "return":
             return self._parse_return(i, hi)
         if t == "switch":
-            return self._parse_opaque_construct(i, hi, headers=1)
+            return self._parse_opaque_construct(i, hi)
         if t == "try":
             return self._parse_try(i, hi)
         return self._parse_plain(i, hi)
@@ -632,7 +613,8 @@ class _BodyParser:
         cond, close = grp
         then_block, j = self._substatement(close + 1, hi)
         node = Stmt(StmtKind.IF, (if_pos[0], then_block.span[1]),
-                    condition_text=cond, children=[then_block], header_pos=if_pos)
+                    condition_text=cond, children=[then_block], header_pos=if_pos,
+                    arm_conditions=[], arm_header_positions=[])
         while j < hi and self.lx[j].text == "else":
             else_pos = self._pos(j)
             k = j + 1
@@ -695,7 +677,7 @@ class _BodyParser:
         return Stmt(StmtKind.RETURN, (pos[0], self._line(j - 1)),
                     header_pos=pos), j
 
-    def _parse_opaque_construct(self, i: int, hi: int, headers: int) -> tuple[Stmt, int]:
+    def _parse_opaque_construct(self, i: int, hi: int) -> tuple[Stmt, int]:
         # switch (...) { ... } consumed as one Plain statement
         start = i
         j = i + 1

@@ -12,6 +12,7 @@ re-reading the other sources.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import annotations as _annotations
 from . import cxx_structure as _cxx
 from . import scanner as _scanner
-from .cxx_structure import CallSite, FunctionDef
+from .cxx_structure import CallSite, FunctionDef, Stmt
 from .diagnostics import Diagnostic, error, sink, warning
 from .ioutil import atomic_write_text
 
@@ -52,12 +53,12 @@ class AnnotatedFunction:
     anchor: str
     annotations: list[_annotations.Annotation]
     max_zoom: int
+    body: Stmt | None = None  # statement tree, set by analyze_source
 
 
 @dataclass
 class SourceAnalysis:
     path: Path
-    tokens: list[_scanner.Token]
     definitions: list[FunctionDef]
     annotations: list[_annotations.Annotation]
     annotated: list[AnnotatedFunction]
@@ -68,15 +69,19 @@ def annotated_functions(defs: list[FunctionDef],
                         taken: dict[str, int] | None = None) -> list[AnnotatedFunction]:
     """Pair definitions with the annotations inside their bodies.
 
-    Functions without annotations are skipped. Anchors are deduplicated
-    ('__2', '__3', ...) so overloads get distinct targets; pass a shared
-    ``taken`` map when several sources feed one page.
+    This is the one place that decides which annotations belong to a
+    function, and its ``max_zoom``. Functions without annotations are
+    skipped. Anchors are deduplicated ('__2', '__3', ...) so overloads get
+    distinct targets; pass a shared ``taken`` map when several sources feed
+    one page.
     """
     taken = {} if taken is None else taken
+    annos = sorted(annos, key=lambda a: a.line)
+    lines = [a.line for a in annos]
     out: list[AnnotatedFunction] = []
     for fn in defs:
-        inside = [a for a in annos
-                  if fn.body_start.line <= a.line <= fn.body_end.line]
+        inside = annos[bisect.bisect_left(lines, fn.body_start.line):
+                       bisect.bisect_right(lines, fn.body_end.line)]
         if not inside:
             continue
         base = mangle_anchor(fn.qualified_name)
@@ -92,9 +97,12 @@ def annotated_functions(defs: list[FunctionDef],
 def analyze_source(source_path: str | Path,
                    diags: list[Diagnostic] | None = None,
                    taken: dict[str, int] | None = None) -> SourceAnalysis | None:
-    """Scan, recognize definitions and collect annotations for one file.
+    """Read, scan and lex one file once, then recognize its definitions,
+    collect its annotations and parse each annotated body.
 
-    Returns None (with an error diagnostic) when the file cannot be read.
+    Only the results are kept; the tokens and the lexed view are dropped on
+    return. Returns None (with an error diagnostic) when the file cannot be
+    read.
     """
     diags = sink(diags)
     path = Path(source_path)
@@ -103,27 +111,22 @@ def analyze_source(source_path: str | Path,
     except (OSError, UnicodeDecodeError) as exc:
         diags.append(error("io-error", f"cannot read source: {exc}", str(path)))
         return None
-    tokens = _scanner.scan(text, str(path), diags)
-    defs = _cxx.find_definitions(tokens, str(path), diags)
-    annos = _annotations.collect(tokens, str(path), diags)
-    return SourceAnalysis(path, tokens, defs, annos,
-                          annotated_functions(defs, annos, taken))
+    view = _cxx.CodeStream(_scanner.scan(text, str(path), diags))
+    defs = _cxx.find_definitions(view, str(path), diags)
+    annos = _annotations.collect(view, str(path), diags)
+    annotated = annotated_functions(defs, annos, taken)
+    for af in annotated:
+        af.body = _cxx.parse_body(af.fn, view, diags,
+                                  [c for a in af.annotations for c in a.calls])
+    return SourceAnalysis(path, defs, annos, annotated)
 
 
-def build_db(source_paths: str | Path | list[str | Path],
-             out_dir: str | Path,
-             diags: list[Diagnostic] | None = None) -> Path | None:
-    """Write <stem>.flowdb for the sources sharing one stem.
-
-    Pass every source that maps to the stem together (typically a header
-    and its .cpp): the database is their union, so one file cannot clobber
-    the entries of its sibling. Empty file when nothing is annotated.
-    """
-    diags = sink(diags)
-    if isinstance(source_paths, (str, Path)):
-        source_paths = [source_paths]
-    stem = Path(source_paths[0]).stem
-    html_path = stem + ".html"
+def analyze_stem(source_paths: list[str | Path],
+                 diags: list[Diagnostic] | None = None
+                 ) -> list[AnnotatedFunction] | None:
+    """The annotated functions of the sources sharing one stem (typically a
+    header and its .cpp), which share one anchor namespace; None when none
+    of them is readable."""
     taken: dict[str, int] = {}
     annotated: list[AnnotatedFunction] = []
     readable = False
@@ -132,14 +135,36 @@ def build_db(source_paths: str | Path | list[str | Path],
         if analysis is not None:
             readable = True
             annotated.extend(analysis.annotated)
-    if not readable:
-        return None
+    return annotated if readable else None
+
+
+def write_db(stem: str, annotated: list[AnnotatedFunction],
+             out_dir: str | Path) -> Path:
+    """Write <stem>.flowdb for the annotated functions of one stem."""
+    html_path = stem + ".html"
     lines = sorted(
         f"{af.fn.qualified_name}\t{html_path}#{af.anchor}\t{af.max_zoom}\n"
         for af in annotated)
     db_path = Path(out_dir) / (stem + ".flowdb")
     atomic_write_text(db_path, "".join(lines))
     return db_path
+
+
+def build_db(source_paths: str | Path | list[str | Path],
+             out_dir: str | Path,
+             diags: list[Diagnostic] | None = None) -> Path | None:
+    """Analyze the sources sharing one stem and write <stem>.flowdb.
+
+    Pass every source that maps to the stem together (typically a header
+    and its .cpp): the database is their union, so one file cannot clobber
+    the entries of its sibling. Empty file when nothing is annotated.
+    """
+    if isinstance(source_paths, (str, Path)):
+        source_paths = [source_paths]
+    annotated = analyze_stem(source_paths, diags)
+    if annotated is None:
+        return None
+    return write_db(Path(source_paths[0]).stem, annotated, out_dir)
 
 
 class FlowDb:

@@ -183,13 +183,12 @@ def test_criterion_3():
         rng = random.Random(seed)
         text = _generate_fixture(rng)
         name = f"gen{seed}.cpp"
-        tokens = scanner.scan(text, name, [])
-        defs = cxx_structure.find_definitions(tokens, name, [])
-        annos = annotations.collect(tokens, name, [])
-        afs = annotated_functions(defs, annos)
-        stmts = cxx_structure.parse_body(defs[0], tokens, [])
-        tree = activity_ir.build_activity(defs[0], stmts, annos, FlowDb(),
-                                          [], anchor=afs[0].anchor)
+        view = cxx_structure.CodeStream(scanner.scan(text, name, []))
+        defs = cxx_structure.find_definitions(view, name, [])
+        af = annotated_functions(defs, annotations.collect(view, name, []))[0]
+        af.body = cxx_structure.parse_body(
+            af.fn, view, [], [c for a in af.annotations for c in a.calls])
+        tree = activity_ir.build_activity(af, FlowDb(), [])
         depth_seen[tree.max_zoom] += 1
         prev = None
         for level in range(tree.max_zoom + 1):
@@ -366,10 +365,10 @@ def test_criterion_6(tmp_path):
     false_positives = 0
     functions_seen = 0
     for src in sources:
-        tokens = scanner.scan(src.read_text(), src.name, [])
+        view = cxx_structure.CodeStream(scanner.scan(src.read_text(), src.name, []))
         functions_seen += len(
-            cxx_structure.find_definitions(tokens, src.name, []))
-        false_positives += len(annotations.collect(tokens, src.name, []))
+            cxx_structure.find_definitions(view, src.name, []))
+        false_positives += len(annotations.collect(view, src.name, []))
 
     out = tmp_path / "out"
     code = run_pipeline(sources, out, "--quiet")

@@ -4,18 +4,22 @@ from flowdoc.activity_ir import (ActionNode, BranchNode, ForkNode,
                                  LevelOutOfRange, LoopNode, LoopStyle,
                                  StopNode, build_activity, project)
 from flowdoc.annotations import collect
-from flowdoc.cxx_structure import find_definitions, parse_body
-from flowdoc.flowdb import FlowDb, FlowDbEntry
+from flowdoc.cxx_structure import CodeStream, find_definitions, parse_body
+from flowdoc.flowdb import FlowDb, FlowDbEntry, annotated_functions
 from flowdoc.scanner import scan
 
 
 def build(src, db=None, diags=None):
     diags = diags if diags is not None else []
-    tokens = scan(src, "t.cpp", diags)
-    fn = find_definitions(tokens, "t.cpp", diags)[0]
-    annos = collect(tokens, "t.cpp", diags)
-    stmts = parse_body(fn, tokens, diags)
-    return build_activity(fn, stmts, annos, db or FlowDb(), diags, anchor="fn")
+    view = CodeStream(scan(src, "t.cpp", diags))
+    fns = find_definitions(view, "t.cpp", diags)[:1]
+    afs = annotated_functions(fns, collect(view, "t.cpp", diags))
+    if not afs:
+        return None
+    af = afs[0]
+    af.body = parse_body(af.fn, view, diags,
+                         [c for a in af.annotations for c in a.calls])
+    return build_activity(af, db or FlowDb(), diags)
 
 
 def shape(nodes):
@@ -165,6 +169,21 @@ class TestCallHighlights:
         assert isinstance(tree.root[0], ActionNode)
         assert tree.root[0].text == ""
         assert tree.root[0].calls[0].display == "VINCIA::shower()"
+
+    def test_repeated_callee_on_one_line_warns_once(self):
+        diags = []
+        tree = build("void f() {\n//$ run\ng(); g();  //$\n}\n", diags=diags)
+        assert [c.display for c in tree.root[0].calls] == ["g()", "g()"]
+        assert [d.code for d in diags] == ["no-link"]
+
+    def test_repeated_ambiguous_callee_warns_once(self):
+        db = FlowDb({name: FlowDbEntry(name, "p.html", name.replace("::", "__"), 0)
+                     for name in ("A::step", "B::step")})
+        diags = []
+        tree = build("void f() {\n//$ run\nstep(); step();  //$\n}\n",
+                     db=db, diags=diags)
+        assert [c.display for c in tree.root[0].calls] == ["step()", "step()"]
+        assert [d.code for d in diags] == ["ambiguous-callee", "no-link"]
 
     def test_highlight_makes_construct_render(self):
         tree = build("void f() {\n//$ head\na();\nif (x) {\n"

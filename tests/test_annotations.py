@@ -1,10 +1,12 @@
 from flowdoc.annotations import (AnnotationKind, classify, collect,
                                  parse_marker)
+from flowdoc.cxx_structure import CodeStream
 from flowdoc.scanner import Token, TokenKind, scan
 
 
 def collect_src(src, diags=None):
-    return collect(scan(src), "t.cpp", diags if diags is not None else [])
+    return collect(CodeStream(scan(src)), "t.cpp",
+                   diags if diags is not None else [])
 
 
 class TestMarkerGrammar:

@@ -1,6 +1,10 @@
 import subprocess
 import sys
+from collections import Counter
 
+import pytest
+
+from flowdoc import cli, cxx_structure, flowdb, plantuml_emit
 from flowdoc.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -160,11 +164,84 @@ class TestDiagnostics:
         (out / "bad.flowdb").write_text("not a db line\n")
         src = tmp_path / "s.cpp"
         src.write_text("void f() {\n//$ act\nx();\n}\n")
-        # "all" loads the db in makeflows and again in makehtml
+        # "all" merges the databases once, for makeflows and makehtml
         code, err = run_cli("all", str(src), "--out-dir", str(out),
                             capsys=capsys)
         assert code == 0
         assert err.count("[malformed-db-line]") == 1
+
+
+# One source of each diagnostic an analysis or a tree build can emit; a
+# second analysis or build in the same run would repeat them.
+_NOISY = (
+    "void A::step() {\n//$ a\nx();\n}\n"
+    "void B::step() {\n//$ b\nx();\n}\n"
+    "void go() {\n//$ start\ng(); g();  //$\nstep(); step();  //$\n"
+    "int y;  //$\n//$ [lonely]\nx();\n//$ [unused]\nif (c) { x(); }\n"
+    "if x;\n}\n")
+_NOISY_CODES = {"no-link", "ambiguous-callee", "dangling-call-highlight",
+                "orphan-bracket-annotation", "unused-condition-description",
+                "malformed-control-header"}
+
+
+class TestWorkDoneOnce:
+    """``all`` analyzes and lexes each source once and renders each
+    annotated function once, so no diagnostic is emitted twice."""
+
+    def counted_all(self, sources, out, monkeypatch, capsys):
+        analyses, renders, lexes, runs = Counter(), Counter(), [], []
+        analyze = flowdb.analyze_source
+        init = cxx_structure.CodeStream.__init__
+        render = plantuml_emit.render_function
+        run = cli.run
+
+        def counted_analyze(path, *args, **kwargs):
+            analyses[str(path)] += 1
+            return analyze(path, *args, **kwargs)
+
+        def counted_init(view, tokens):
+            lexes.append(view)
+            init(view, tokens)
+
+        def counted_render(tree, stem, *args, **kwargs):
+            renders[(stem, tree.anchor)] += 1
+            return render(tree, stem, *args, **kwargs)
+
+        def captured_run(cfg, diags):
+            runs.append(diags)
+            run(cfg, diags)
+
+        monkeypatch.setattr(flowdb, "analyze_source", counted_analyze)
+        monkeypatch.setattr(cxx_structure.CodeStream, "__init__", counted_init)
+        monkeypatch.setattr(plantuml_emit, "render_function", counted_render)
+        monkeypatch.setattr(cli, "run", captured_run)
+        main(["all", *sources, "--out-dir", str(out)])
+        capsys.readouterr()
+        return analyses, len(lexes), renders, runs[0]
+
+    @pytest.mark.parametrize("corpus", ["demo", "xlink", "noisy"])
+    def test_each_piece_of_work_happens_once(self, corpus, tmp_path,
+                                             monkeypatch, capsys):
+        if corpus == "noisy":
+            (tmp_path / "noisy.cpp").write_text(_NOISY)
+            sources = [str(tmp_path / "noisy.cpp")]
+        else:
+            sources = sorted(str(p) for p in (FIXTURES / corpus).rglob("*")
+                             if p.suffix in flowdb.SOURCE_SUFFIXES)
+        out = tmp_path / "out"
+        analyses, lexes, renders, diags = self.counted_all(
+            sources, out, monkeypatch, capsys)
+        assert analyses == Counter(sources)
+        assert lexes == len(sources)
+        functions = Counter(
+            (db.stem, line.split("\t")[1].split("#")[1])
+            for db in out.glob("*.flowdb")
+            for line in db.read_text().splitlines())
+        assert functions and renders == functions
+        keys = [(d.file, d.line, d.severity, d.code, d.message) for d in diags]
+        assert len(set(keys)) == len(keys), keys
+        if corpus == "noisy":
+            assert {d.code for d in diags} == _NOISY_CODES
 
 
 class TestOutDirSelection:

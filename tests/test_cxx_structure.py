@@ -1,11 +1,13 @@
-from flowdoc.cxx_structure import (StmtKind, detect_calls, find_definitions,
-                                   parse_body)
+from flowdoc.annotations import collect
+from flowdoc.cxx_structure import (CodeStream, StmtKind, detect_calls,
+                                   find_definitions, parse_body)
 from flowdoc.diagnostics import Severity
 from flowdoc.scanner import scan
 
 
 def defs_of(src, diags=None):
-    return find_definitions(scan(src), "t.cpp", diags if diags is not None else [])
+    return find_definitions(CodeStream(scan(src)), "t.cpp",
+                            diags if diags is not None else [])
 
 
 def names(src):
@@ -139,9 +141,9 @@ class TestDefinitionRecognition:
 class TestStatementTrees:
     def parse(self, body, diags=None):
         src = f"void f() {{\n{body}\n}}\n"
-        tokens = scan(src)
-        fn = find_definitions(tokens, "t.cpp", [])[0]
-        return parse_body(fn, tokens, diags if diags is not None else [])
+        view = CodeStream(scan(src))
+        fn = find_definitions(view, "t.cpp", [])[0]
+        return parse_body(fn, view, diags if diags is not None else [])
 
     def test_plain_statements_and_return(self):
         root = self.parse("int a = 1;\ncall(a);\nreturn a;")
@@ -261,16 +263,18 @@ class TestCallDetection:
                "helper();  //$\n"
                "}\n"
                "}\n")
-        tokens = scan(src)
-        fn = find_definitions(tokens, "t.cpp", [])[0]
-        root = parse_body(fn, tokens, [])
+        view = CodeStream(scan(src))
+        fn = find_definitions(view, "t.cpp", [])[0]
+        calls = [c for a in collect(view) for c in a.calls]
+        root = parse_body(fn, view, [], calls)
         stmt = root.children[0].children[0].children[0]
         assert stmt.kind is StmtKind.PLAIN
         assert [c.normalized_name for c in stmt.calls] == ["helper"]
 
     def test_lines_without_marker_attach_nothing(self):
         src = "void f() {\nhelper();\n}\n"
-        tokens = scan(src)
-        fn = find_definitions(tokens, "t.cpp", [])[0]
-        root = parse_body(fn, tokens, [])
+        view = CodeStream(scan(src))
+        fn = find_definitions(view, "t.cpp", [])[0]
+        calls = [c for a in collect(view) for c in a.calls]
+        root = parse_body(fn, view, [], calls)
         assert root.children[0].calls == []

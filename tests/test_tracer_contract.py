@@ -1,0 +1,43 @@
+"""The benchmark's tracer still finds and sees every layer it wraps.
+
+``flowbench/tracing.py`` wraps flowdoc functions by name from outside. A
+renamed, removed or no longer called target makes the traced benchmark run
+raise or record failed checks, so this guards the names from the tier-1
+suite.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from flowdoc import cli
+
+from conftest import FIXTURES
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "flowbench"))
+import tracing  # noqa: E402
+
+
+def test_every_target_resolves():
+    mods = tracing.flowdoc_modules()
+    for mod_name, attr, _, _ in tracing.TARGETS:
+        owner = mods[mod_name]
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{mod_name}.{attr}"
+            owner = getattr(owner, part)
+
+
+@pytest.mark.parametrize("fixture", ["demo", "xlink"])
+def test_every_target_is_called_by_all(fixture, tmp_path, capsys):
+    tracer = tracing.Tracer()
+    with tracer:
+        run = tracer.new_run()
+        code = cli.main(["all", str(FIXTURES / fixture),
+                         "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert tracing.leftover_wrappers() == []
+    summary = tracer.summary(run)
+    for _, _, name, _ in tracing.TARGETS:
+        assert summary.get(name, {}).get("calls", 0) > 0, name
