@@ -60,6 +60,10 @@ class LoopStyle(Enum):
     POST_TEST = "post"  # do-while
 
 
+_LOOP_STYLES = {StmtKind.WHILE: LoopStyle.PRE_TEST, StmtKind.FOR: LoopStyle.PRE_TEST,
+                StmtKind.DO_WHILE: LoopStyle.POST_TEST}
+
+
 @dataclass
 class LoopNode:
     style: LoopStyle
@@ -148,10 +152,9 @@ class _Builder:
             if a.kind is AnnotationKind.ACTION:
                 owner = innermost(af.body, a.line, StmtKind.BLOCK)
                 self.owned.setdefault(id(owner), []).append(a)
-        self.descs = {a.target: a for a in annos
-                      if a.kind is AnnotationKind.CONDITION_DESC and a.target}
-        self.ret_descs = {a.target: a for a in annos
-                          if a.kind is AnnotationKind.RETURN_DESC and a.target}
+        # descriptions by keyword offset; a condition description targets
+        # only if/else/loop keywords, a return description only 'return'
+        self.descs = {a.target: a for a in annos if a.target is not None}
         self.highlight_lines = {a.line for a in annos
                                 if a.kind is AnnotationKind.CALL_HIGHLIGHT}
         trigger = [a.line for a in annos
@@ -159,7 +162,7 @@ class _Builder:
                                  AnnotationKind.CALL_HIGHLIGHT,
                                  AnnotationKind.RETURN_DESC)]
         self.trigger_lines = sorted(trigger)
-        self.consumed_descs: set[tuple[int, int]] = set()
+        self.consumed_descs: set[int] = set()
         self.surfaced_highlights: set[int] = set()
         # (line, callee as written) -> its box entry: a callee repeated on
         # one line is resolved, and reported, once
@@ -172,12 +175,16 @@ class _Builder:
         i = bisect.bisect_left(self.trigger_lines, lo)
         return i < len(self.trigger_lines) and self.trigger_lines[i] <= hi
 
-    def _desc_for(self, positions) -> str | None:
-        for pos in positions:
-            if pos is not None and pos in self.descs:
-                self.consumed_descs.add(pos)
-                return self.descs[pos].text
-        return None
+    def _label(self, stmt: Stmt) -> str | None:
+        """The description bound to one of stmt's keywords, else its
+        condition (None for a bare else arm or a return)."""
+        for kw in stmt.keywords:
+            if kw in self.descs:
+                self.consumed_descs.add(kw)
+                return self.descs[kw].text
+        if stmt.condition_text is None:
+            return None
+        return collapse_ws(stmt.condition_text) or "..."
 
     # -- fusion -----------------------------------------------------------
 
@@ -203,28 +210,19 @@ class _Builder:
             self._fuse_into(stmt, seq)
             return
         if stmt.kind is StmtKind.RETURN:
-            text = None
-            if stmt.header_pos in self.ret_descs:
-                self.consumed_descs.add(stmt.header_pos)
-                text = self.ret_descs[stmt.header_pos].text
+            text = self._label(stmt)
             self._absorb_calls(stmt, seq)
             seq.append(StopNode(text))
             return
         if stmt.kind is StmtKind.IF and self._renders(stmt):
-            seq.append(self._branch(stmt))
+            seq.append(BranchNode([
+                BranchArm(self._label(arm), self.fuse_block(arm),
+                          is_else=arm.condition_text is None)
+                for arm in stmt.children]))
             return
-        if stmt.kind in (StmtKind.WHILE, StmtKind.FOR) and self._renders(stmt):
-            label = self._desc_for([stmt.header_pos])
-            if label is None:
-                label = collapse_ws(stmt.condition_text or "") or "..."
-            seq.append(LoopNode(LoopStyle.PRE_TEST, label,
-                                self.fuse_block(stmt.children[0])))
-            return
-        if stmt.kind is StmtKind.DO_WHILE and self._renders(stmt):
-            label = self._desc_for([stmt.header_pos] + stmt.extra_bind_positions)
-            if label is None:
-                label = collapse_ws(stmt.condition_text or "") or "..."
-            seq.append(LoopNode(LoopStyle.POST_TEST, label,
+        style = _LOOP_STYLES.get(stmt.kind)
+        if style is not None and self._renders(stmt):
+            seq.append(LoopNode(style, self._label(stmt),
                                 self.fuse_block(stmt.children[0])))
             return
         # absorbed: plain statements and silent constructs
@@ -251,42 +249,18 @@ class _Builder:
         for child in stmt.children:
             self._absorb_calls(child, seq)
 
-    def _branch(self, stmt: Stmt) -> BranchNode:
-        arms: list[BranchArm] = []
-        label = self._desc_for([stmt.header_pos])
-        if label is None:
-            label = collapse_ws(stmt.condition_text or "") or "..."
-        arms.append(BranchArm(label, self.fuse_block(stmt.children[0])))
-        rest = stmt.children[1:]
-        n_elif = len(rest) - 1 if stmt.has_else else len(rest)
-        for k in range(n_elif):
-            label = self._desc_for([stmt.arm_header_positions[k]])
-            if label is None:
-                label = collapse_ws(stmt.arm_conditions[k]) or "..."
-            arms.append(BranchArm(label, self.fuse_block(rest[k])))
-        if stmt.has_else:
-            label = self._desc_for([stmt.arm_header_positions[-1]])
-            arms.append(BranchArm(label, self.fuse_block(rest[-1]),
-                                  is_else=True))
-        return BranchNode(arms)
-
     # -- diagnostics ------------------------------------------------------
 
     def report_leftovers(self) -> None:
-        for pos, ann in sorted(self.descs.items()):
-            if pos not in self.consumed_descs:
-                self.diags.append(warning(
-                    "unused-condition-description",
-                    f"description '[{ann.text}]' was not applied to any "
-                    f"rendered construct",
-                    self.fn.file, ann.line))
-        for pos, ann in sorted(self.ret_descs.items()):
-            if pos not in self.consumed_descs:
-                self.diags.append(warning(
-                    "unused-condition-description",
-                    f"description '[{ann.text}]' was not applied to any "
-                    f"rendered return",
-                    self.fn.file, ann.line))
+        for kind, what in ((AnnotationKind.CONDITION_DESC, "construct"),
+                           (AnnotationKind.RETURN_DESC, "return")):
+            for kw, ann in sorted(self.descs.items()):
+                if ann.kind is kind and kw not in self.consumed_descs:
+                    self.diags.append(warning(
+                        "unused-condition-description",
+                        f"description '[{ann.text}]' was not applied to any "
+                        f"rendered {what}",
+                        self.fn.file, ann.line))
         for line in sorted(self.highlight_lines - self.surfaced_highlights):
             self.diags.append(warning(
                 "dangling-call-highlight",

@@ -42,8 +42,8 @@ class Annotation:
     line: int
     zoom: int = 0
     parallel: bool = False
-    # (line, col) of the keyword a description binds to
-    target: tuple[int, int] | None = None
+    # offset of the keyword a description binds to (test with 'is not None')
+    target: int | None = None
     # call sites on a highlighted line
     calls: tuple[CallSite, ...] = ()
 
@@ -147,8 +147,8 @@ def collect(view: CodeStream, file: str = "<input>",
 
 
 def _following_context(view: CodeStream, tok: Token, block_at: int | None
-                       ) -> tuple[str | None, tuple[int, int] | None]:
-    """Kind and keyword position of the code construct following a comment.
+                       ) -> tuple[str | None, int | None]:
+    """Kind and keyword offset of the code construct following a comment.
 
     Scans past whitespace, plain comments and preprocessor lines. The
     ``//$`` comment at offset block_at, if any, blocks the binding.
@@ -160,7 +160,7 @@ def _following_context(view: CodeStream, tok: Token, block_at: int | None
     if block_at is not None and lx[k].offset > block_at:
         return None, None
     word = lx[k].text
-    pos = view.pos(lx[k].offset)
+    pos = lx[k].offset
     if word == "if":
         return "if", pos
     if word == "else":

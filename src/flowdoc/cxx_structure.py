@@ -9,6 +9,11 @@ it recognizes just enough structure for flowcharting:
   forms, returns, and opaque Plain statements for everything else,
 * call sites, inspected only on lines that carry a postfix ``//$`` marker.
 
+Positions are character offsets into the source, as the lexed view holds
+them; a statement records the offsets of the keywords a description can bind
+to. The view pairs every bracket with its closer once, so skipping a body, a
+group or an initializer is a lookup, not a rescan.
+
 Declarations (ending in ``;``), lambdas, local classes, operator overloads
 and the bodies of ``switch``/``try`` stay opaque: they are brace-matched and
 skipped, never mis-read. Preprocessor content is ignored entirely, so code
@@ -20,11 +25,11 @@ from __future__ import annotations
 
 import bisect
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .diagnostics import Diagnostic, error, sink, warning
+from .diagnostics import Diagnostic, sink, warning
 from .scanner import Token, TokenKind, line_code_map, source_of
 
 
@@ -45,6 +50,7 @@ class Lexeme:
 # identifiers, pp-numbers (digit separators included), '::', '->', then any
 # single non-space character
 _LEXEME_RE = re.compile(r"[A-Za-z_]\w*|\.?[0-9](?:[\w.']|[eEpP][+-])*|::|->|\S")
+_CLOSER = {"(": ")", "[": "]", "{": "}"}
 
 
 class CodeStream:
@@ -53,8 +59,11 @@ class CodeStream:
 
     Comments and preprocessor tokens vanish from ``lexemes``; string/char
     literals become single opaque lexemes (their text keeps the quotes, so
-    they can never be mistaken for braces or parentheses). The view also
-    carries the offset -> (line, col) mapping, the per-line code text of
+    they can never be mistaken for brackets). A position is a character
+    offset into ``source``, and ``line`` maps it to its line. ``partner``
+    maps the index of each ``(``, ``[`` and ``{`` lexeme to the index of its
+    closer, found with one stack per bracket type; an opener that is never
+    closed has no entry. The view also carries the per-line code text of
     ``scanner.line_code_map`` and the ``//$`` comments, so the token list
     need not outlive it.
     """
@@ -65,6 +74,9 @@ class CodeStream:
         self.code_by_line = line_code_map(tokens)
         self.markers: list[Token] = []  # '//$' line comments, in source order
         lexemes: list[Lexeme] = []
+        self.partner: dict[int, int] = {}
+        # the open brackets of each type, keyed by their closer
+        open_at: dict[str, list[int]] = {")": [], "]": [], "}": []}
         for tok in tokens:
             if tok.kind is TokenKind.LINE_COMMENT and tok.text.startswith("//$"):
                 self.markers.append(tok)
@@ -78,16 +90,19 @@ class CodeStream:
                         kind = LexKind.NUM
                     else:
                         kind = LexKind.PUNCT
+                        if text in _CLOSER:
+                            open_at[_CLOSER[text]].append(len(lexemes))
+                        elif open_at.get(text):
+                            self.partner[open_at[text].pop()] = len(lexemes)
                     lexemes.append(Lexeme(text, tok.offset + m.start(), kind))
             elif tok.kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT):
                 lexemes.append(Lexeme(tok.text, tok.offset, LexKind.LIT))
         self.lexemes = lexemes
         self._offsets = [l.offset for l in lexemes]
 
-    def pos(self, offset: int) -> tuple[int, int]:
-        """1-based (line, col) of a character offset."""
-        idx = bisect.bisect_right(self.line_starts, offset) - 1
-        return idx + 1, offset - self.line_starts[idx] + 1
+    def line(self, offset: int) -> int:
+        """1-based line of a character offset."""
+        return bisect.bisect_right(self.line_starts, offset)
 
     def index_at_or_after(self, offset: int) -> int:
         return bisect.bisect_left(self._offsets, offset)
@@ -96,7 +111,6 @@ class CodeStream:
 @dataclass(frozen=True)
 class SourcePos:
     line: int
-    col: int
     offset: int
 
 
@@ -128,23 +142,21 @@ class StmtKind(Enum):
 
 @dataclass
 class Stmt:
+    """One statement. An If's children are its arms, in order: Blocks that
+    carry their own condition (None for a bare else) and keyword."""
     kind: StmtKind
     span: tuple[int, int]  # first and last source line, inclusive
-    condition_text: str | None = None
+    condition_text: str | None = None  # of a loop or an If arm
     children: list["Stmt"] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
-    # The sequences below that most kinds leave empty default to (), not to
-    # a list per statement, because a run keeps every annotated function's
-    # tree until its diagrams are built.
-    # If only: conditions of the else-if arms (children[1:]) and whether the
-    # final child is a bare else arm.
-    arm_conditions: Sequence[str] = ()
-    has_else: bool = False
-    # keyword positions annotations can bind to
-    header_pos: tuple[int, int] | None = None
-    arm_header_positions: Sequence[tuple[int, int]] = ()
-    extra_bind_positions: Sequence[tuple[int, int]] = ()
+    # offsets of the keywords a description binds to: the arm's 'if' or
+    # 'else', the loop's keyword ('do' and its 'while'), 'return'
+    keywords: tuple[int, ...] = ()
 
+
+# Blocks nested deeper than this below a function body are kept as one
+# opaque statement, which bounds the recursion of every tree walk.
+MAX_NESTING = 128
 
 _CLASS_KEYS = ("class", "struct", "union")
 _ACCESS = ("public", "private", "protected")
@@ -176,14 +188,14 @@ def find_definitions(view: CodeStream, file: str = "<input>",
     The restricted pattern is: optional template header, return-type tokens,
     a ``::``-qualified identifier (``~`` allowed for destructors), a balanced
     parameter list, optional trailing specifiers or a constructor initializer
-    list, then ``{``. Bodies are brace-matched and skipped, so nothing inside
-    a function can be mistaken for another definition.
+    list, then ``{``. Each body is skipped to the partner of its ``{``, so
+    nothing inside a function can be mistaken for another definition.
     """
     diags = sink(diags)
     lx = view.lexemes
     defs: list[FunctionDef] = []
     scopes: list[_Scope] = []
-    buffer: list[int] = []
+    start = 0  # the pending declaration is lx[start:i]
     paren_depth = 0
     reported_unbalanced = False
     i = 0
@@ -192,87 +204,67 @@ def find_definitions(view: CodeStream, file: str = "<input>",
     def report_unbalanced(line: int) -> None:
         nonlocal reported_unbalanced
         if not reported_unbalanced:
-            diags.append(error("unbalanced-braces", "unbalanced braces", file, line))
+            diags.append(warning("unbalanced-braces", "unbalanced braces", file, line))
             reported_unbalanced = True
 
     while i < n:
         t = lx[i].text
         if paren_depth == 0 and lx[i].kind is LexKind.PUNCT:
             if t == ";":
-                buffer.clear()
                 i += 1
+                start = i
                 continue
             if t == "{":
-                decision, payload = _analyze_buffer(view, buffer)
-                brace_pos = view.pos(lx[i].offset)
+                decl = lx[start:i]
+                decision, payload = _analyze_buffer(decl)
+                brace_line = view.line(lx[i].offset)
+                close = view.partner.get(i)
                 if decision == "function":
                     chain, ctor_init = payload
-                    if ctor_init and buffer and _ends_like_member_init(view, buffer):
-                        # '{' opens a member initializer, not the body; fold
-                        # the group into the pending declaration
-                        close = _match_forward(lx, i, "{", "}")
-                        if close == -1:
-                            report_unbalanced(brace_pos[0])
-                            i = n
-                            continue
-                        buffer.extend(range(i, close + 1))
-                        i = close + 1
+                    if ctor_init and _ends_like_member_init(decl):
+                        # '{' opens a member initializer, not the body; the
+                        # group stays in the pending declaration
+                        if close is None:
+                            report_unbalanced(brace_line)
+                        i = n if close is None else close + 1
                         continue
-                    close = _match_forward(lx, i, "{", "}")
                     qualifiers = [s.name for s in scopes if s.name]
                     qname = "::".join(qualifiers + [chain])
-                    sig_start = lx[buffer[0]].offset
-                    signature = view.source[sig_start:lx[i].offset].strip()
-                    if close == -1:
-                        report_unbalanced(brace_pos[0])
-                        end_off = lx[-1].offset
-                        end_pos = view.pos(end_off)
-                        defs.append(FunctionDef(qname, signature,
-                                                SourcePos(*brace_pos, lx[i].offset),
-                                                SourcePos(*end_pos, end_off), file))
-                        i = n
-                    else:
-                        end_pos = view.pos(lx[close].offset)
-                        defs.append(FunctionDef(qname, signature,
-                                                SourcePos(*brace_pos, lx[i].offset),
-                                                SourcePos(*end_pos, lx[close].offset), file))
-                        i = close + 1
-                    buffer.clear()
-                    continue
-                if decision in ("namespace", "class", "extern"):
-                    scopes.append(_Scope(decision, payload, brace_pos[0]))
-                    buffer.clear()
-                    i += 1
-                    continue
-                # opaque: enum bodies, initializers, lambdas, unknown shapes
-                close = _match_forward(lx, i, "{", "}")
-                if close == -1:
-                    report_unbalanced(brace_pos[0])
-                    i = n
-                else:
-                    i = close + 1
-                buffer.clear()
+                    signature = view.source[lx[start].offset:lx[i].offset].strip()
+                    if close is None:
+                        report_unbalanced(brace_line)
+                    end_off = lx[-1 if close is None else close].offset
+                    defs.append(FunctionDef(qname, signature,
+                                            SourcePos(brace_line, lx[i].offset),
+                                            SourcePos(view.line(end_off), end_off), file))
+                elif decision in ("namespace", "class", "extern"):
+                    scopes.append(_Scope(decision, payload, brace_line))
+                    close = i  # step past the '{' alone; its '}' pops the scope
+                elif close is None:
+                    # opaque: enum bodies, initializers, lambdas, unknown shapes
+                    report_unbalanced(brace_line)
+                i = n if close is None else close + 1
+                start = i
                 continue
             if t == "}":
                 if scopes:
                     scopes.pop()
                 else:
-                    report_unbalanced(view.pos(lx[i].offset)[0])
-                buffer.clear()
+                    report_unbalanced(view.line(lx[i].offset))
                 i += 1
+                start = i
                 continue
-            if (t == ":" and len(buffer) == 1 and scopes
+            if (t == ":" and i - start == 1 and scopes
                     and scopes[-1].kind == "class"
-                    and lx[buffer[0]].text in _ACCESS):
-                buffer.clear()
+                    and lx[start].text in _ACCESS):
                 i += 1
+                start = i
                 continue
         if lx[i].kind is LexKind.PUNCT:
             if t == "(":
                 paren_depth += 1
             elif t == ")":
                 paren_depth = max(0, paren_depth - 1)
-        buffer.append(i)
         i += 1
 
     if scopes:
@@ -280,42 +272,35 @@ def find_definitions(view: CodeStream, file: str = "<input>",
     return defs
 
 
-def _ends_like_member_init(view: CodeStream, buffer: list[int]) -> bool:
+def _ends_like_member_init(decl: list[Lexeme]) -> bool:
     # In a constructor initializer list, a '{' after an identifier or a
     # closing '>' starts a brace initializer; after ')' or '}' it is the body.
-    last = view.lexemes[buffer[-1]]
-    return last.kind is LexKind.WORD or last.text == ">"
+    return decl[-1].kind is LexKind.WORD or decl[-1].text == ">"
 
 
-def _match_forward(lx: list[Lexeme], i: int, open_t: str, close_t: str) -> int:
+def _past_group(toks: list[Lexeme], i: int, open_t: str, close_t: str) -> int:
+    """Index just past the group opened at toks[i], or past the end when the
+    group is unbalanced. Only the short declaration slices are scanned here:
+    their ``<...>`` has no partner in the lexed view."""
     depth = 0
-    for k in range(i, len(lx)):
-        t = lx[k].text
+    for k in range(i, len(toks)):
+        t = toks[k].text
         if t == open_t:
             depth += 1
         elif t == close_t:
             depth -= 1
             if depth == 0:
-                return k
-    return -1
+                return k + 1
+    return len(toks)
 
 
-def _past_group(lx: list[Lexeme], i: int, open_t: str, close_t: str) -> int:
-    """Index just past the group opened at i, or past the end when the
-    group is unbalanced."""
-    close = _match_forward(lx, i, open_t, close_t)
-    return len(lx) if close == -1 else close + 1
-
-
-def _analyze_buffer(view: CodeStream, buffer: list[int]):
+def _analyze_buffer(toks: list[Lexeme]):
     """Classify the pending declaration ending at a '{'.
 
     Returns one of ("function", (name_chain, has_ctor_init)),
     ("namespace", name|None), ("class", name|None), ("extern", None),
     ("opaque", None).
     """
-    lx = view.lexemes
-    toks = [lx[k] for k in buffer]
     s = 0
     while s < len(toks):
         if toks[s].text == "template" and s + 1 < len(toks) and toks[s + 1].text == "<":
@@ -469,8 +454,7 @@ def parse_body(fn: FunctionDef, view: CodeStream,
     diags = sink(diags)
     lo = view.index_at_or_after(fn.body_start.offset)
     hi = view.index_at_or_after(fn.body_end.offset)
-    parser = _BodyParser(view, fn.file, diags)
-    children = parser.parse_range(lo + 1, hi)
+    children = _BodyParser(view, fn.file, diags).parse_range(lo + 1, hi)
     root = Stmt(StmtKind.BLOCK, (fn.body_start.line, fn.body_end.line), children=children)
     for call in calls:
         innermost(root, call.line).calls.append(call)
@@ -522,22 +506,28 @@ class _BodyParser:
     def __init__(self, view: CodeStream, file: str, diags: list[Diagnostic]):
         self.view = view
         self.lx = view.lexemes
+        self.partner = view.partner
         self.file = file
         self.diags = diags
+        self.depth = 0  # blocks and unbraced arms entered, the body included
 
     def _line(self, i: int) -> int:
-        return self.view.pos(self.lx[i].offset)[0]
-
-    def _pos(self, i: int) -> tuple[int, int]:
-        return self.view.pos(self.lx[i].offset)
+        return self.view.line(self.lx[i].offset)
 
     def parse_range(self, lo: int, hi: int) -> list[Stmt]:
+        """The statements of a block's interior [lo, hi). Past MAX_NESTING
+        blocks below the function body it is one opaque statement."""
+        if self.depth > MAX_NESTING and lo < hi:
+            self._too_deep(lo)
+            return [Stmt(StmtKind.PLAIN, (self._line(lo), self._line(hi - 1)))]
+        self.depth += 1
         out: list[Stmt] = []
         i = lo
         while i < hi:
             stmt, i = self.parse_one(i, hi)
             if stmt is not None:
                 out.append(stmt)
+        self.depth -= 1
         return out
 
     def parse_one(self, i: int, hi: int) -> tuple[Stmt | None, int]:
@@ -545,15 +535,12 @@ class _BodyParser:
         if t == ";":
             return None, i + 1
         if t == "{":
-            close = _match_forward(self.lx, i, "{", "}")
-            if close == -1 or close >= hi:
-                close = hi - 1 if hi - 1 > i else i
-                children = self.parse_range(i + 1, max(i + 1, close))
-                return Stmt(StmtKind.BLOCK, (self._line(i), self._line(close)),
-                            children=children), hi
-            children = self.parse_range(i + 1, close)
+            close = self.partner.get(i, hi)
+            nxt = close + 1
+            if close >= hi:
+                close, nxt = max(hi - 1, i), hi
             return Stmt(StmtKind.BLOCK, (self._line(i), self._line(close)),
-                        children=children), close + 1
+                        children=self.parse_range(i + 1, close)), nxt
         if t == "if":
             return self._parse_if(i, hi)
         if t in ("while", "for"):
@@ -574,11 +561,10 @@ class _BodyParser:
         """Balanced (...) starting at i; returns (interior_text, close) or None."""
         if i >= hi or self.lx[i].text != "(":
             return None
-        close = _match_forward(self.lx, i, "(", ")")
-        if close == -1 or close >= hi:
+        close = self.partner.get(i, hi)
+        if close >= hi:
             return None
-        interior = self.view.source[self.lx[i].offset + 1:self.lx[close].offset]
-        return interior, close
+        return self.view.source[self.lx[i].offset + 1:self.lx[close].offset], close
 
     def _malformed(self, i: int, hi: int, what: str) -> tuple[Stmt, int]:
         self.diags.append(warning("malformed-control-header",
@@ -586,80 +572,80 @@ class _BodyParser:
                                   self.file, self._line(i)))
         return self._parse_plain(i, hi)
 
+    def _too_deep(self, i: int) -> None:
+        self.diags.append(warning("nesting-too-deep",
+                                  f"statements nested more than {MAX_NESTING} "
+                                  f"blocks deep are kept as one opaque statement",
+                                  self.file, self._line(i)))
+
     def _substatement(self, i: int, hi: int) -> tuple[Stmt, int]:
         """One statement (or braced block) wrapped as a Block arm."""
         if i >= hi:
             line = self._line(hi - 1) if hi > 0 else 1
             return Stmt(StmtKind.BLOCK, (line, line)), i
         if self.lx[i].text == "{":
-            block, nxt = self.parse_one(i, hi)
-            return block, nxt
-        stmt, nxt = self.parse_one(i, hi)
+            return self.parse_one(i, hi)
+        if self.depth > MAX_NESTING:
+            self._too_deep(i)
+            stmt, nxt = self._parse_plain(i, hi)
+        else:
+            self.depth += 1
+            stmt, nxt = self.parse_one(i, hi)
+            self.depth -= 1
         if stmt is None:
             line = self._line(i)
             return Stmt(StmtKind.BLOCK, (line, line)), nxt
         return Stmt(StmtKind.BLOCK, stmt.span, children=[stmt]), nxt
 
+    def _if_header(self, j: int, hi: int):
+        """The condition group after an 'if' keyword, past 'constexpr'."""
+        if j < hi and self.lx[j].text == "constexpr":
+            j += 1
+        return self._group(j, hi)
+
     # -- statement forms -------------------------------------------------
 
     def _parse_if(self, i: int, hi: int) -> tuple[Stmt, int]:
-        if_pos = self._pos(i)
-        j = i + 1
-        if j < hi and self.lx[j].text == "constexpr":
-            j += 1
-        grp = self._group(j, hi)
+        grp = self._if_header(i + 1, hi)
         if grp is None:
             return self._malformed(i, hi, "if")
-        cond, close = grp
-        then_block, j = self._substatement(close + 1, hi)
-        node = Stmt(StmtKind.IF, (if_pos[0], then_block.span[1]),
-                    condition_text=cond, children=[then_block], header_pos=if_pos,
-                    arm_conditions=[], arm_header_positions=[])
-        while j < hi and self.lx[j].text == "else":
-            else_pos = self._pos(j)
-            k = j + 1
-            if k < hi and self.lx[k].text == "if":
-                k += 1
-                if k < hi and self.lx[k].text == "constexpr":
-                    k += 1
-                grp = self._group(k, hi)
+        arms: list[Stmt] = []
+        keyword = i
+        while True:
+            cond, close = grp
+            arm, j = self._substatement(close + 1, hi)
+            arm.condition_text, arm.keywords = cond, (self.lx[keyword].offset,)
+            arms.append(arm)
+            if cond is None or j >= hi or self.lx[j].text != "else":
+                break
+            keyword = j
+            if j + 1 < hi and self.lx[j + 1].text == "if":
+                grp = self._if_header(j + 2, hi)
                 if grp is None:
                     self.diags.append(warning("malformed-control-header",
                                               "malformed else-if header",
-                                              self.file, else_pos[0]))
+                                              self.file, self._line(j)))
                     break
-                cond_k, close_k = grp
-                arm, j = self._substatement(close_k + 1, hi)
-                node.children.append(arm)
-                node.arm_conditions.append(cond_k)
-                node.arm_header_positions.append(else_pos)
             else:
-                arm, j = self._substatement(k, hi)
-                node.children.append(arm)
-                node.arm_header_positions.append(else_pos)
-                node.has_else = True
-                break
-        node.span = (node.span[0], node.children[-1].span[1])
-        return node, j
+                grp = None, j  # a bare else: its arm starts after the keyword
+        return Stmt(StmtKind.IF, (self._line(i), arms[-1].span[1]), children=arms), j
 
     def _parse_pretest(self, i: int, hi: int) -> tuple[Stmt, int]:
         kw = self.lx[i].text
-        pos = self._pos(i)
         grp = self._group(i + 1, hi)
         if grp is None:
             return self._malformed(i, hi, kw)
         cond, close = grp
         body, j = self._substatement(close + 1, hi)
         kind = StmtKind.WHILE if kw == "while" else StmtKind.FOR
-        return Stmt(kind, (pos[0], body.span[1]), condition_text=cond,
-                    children=[body], header_pos=pos), j
+        return Stmt(kind, (self._line(i), body.span[1]), condition_text=cond,
+                    children=[body], keywords=(self.lx[i].offset,)), j
 
     def _parse_do(self, i: int, hi: int) -> tuple[Stmt, int]:
-        do_pos = self._pos(i)
         body, j = self._substatement(i + 1, hi)
         if j >= hi or self.lx[j].text != "while":
             return self._malformed(i, hi, "do-while")
-        while_pos = self._pos(j)
+        keywords = (self.lx[i].offset, self.lx[j].offset)
         grp = self._group(j + 1, hi)
         if grp is None:
             return self._malformed(i, hi, "do-while")
@@ -667,43 +653,38 @@ class _BodyParser:
         j = close + 1
         if j < hi and self.lx[j].text == ";":
             j += 1
-        return Stmt(StmtKind.DO_WHILE, (do_pos[0], self._line(min(j, hi) - 1)),
-                    condition_text=cond, children=[body], header_pos=do_pos,
-                    extra_bind_positions=[while_pos]), j
+        return Stmt(StmtKind.DO_WHILE, (self._line(i), self._line(min(j, hi) - 1)),
+                    condition_text=cond, children=[body], keywords=keywords), j
 
     def _parse_return(self, i: int, hi: int) -> tuple[Stmt, int]:
-        pos = self._pos(i)
         j = self._consume_simple(i, hi)
-        return Stmt(StmtKind.RETURN, (pos[0], self._line(j - 1)),
-                    header_pos=pos), j
+        return Stmt(StmtKind.RETURN, (self._line(i), self._line(j - 1)),
+                    keywords=(self.lx[i].offset,)), j
 
     def _parse_opaque_construct(self, i: int, hi: int) -> tuple[Stmt, int]:
         # switch (...) { ... } consumed as one Plain statement
-        start = i
         j = i + 1
         grp = self._group(j, hi)
         if grp is not None:
             j = grp[1] + 1
         if j < hi and self.lx[j].text == "{":
-            close = _match_forward(self.lx, j, "{", "}")
-            j = close + 1 if close != -1 and close < hi else hi
+            close = self.partner.get(j, hi)
+            j = close + 1 if close < hi else hi
         else:
             j = self._consume_simple(j, hi)
-        return Stmt(StmtKind.PLAIN, (self._line(start), self._line(j - 1))), j
+        return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
 
     def _parse_try(self, i: int, hi: int) -> tuple[Stmt, int]:
-        start = i
         _, j = self._substatement(i + 1, hi)
         while j < hi and self.lx[j].text == "catch":
             grp = self._group(j + 1, hi)
             k = grp[1] + 1 if grp is not None else j + 1
             _, j = self._substatement(k, hi)
-        return Stmt(StmtKind.PLAIN, (self._line(start), self._line(j - 1))), j
+        return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
 
     def _parse_plain(self, i: int, hi: int) -> tuple[Stmt, int]:
-        start = i
         j = self._consume_simple(i, hi)
-        return Stmt(StmtKind.PLAIN, (self._line(start), self._line(j - 1))), j
+        return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
 
     def _consume_simple(self, i: int, hi: int) -> int:
         """Advance past one non-control statement: everything through the
@@ -714,9 +695,9 @@ class _BodyParser:
             t = self.lx[j].text
             if t == ";":
                 return j + 1
-            if t in ("(", "[", "{"):
-                close = _match_forward(self.lx, j, t, {"(": ")", "[": "]", "{": "}"}[t])
-                if close == -1 or close >= hi:
+            if t in _CLOSER:
+                close = self.partner.get(j, hi)
+                if close >= hi:
                     return hi
                 j = close + 1
                 continue

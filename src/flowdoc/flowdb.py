@@ -56,14 +56,6 @@ class AnnotatedFunction:
     body: Stmt | None = None  # statement tree, set by analyze_source
 
 
-@dataclass
-class SourceAnalysis:
-    path: Path
-    definitions: list[FunctionDef]
-    annotations: list[_annotations.Annotation]
-    annotated: list[AnnotatedFunction]
-
-
 def annotated_functions(defs: list[FunctionDef],
                         annos: list[_annotations.Annotation],
                         taken: dict[str, int] | None = None) -> list[AnnotatedFunction]:
@@ -96,13 +88,14 @@ def annotated_functions(defs: list[FunctionDef],
 
 def analyze_source(source_path: str | Path,
                    diags: list[Diagnostic] | None = None,
-                   taken: dict[str, int] | None = None) -> SourceAnalysis | None:
+                   taken: dict[str, int] | None = None
+                   ) -> list[AnnotatedFunction] | None:
     """Read, scan and lex one file once, then recognize its definitions,
     collect its annotations and parse each annotated body.
 
-    Only the results are kept; the tokens and the lexed view are dropped on
-    return. Returns None (with an error diagnostic) when the file cannot be
-    read.
+    Returns the annotated functions; the tokens and the lexed view are
+    dropped on return. Returns None (with an error diagnostic) when the file
+    cannot be read.
     """
     diags = sink(diags)
     path = Path(source_path)
@@ -118,7 +111,7 @@ def analyze_source(source_path: str | Path,
     for af in annotated:
         af.body = _cxx.parse_body(af.fn, view, diags,
                                   [c for a in af.annotations for c in a.calls])
-    return SourceAnalysis(path, defs, annos, annotated)
+    return annotated
 
 
 def analyze_stem(source_paths: list[str | Path],
@@ -131,10 +124,10 @@ def analyze_stem(source_paths: list[str | Path],
     annotated: list[AnnotatedFunction] = []
     readable = False
     for source_path in source_paths:
-        analysis = analyze_source(source_path, diags, taken)
-        if analysis is not None:
+        functions = analyze_source(source_path, diags, taken)
+        if functions is not None:
             readable = True
-            annotated.extend(analysis.annotated)
+            annotated.extend(functions)
     return annotated if readable else None
 
 
@@ -168,10 +161,19 @@ def build_db(source_paths: str | Path | list[str | Path],
 
 
 class FlowDb:
-    """Merged view over every ``.flowdb`` in the output directory."""
+    """Merged view over every ``.flowdb`` in the output directory.
+
+    ``entries`` must not change after construction: the suffix index is
+    built from it once.
+    """
 
     def __init__(self, entries: dict[str, FlowDbEntry] | None = None):
         self.entries: dict[str, FlowDbEntry] = dict(entries or {})
+        # entries by the text after their last '::'; every name ending in
+        # '::' + N shares that key with '::' + N
+        self._by_last: dict[str, list[tuple[str, FlowDbEntry]]] = {}
+        for name, entry in self.entries.items():
+            self._by_last.setdefault(_last_part(name), []).append((name, entry))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -184,7 +186,7 @@ class FlowDb:
         entry = self.entries.get(call.normalized_name)
         if entry is None:
             suffix = "::" + call.normalized_name
-            hits = [e for name, e in sorted(self.entries.items())
+            hits = [e for name, e in self._by_last.get(_last_part(suffix), ())
                     if name.endswith(suffix)]
             if len(hits) == 1:
                 entry = hits[0]
@@ -198,6 +200,10 @@ class FlowDb:
             else:
                 return None
         return Link(f"{entry.html_path}#{entry.anchor}", entry.qualified_name)
+
+
+def _last_part(name: str) -> str:
+    return name.rpartition("::")[2]
 
 
 _DB_LINE_RE = re.compile(r"^(\S[^\t]*)\t([^\t#]+\.html)#(\w+)\t(\d+)$")

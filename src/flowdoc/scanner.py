@@ -12,8 +12,8 @@ later phase:
 The grammar is deliberately shallow. Raw strings (``R"(...)"``, with optional
 delimiter and encoding prefix) are honored; ``#`` lines (including
 backslash-continued ones) become opaque Preprocessor tokens; everything else
-is a Code run. Lines and columns are 1-based; ``\r\n`` counts as one line
-break but stays in the token text.
+is a Code run. Lines are 1-based; ``\r\n`` counts as one line break but
+stays in the token text.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .diagnostics import Diagnostic, error, sink
+from .diagnostics import Diagnostic, sink, warning
 
 
 class TokenKind(Enum):
@@ -39,7 +39,6 @@ class Token:
     kind: TokenKind
     text: str
     line: int  # 1-based line of the first character
-    col: int   # 1-based column of the first character
     offset: int  # character offset into the source
 
 
@@ -57,28 +56,22 @@ _WORD_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345678
 def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None) -> list[Token]:
     """Tokenize source text into an ordered, gap-free list of tokens.
 
-    Unterminated constructs surface as error diagnostics; scanning always
-    continues to the end of the input.
+    Unterminated constructs surface as warnings; scanning always continues
+    to the end of the input.
     """
     diags = sink(diags)
     tokens: list[Token] = []
     n = len(text)
 
     line = 1
-    col = 1
 
     def emit(kind: TokenKind, start: int, end: int) -> None:
-        nonlocal line, col
+        nonlocal line
         if end <= start:
             return
         chunk = text[start:end]
-        tokens.append(Token(kind, chunk, line, col, start))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+        tokens.append(Token(kind, chunk, line, start))
+        line += chunk.count("\n")
 
     i = 0
     run_start = 0        # start of the pending Code run
@@ -120,8 +113,8 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
                 emit(TokenKind.CODE, run_start, i)
                 close = text.find("*/", i + 2)
                 if close == -1:
-                    diags.append(error("unterminated-block-comment",
-                                       "unterminated block comment", file, line))
+                    diags.append(warning("unterminated-block-comment",
+                                         "unterminated block comment", file, line))
                     emit(TokenKind.BLOCK_COMMENT, i, n)
                     i = n
                 else:
@@ -147,8 +140,8 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
                 end = _raw_string_end(text, i)
                 emit(TokenKind.CODE, run_start, i)
                 if end == -1:
-                    diags.append(error("unterminated-raw-string",
-                                       "unterminated raw string literal", file, line))
+                    diags.append(warning("unterminated-raw-string",
+                                         "unterminated raw string literal", file, line))
                     emit(TokenKind.STRING_LIT, i, n)
                     i = n
                 else:
@@ -158,8 +151,8 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
                 emit(TokenKind.CODE, run_start, i)
                 end, terminated = _quoted_end(text, i, '"')
                 if not terminated:
-                    diags.append(error("unterminated-string",
-                                       "unterminated string literal", file, line))
+                    diags.append(warning("unterminated-string",
+                                         "unterminated string literal", file, line))
                 emit(TokenKind.STRING_LIT, i, end)
                 i = end
             run_start = i
@@ -176,8 +169,8 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
             emit(TokenKind.CODE, run_start, i)
             end, terminated = _quoted_end(text, i, "'")
             if not terminated:
-                diags.append(error("unterminated-char",
-                                   "unterminated character literal", file, line))
+                diags.append(warning("unterminated-char",
+                                     "unterminated character literal", file, line))
             emit(TokenKind.CHAR_LIT, i, end)
             i = end
             run_start = i

@@ -46,7 +46,7 @@ class TestMarkerGrammar:
 
 
 def tok(text, line=1):
-    return Token(TokenKind.LINE_COMMENT, text, line, 1, 0)
+    return Token(TokenKind.LINE_COMMENT, text, line, 0)
 
 
 class TestClassify:

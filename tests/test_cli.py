@@ -158,6 +158,22 @@ class TestDiagnostics:
                             "--out-dir", str(tmp_path / "out"), capsys=capsys)
         assert code == 1 and "[io-error]" in err
 
+    def test_unbalanced_file_warns_and_others_still_build(self, tmp_path,
+                                                           capsys):
+        bad = tmp_path / "bad.cpp"
+        bad.write_text('void b() {\n//$ open\nx("oops);\n')
+        good = tmp_path / "good.cpp"
+        good.write_text("void g() {\n//$ fine\nx();\n}\n")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(bad), str(good), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 0
+        assert f"{bad}:3: warning: unterminated string literal" in err
+        assert f"{bad}:1: warning: unbalanced braces" in err
+        assert (out / "bad.html").is_file() and (out / "good.html").is_file()
+        assert run_cli("all", str(bad), str(good), "--out-dir", str(out),
+                       "--werror", capsys=capsys)[0] == 1
+
     def test_repeated_diagnostics_deduplicated(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
@@ -242,6 +258,43 @@ class TestWorkDoneOnce:
         assert len(set(keys)) == len(keys), keys
         if corpus == "noisy":
             assert {d.code for d in diags} == _NOISY_CODES
+
+
+def _nested_ifs(depth):
+    lines = ["void deep(int a) {", "//$ start"]
+    lines += [f"//$ [level {k}]\nif (a > {k}) {{" for k in range(depth)]
+    lines += ["//$ innermost", "x();"] + ["}"] * depth + ["}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepNesting:
+    def run_deep(self, depth, tmp_path, capsys):
+        deep = tmp_path / "deep.cpp"
+        deep.write_text(_nested_ifs(depth))
+        ok = tmp_path / "ok.cpp"
+        ok.write_text("void ok() {\n//$ fine\nx();\n}\n")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(deep), str(ok), "--out-dir", str(out),
+                            capsys=capsys)
+        return code, err, out
+
+    def test_too_deep_nesting_warns_and_other_files_still_build(
+            self, tmp_path, capsys):
+        code, err, out = self.run_deep(1000, tmp_path, capsys)
+        assert code == 0
+        assert err.count("[nesting-too-deep]") == 1
+        assert (out / "ok.html").is_file() and (out / "deep.html").is_file()
+
+    def test_nesting_within_the_bound_is_drawn_in_full(self, tmp_path, capsys):
+        code, err, out = self.run_deep(100, tmp_path, capsys)
+        assert code == 0
+        assert "[nesting-too-deep]" not in err
+        text = (out / "aux_files" / "deep__deep__zoom0.txt").read_text()
+        assert text == ("@startuml\nstart\n:start;\n"
+                        + "".join(f"if (level {k}) then (yes)\n"
+                                  for k in range(100))
+                        + ":innermost;\n" + "endif\n" * 100
+                        + "stop\n@enduml\n")
 
 
 class TestOutDirSelection:

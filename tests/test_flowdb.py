@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowdoc.cxx_structure import CallSite
-from flowdoc.flowdb import (FlowDb, FlowDbEntry, analyze_source,
+from flowdoc.flowdb import (FlowDb, FlowDbEntry, Link, analyze_source,
                             build_db, load_merge, mangle_anchor)
 
 
@@ -68,8 +68,7 @@ class TestBuildDb:
         src = write(tmp_path, "over.cpp",
                     "void f(int a) {\n//$ ints\nx();\n}\n"
                     "void f(double a) {\n//$ doubles\nx();\n}\n")
-        analysis = analyze_source(src, [])
-        anchors = [af.anchor for af in analysis.annotated]
+        anchors = [af.anchor for af in analyze_source(src, [])]
         assert anchors == ["f", "f__2"]
 
     def test_sources_sharing_a_stem_are_unioned(self, tmp_path):
@@ -179,12 +178,35 @@ class TestResolve:
         assert [d.code for d in diags] == ["ambiguous-callee"]
 
     def test_exact_match_beats_suffix_ambiguity(self):
-        db = self.db()
-        db.entries["trim"] = FlowDbEntry("trim", "top.html", "trim", 0)
+        db = FlowDb(dict(self.db().entries,
+                         trim=FlowDbEntry("trim", "top.html", "trim", 0)))
         diags = []
         link = db.resolve(call("trim"), "f.cpp", diags)
         assert link.href == "top.html#trim"
         assert diags == []
+
+
+_NAME = st.text(alphabet="ab:<>~", min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NAME, st.lists(_NAME, max_size=6), st.lists(_NAME, max_size=3))
+def test_indexed_resolve_matches_a_linear_scan(wanted, others, prefixes):
+    # names ending in '::' + wanted make suffix hits and ambiguity common
+    names = list(dict.fromkeys(others + [p + "::" + wanted for p in prefixes]))
+    entries = {name: FlowDbEntry(name, f"p{k}.html", "a", 0)
+               for k, name in enumerate(names)}
+    diags = []
+    link = FlowDb(entries).resolve(call(wanted, line=7), "f.cpp", diags)
+    # exact name first, then a unique '::' suffix match
+    hits = [name for name in names if name.endswith("::" + wanted)]
+    found = wanted if wanted in entries else hits[0] if len(hits) == 1 else None
+    expected = (Link(f"{entries[found].html_path}#a", found)
+                if found is not None else None)
+    assert link == expected
+    ambiguous = found is None and len(hits) > 1
+    assert [(d.code, d.file, d.line) for d in diags] == (
+        [("ambiguous-callee", "f.cpp", 7)] if ambiguous else [])
 
 
 @settings(max_examples=200, deadline=None)

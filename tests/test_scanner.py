@@ -23,16 +23,16 @@ class TestBasics:
         toks = scan("int x = 1;\n")
         assert kinds(toks) == [TokenKind.CODE]
         assert toks[0].text == "int x = 1;\n"
-        assert (toks[0].line, toks[0].col, toks[0].offset) == (1, 1, 0)
+        assert (toks[0].line, toks[0].offset) == (1, 0)
 
     def test_concatenation_reproduces_input(self):
         src = 'int a; // c\n"str" /* b */ #define X 1\n'
         assert source_of(scan(src)) == src
 
-    def test_line_and_col_tracking(self):
+    def test_line_and_offset_tracking(self):
         toks = scan("ab\ncd // x\n")
         comment = [t for t in toks if t.kind is TokenKind.LINE_COMMENT][0]
-        assert (comment.line, comment.col) == (2, 4)
+        assert (comment.line, comment.offset) == (2, 6)
 
 
 class TestLineComments:
@@ -74,7 +74,7 @@ class TestBlockComments:
         toks = scan("a /* never ends", "f.cpp", diags)
         assert toks[-1].kind is TokenKind.BLOCK_COMMENT
         assert any(d.code == "unterminated-block-comment"
-                   and d.severity is Severity.ERROR for d in diags)
+                   and d.severity is Severity.WARNING for d in diags)
 
     def test_star_slash_inside_string(self):
         toks = scan('"*/" /* real */\n')
