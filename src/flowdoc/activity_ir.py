@@ -7,18 +7,20 @@ The activity tree is what actually gets drawn. Its nodes:
 * BranchNode / LoopNode: a control construct that contains at least one
   action, call highlight or described return somewhere inside. Constructs
   with none stay invisible, swallowed by the preceding action box.
-* ForkNode: a run of two or more consecutive ``<parallel>`` actions at the
-  same zoom level.
+* ForkNode: a run of two or more consecutive ``<parallel>`` actions at one
+  zoom level, each action one fork branch.
 * StopNode: a reachable return in a rendered region, or the implicit end.
 
 Zoom projection keeps actions whose level is at most the requested one and
 drops construct shells that end up empty, so a low-zoom diagram is always a
-subgraph of the next deeper one.
+subgraph of the next deeper one. A fork appears whole from its actions'
+level on.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,7 +75,7 @@ class LoopNode:
 
 @dataclass
 class ForkNode:
-    branches: list[list]
+    actions: list[ActionNode]  # all at one zoom level, at least two
 
 
 @dataclass
@@ -86,9 +88,6 @@ ActivityNode = ActionNode | BranchNode | LoopNode | ForkNode | StopNode
 
 @dataclass
 class ActivityTree:
-    qualified_name: str
-    signature_text: str
-    anchor: str
     root: list[ActivityNode]
     max_zoom: int
 
@@ -111,8 +110,7 @@ def build_activity(af: AnnotatedFunction, db: FlowDb,
     if not root or not isinstance(root[-1], StopNode):
         root.append(StopNode())
     builder.report_leftovers()
-    return ActivityTree(af.fn.qualified_name, af.fn.signature_text, af.anchor,
-                        root, af.max_zoom)
+    return ActivityTree(root, af.max_zoom)
 
 
 class _Seq:
@@ -195,23 +193,23 @@ class _Builder:
         return _fork_pass(seq.out)
 
     def _fuse_into(self, block: Stmt, seq: _Seq) -> None:
-        items: list = sorted(
-            list(block.children) + self.owned.get(id(block), []),
-            key=lambda x: x.line if isinstance(x, Annotation) else x.span[0])
-        for item in items:
-            if isinstance(item, Annotation):
-                seq.open(ActionNode(item.text, item.zoom, item.parallel))
-            else:
-                self._fuse_stmt(item, seq)
+        # the block's actions, last first; each opens before the first
+        # statement or absorbed call below it
+        pending = self.owned.get(id(block), [])[::-1]
+        for stmt in block.children:
+            _open_actions(pending, stmt.span[0], seq)
+            self._fuse_stmt(stmt, seq, pending)
+        _open_actions(pending, math.inf, seq)
 
-    def _fuse_stmt(self, stmt: Stmt, seq: _Seq) -> None:
+    def _fuse_stmt(self, stmt: Stmt, seq: _Seq,
+                   pending: list[Annotation]) -> None:
         if stmt.kind is StmtKind.BLOCK:
             # bare blocks are scoping only; contents flow through
             self._fuse_into(stmt, seq)
             return
         if stmt.kind is StmtKind.RETURN:
             text = self._label(stmt)
-            self._absorb_calls(stmt, seq)
+            self._absorb_calls(stmt, seq, pending)
             seq.append(StopNode(text))
             return
         if stmt.kind is StmtKind.IF and self._renders(stmt):
@@ -225,17 +223,22 @@ class _Builder:
             seq.append(LoopNode(style, self._label(stmt),
                                 self.fuse_block(stmt.children[0])))
             return
-        # absorbed: plain statements and silent constructs
-        self._absorb_calls(stmt, seq)
+        # absorbed: plain statements and silent constructs (which hold no
+        # highlight, or they would render)
+        self._absorb_calls(stmt, seq, pending)
 
-    def _absorb_calls(self, stmt: Stmt, seq: _Seq) -> None:
+    def _absorb_calls(self, stmt: Stmt, seq: _Seq,
+                      pending: list[Annotation]) -> None:
         for call in stmt.calls:
+            # an action inside an opaque statement names the calls below it
+            _open_actions(pending, call.line, seq)
             key = (call.line, call.callee_text)
             hc = self.linked.get(key)
             if hc is None:
-                link = self.db.resolve(call, self.fn.file, self.diags)
-                if link is not None:
-                    hc = HighlightedCall(link.display + "()", link.href)
+                entry = self.db.resolve(call, self.fn.file, self.diags)
+                if entry is not None:
+                    hc = HighlightedCall(entry.qualified_name + "()",
+                                         f"{entry.html_path}#{entry.anchor}")
                 else:
                     self.diags.append(warning(
                         "no-link",
@@ -246,8 +249,6 @@ class _Builder:
                 self.linked[key] = hc
             seq.ensure().calls.append(hc)
             self.surfaced_highlights.add(call.line)
-        for child in stmt.children:
-            self._absorb_calls(child, seq)
 
     # -- diagnostics ------------------------------------------------------
 
@@ -268,6 +269,13 @@ class _Builder:
                 self.fn.file, line))
 
 
+def _open_actions(pending: list[Annotation], line: float, seq: _Seq) -> None:
+    """Open, in order, the pending actions above line."""
+    while pending and pending[-1].line < line:
+        a = pending.pop()
+        seq.open(ActionNode(a.text, a.zoom, a.parallel))
+
+
 def _fork_pass(nodes: list[ActivityNode]) -> list[ActivityNode]:
     """Group runs of >= 2 consecutive parallel actions at one zoom level."""
     out: list[ActivityNode] = []
@@ -280,7 +288,7 @@ def _fork_pass(nodes: list[ActivityNode]) -> list[ActivityNode]:
                    and nodes[j].parallel and nodes[j].zoom == node.zoom):
                 j += 1
             if j - i >= 2:
-                out.append(ForkNode([[n] for n in nodes[i:j]]))
+                out.append(ForkNode(nodes[i:j]))
                 i = j
                 continue
         out.append(node)
@@ -292,12 +300,11 @@ def project(tree: ActivityTree, level: int) -> ActivityTree:
     """The tree restricted to actions at zoom <= level.
 
     Construct shells whose every surviving body is empty are dropped; a fork
-    reduced to one branch is spliced inline; stops always survive.
+    is kept whole or dropped whole; stops always survive.
     """
     if not 0 <= level <= tree.max_zoom:
         raise LevelOutOfRange(
-            f"zoom level {level} outside 0..{tree.max_zoom} "
-            f"for {tree.qualified_name}")
+            f"zoom level {level} outside 0..{tree.max_zoom}")
 
     def filter_nodes(nodes: list[ActivityNode]) -> list[ActivityNode]:
         out: list[ActivityNode] = []
@@ -315,14 +322,10 @@ def project(tree: ActivityTree, level: int) -> ActivityTree:
                 if body:
                     out.append(LoopNode(node.style, node.label, body))
             elif isinstance(node, ForkNode):
-                branches = [b for b in (filter_nodes(br) for br in node.branches) if b]
-                if len(branches) >= 2:
-                    out.append(ForkNode(branches))
-                elif len(branches) == 1:
-                    out.extend(branches[0])
+                if node.actions[0].zoom <= level:
+                    out.append(node)
             else:
                 out.append(node)
         return out
 
-    return ActivityTree(tree.qualified_name, tree.signature_text, tree.anchor,
-                        filter_nodes(tree.root), tree.max_zoom)
+    return ActivityTree(filter_nodes(tree.root), tree.max_zoom)

@@ -40,6 +40,7 @@ class Annotation:
     kind: AnnotationKind
     text: str
     line: int
+    offset: int  # of the '//$' marker
     zoom: int = 0
     parallel: bool = False
     # offset of the keyword a description binds to (test with 'is not None')
@@ -79,12 +80,18 @@ def _bracket_payload(text: str) -> str | None:
     return None
 
 
+_DESC_KINDS = {"if": AnnotationKind.CONDITION_DESC,
+               "else": AnnotationKind.CONDITION_DESC,
+               "loop": AnnotationKind.CONDITION_DESC,
+               "return": AnnotationKind.RETURN_DESC}
+
+
 def classify(comment: Token, following_kind: str | None,
              standalone: bool) -> Annotation | None:
     """Pure classification of one comment token.
 
-    following_kind is one of "if", "elseif", "else", "loop", "return",
-    "other" or None (nothing follows); it is only consulted for standalone
+    following_kind is one of "if", "else", "loop", "return", "other" or
+    None (nothing follows); it is only consulted for standalone
     bracket-form annotations.
     """
     parsed = parse_marker(comment.text)
@@ -92,15 +99,14 @@ def classify(comment: Token, following_kind: str | None,
         return None
     zoom, parallel, text = parsed
     if not standalone:
-        return Annotation(AnnotationKind.CALL_HIGHLIGHT, text, comment.line)
+        return Annotation(AnnotationKind.CALL_HIGHLIGHT, text, comment.line,
+                          comment.offset)
     inner = _bracket_payload(text)
-    if inner is not None:
-        if following_kind in ("if", "elseif", "else", "loop"):
-            return Annotation(AnnotationKind.CONDITION_DESC, inner, comment.line)
-        if following_kind == "return":
-            return Annotation(AnnotationKind.RETURN_DESC, inner, comment.line)
-        # orphan bracket: demoted to an action, brackets preserved
-    return Annotation(AnnotationKind.ACTION, text, comment.line,
+    kind = _DESC_KINDS.get(following_kind)
+    if inner is not None and kind is not None:
+        return Annotation(kind, inner, comment.line, comment.offset)
+    # an orphan bracket is demoted to an action, brackets preserved
+    return Annotation(AnnotationKind.ACTION, text, comment.line, comment.offset,
                       zoom=zoom, parallel=parallel)
 
 
@@ -160,15 +166,8 @@ def _following_context(view: CodeStream, tok: Token, block_at: int | None
     if block_at is not None and lx[k].offset > block_at:
         return None, None
     word = lx[k].text
-    pos = lx[k].offset
-    if word == "if":
-        return "if", pos
-    if word == "else":
-        if k + 1 < len(lx) and lx[k + 1].text == "if":
-            return "elseif", pos
-        return "else", pos
     if word in ("while", "for", "do"):
-        return "loop", pos
-    if word == "return":
-        return "return", pos
+        return "loop", lx[k].offset
+    if word in ("if", "else", "return"):
+        return word, lx[k].offset
     return "other", None

@@ -124,32 +124,36 @@ def _stem_groups(sources: list[str]) -> list[tuple[str, list[str]]]:
     return list(groups.items())
 
 
-Pages = list[tuple[str, list[html_emit.PageFunction]]]
+# per stem, each annotated function with its diagram texts, level 0 first
+Pages = list[tuple[str, list[tuple[flowdb.AnnotatedFunction, list[str]]]]]
 
 
 def _phase_makeflows(pages: Pages, cfg: Config,
                      diags: list[Diagnostic]) -> None:
-    texts = [text for _, funcs in pages for fn in funcs
-             for text in fn.diagrams]
-    for text in texts:
-        atomic_write_text(text.path, text.content)
-    if not texts:
+    aux = cfg.out_dir / "aux_files"
+    paths = []
+    for stem, funcs in pages:
+        for af, texts in funcs:
+            for zoom, text in enumerate(texts):
+                name = plantuml_emit.diagram_filename(stem, af.anchor, zoom)
+                paths.append(atomic_write_text(aux / name, text))
+    if not paths:
         diags.append(warning("no-annotated-functions",
                              "no annotated functions found; "
                              "no diagrams were emitted"))
-    _phase_render(texts, cfg, diags)
+    _phase_render(paths, cfg, diags)
 
 
-def _phase_render(texts: list[plantuml_emit.DiagramText], cfg: Config,
+def _phase_render(paths: list[Path], cfg: Config,
                   diags: list[Diagnostic]) -> None:
     if not cfg.render_cmd:
         return
     args_template = shlex.split(cfg.render_cmd)
     has_placeholder = any("{input}" in a for a in args_template)
-    for text in texts:
-        argv = [a.replace("{input}", str(text.path)) for a in args_template]
+    for path in paths:
+        argv = [a.replace("{input}", str(path)) for a in args_template]
         if not has_placeholder:
-            argv.append(str(text.path))
+            argv.append(str(path))
         try:
             proc = subprocess.run(argv, capture_output=True, text=True)
         except OSError as exc:
@@ -162,7 +166,7 @@ def _phase_render(texts: list[plantuml_emit.DiagramText], cfg: Config,
             diags.append(warning(
                 "render-failed",
                 f"render command exited with status {proc.returncode} "
-                f"for {text.path.name}{suffix}"))
+                f"for {path.name}{suffix}"))
 
 
 def _phase_makehtml(pages: Pages, db: flowdb.FlowDb, cfg: Config) -> None:
@@ -191,11 +195,8 @@ def run(cfg: Config, diags: list[Diagnostic]) -> None:
     if cfg.command == "build-db":
         return
     db = flowdb.load_merge(cfg.out_dir, diags)
-    pages = [(stem, [html_emit.PageFunction(
-                         af.fn.qualified_name, af.fn.signature_text, af.anchor,
-                         plantuml_emit.render_function(
-                             activity_ir.build_activity(af, db, diags),
-                             stem, cfg.out_dir))
+    pages = [(stem, [(af, plantuml_emit.render_function(
+                         activity_ir.build_activity(af, db, diags)))
                      for af in annotated or []])
              for stem, annotated in stems]
     if cfg.command in ("makeflows", "all"):

@@ -41,12 +41,6 @@ class FlowDbEntry:
     max_zoom: int
 
 
-@dataclass(frozen=True)
-class Link:
-    href: str      # "page.html#anchor"
-    display: str   # qualified name from the database
-
-
 @dataclass
 class AnnotatedFunction:
     fn: FunctionDef
@@ -62,18 +56,19 @@ def annotated_functions(defs: list[FunctionDef],
     """Pair definitions with the annotations inside their bodies.
 
     This is the one place that decides which annotations belong to a
-    function, and its ``max_zoom``. Functions without annotations are
-    skipped. Anchors are deduplicated ('__2', '__3', ...) so overloads get
-    distinct targets; pass a shared ``taken`` map when several sources feed
-    one page.
+    function, and its ``max_zoom``: those whose ``//$`` marker lies between
+    the body's braces, so a line two bodies share goes to one of them.
+    Functions without annotations are skipped. Anchors are deduplicated
+    ('__2', '__3', ...) so overloads get distinct targets; pass a shared
+    ``taken`` map when several sources feed one page.
     """
     taken = {} if taken is None else taken
-    annos = sorted(annos, key=lambda a: a.line)
-    lines = [a.line for a in annos]
+    annos = sorted(annos, key=lambda a: a.offset)
+    offsets = [a.offset for a in annos]
     out: list[AnnotatedFunction] = []
     for fn in defs:
-        inside = annos[bisect.bisect_left(lines, fn.body_start.line):
-                       bisect.bisect_right(lines, fn.body_end.line)]
+        inside = annos[bisect.bisect_right(offsets, fn.body_start.offset):
+                       bisect.bisect_left(offsets, fn.body_end.offset)]
         if not inside:
             continue
         base = mangle_anchor(fn.qualified_name)
@@ -143,23 +138,6 @@ def write_db(stem: str, annotated: list[AnnotatedFunction],
     return db_path
 
 
-def build_db(source_paths: str | Path | list[str | Path],
-             out_dir: str | Path,
-             diags: list[Diagnostic] | None = None) -> Path | None:
-    """Analyze the sources sharing one stem and write <stem>.flowdb.
-
-    Pass every source that maps to the stem together (typically a header
-    and its .cpp): the database is their union, so one file cannot clobber
-    the entries of its sibling. Empty file when nothing is annotated.
-    """
-    if isinstance(source_paths, (str, Path)):
-        source_paths = [source_paths]
-    annotated = analyze_stem(source_paths, diags)
-    if annotated is None:
-        return None
-    return write_db(Path(source_paths[0]).stem, annotated, out_dir)
-
-
 class FlowDb:
     """Merged view over every ``.flowdb`` in the output directory.
 
@@ -175,31 +153,24 @@ class FlowDb:
         for name, entry in self.entries.items():
             self._by_last.setdefault(_last_part(name), []).append((name, entry))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def resolve(self, call: CallSite, file: str | None = None,
-                diags: list[Diagnostic] | None = None) -> Link | None:
-        """Link target for a call site: exact qualified match first, then a
-        unique ``*::name`` suffix match. Ambiguity breaks the link."""
+                diags: list[Diagnostic] | None = None) -> FlowDbEntry | None:
+        """The entry a call site links to: exact qualified match first, then
+        a unique ``*::name`` suffix match. Ambiguity breaks the link."""
         diags = sink(diags)
         entry = self.entries.get(call.normalized_name)
         if entry is None:
             suffix = "::" + call.normalized_name
             hits = [e for name, e in self._by_last.get(_last_part(suffix), ())
                     if name.endswith(suffix)]
-            if len(hits) == 1:
-                entry = hits[0]
-            elif len(hits) > 1:
+            if len(hits) > 1:
                 diags.append(warning(
                     "ambiguous-callee",
                     f"call '{call.callee_text}' matches multiple documented "
                     f"functions; not linked",
                     file, call.line))
-                return None
-            else:
-                return None
-        return Link(f"{entry.html_path}#{entry.anchor}", entry.qualified_name)
+            entry = hits[0] if len(hits) == 1 else None
+        return entry
 
 
 def _last_part(name: str) -> str:

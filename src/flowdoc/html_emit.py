@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import html
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .flowdb import FlowDb
+from .flowdb import AnnotatedFunction, FlowDb
 from .ioutil import atomic_write_text
-from .plantuml_emit import DiagramText, diagram_filename
+from .plantuml_emit import diagram_filename
 
 _PAGE_CSS = """\
 body { font-family: sans-serif; margin: 2em auto; max-width: 60em; padding: 0 1em; }
@@ -31,14 +31,6 @@ details { margin: 0.5em 0 1.5em; }
 """
 
 
-@dataclass
-class PageFunction:
-    qualified_name: str
-    signature: str
-    anchor: str
-    diagrams: list[DiagramText] = field(default_factory=list)
-
-
 def _head(title: str) -> str:
     return (
         "<!DOCTYPE html>\n"
@@ -48,28 +40,32 @@ def _head(title: str) -> str:
     )
 
 
-def emit_page(source_stem: str, funcs: list[PageFunction],
+def emit_page(source_stem: str,
+              funcs: list[tuple[AnnotatedFunction, list[str]]],
               out_dir: str | Path) -> Path:
-    """Write <stem>.html for one source file."""
+    """Write <stem>.html for one source file and return its path.
+
+    Each function comes with its diagram texts, level 0 first.
+    """
     parts = [_head(source_stem)]
     parts.append('<nav><a href="index.html">index</a></nav>\n')
     parts.append(f"<h1>{html.escape(source_stem)}</h1>\n")
-    for fn in funcs:
-        parts.append(f'<h2 id="{fn.anchor}">{html.escape(fn.qualified_name)}</h2>\n')
-        sig = re.sub(r"\s+", " ", fn.signature).strip()
+    for af, texts in funcs:
+        parts.append(f'<h2 id="{af.anchor}">{html.escape(af.fn.qualified_name)}</h2>\n')
+        sig = re.sub(r"\s+", " ", af.fn.signature_text).strip()
         parts.append(f"<p><code>{html.escape(sig)}</code></p>\n")
-        for dia in fn.diagrams:
-            svg = diagram_filename(dia.source_stem, dia.anchor, dia.zoom)
+        for zoom, text in enumerate(texts):
+            svg = diagram_filename(source_stem, af.anchor, zoom)
             svg = svg[:-len(".txt")] + ".svg"
-            parts.append(f'<div class="zoom" id="{fn.anchor}__zoom{dia.zoom}">\n')
-            parts.append(f"<h3>zoom level {dia.zoom}</h3>\n")
+            parts.append(f'<div class="zoom" id="{af.anchor}__zoom{zoom}">\n')
+            parts.append(f"<h3>zoom level {zoom}</h3>\n")
             parts.append(
                 f'<object type="image/svg+xml" data="aux_files/{svg}">\n'
-                f"<pre>{html.escape(dia.content)}</pre>\n"
+                f"<pre>{html.escape(text)}</pre>\n"
                 "</object>\n")
             parts.append(
                 "<details><summary>PlantUML source</summary>\n"
-                f"<pre>{html.escape(dia.content)}</pre>\n"
+                f"<pre>{html.escape(text)}</pre>\n"
                 "</details>\n</div>\n")
     parts.append("</body>\n</html>\n")
     page = Path(out_dir) / f"{source_stem}.html"

@@ -9,8 +9,6 @@ runs and platforms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from pathlib import Path
 
 from .activity_ir import (ActionNode, ActivityTree, BranchNode, ForkNode,
                           LoopNode, LoopStyle, StopNode, project)
@@ -33,14 +31,15 @@ def _escape_label(text: str) -> str:
     return out or "..."
 
 
-def _action_lines(node: ActionNode, link_base: str) -> list[str]:
+def _action_lines(node: ActionNode) -> list[str]:
     lines: list[str] = []
     if node.text:
         lines.append(_escape_line(node.text))
     for call in node.calls:
         display = call.display.replace("]]", "] ]")
         if call.href:
-            lines.append(f"[[{link_base}{call.href} {display}]]")
+            # diagrams live in aux_files/, one level below the pages
+            lines.append(f"[[../{call.href} {display}]]")
         else:
             lines.append(_escape_line(display))
     if not lines:
@@ -53,22 +52,22 @@ def _action_lines(node: ActionNode, link_base: str) -> list[str]:
     return lines
 
 
-def emit(tree: ActivityTree, link_base: str = "") -> str:
+def emit(tree: ActivityTree) -> str:
     """Render one (already projected) activity tree to PlantUML text."""
     out: list[str] = ["@startuml", "start"]
-    _emit_seq(tree.root, out, link_base)
+    _emit_seq(tree.root, out)
     out.append("@enduml")
     return "\n".join(out) + "\n"
 
 
-def _emit_seq(nodes, out: list[str], link_base: str) -> None:
+def _emit_seq(nodes, out: list[str]) -> None:
     for node in nodes:
         if isinstance(node, ActionNode):
-            out.extend(_action_lines(node, link_base))
+            out.extend(_action_lines(node))
         elif isinstance(node, BranchNode):
             first = node.arms[0]
             out.append(f"if ({_escape_label(first.label or '')}) then (yes)")
-            _emit_seq(first.body, out, link_base)
+            _emit_seq(first.body, out)
             for arm in node.arms[1:]:
                 if arm.is_else:
                     if arm.label:
@@ -77,23 +76,21 @@ def _emit_seq(nodes, out: list[str], link_base: str) -> None:
                         out.append("else (no)")
                 else:
                     out.append(f"elseif ({_escape_label(arm.label or '')}) then (yes)")
-                _emit_seq(arm.body, out, link_base)
+                _emit_seq(arm.body, out)
             out.append("endif")
         elif isinstance(node, LoopNode):
             if node.style is LoopStyle.PRE_TEST:
                 out.append(f"while ({_escape_label(node.label)})")
-                _emit_seq(node.body, out, link_base)
+                _emit_seq(node.body, out)
                 out.append("endwhile")
             else:
                 out.append("repeat")
-                _emit_seq(node.body, out, link_base)
+                _emit_seq(node.body, out)
                 out.append(f"repeat while ({_escape_label(node.label)})")
         elif isinstance(node, ForkNode):
-            out.append("fork")
-            _emit_seq(node.branches[0], out, link_base)
-            for branch in node.branches[1:]:
-                out.append("fork again")
-                _emit_seq(branch, out, link_base)
+            for k, action in enumerate(node.actions):
+                out.append("fork again" if k else "fork")
+                out.extend(_action_lines(action))
             out.append("end fork")
         elif isinstance(node, StopNode):
             if node.text:
@@ -102,31 +99,10 @@ def _emit_seq(nodes, out: list[str], link_base: str) -> None:
 
 
 def diagram_filename(source_stem: str, anchor: str, zoom: int) -> str:
+    """The name, under aux_files/, of one zoom level's diagram text."""
     return f"{source_stem}__{anchor}__zoom{zoom}.txt"
 
 
-@dataclass(frozen=True)
-class DiagramText:
-    content: str
-    path: Path
-    qualified_name: str
-    anchor: str
-    zoom: int
-    source_stem: str
-
-
-def render_function(tree: ActivityTree, source_stem: str, out_dir: str | Path,
-                    link_base: str = "../") -> list[DiagramText]:
-    """Diagram texts for every zoom level of one function.
-
-    Hyperlinks are prefixed with link_base; the default suits SVGs that live
-    in aux_files/ and link up to pages in the output root.
-    """
-    aux = Path(out_dir) / "aux_files"
-    out = []
-    for level in range(tree.max_zoom + 1):
-        content = emit(project(tree, level), link_base)
-        name = diagram_filename(source_stem, tree.anchor, level)
-        out.append(DiagramText(content, aux / name, tree.qualified_name,
-                               tree.anchor, level, source_stem))
-    return out
+def render_function(tree: ActivityTree) -> list[str]:
+    """The PlantUML text of every zoom level of one function, level 0 first."""
+    return [emit(project(tree, level)) for level in range(tree.max_zoom + 1)]

@@ -171,8 +171,7 @@ def _action_multiset(nodes):
         elif isinstance(node, activity_ir.LoopNode):
             bag += _action_multiset(node.body)
         elif isinstance(node, activity_ir.ForkNode):
-            for branch in node.branches:
-                bag += _action_multiset(branch)
+            bag += _action_multiset(node.actions)
     return bag
 
 

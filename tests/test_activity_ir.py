@@ -32,7 +32,7 @@ def shape(nodes):
         elif isinstance(n, LoopNode):
             out.append(("loop", n.label, shape(n.body)))
         elif isinstance(n, ForkNode):
-            out.append(("fork", [shape(b) for b in n.branches]))
+            out.append(("fork", shape(n.actions)))
         elif isinstance(n, StopNode):
             out.append(("stop", n.text))
     return out
@@ -185,6 +185,16 @@ class TestCallHighlights:
         assert [c.display for c in tree.root[0].calls] == ["step()", "step()"]
         assert [d.code for d in diags] == ["ambiguous-callee", "no-link"]
 
+    @pytest.mark.parametrize("opaque", [
+        "switch (k) {\ncase 1:\n//$ inside\nx();  //$\nbreak;\n}\n",
+        "try {\ny();\n} catch (...) {\n//$ inside\nx();  //$\n}\n",
+        "auto l = [&]() {\n//$ inside\nx();  //$\n};\n"],
+        ids=["switch", "try", "lambda"])
+    def test_call_in_opaque_statement_goes_to_the_action_above_it(self, opaque):
+        tree = build("void f() {\n//$ before\na();\n" + opaque + "}\n")
+        assert [(n.text, [c.display for c in n.calls]) for n in tree.root[:-1]] == [
+            ("before", []), ("inside", ["x()"])]
+
     def test_highlight_makes_construct_render(self):
         tree = build("void f() {\n//$ head\na();\nif (x) {\n"
                      "obj->shower();  //$\n}\n}\n", db=self.db())
@@ -197,8 +207,7 @@ class TestForks:
         tree = build("void f() {\n//$ <parallel> a1\nx();\n"
                      "//$ <parallel> a2\ny();\n//$ <parallel> a3\nz();\n}\n")
         assert shape(tree.root) == [
-            ("fork", [[("action", "a1")], [("action", "a2")],
-                      [("action", "a3")]]),
+            ("fork", [("action", "a1"), ("action", "a2"), ("action", "a3")]),
             ("stop", None)]
 
     def test_single_parallel_action_stays_plain(self):
@@ -253,10 +262,9 @@ class TestProjection:
         zero = project(tree, 0)
         assert shape(zero.root) == [("stop", "done")]
 
-    def test_fork_with_one_survivor_splices(self):
+    def test_parallel_actions_at_different_zooms_form_no_fork(self):
         tree = build("void f() {\n//$ <parallel> keep\nx();\n"
                      "//$1 <parallel> deep a\ny();\n}\n")
-        # at full zoom these two form no fork (must be >= 2 at same zoom)
         assert [type(n).__name__ for n in tree.root] == [
             "ActionNode", "ActionNode", "StopNode"]
 

@@ -1,10 +1,11 @@
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from flowdoc import cli, cxx_structure, flowdb, plantuml_emit
+from flowdoc import activity_ir, cli, cxx_structure, flowdb, plantuml_emit
 from flowdoc.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -186,6 +187,19 @@ class TestDiagnostics:
         assert code == 0
         assert err.count("[malformed-db-line]") == 1
 
+    def test_line_shared_by_two_bodies_belongs_to_one(self, tmp_path, capsys):
+        src = tmp_path / "s.cpp"
+        src.write_text("void a() { x(); } void b() { g(); g();  //$\n}\n")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(src), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 0
+        assert sorted(p.name for p in (out / "aux_files").iterdir()) == [
+            "s__b__zoom0.txt"]
+        # one function reports the line's unlinked callees, once each
+        no_link = [line for line in err.splitlines() if "[no-link]" in line]
+        assert no_link and len(no_link) == len(set(no_link))
+
 
 # One source of each diagnostic an analysis or a tree build can emit; a
 # second analysis or build in the same run would repeat them.
@@ -201,13 +215,14 @@ _NOISY_CODES = {"no-link", "ambiguous-callee", "dangling-call-highlight",
 
 
 class TestWorkDoneOnce:
-    """``all`` analyzes and lexes each source once and renders each
-    annotated function once, so no diagnostic is emitted twice."""
+    """``all`` analyzes and lexes each source once and builds and renders
+    each annotated function once, so no diagnostic is emitted twice."""
 
     def counted_all(self, sources, out, monkeypatch, capsys):
-        analyses, renders, lexes, runs = Counter(), Counter(), [], []
+        analyses, builds, lexes, renders, runs = Counter(), Counter(), [], [], []
         analyze = flowdb.analyze_source
         init = cxx_structure.CodeStream.__init__
+        build = activity_ir.build_activity
         render = plantuml_emit.render_function
         run = cli.run
 
@@ -219,9 +234,13 @@ class TestWorkDoneOnce:
             lexes.append(view)
             init(view, tokens)
 
-        def counted_render(tree, stem, *args, **kwargs):
-            renders[(stem, tree.anchor)] += 1
-            return render(tree, stem, *args, **kwargs)
+        def counted_build(af, *args, **kwargs):
+            builds[(Path(af.fn.file).stem, af.anchor)] += 1
+            return build(af, *args, **kwargs)
+
+        def counted_render(tree):
+            renders.append(tree)
+            return render(tree)
 
         def captured_run(cfg, diags):
             runs.append(diags)
@@ -229,11 +248,12 @@ class TestWorkDoneOnce:
 
         monkeypatch.setattr(flowdb, "analyze_source", counted_analyze)
         monkeypatch.setattr(cxx_structure.CodeStream, "__init__", counted_init)
+        monkeypatch.setattr(activity_ir, "build_activity", counted_build)
         monkeypatch.setattr(plantuml_emit, "render_function", counted_render)
         monkeypatch.setattr(cli, "run", captured_run)
         main(["all", *sources, "--out-dir", str(out)])
         capsys.readouterr()
-        return analyses, len(lexes), renders, runs[0]
+        return analyses, len(lexes), builds, len(renders), runs[0]
 
     @pytest.mark.parametrize("corpus", ["demo", "xlink", "noisy"])
     def test_each_piece_of_work_happens_once(self, corpus, tmp_path,
@@ -245,7 +265,7 @@ class TestWorkDoneOnce:
             sources = sorted(str(p) for p in (FIXTURES / corpus).rglob("*")
                              if p.suffix in flowdb.SOURCE_SUFFIXES)
         out = tmp_path / "out"
-        analyses, lexes, renders, diags = self.counted_all(
+        analyses, lexes, builds, renders, diags = self.counted_all(
             sources, out, monkeypatch, capsys)
         assert analyses == Counter(sources)
         assert lexes == len(sources)
@@ -253,7 +273,8 @@ class TestWorkDoneOnce:
             (db.stem, line.split("\t")[1].split("#")[1])
             for db in out.glob("*.flowdb")
             for line in db.read_text().splitlines())
-        assert functions and renders == functions
+        assert functions and builds == functions
+        assert renders == sum(functions.values())
         keys = [(d.file, d.line, d.severity, d.code, d.message) for d in diags]
         assert len(set(keys)) == len(keys), keys
         if corpus == "noisy":

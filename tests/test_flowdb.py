@@ -2,8 +2,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowdoc.cxx_structure import CallSite
-from flowdoc.flowdb import (FlowDb, FlowDbEntry, Link, analyze_source,
-                            build_db, load_merge, mangle_anchor)
+from flowdoc.flowdb import (FlowDb, FlowDbEntry, analyze_source, analyze_stem,
+                            load_merge, mangle_anchor, write_db)
 
 
 class TestAnchors:
@@ -38,22 +38,23 @@ class TestBuildDb:
                     "void a() {\n//$ first\nx();\n}\n"
                     "void b() {\ny();\n}\n"
                     "void c() {\n//$2 deep\nz();\n}\n")
-        out = tmp_path / "out"
-        db_path = build_db(src, out, [])
+        db_path = write_db("widget", analyze_stem([src], []), tmp_path / "out")
+        assert db_path == tmp_path / "out" / "widget.flowdb"
         content = db_path.read_text(encoding="utf-8")
         assert content == ("a\twidget.html#a\t0\n"
                            "c\twidget.html#c\t2\n")
 
     def test_no_annotations_gives_empty_db(self, tmp_path):
         src = write(tmp_path, "plain.cpp", "int f() {\nreturn 0;\n}\n")
-        db_path = build_db(src, tmp_path / "out", [])
+        db_path = write_db("plain", analyze_stem([src], []), tmp_path / "out")
         assert db_path.read_text(encoding="utf-8") == ""
 
     def test_lines_sorted_and_lf_terminated(self, tmp_path):
         src = write(tmp_path, "z.cpp",
                     "void zeta() {\n//$ z\nx();\n}\n"
                     "void alpha() {\n//$ a\nx();\n}\n")
-        content = build_db(src, tmp_path / "out", []).read_text(encoding="utf-8")
+        content = write_db("z", analyze_stem([src], []),
+                           tmp_path / "out").read_text(encoding="utf-8")
         lines = content.splitlines()
         assert lines == sorted(lines)
         assert content.endswith("\n")
@@ -61,7 +62,7 @@ class TestBuildDb:
 
     def test_unreadable_source_reports_error(self, tmp_path):
         diags = []
-        assert build_db(tmp_path / "missing.cpp", tmp_path / "out", diags) is None
+        assert analyze_stem([tmp_path / "missing.cpp"], diags) is None
         assert any(d.code == "io-error" for d in diags)
 
     def test_overload_anchors_deduplicated(self, tmp_path):
@@ -78,8 +79,8 @@ class TestBuildDb:
                     "class Box {\npublic:\n"
                     "    int size() const {\n//$ measure\nreturn n;\n}\n"
                     "};\n")
-        content = build_db([cpp, hdr], tmp_path / "out",
-                           []).read_text(encoding="utf-8")
+        content = write_db("box", analyze_stem([cpp, hdr], []),
+                           tmp_path / "out").read_text(encoding="utf-8")
         assert content == ("Box::pack\tbox.html#Box__pack\t0\n"
                            "Box::size\tbox.html#Box__size\t0\n")
 
@@ -87,8 +88,8 @@ class TestBuildDb:
         cpp = write(tmp_path, "box.cpp",
                     "void Box::pack() {\n//$ pack it\nx();\n}\n")
         hdr = write(tmp_path, "box.h", "class Box {\npublic:\nvoid pack();\n};\n")
-        content = build_db([cpp, hdr], tmp_path / "out",
-                           []).read_text(encoding="utf-8")
+        content = write_db("box", analyze_stem([cpp, hdr], []),
+                           tmp_path / "out").read_text(encoding="utf-8")
         assert "Box::pack" in content
 
     def test_anchor_dedup_spans_the_stem_group(self, tmp_path):
@@ -96,8 +97,8 @@ class TestBuildDb:
         sub = tmp_path / "sub"
         sub.mkdir()
         two = write(sub, "g.cpp", "void g() {\n//$ b\nx();\n}\n")
-        content = build_db([one, two], tmp_path / "out",
-                           []).read_text(encoding="utf-8")
+        content = write_db("g", analyze_stem([one, two], []),
+                           tmp_path / "out").read_text(encoding="utf-8")
         assert content == ("g\tg.html#g\t0\n"
                            "g\tg.html#g__2\t0\n")
 
@@ -106,9 +107,9 @@ class TestLoadMerge:
     def test_round_trip(self, tmp_path):
         src = write(tmp_path, "m.cpp", "void go() {\n//$1 step\nx();\n}\n")
         out = tmp_path / "out"
-        build_db(src, out, [])
+        write_db("m", analyze_stem([src], []), out)
         db = load_merge(out, [])
-        assert len(db) == 1
+        assert len(db.entries) == 1
         entry = db.entries["go"]
         assert entry == FlowDbEntry("go", "m.html", "go", 1)
 
@@ -140,7 +141,8 @@ class TestLoadMerge:
         out = tmp_path / "out"
         for name, body in (("one.cpp", "void f1() {\n//$ a\nx();\n}\n"),
                            ("two.cpp", "void f2() {\n//$ b\nx();\n}\n")):
-            build_db(write(tmp_path, name, body), out, [])
+            src = write(tmp_path, name, body)
+            write_db(src.stem, analyze_stem([src], []), out)
         db = load_merge(out, [])
         assert set(db.entries) == {"f1", "f2"}
 
@@ -160,14 +162,12 @@ class TestResolve:
         })
 
     def test_exact_match(self):
-        link = self.db().resolve(call("VINCIA::shower"))
-        assert link.href == "aux.html#VINCIA__shower"
-        assert link.display == "VINCIA::shower"
+        entry = self.db().resolve(call("VINCIA::shower"))
+        assert entry == self.db().entries["VINCIA::shower"]
 
     def test_unique_suffix_match(self):
-        link = self.db().resolve(call("shower", "vinciaOBJ->shower"))
-        assert link.href == "aux.html#VINCIA__shower"
-        assert link.display == "VINCIA::shower"
+        entry = self.db().resolve(call("shower", "vinciaOBJ->shower"))
+        assert entry == self.db().entries["VINCIA::shower"]
 
     def test_unknown_name_is_none(self):
         assert self.db().resolve(call("nonexistent")) is None
@@ -181,8 +181,8 @@ class TestResolve:
         db = FlowDb(dict(self.db().entries,
                          trim=FlowDbEntry("trim", "top.html", "trim", 0)))
         diags = []
-        link = db.resolve(call("trim"), "f.cpp", diags)
-        assert link.href == "top.html#trim"
+        entry = db.resolve(call("trim"), "f.cpp", diags)
+        assert (entry.html_path, entry.anchor) == ("top.html", "trim")
         assert diags == []
 
 
@@ -197,13 +197,11 @@ def test_indexed_resolve_matches_a_linear_scan(wanted, others, prefixes):
     entries = {name: FlowDbEntry(name, f"p{k}.html", "a", 0)
                for k, name in enumerate(names)}
     diags = []
-    link = FlowDb(entries).resolve(call(wanted, line=7), "f.cpp", diags)
+    entry = FlowDb(entries).resolve(call(wanted, line=7), "f.cpp", diags)
     # exact name first, then a unique '::' suffix match
     hits = [name for name in names if name.endswith("::" + wanted)]
     found = wanted if wanted in entries else hits[0] if len(hits) == 1 else None
-    expected = (Link(f"{entries[found].html_path}#a", found)
-                if found is not None else None)
-    assert link == expected
+    assert entry == (entries[found] if found is not None else None)
     ambiguous = found is None and len(hits) > 1
     assert [(d.code, d.file, d.line) for d in diags] == (
         [("ambiguous-callee", "f.cpp", 7)] if ambiguous else [])

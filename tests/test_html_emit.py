@@ -1,20 +1,16 @@
-from pathlib import Path
+from flowdoc.cxx_structure import FunctionDef, SourcePos
+from flowdoc.flowdb import AnnotatedFunction, FlowDb, FlowDbEntry
+from flowdoc.html_emit import check_links, emit_index, emit_page
 
-from flowdoc.flowdb import FlowDb, FlowDbEntry
-from flowdoc.html_emit import (PageFunction, check_links, emit_index,
-                               emit_page)
-from flowdoc.plantuml_emit import DiagramText
-
-
-def diagram(stem, anchor, zoom, content="@startuml\nstart\n:x;\nstop\n@enduml\n"):
-    name = f"{stem}__{anchor}__zoom{zoom}.txt"
-    return DiagramText(content, Path("out/aux_files") / name,
-                       anchor.replace("__", "::"), anchor, zoom, stem)
+TEXT = "@startuml\nstart\n:x;\nstop\n@enduml\n"
 
 
-def sample_func(stem="main", anchor="main", zooms=(0,)):
-    return PageFunction(anchor.replace("__", "::"), f"int {anchor}()", anchor,
-                        [diagram(stem, anchor, z) for z in zooms])
+def sample_func(anchor="main", zooms=(0,), text=TEXT, signature=None):
+    """A page entry: the function record and its diagram text per zoom."""
+    name = anchor.replace("__", "::")
+    fn = FunctionDef(name, signature or f"int {anchor}()", SourcePos(1, 0),
+                     SourcePos(1, 1), "t.cpp")
+    return AnnotatedFunction(fn, anchor, [], len(zooms) - 1), [text] * len(zooms)
 
 
 class TestPage:
@@ -42,15 +38,12 @@ class TestPage:
         assert "<summary>PlantUML source</summary>" in text
 
     def test_signature_collapsed_and_escaped(self, tmp_path):
-        fn = PageFunction("ns::f", "std::vector<int>\nns::f ()", "ns__f",
-                          [diagram("a", "ns__f", 0)])
+        fn = sample_func("ns__f", signature="std::vector<int>\nns::f ()")
         text = emit_page("a", [fn], tmp_path).read_text()
         assert "<code>std::vector&lt;int&gt; ns::f ()</code>" in text
 
     def test_diagram_content_html_escaped(self, tmp_path):
-        fn = sample_func()
-        fn.diagrams = [diagram("main", "main", 0,
-                               "@startuml\nstart\n:a < b & c;\nstop\n@enduml\n")]
+        fn = sample_func(text="@startuml\nstart\n:a < b & c;\nstop\n@enduml\n")
         text = emit_page("main", [fn], tmp_path).read_text()
         assert ":a &lt; b &amp; c;" in text
 
@@ -93,22 +86,18 @@ class TestIndex:
 
 class TestCheckLinks:
     def write_out(self, root, diagram_target="../aux.html#VINCIA__shower"):
-        emit_page("aux", [sample_func("aux", "VINCIA__shower")], root)
-        fn = sample_func("main", "main")
-        fn.diagrams = [diagram(
-            "main", "main", 0,
-            "@startuml\nstart\n:call\n"
-            f"[[{diagram_target} VINCIA::shower()]];\nstop\n@enduml\n")]
-        emit_page("main", [fn], root)
+        main_text = ("@startuml\nstart\n:call\n"
+                     f"[[{diagram_target} VINCIA::shower()]];\nstop\n@enduml\n")
+        emit_page("aux", [sample_func("VINCIA__shower")], root)
+        emit_page("main", [sample_func("main", text=main_text)], root)
         emit_index(FlowDb({
             "main": FlowDbEntry("main", "main.html", "main", 0),
             "VINCIA::shower": FlowDbEntry("VINCIA::shower", "aux.html",
                                           "VINCIA__shower", 0)}), root)
         aux = root / "aux_files"
         aux.mkdir(exist_ok=True)
-        for page_fn in (fn, sample_func("aux", "VINCIA__shower")):
-            for d in page_fn.diagrams:
-                (aux / d.path.name).write_text(d.content)
+        (aux / "main__main__zoom0.txt").write_text(main_text)
+        (aux / "aux__VINCIA__shower__zoom0.txt").write_text(TEXT)
 
     def test_all_resolved_on_consistent_tree(self, tmp_path):
         self.write_out(tmp_path)

@@ -1,17 +1,15 @@
-from pathlib import Path
-
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flowdoc.activity_ir import (ActionNode, ActivityTree, BranchArm,
                                  BranchNode, ForkNode, HighlightedCall,
                                  LoopNode, LoopStyle, StopNode)
+from flowdoc.cli import main
 from flowdoc.plantuml_emit import (diagram_filename, emit, render_function)
 
 
 def tree(*nodes, max_zoom=0):
-    return ActivityTree("ns::f", "void ns::f()", "ns__f",
-                        list(nodes) + [StopNode()], max_zoom)
+    return ActivityTree(list(nodes) + [StopNode()], max_zoom)
 
 
 class TestActions:
@@ -23,7 +21,7 @@ class TestActions:
         node = ActionNode("call shower",
                           calls=[HighlightedCall("VINCIA::shower()",
                                                  "aux.html#VINCIA__shower")])
-        assert emit(tree(node), link_base="../") == (
+        assert emit(tree(node)) == (
             "@startuml\nstart\n:call shower\n"
             "[[../aux.html#VINCIA__shower VINCIA::shower()]];\n"
             "stop\n@enduml\n")
@@ -84,15 +82,13 @@ class TestConstructs:
             "repeat while (retry needed)\nstop\n@enduml\n")
 
     def test_fork(self):
-        node = ForkNode([[ActionNode("a")], [ActionNode("b")],
-                         [ActionNode("c")]])
+        node = ForkNode([ActionNode("a"), ActionNode("b"), ActionNode("c")])
         assert emit(tree(node)) == (
             "@startuml\nstart\nfork\n:a;\nfork again\n:b;\n"
             "fork again\n:c;\nend fork\nstop\n@enduml\n")
 
     def test_stop_with_text(self):
-        out = emit(ActivityTree("f", "int f()", "f",
-                                [StopNode("return value")], 0))
+        out = emit(ActivityTree([StopNode("return value")], 0))
         assert out == "@startuml\nstart\n:return value;\nstop\n@enduml\n"
 
     def test_label_whitespace_collapses(self):
@@ -106,38 +102,38 @@ class TestConstructs:
 
 class TestRenderFunction:
     def two_level_tree(self):
-        return ActivityTree("B::go", "void B::go()", "B__go",
-                            [ActionNode("coarse", zoom=0),
+        return ActivityTree([ActionNode("coarse", zoom=0),
                              ActionNode("fine", zoom=1), StopNode()], 1)
 
-    def test_one_file_per_zoom_under_aux_files(self):
-        texts = render_function(self.two_level_tree(), "b", "out")
-        assert [t.path for t in texts] == [
-            Path("out/aux_files/b__B__go__zoom0.txt"),
-            Path("out/aux_files/b__B__go__zoom1.txt")]
-        assert [t.zoom for t in texts] == [0, 1]
+    def test_one_file_per_zoom_under_aux_files(self, tmp_path, capsys):
+        src = tmp_path / "b.cpp"
+        src.write_text("void B::go() {\n//$ coarse\na();\n//$1 fine\nb();\n}\n")
+        assert main(["makeflows", str(src), "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        aux = tmp_path / "out" / "aux_files"
+        assert sorted(p.name for p in aux.iterdir()) == [
+            "b__B__go__zoom0.txt", "b__B__go__zoom1.txt"]
+        assert [(aux / diagram_filename("b", "B__go", k)).read_text()
+                for k in (0, 1)] == render_function(self.two_level_tree())
 
     def test_projection_applied_per_level(self):
-        texts = render_function(self.two_level_tree(), "b", "out")
-        assert ":fine;" not in texts[0].content
-        assert ":fine;" in texts[1].content
+        texts = render_function(self.two_level_tree())
+        assert ":fine;" not in texts[0]
+        assert ":fine;" in texts[1]
 
     def test_default_link_base_points_up(self):
-        t = ActivityTree("f", "void f()", "f",
-                         [ActionNode("x", calls=[
+        t = ActivityTree([ActionNode("x", calls=[
                              HighlightedCall("g()", "c.html#g")]),
                           StopNode()], 0)
-        texts = render_function(t, "a", "out")
-        assert "[[../c.html#g g()]]" in texts[0].content
+        assert "[[../c.html#g g()]]" in render_function(t)[0]
 
     def test_filename_shape(self):
         assert diagram_filename("main", "ns__f__2", 3) == (
             "main__ns__f__2__zoom3.txt")
 
     def test_deterministic(self):
-        a = render_function(self.two_level_tree(), "b", "out")
-        b = render_function(self.two_level_tree(), "b", "out")
-        assert [x.content for x in a] == [y.content for y in b]
+        assert (render_function(self.two_level_tree())
+                == render_function(self.two_level_tree()))
 
 
 @given(st.text(min_size=1).filter(lambda s: s.strip()))
