@@ -72,7 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--render-cmd", default=None,
                         help="command template that renders a diagram text "
                              "to SVG; '{input}' is replaced by the .txt "
-                             "path, e.g. 'plantuml -tsvg {input}'")
+                             "path, e.g. 'plantuml -tsvg {input}'. Up to "
+                             "one render per CPU runs at a time, so the "
+                             "command must not write to a fixed shared "
+                             "path; failures are reported in diagram order")
         sp.add_argument("--werror", action="store_true",
                         help="treat warnings as errors (exit status 1)")
         sp.add_argument("--quiet", action="store_true",
@@ -124,19 +127,60 @@ def _stem_groups(sources: list[str]) -> list[tuple[str, list[str]]]:
     return list(groups.items())
 
 
-# per stem, each annotated function with its diagram texts, level 0 first
-Pages = list[tuple[str, list[tuple[flowdb.AnnotatedFunction, list[str]]]]]
+# each annotated function of a stem with its diagram texts, level 0 first
+Funcs = list[tuple[flowdb.AnnotatedFunction, list[str]]]
+# per stem, its first source and its functions
+Pages = list[tuple[str, str, Funcs]]
+
+
+def _isolated(file: str, diags: list[Diagnostic], work, *args):
+    """``work(*args)``, or None when it raises.
+
+    One stem's unexpected failure becomes an ``internal-error`` for its
+    file, and the run goes on with the other stems.
+    """
+    try:
+        return work(*args)
+    except Exception as exc:  # the boundary that keeps the other stems going
+        import traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        diags.append(error(
+            "internal-error",
+            f"internal error ({type(exc).__name__} at "
+            f"{Path(frame.filename).name}:{frame.lineno}: {exc}); "
+            f"this stem's output is incomplete", file))
+        return None
+
+
+def _analyze(stem: str, group: list[str], cfg: Config,
+             diags: list[Diagnostic]) -> list[flowdb.AnnotatedFunction] | None:
+    annotated = flowdb.analyze_stem(group, diags)
+    if annotated is not None and cfg.command in ("build-db", "all"):
+        flowdb.write_db(stem, annotated, cfg.out_dir)
+    return annotated
+
+
+def _build(annotated: list[flowdb.AnnotatedFunction], db: flowdb.FlowDb,
+           diags: list[Diagnostic]) -> Funcs:
+    return [(af, plantuml_emit.render_function(
+                activity_ir.build_activity(af, db, diags)))
+            for af in annotated]
+
+
+def _write_diagrams(stem: str, funcs: Funcs, aux: Path) -> list[Path]:
+    return [atomic_write_text(
+                aux / plantuml_emit.diagram_filename(stem, af.anchor, zoom),
+                text)
+            for af, texts in funcs for zoom, text in enumerate(texts)]
 
 
 def _phase_makeflows(pages: Pages, cfg: Config,
                      diags: list[Diagnostic]) -> None:
     aux = cfg.out_dir / "aux_files"
     paths = []
-    for stem, funcs in pages:
-        for af, texts in funcs:
-            for zoom, text in enumerate(texts):
-                name = plantuml_emit.diagram_filename(stem, af.anchor, zoom)
-                paths.append(atomic_write_text(aux / name, text))
+    for stem, file, funcs in pages:
+        paths.extend(_isolated(file, diags, _write_diagrams, stem, funcs, aux)
+                     or ())
     if not paths:
         diags.append(warning("no-annotated-functions",
                              "no annotated functions found; "
@@ -144,35 +188,62 @@ def _phase_makeflows(pages: Pages, cfg: Config,
     _phase_render(paths, cfg, diags)
 
 
+def _render_workers() -> int:
+    """Renders kept in flight: one per CPU this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _phase_render(paths: list[Path], cfg: Config,
                   diags: list[Diagnostic]) -> None:
+    """Run the render command once per diagram, up to one per CPU at a time.
+
+    Results are read in the order of ``paths``, so the warnings come in
+    diagram order whichever render finishes first. A command that fails to
+    start is reported once, and nothing after it.
+    """
     if not cfg.render_cmd:
         return
+    # imported here: it would slow down the start of every run without renders
+    from concurrent.futures import ThreadPoolExecutor
     args_template = shlex.split(cfg.render_cmd)
     has_placeholder = any("{input}" in a for a in args_template)
-    for path in paths:
+
+    def render(path: Path) -> subprocess.CompletedProcess | OSError:
         argv = [a.replace("{input}", str(path)) for a in args_template]
         if not has_placeholder:
             argv.append(str(path))
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            return subprocess.run(argv, capture_output=True, text=True)
         except OSError as exc:
-            diags.append(warning("render-failed",
-                                 f"render command failed to start: {exc}"))
-            return
-        if proc.returncode != 0:
-            detail = (proc.stderr or proc.stdout or "").strip().splitlines()
-            suffix = f": {detail[0]}" if detail else ""
-            diags.append(warning(
-                "render-failed",
-                f"render command exited with status {proc.returncode} "
-                f"for {path.name}{suffix}"))
+            return exc
+
+    pool = ThreadPoolExecutor(max_workers=_render_workers())
+    try:
+        for path, proc in zip(paths, pool.map(render, paths)):
+            if isinstance(proc, OSError):
+                failed = f"render command failed to start: {proc}"
+                diags.append(warning("render-failed", failed))
+                return
+            if proc.returncode != 0:
+                out = proc.stderr or proc.stdout or ""
+                detail = out.strip().splitlines()
+                suffix = f": {detail[0]}" if detail else ""
+                diags.append(warning(
+                    "render-failed",
+                    f"render command exited with status {proc.returncode} "
+                    f"for {path.name}{suffix}"))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _phase_makehtml(pages: Pages, db: flowdb.FlowDb, cfg: Config) -> None:
-    for stem, funcs in pages:
+def _phase_makehtml(pages: Pages, db: flowdb.FlowDb, cfg: Config,
+                    diags: list[Diagnostic]) -> None:
+    for stem, file, funcs in pages:
         if funcs:
-            html_emit.emit_page(stem, funcs, cfg.out_dir)
+            _isolated(file, diags, html_emit.emit_page, stem, funcs,
+                      cfg.out_dir)
     html_emit.emit_index(db, cfg.out_dir)
 
 
@@ -184,25 +255,22 @@ def run(cfg: Config, diags: list[Diagnostic]) -> None:
     Every stem is analyzed, then its database is written (build-db). The
     later phases merge the databases once, and build and render each
     function's activity tree once; makeflows writes those diagram texts and
-    makehtml embeds the same texts in the pages.
+    makehtml embeds the same texts in the pages. An unexpected failure in
+    one stem's analysis, build or output spares the other stems.
     """
-    stems = [(stem, flowdb.analyze_stem(group, diags))
+    stems = [(stem, group[0],
+              _isolated(group[0], diags, _analyze, stem, group, cfg, diags))
              for stem, group in _stem_groups(cfg.sources)]
-    if cfg.command in ("build-db", "all"):
-        for stem, annotated in stems:
-            if annotated is not None:
-                flowdb.write_db(stem, annotated, cfg.out_dir)
     if cfg.command == "build-db":
         return
     db = flowdb.load_merge(cfg.out_dir, diags)
-    pages = [(stem, [(af, plantuml_emit.render_function(
-                         activity_ir.build_activity(af, db, diags)))
-                     for af in annotated or []])
-             for stem, annotated in stems]
+    pages = [(stem, file,
+              _isolated(file, diags, _build, annotated or [], db, diags) or [])
+             for stem, file, annotated in stems]
     if cfg.command in ("makeflows", "all"):
         _phase_makeflows(pages, cfg, diags)
     if cfg.command in ("makehtml", "all"):
-        _phase_makehtml(pages, db, cfg)
+        _phase_makehtml(pages, db, cfg, diags)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -101,7 +101,7 @@ def analyze_source(source_path: str | Path,
         return None
     view = _cxx.CodeStream(_scanner.scan(text, str(path), diags))
     defs = _cxx.find_definitions(view, str(path), diags)
-    annos = _annotations.collect(view, str(path), diags)
+    annos = _annotations.collect(view, str(path), diags, defs)
     annotated = annotated_functions(defs, annos, taken)
     for af in annotated:
         af.body = _cxx.parse_body(af.fn, view, diags,

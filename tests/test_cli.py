@@ -1,5 +1,8 @@
+import re
+import shlex
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -200,6 +203,58 @@ class TestDiagnostics:
         no_link = [line for line in err.splitlines() if "[no-link]" in line]
         assert no_link and len(no_link) == len(set(no_link))
 
+    def test_declarator_on_the_highlighted_line_is_no_call(self, tmp_path,
+                                                           capsys):
+        src = tmp_path / "s.cpp"
+        out = tmp_path / "out"
+        src.write_text("void b() { g();  //$\n}\n")
+        assert run_cli("all", str(src), "--out-dir", str(out),
+                       capsys=capsys)[0] == 0
+        diagram = (out / "aux_files" / "s__b__zoom0.txt").read_text()
+        assert "b()" not in diagram and "g();" in diagram
+        # the calls before the highlighted body's '{' are not its calls
+        src.write_text("void a() { x(); } void c() { g(); g();  //$\n}\n")
+        code, err = run_cli("all", str(src), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 0
+        named = re.findall(r"call '(\w+)'.*\[no-link\]", err)
+        assert named and set(named) == {"g"}
+        # a line that only opens the body holds no call
+        src.write_text("void d() {  //$\n//$ act\nf();\n}\n")
+        code, err = run_cli("all", str(src), "--out-dir", str(out),
+                            capsys=capsys)
+        assert f"{src}:1: warning: postfix '//$' on a line with no " in err
+        assert "[[" not in (out / "aux_files" / "s__d__zoom0.txt").read_text()
+
+    def test_unexpected_failure_spares_the_other_stems(self, tmp_path,
+                                                       monkeypatch, capsys):
+        bad, good = tmp_path / "bad.cpp", tmp_path / "good.cpp"
+        for src in (bad, good):
+            src.write_text("void f() {\n//$ act\nx();\n}\n")
+        analyze = flowdb.analyze_source
+
+        def failing(path, *args, **kwargs):
+            if Path(path) == bad:
+                raise RuntimeError("boom")
+            return analyze(path, *args, **kwargs)
+
+        monkeypatch.setattr(flowdb, "analyze_source", failing)
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(bad), str(good), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 1
+        internal = [line for line in err.splitlines()
+                    if line.endswith("[internal-error]")]
+        assert len(internal) == 1
+        assert internal[0].startswith(f"{bad}: error: internal error "
+                                      f"(RuntimeError at ")
+        assert "boom" in internal[0]
+        assert (out / "good.flowdb").is_file()
+        assert (out / "aux_files" / "good__f__zoom0.txt").is_file()
+        assert (out / "good.html").is_file()
+        assert not (out / "bad.flowdb").exists()
+        assert not (out / "bad.html").exists()
+
 
 # One source of each diagnostic an analysis or a tree build can emit; a
 # second analysis or build in the same run would repeat them.
@@ -373,6 +428,69 @@ class TestRenderCmd:
         assert code == 0
         assert "[render-failed]" in err
         assert "status 1" in err
+
+    @staticmethod
+    def two_stems(tmp_path):
+        """Two sources with two functions each, drawn at zoom 0 and 1."""
+        sources = []
+        for stem, names in (("one", "fg"), ("two", "hk")):
+            src = tmp_path / f"{stem}.cpp"
+            src.write_text("".join(
+                f"void {n}() {{\n//$ {n} starts\n//$1 {n} detail\nx();\n}}\n"
+                for n in names))
+            sources.append(str(src))
+        return sources
+
+    def test_failures_are_reported_in_diagram_order(self, tmp_path, capsys):
+        # fails for every zoom-1 diagram, those of the first stem last to
+        # finish, and renders the others
+        render = ("sh -c 'case \"$0\" in *one__*zoom1*) sleep 0.3;; esac; "
+                  "case \"$0\" in *zoom1*) echo bad >&2; exit 3;; esac; "
+                  "cp \"$0\" \"${0%.txt}.svg\"' {input}")
+        sources = self.two_stems(tmp_path)
+        runs = []
+        for out in (tmp_path / "out1", tmp_path / "out2"):
+            code, err = run_cli("makeflows", *sources, "--out-dir", str(out),
+                                "--render-cmd", render, capsys=capsys)
+            assert code == 0
+            runs.append([line for line in err.splitlines()
+                         if line.endswith("[render-failed]")])
+            aux = out / "aux_files"
+            assert sorted(p.stem for p in aux.glob("*.svg")) == sorted(
+                p.stem for p in aux.glob("*.txt") if "zoom1" not in p.name)
+        assert runs[0] == runs[1]
+        assert [re.search(r" for (\S+): bad ", line).group(1)
+                for line in runs[0]] == [
+            "one__f__zoom1.txt", "one__g__zoom1.txt",
+            "two__h__zoom1.txt", "two__k__zoom1.txt"]
+
+    def test_renders_overlap(self, tmp_path, capsys):
+        if cli._render_workers() < 2:
+            pytest.skip("renders overlap only with two or more CPUs")
+        # each render waits for another one to have started
+        renderer = tmp_path / "wait_for_another.py"
+        renderer.write_text(textwrap.dedent("""\
+            import sys, time
+            from pathlib import Path
+            mine = Path(sys.argv[1] + ".started")
+            mine.touch()
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                if any(p != mine for p in mine.parent.glob("*.started")):
+                    sys.exit(0)
+                time.sleep(0.01)
+            sys.exit(1)
+            """))
+        out = tmp_path / "out"
+        code, err = run_cli(
+            "makeflows", *self.two_stems(tmp_path), "--out-dir", str(out),
+            "--render-cmd",
+            f"{shlex.quote(sys.executable)} {shlex.quote(str(renderer))} "
+            "{input}", capsys=capsys)
+        assert code == 0 and "[render-failed]" not in err
+        aux = out / "aux_files"
+        assert sorted(p.name for p in aux.glob("*.started")) == sorted(
+            p.name + ".started" for p in aux.glob("*.txt"))
 
 
 def test_module_entry_point(tmp_path):
