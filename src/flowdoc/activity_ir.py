@@ -151,8 +151,12 @@ class _Builder:
                 owner = innermost(af.body, a.line, StmtKind.BLOCK)
                 self.owned.setdefault(id(owner), []).append(a)
         # descriptions by keyword offset; a condition description targets
-        # only if/else/loop keywords, a return description only 'return'
-        self.descs = {a.target: a for a in annos if a.target is not None}
+        # only if/else/loop keywords, a return description only 'return'.
+        # Those the body's root keeps were swallowed past the nesting bound
+        # and counted in a nesting-too-deep warning already.
+        swallowed = set(af.body.keywords)
+        self.descs = {a.target: a for a in annos
+                      if a.target is not None and a.target not in swallowed}
         self.highlight_lines = {a.line for a in annos
                                 if a.kind is AnnotationKind.CALL_HIGHLIGHT}
         trigger = [a.line for a in annos

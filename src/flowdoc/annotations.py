@@ -19,8 +19,9 @@ comment in between claims the statement for itself.
 
 from __future__ import annotations
 
+import bisect
 import re
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -113,27 +114,28 @@ def classify(comment: Token, following_kind: str | None,
 
 def collect(view: CodeStream, file: str = "<input>",
             diags: list[Diagnostic] | None = None,
-            defs: Iterable[FunctionDef] = ()) -> list[Annotation]:
+            defs: Sequence[FunctionDef] = ()) -> list[Annotation]:
     """All annotations of a source's lexed view, in source order.
 
-    Highlights keep the call sites found on their line, except those before
-    the ``{`` of a body in ``defs`` that opens on that line and holds the
-    marker: a definition's own declarator is no call. Postfix highlights
-    whose line holds no detectable call are dropped with a diagnostic;
-    orphan bracket annotations are kept as actions and reported.
+    A highlight keeps the call sites among the lexemes of its line, after
+    the ``{`` of the body of ``defs`` (in source order) that holds the
+    marker if it opens there: a definition's declarator is no call.
+    Postfix highlights whose line holds no detectable call are dropped with
+    a diagnostic; orphan bracket annotations are kept as actions and
+    reported.
     """
     diags = sink(diags)
-    opened: dict[int, list[FunctionDef]] = {}
-    for fn in defs:
-        opened.setdefault(fn.body_start.line, []).append(fn)
+    body_starts = [fn.body_start.offset for fn in defs]
     markers = view.markers
     out: list[Annotation] = []
     for k, tok in enumerate(markers):
-        code = view.code_by_line.get(tok.line, "")
-        if code.strip():
-            calls = detect_calls(
-                _inside_body(view, code, tok, opened.get(tok.line, ())),
-                tok.line)
+        if view.code_by_line.get(tok.line, "").strip():
+            lo = view.index_at_or_after(view.line_starts[tok.line - 1])
+            d = bisect.bisect_left(body_starts, tok.offset) - 1
+            if (d >= 0 and defs[d].body_start.line == tok.line
+                    and tok.offset < defs[d].body_end.offset):
+                lo = view.index_at_or_after(body_starts[d]) + 1
+            calls = detect_calls(view, lo, view.index_at_or_after(tok.offset))
             if not calls:
                 diags.append(warning(
                     "dangling-call-highlight",
@@ -159,24 +161,6 @@ def collect(view: CodeStream, file: str = "<input>",
             ann.target = target
         out.append(ann)
     return out
-
-
-def _inside_body(view: CodeStream, code: str, tok: Token,
-                 defs: Iterable[FunctionDef]) -> str:
-    """The code of a marker's line after the ``{`` of the body on that line
-    that holds the marker; the whole line when there is none."""
-    braces = [fn.body_start.offset for fn in defs
-              if fn.body_start.offset < tok.offset < fn.body_end.offset]
-    if not braces:
-        return code
-    # the code text leaves out literals and comments, so its k-th '{' is
-    # the line's k-th '{' lexeme
-    lo = view.index_at_or_after(view.line_starts[tok.line - 1])
-    hi = view.index_at_or_after(max(braces))
-    at = -1
-    for _ in range(1 + sum(lx.text == "{" for lx in view.lexemes[lo:hi])):
-        at = code.index("{", at + 1)
-    return code[at + 1:]
 
 
 def _following_context(view: CodeStream, tok: Token, block_at: int | None

@@ -7,7 +7,7 @@ it recognizes just enough structure for flowcharting:
   destructors), qualified through a tracked namespace/class context,
 * per-body statement trees with if/else-if/else chains, the three loop
   forms, returns, and opaque Plain statements for everything else,
-* call sites, inspected only on lines that carry a postfix ``//$`` marker.
+* call sites, found only on lines that carry a postfix ``//$`` marker.
 
 Positions are character offsets into the source, as the lexed view holds
 them; a statement records the offsets of the keywords a description can bind
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -63,9 +63,9 @@ class CodeStream:
     offset into ``source``, and ``line`` maps it to its line. ``partner``
     maps the index of each ``(``, ``[`` and ``{`` lexeme to the index of its
     closer, found with one stack per bracket type; an opener that is never
-    closed has no entry. The view also carries the per-line code text of
-    ``scanner.line_code_map`` and the ``//$`` comments, so the token list
-    need not outlive it.
+    closed has no entry. The view also carries the ``//$`` comments and,
+    only to tell a postfix marker from a standalone one, the per-line code
+    text of ``scanner.line_code_map``; the token list need not outlive it.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -150,7 +150,8 @@ class Stmt:
     children: list["Stmt"] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
     # offsets of the keywords a description binds to: the arm's 'if' or
-    # 'else', the loop's keyword ('do' and its 'while'), 'return'
+    # 'else', the loop's keyword ('do' and its 'while'), 'return'; for a
+    # body's root, the targets of the statements kept opaque past MAX_NESTING
     keywords: tuple[int, ...] = ()
 
 
@@ -196,7 +197,6 @@ def find_definitions(view: CodeStream, file: str = "<input>",
     defs: list[FunctionDef] = []
     scopes: list[_Scope] = []
     start = 0  # the pending declaration is lx[start:i]
-    paren_depth = 0
     reported_unbalanced = False
     i = 0
     n = len(lx)
@@ -209,21 +209,27 @@ def find_definitions(view: CodeStream, file: str = "<input>",
 
     while i < n:
         t = lx[i].text
-        if paren_depth == 0 and lx[i].kind is LexKind.PUNCT:
+        if lx[i].kind is LexKind.PUNCT:
+            if t == "(":
+                # the group stays in the declaration; an unclosed one ends it
+                i = view.partner.get(i, n - 1) + 1
+                continue
             if t == ";":
                 i += 1
                 start = i
                 continue
             if t == "{":
-                decl = lx[start:i]
-                decision, payload = _analyze_buffer(decl)
+                decision, payload = _analyze_buffer(view, start, i)
                 brace_line = view.line(lx[i].offset)
                 close = view.partner.get(i)
                 if decision == "function":
                     chain, ctor_init = payload
-                    if ctor_init and _ends_like_member_init(decl):
-                        # '{' opens a member initializer, not the body; the
-                        # group stays in the pending declaration
+                    if ctor_init and (lx[i - 1].kind is LexKind.WORD
+                                      or lx[i - 1].text == ">"):
+                        # in a constructor initializer list, a '{' after an
+                        # identifier or a closing '>' opens a member
+                        # initializer, not the body; after ')' or '}' it is
+                        # the body. The group stays in the declaration.
                         if close is None:
                             report_unbalanced(brace_line)
                         i = n if close is None else close + 1
@@ -260,11 +266,6 @@ def find_definitions(view: CodeStream, file: str = "<input>",
                 i += 1
                 start = i
                 continue
-        if lx[i].kind is LexKind.PUNCT:
-            if t == "(":
-                paren_depth += 1
-            elif t == ")":
-                paren_depth = max(0, paren_depth - 1)
         i += 1
 
     if scopes:
@@ -272,58 +273,49 @@ def find_definitions(view: CodeStream, file: str = "<input>",
     return defs
 
 
-def _ends_like_member_init(decl: list[Lexeme]) -> bool:
-    # In a constructor initializer list, a '{' after an identifier or a
-    # closing '>' starts a brace initializer; after ')' or '}' it is the body.
-    return decl[-1].kind is LexKind.WORD or decl[-1].text == ">"
-
-
-def _past_group(toks: list[Lexeme], i: int, open_t: str, close_t: str) -> int:
-    """Index just past the group opened at toks[i], or past the end when the
-    group is unbalanced. Only the short declaration slices are scanned here:
-    their ``<...>`` has no partner in the lexed view."""
+def _past_group(lx: list[Lexeme], i: int, end: int) -> int:
+    """Index just past the template ``<...>`` opened at lx[i], or end when
+    it does not close before end: angle brackets have no partner."""
     depth = 0
-    for k in range(i, len(toks)):
-        t = toks[k].text
-        if t == open_t:
+    for k in range(i, end):
+        t = lx[k].text
+        if t == "<":
             depth += 1
-        elif t == close_t:
+        elif t == ">":
             depth -= 1
             if depth == 0:
                 return k + 1
-    return len(toks)
+    return end
 
 
-def _analyze_buffer(toks: list[Lexeme]):
-    """Classify the pending declaration ending at a '{'.
+def _analyze_buffer(view: CodeStream, s: int, e: int):
+    """Classify the pending declaration lexemes [s, e), which end at a '{'.
 
     Returns one of ("function", (name_chain, has_ctor_init)),
     ("namespace", name|None), ("class", name|None), ("extern", None),
     ("opaque", None).
     """
-    s = 0
-    while s < len(toks):
-        if toks[s].text == "template" and s + 1 < len(toks) and toks[s + 1].text == "<":
-            s = _past_group(toks, s + 1, "<", ">")
-        elif (toks[s].text == "[" and s + 1 < len(toks)
-              and toks[s + 1].text == "["):
-            s = _past_group(toks, s, "[", "]")
+    lx = view.lexemes
+    while s < e:
+        if lx[s].text == "template" and s + 1 < e and lx[s + 1].text == "<":
+            s = _past_group(lx, s + 1, e)
+        elif lx[s].text == "[" and s + 1 < e and lx[s + 1].text == "[":
+            s = min(view.partner.get(s, e) + 1, e)
         else:
             break
-    toks = toks[s:]
-    if not toks:
+    if s >= e:
         return "opaque", None
 
-    fn = _match_function(toks)
+    fn = _match_function(view, s, e)
     if fn is not None:
         return "function", fn
 
+    toks = lx[s:e]
     head = toks[0].text
     if head == "namespace" or (head == "inline" and len(toks) > 1 and toks[1].text == "namespace"):
         start = 1 if head == "namespace" else 2
         parts = [t.text for t in toks[start:] if t.kind is LexKind.WORD or t.text == "::"]
-        name = "".join(parts) or None
-        return "namespace", name
+        return "namespace", "".join(parts) or None
     if head == "extern" and len(toks) == 2 and toks[1].kind is LexKind.LIT:
         return "extern", None
 
@@ -342,35 +334,34 @@ def _analyze_buffer(toks: list[Lexeme]):
     return "opaque", None
 
 
-def _match_function(toks: list[Lexeme]):
-    """Match the restricted definition pattern against a declaration buffer.
+def _match_function(view: CodeStream, s: int, e: int):
+    """Match the restricted definition pattern against the declaration
+    lexemes [s, e).
 
     Returns (name_chain, has_ctor_init) or None.
     """
-    depth = 0
-    start = -1
-    groups: list[tuple[int, int]] = []
-    for idx, t in enumerate(toks):
-        if t.text == "(":
-            if depth == 0:
-                start = idx
-            depth += 1
-        elif t.text == ")":
-            depth -= 1
-            if depth == 0:
-                groups.append((start, idx))
-            if depth < 0:
+    lx = view.lexemes
+    groups: list[tuple[int, int]] = []  # the top-level (...) groups
+    k = s
+    while k < e:
+        if lx[k].text == "(":
+            close = view.partner.get(k, e)
+            if close >= e:
                 return None
-    if depth != 0 or not groups:
-        return None
+            groups.append((k, close))
+            k = close + 1
+        elif lx[k].text == ")":
+            return None
+        else:
+            k += 1
 
     # Earlier groups first: in "Foo::Foo(int n) : m_(n) {" the parameter
     # list is the first top-level group, the rest are member initializers.
     for op, cl in groups:
-        ok, ctor_init = _trailing_ok(toks, cl + 1)
+        ok, ctor_init = _trailing_ok(view, cl + 1, e)
         if not ok:
             continue
-        chain = _name_chain_before(toks, op)
+        chain = _name_chain_before(lx, s, op)
         if chain is None:
             continue
         simple = chain.split("::")[-1].lstrip("~")
@@ -380,58 +371,58 @@ def _match_function(toks: list[Lexeme]):
     return None
 
 
-def _trailing_ok(toks: list[Lexeme], k: int) -> tuple[bool, bool]:
-    n = len(toks)
-    while k < n:
-        t = toks[k].text
+def _trailing_ok(view: CodeStream, k: int, e: int) -> tuple[bool, bool]:
+    lx = view.lexemes
+    while k < e:
+        t = lx[k].text
         if t == ":":
             return True, True   # constructor initializer list
         if t == "->":
             return True, False  # trailing return type
         if t in _TRAILING_WORDS:
             k += 1
-            if t in ("noexcept", "throw") and k < n and toks[k].text == "(":
-                k = _past_group(toks, k, "(", ")")
+            if t in ("noexcept", "throw") and k < e and lx[k].text == "(":
+                k = min(view.partner.get(k, e) + 1, e)
             continue
         if t == "&":
             k += 1
             continue
-        if t == "[" and k + 1 < n and toks[k + 1].text == "[":
-            k = _past_group(toks, k, "[", "]")
+        if t == "[" and k + 1 < e and lx[k + 1].text == "[":
+            k = min(view.partner.get(k, e) + 1, e)
             continue
         return False, False
     return True, False
 
 
-def _name_chain_before(toks: list[Lexeme], op: int) -> str | None:
+def _name_chain_before(lx: list[Lexeme], s: int, op: int) -> str | None:
     j = op - 1
-    if j < 0 or toks[j].kind is not LexKind.WORD:
+    if j < s or lx[j].kind is not LexKind.WORD:
         return None
-    name = toks[j].text
+    name = lx[j].text
     j -= 1
-    if j >= 0 and toks[j].text == "~":
+    if j >= s and lx[j].text == "~":
         name = "~" + name
         j -= 1
     parts = [name]
-    while j >= 1 and toks[j].text == "::":
+    while j > s and lx[j].text == "::":
         q = j - 1
-        if toks[q].text == ">":
+        if lx[q].text == ">":
             depth = 0
             p = q
-            while p >= 0:
-                if toks[p].text == ">":
+            while p >= s:
+                if lx[p].text == ">":
                     depth += 1
-                elif toks[p].text == "<":
+                elif lx[p].text == "<":
                     depth -= 1
                     if depth == 0:
                         break
                 p -= 1
-            if p <= 0 or toks[p - 1].kind is not LexKind.WORD:
+            if p <= s or lx[p - 1].kind is not LexKind.WORD:
                 break
-            parts.append("".join(t.text for t in toks[p - 1:q + 1]))
+            parts.append("".join(t.text for t in lx[p - 1:q + 1]))
             j = p - 2
-        elif toks[q].kind is LexKind.WORD:
-            parts.append(toks[q].text)
+        elif lx[q].kind is LexKind.WORD:
+            parts.append(lx[q].text)
             j = q - 1
         else:
             break
@@ -444,18 +435,23 @@ def _name_chain_before(toks: list[Lexeme], op: int) -> str | None:
 
 def parse_body(fn: FunctionDef, view: CodeStream,
                diags: list[Diagnostic] | None = None,
-               calls: Iterable[CallSite] = ()) -> Stmt:
+               calls: Iterable[CallSite] = (),
+               targets: Sequence[int] = ()) -> Stmt:
     """Parse a recognized function body into a statement tree.
 
     The root is a Block spanning the braces. Each of ``calls`` (the call
     sites of the body's ``//$`` highlights) is attached to the innermost
-    statement owning its line.
+    statement owning its line. ``targets``, the sorted keyword offsets of
+    the body's descriptions, are counted in the warning of the statement
+    kept opaque past the nesting bound that holds them, and kept by the root.
     """
     diags = sink(diags)
     lo = view.index_at_or_after(fn.body_start.offset)
     hi = view.index_at_or_after(fn.body_end.offset)
-    children = _BodyParser(view, fn.file, diags).parse_range(lo + 1, hi)
-    root = Stmt(StmtKind.BLOCK, (fn.body_start.line, fn.body_end.line), children=children)
+    parser = _BodyParser(view, fn.file, diags, targets)
+    children = parser.parse_range(lo + 1, hi)
+    root = Stmt(StmtKind.BLOCK, (fn.body_start.line, fn.body_end.line),
+                children=children, keywords=tuple(parser.swallowed))
     for call in calls:
         innermost(root, call.line).calls.append(call)
     return root
@@ -480,31 +476,42 @@ def innermost(stmt: Stmt, line: int, kind: StmtKind | None = None) -> Stmt:
             return found
 
 
-_CALL_RE = re.compile(
-    r"(?<![\w.:])([A-Za-z_]\w*(?:\s*(?:::|\.|->)\s*[A-Za-z_]\w*)*)\s*\(")
+def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
+    """Call sites among the lexemes [lo, hi), in order of their ``(``.
 
-
-def detect_calls(line_code: str, line: int) -> list[CallSite]:
-    """Best-effort call candidates on one line of code text.
-
-    line_code must come from scanner.line_code_map so that parentheses inside
-    literals cannot produce false positives.
+    A call is a word right before a ``(`` lexeme, extended back over
+    ``::``/``.``/``->`` + word pairs, never below lo and never onto a
+    keyword or a builtin type. Literals and comments hold no lexeme that can
+    take part. The callee text is the chain as written; its lookup name is
+    the part after the last ``.`` or ``->``.
     """
+    lx = view.lexemes
     out = []
-    for m in _CALL_RE.finditer(line_code):
-        chain = m.group(1)
-        compact = re.sub(r"\s+", "", chain)
-        last = re.split(r"->|\.", compact)[-1]
-        simple = last.split("::")[-1]
-        if simple in _NOT_CALLEE_NAMES:
+    for k in range(lo + 1, hi):
+        last = k - 1
+        if (lx[k].text != "(" or lx[last].kind is not LexKind.WORD
+                or lx[last].text in _NOT_CALLEE_NAMES):
             continue
-        out.append(CallSite(callee_text=chain.strip(), normalized_name=last, line=line))
+        first = member = last
+        while (first - 2 >= lo and lx[first - 1].text in ("::", ".", "->")
+               and lx[first - 2].kind is LexKind.WORD
+               and lx[first - 2].text not in _NOT_CALLEE_NAMES):
+            if member == first and lx[first - 1].text == "::":
+                member -= 2
+            first -= 2
+        start, end = lx[first].offset, lx[last].offset + len(lx[last].text)
+        out.append(CallSite(view.source[start:end],
+                            "".join(t.text for t in lx[member:last + 1]),
+                            view.line(start)))
     return out
 
 
 class _BodyParser:
-    def __init__(self, view: CodeStream, file: str, diags: list[Diagnostic]):
+    def __init__(self, view: CodeStream, file: str, diags: list[Diagnostic],
+                 targets: Sequence[int]):
         self.view = view
+        self.targets = targets
+        self.swallowed: list[int] = []  # targets inside opaque statements
         self.lx = view.lexemes
         self.partner = view.partner
         self.file = file
@@ -518,8 +525,7 @@ class _BodyParser:
         """The statements of a block's interior [lo, hi). Past MAX_NESTING
         blocks below the function body it is one opaque statement."""
         if self.depth > MAX_NESTING and lo < hi:
-            self._too_deep(lo)
-            return [Stmt(StmtKind.PLAIN, (self._line(lo), self._line(hi - 1)))]
+            return [self._opaque(lo, hi)]
         self.depth += 1
         out: list[Stmt] = []
         i = lo
@@ -572,11 +578,19 @@ class _BodyParser:
                                   self.file, self._line(i)))
         return self._parse_plain(i, hi)
 
-    def _too_deep(self, i: int) -> None:
+    def _opaque(self, lo: int, hi: int) -> Stmt:
+        """The lexemes [lo, hi) past the nesting bound as one statement."""
+        inside = self.targets[
+            bisect.bisect_left(self.targets, self.lx[lo].offset):
+            bisect.bisect_right(self.targets, self.lx[hi - 1].offset)]
+        self.swallowed += inside
+        held = f"; the {len(inside)} descriptions inside it are not drawn"
         self.diags.append(warning("nesting-too-deep",
                                   f"statements nested more than {MAX_NESTING} "
-                                  f"blocks deep are kept as one opaque statement",
-                                  self.file, self._line(i)))
+                                  f"blocks deep are kept as one opaque statement"
+                                  + (held if inside else ""),
+                                  self.file, self._line(lo)))
+        return Stmt(StmtKind.PLAIN, (self._line(lo), self._line(hi - 1)))
 
     def _substatement(self, i: int, hi: int) -> tuple[Stmt, int]:
         """One statement (or braced block) wrapped as a Block arm."""
@@ -586,8 +600,8 @@ class _BodyParser:
         if self.lx[i].text == "{":
             return self.parse_one(i, hi)
         if self.depth > MAX_NESTING:
-            self._too_deep(i)
-            stmt, nxt = self._parse_plain(i, hi)
+            nxt = self._consume_simple(i, hi)
+            stmt = self._opaque(i, nxt)
         else:
             self.depth += 1
             stmt, nxt = self.parse_one(i, hi)
@@ -668,8 +682,7 @@ class _BodyParser:
         if grp is not None:
             j = grp[1] + 1
         if j < hi and self.lx[j].text == "{":
-            close = self.partner.get(j, hi)
-            j = close + 1 if close < hi else hi
+            j = min(self.partner.get(j, hi) + 1, hi)
         else:
             j = self._consume_simple(j, hi)
         return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
@@ -696,10 +709,7 @@ class _BodyParser:
             if t == ";":
                 return j + 1
             if t in _CLOSER:
-                close = self.partner.get(j, hi)
-                if close >= hi:
-                    return hi
-                j = close + 1
+                j = min(self.partner.get(j, hi) + 1, hi)
                 continue
             j += 1
         return hi

@@ -104,8 +104,9 @@ def analyze_source(source_path: str | Path,
     annos = _annotations.collect(view, str(path), diags, defs)
     annotated = annotated_functions(defs, annos, taken)
     for af in annotated:
-        af.body = _cxx.parse_body(af.fn, view, diags,
-                                  [c for a in af.annotations for c in a.calls])
+        af.body = _cxx.parse_body(
+            af.fn, view, diags, [c for a in af.annotations for c in a.calls],
+            [a.target for a in af.annotations if a.target is not None])
     return annotated
 
 

@@ -258,9 +258,8 @@ def _logical_line_end(text: str, start: int) -> int:
 def line_code_map(tokens: list[Token]) -> dict[int, str]:
     """Per-line code text, with literals collapsed to quote pairs.
 
-    Used to decide whether a comment is postfix (code precedes it on the
-    line) and to search highlighted lines for call sites without being fooled
-    by parentheses inside literals.
+    Its one use is to decide whether a ``//$`` comment is postfix (code
+    precedes it on the line); call sites are found on the lexed view.
     """
     per_line: dict[int, list[str]] = {}
     for tok in tokens:

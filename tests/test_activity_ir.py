@@ -185,6 +185,18 @@ class TestCallHighlights:
         assert [c.display for c in tree.root[0].calls] == ["step()", "step()"]
         assert [d.code for d in diags] == ["ambiguous-callee", "no-link"]
 
+    @pytest.mark.parametrize("code", ["return ::helper(x);",
+                                      "throw ::helper(x);",
+                                      "auto p = new ::helper(x);"])
+    def test_global_scope_call_after_a_keyword_links(self, code):
+        db = FlowDb({"helper": FlowDbEntry("helper", "h.html", "helper", 0)})
+        diags = []
+        tree = build("int f() {\n//$ run\n" + code + "  //$\n}\n",
+                     db=db, diags=diags)
+        assert [(c.display, c.href) for c in tree.root[0].calls] == [
+            ("helper()", "h.html#helper")]
+        assert diags == []
+
     @pytest.mark.parametrize("opaque", [
         "switch (k) {\ncase 1:\n//$ inside\nx();  //$\nbreak;\n}\n",
         "try {\ny();\n} catch (...) {\n//$ inside\nx();  //$\n}\n",

@@ -359,6 +359,10 @@ class TestDeepNesting:
         code, err, out = self.run_deep(1000, tmp_path, capsys)
         assert code == 0
         assert err.count("[nesting-too-deep]") == 1
+        # the descriptions inside the opaque statement are counted there,
+        # not reported one by one
+        assert "the 871 descriptions inside it are not drawn" in err
+        assert "[unused-condition-description]" not in err
         assert (out / "ok.html").is_file() and (out / "deep.html").is_file()
 
     def test_nesting_within_the_bound_is_drawn_in_full(self, tmp_path, capsys):

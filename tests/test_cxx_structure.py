@@ -250,31 +250,63 @@ class TestStatementTrees:
             assert a_hi < b_lo
 
 
+def calls_on(code):
+    view = CodeStream(scan(code))
+    return detect_calls(view, 0, len(view.lexemes))
+
+
+def highlighted_calls(src):
+    view = CodeStream(scan(src))
+    defs = find_definitions(view, "t.cpp", [])
+    return [(c.callee_text, c.normalized_name, c.line)
+            for a in collect(view, "t.cpp", [], defs) for c in a.calls]
+
+
 class TestCallDetection:
     def test_simple_call(self):
-        calls = detect_calls("b_init();  ", 7)
+        calls = calls_on("b_init();  ")
         assert [(c.callee_text, c.normalized_name) for c in calls] == [
             ("b_init", "b_init")]
 
     def test_member_call_normalizes_to_member(self):
-        calls = detect_calls("vinciaOBJ->shower();  ", 3)
+        calls = calls_on("vinciaOBJ->shower();  ")
         assert [(c.callee_text, c.normalized_name) for c in calls] == [
             ("vinciaOBJ->shower", "shower")]
 
     def test_dot_call(self):
-        calls = detect_calls("box.prepare(42);", 1)
+        calls = calls_on("box.prepare(42);")
         assert calls[0].normalized_name == "prepare"
 
     def test_scoped_call_keeps_scope(self):
-        calls = detect_calls("B::prepare(0);", 1)
+        calls = calls_on("B::prepare(0);")
         assert calls[0].normalized_name == "B::prepare"
 
     def test_keywords_and_casts_excluded(self):
-        assert detect_calls("if (x) while (y) return int(z);", 1) == []
+        assert calls_on("if (x) while (y) return int(z);") == []
 
     def test_multiple_calls_in_order(self):
-        calls = detect_calls("log(get(), fetch());", 1)
+        calls = calls_on("log(get(), fetch());")
         assert [c.normalized_name for c in calls] == ["log", "get", "fetch"]
+
+    @pytest.mark.parametrize("code,expected", [
+        ("::helper();", [("helper", "helper")]),
+        ("return ::helper(x);", [("helper", "helper")]),
+        ("items[0].helper();", [("helper", "helper")]),
+        ("make().helper();", [("make", "make"), ("helper", "helper")]),
+        ("a . b :: c (1);", [("a . b :: c", "b::c")]),
+    ])
+    def test_chain_starts_after_a_bracket_or_keyword(self, code, expected):
+        assert [(c.callee_text, c.normalized_name)
+                for c in calls_on(code)] == expected
+
+    def test_chain_continued_from_the_previous_line(self):
+        assert highlighted_calls("void f() {\nobj\n.z();  //$\n}\n") == [
+            ("z", "z", 3)]
+
+    def test_declarator_brace_lookalikes_before_the_body(self):
+        src = ('void f(const char* s = "{", char c = \'{\') /* { */ {'
+               ' g(s);  //$\n}\n')
+        assert highlighted_calls(src) == [("g", "g", 1)]
 
     def test_call_attachment_to_innermost_statement(self):
         src = ("void f() {\n"
@@ -323,3 +355,19 @@ def test_bracket_partners_match_a_forward_depth_scan(pieces):
                     found = k
                     break
         assert view.partner.get(i) == found
+
+
+_CALL_PIECES = ["f(", "a.b(", "x->y(", "::g(", ")"]
+# literal and comment pieces, each with what stands in for it on the
+# plain line
+_HIDING_PIECES = {'"f("': "0", "'('": "0", "/* g( */": " "}
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_CALL_PIECES + list(_HIDING_PIECES)),
+                max_size=12))
+def test_literals_and_comments_never_hold_a_call(pieces):
+    def lookup_names(line):
+        return [name for _, name, _ in highlighted_calls(line + "  //$\n")]
+    plain = [_HIDING_PIECES.get(p, p) for p in pieces]
+    assert lookup_names(" ".join(pieces)) == lookup_names(" ".join(plain))
