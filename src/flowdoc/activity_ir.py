@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .annotations import Annotation, AnnotationKind
@@ -31,30 +30,35 @@ from .diagnostics import Diagnostic, sink, warning
 from .flowdb import AnnotatedFunction, FlowDb
 
 
-@dataclass
 class HighlightedCall:
-    display: str
-    href: str | None  # None renders as plain text
+    __slots__ = ("display", "href")
+
+    def __init__(self, display: str, href: str | None):
+        self.display, self.href = display, href  # a None href renders as text
 
 
-@dataclass
 class ActionNode:
-    text: str
-    zoom: int = 0
-    parallel: bool = False
-    calls: list[HighlightedCall] = field(default_factory=list)
+    __slots__ = ("text", "zoom", "parallel", "calls")
+
+    def __init__(self, text: str, zoom: int = 0, parallel: bool = False,
+                 calls: list[HighlightedCall] | None = None):
+        self.text, self.zoom, self.parallel = text, zoom, parallel
+        self.calls = [] if calls is None else calls
 
 
-@dataclass
 class BranchArm:
-    label: str | None  # None only for an undescribed else arm
-    body: list
-    is_else: bool = False
+    __slots__ = ("label", "body", "is_else")
+
+    def __init__(self, label: str | None, body: list, is_else: bool = False):
+        # label is None only for an undescribed else arm
+        self.label, self.body, self.is_else = label, body, is_else
 
 
-@dataclass
 class BranchNode:
-    arms: list[BranchArm]
+    __slots__ = ("arms",)
+
+    def __init__(self, arms: list[BranchArm]):
+        self.arms = arms
 
 
 class LoopStyle(Enum):
@@ -66,30 +70,35 @@ _LOOP_STYLES = {StmtKind.WHILE: LoopStyle.PRE_TEST, StmtKind.FOR: LoopStyle.PRE_
                 StmtKind.DO_WHILE: LoopStyle.POST_TEST}
 
 
-@dataclass
 class LoopNode:
-    style: LoopStyle
-    label: str
-    body: list
+    __slots__ = ("style", "label", "body")
+
+    def __init__(self, style: LoopStyle, label: str, body: list):
+        self.style, self.label, self.body = style, label, body
 
 
-@dataclass
 class ForkNode:
-    actions: list[ActionNode]  # all at one zoom level, at least two
+    __slots__ = ("actions",)
+
+    def __init__(self, actions: list[ActionNode]):
+        self.actions = actions  # all at one zoom level, at least two
 
 
-@dataclass
 class StopNode:
-    text: str | None = None
+    __slots__ = ("text",)
+
+    def __init__(self, text: str | None = None):
+        self.text = text
 
 
 ActivityNode = ActionNode | BranchNode | LoopNode | ForkNode | StopNode
 
 
-@dataclass
 class ActivityTree:
-    root: list[ActivityNode]
-    max_zoom: int
+    __slots__ = ("root", "max_zoom")
+
+    def __init__(self, root: list[ActivityNode], max_zoom: int):
+        self.root, self.max_zoom = root, max_zoom
 
 
 class LevelOutOfRange(ValueError):

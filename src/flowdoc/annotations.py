@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .cxx_structure import CallSite, CodeStream, FunctionDef, detect_calls
@@ -37,18 +36,19 @@ class AnnotationKind(Enum):
     CALL_HIGHLIGHT = "call_highlight"
 
 
-@dataclass
 class Annotation:
-    kind: AnnotationKind
-    text: str
-    line: int
-    offset: int  # of the '//$' marker
-    zoom: int = 0
-    parallel: bool = False
-    # offset of the keyword a description binds to (test with 'is not None')
-    target: int | None = None
-    # call sites on a highlighted line
-    calls: tuple[CallSite, ...] = ()
+    __slots__ = ("kind", "text", "line", "offset", "zoom", "parallel",
+                 "target", "calls")
+
+    def __init__(self, kind: AnnotationKind, text: str, line: int, offset: int,
+                 zoom: int = 0, parallel: bool = False):
+        self.kind, self.text, self.line = kind, text, line
+        self.offset = offset  # of the '//$' marker
+        self.zoom, self.parallel = zoom, parallel
+        # offset of the keyword a description binds to (test with 'is not None')
+        self.target: int | None = None
+        # call sites on a highlighted line
+        self.calls: tuple[CallSite, ...] = ()
 
 
 _MARKER_RE = re.compile(r"//\$(\d*)")

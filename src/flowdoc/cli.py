@@ -25,7 +25,6 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -42,14 +41,15 @@ _PHASES = (
 )
 
 
-@dataclass
 class Config:
-    command: str
-    sources: list[str] = field(default_factory=list)
-    out_dir: Path = Path("flowdoc")
-    render_cmd: str | None = None
-    warnings_as_errors: bool = False
-    quiet: bool = False
+    __slots__ = ("command", "sources", "out_dir", "render_cmd",
+                 "warnings_as_errors", "quiet")
+
+    def __init__(self, command: str, sources: list[str], out_dir: Path,
+                 render_cmd: str | None, warnings_as_errors: bool, quiet: bool):
+        self.command, self.sources, self.out_dir = command, sources, out_dir
+        self.render_cmd, self.quiet = render_cmd, quiet
+        self.warnings_as_errors = warnings_as_errors
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,13 +103,7 @@ def _expand_sources(patterns: list[str],
             else:
                 diags.append(error("io-error",
                                    f"no source matches '{pattern}'", pattern))
-    seen = set()
-    unique = []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique
+    return list(dict.fromkeys(out))  # first appearances, in order
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +287,9 @@ def main(argv: list[str] | None = None) -> int:
                  warnings_as_errors=args.werror, quiet=args.quiet)
     run(cfg, diags)
 
-    has_error = False
-    has_warning = False
     for d in diags:
-        if d.severity is Severity.ERROR:
-            has_error = True
-        else:
-            has_warning = True
-            if cfg.quiet:
-                continue
-        print(d.format(), file=sys.stderr)
-    if has_error or (cfg.warnings_as_errors and has_warning):
-        return 1
-    return 0
+        if d.severity is Severity.ERROR or not cfg.quiet:
+            print(d.format(), file=sys.stderr)
+    # every diagnostic that is not an error is a warning
+    return int(any(d.severity is Severity.ERROR or cfg.warnings_as_errors
+                   for d in diags))

@@ -26,8 +26,8 @@ from __future__ import annotations
 import bisect
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, sink, warning
 from .scanner import Token, TokenKind, line_code_map, source_of
@@ -40,8 +40,7 @@ class LexKind(Enum):
     LIT = "lit"
 
 
-@dataclass(frozen=True)
-class Lexeme:
+class Lexeme(NamedTuple):
     text: str
     offset: int
     kind: LexKind
@@ -108,14 +107,12 @@ class CodeStream:
         return bisect.bisect_left(self._offsets, offset)
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     line: int
     offset: int
 
 
-@dataclass(frozen=True)
-class FunctionDef:
+class FunctionDef(NamedTuple):
     qualified_name: str
     signature_text: str
     body_start: SourcePos  # position of '{'
@@ -123,8 +120,7 @@ class FunctionDef:
     file: str
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     callee_text: str        # as written, e.g. "vinciaOBJ->shower"
     normalized_name: str    # lookup key, e.g. "shower" or "VINCIA::shower"
     line: int
@@ -140,19 +136,24 @@ class StmtKind(Enum):
     RETURN = "return"
 
 
-@dataclass
 class Stmt:
     """One statement. An If's children are its arms, in order: Blocks that
     carry their own condition (None for a bare else) and keyword."""
-    kind: StmtKind
-    span: tuple[int, int]  # first and last source line, inclusive
-    condition_text: str | None = None  # of a loop or an If arm
-    children: list["Stmt"] = field(default_factory=list)
-    calls: list[CallSite] = field(default_factory=list)
-    # offsets of the keywords a description binds to: the arm's 'if' or
-    # 'else', the loop's keyword ('do' and its 'while'), 'return'; for a
-    # body's root, the targets of the statements kept opaque past MAX_NESTING
-    keywords: tuple[int, ...] = ()
+    __slots__ = ("kind", "span", "condition_text", "children", "calls", "keywords")
+
+    def __init__(self, kind: StmtKind, span: tuple[int, int],
+                 condition_text: str | None = None,
+                 children: list[Stmt] | None = None,
+                 keywords: tuple[int, ...] = ()):
+        # span: the first and last source line, inclusive
+        self.kind, self.span = kind, span
+        self.condition_text = condition_text  # of a loop or an If arm
+        self.children = [] if children is None else children
+        self.calls: list[CallSite] = []
+        # offsets of the keywords a description binds to: the arm's 'if' or
+        # 'else', the loop's keyword ('do' and its 'while'), 'return'; for a
+        # body's root, the targets of the statements kept opaque past MAX_NESTING
+        self.keywords = keywords
 
 
 # Blocks nested deeper than this below a function body are kept as one
@@ -175,11 +176,12 @@ _NOT_CALLEE_NAMES = _NOT_FUNCTION_NAMES | {
 }
 
 
-@dataclass
 class _Scope:
-    kind: str            # 'namespace' | 'class' | 'extern'
-    name: str | None
-    open_line: int
+    __slots__ = ("kind", "name", "open_line")
+
+    def __init__(self, kind: str, name: str | None, open_line: int):
+        # kind: 'namespace' | 'class' | 'extern'
+        self.kind, self.name, self.open_line = kind, name, open_line
 
 
 def find_definitions(view: CodeStream, file: str = "<input>",
@@ -273,19 +275,21 @@ def find_definitions(view: CodeStream, file: str = "<input>",
     return defs
 
 
-def _past_group(lx: list[Lexeme], i: int, end: int) -> int:
-    """Index just past the template ``<...>`` opened at lx[i], or end when
-    it does not close before end: angle brackets have no partner."""
+def _angle_partner(lx: list[Lexeme], i: int, stop: int) -> int:
+    """Index of the angle bracket that matches lx[i], scanning toward stop
+    (excluded): forward from a ``<``, back from a ``>``; -1 when there is
+    none. The view pairs no angle brackets: in code they may compare."""
+    step = 1 if stop > i else -1
     depth = 0
-    for k in range(i, end):
+    for k in range(i, stop, step):
         t = lx[k].text
-        if t == "<":
+        if t == lx[i].text:
             depth += 1
-        elif t == ">":
+        elif t in ("<", ">"):
             depth -= 1
             if depth == 0:
-                return k + 1
-    return end
+                return k
+    return -1
 
 
 def _analyze_buffer(view: CodeStream, s: int, e: int):
@@ -298,7 +302,8 @@ def _analyze_buffer(view: CodeStream, s: int, e: int):
     lx = view.lexemes
     while s < e:
         if lx[s].text == "template" and s + 1 < e and lx[s + 1].text == "<":
-            s = _past_group(lx, s + 1, e)
+            close = _angle_partner(lx, s + 1, e)
+            s = e if close < 0 else close + 1
         elif lx[s].text == "[" and s + 1 < e and lx[s + 1].text == "[":
             s = min(view.partner.get(s, e) + 1, e)
         else:
@@ -407,16 +412,7 @@ def _name_chain_before(lx: list[Lexeme], s: int, op: int) -> str | None:
     while j > s and lx[j].text == "::":
         q = j - 1
         if lx[q].text == ">":
-            depth = 0
-            p = q
-            while p >= s:
-                if lx[p].text == ">":
-                    depth += 1
-                elif lx[p].text == "<":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                p -= 1
+            p = _angle_partner(lx, q, s - 1)
             if p <= s or lx[p - 1].kind is not LexKind.WORD:
                 break
             parts.append("".join(t.text for t in lx[p - 1:q + 1]))
@@ -481,9 +477,10 @@ def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
 
     A call is a word right before a ``(`` lexeme, extended back over
     ``::``/``.``/``->`` + word pairs, never below lo and never onto a
-    keyword or a builtin type. Literals and comments hold no lexeme that can
-    take part. The callee text is the chain as written; its lookup name is
-    the part after the last ``.`` or ``->``.
+    keyword or a builtin type; a word before ``::`` may carry a template
+    argument list. Literals and comments hold no lexeme that can take part.
+    The callee text is the chain as written; its lookup name is the part
+    after the last ``.`` or ``->``, without template arguments.
     """
     lx = view.lexemes
     out = []
@@ -492,17 +489,20 @@ def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
         if (lx[k].text != "(" or lx[last].kind is not LexKind.WORD
                 or lx[last].text in _NOT_CALLEE_NAMES):
             continue
-        first = member = last
-        while (first - 2 >= lo and lx[first - 1].text in ("::", ".", "->")
-               and lx[first - 2].kind is LexKind.WORD
-               and lx[first - 2].text not in _NOT_CALLEE_NAMES):
-            if member == first and lx[first - 1].text == "::":
-                member -= 2
-            first -= 2
+        first, name, scoped = last, lx[last].text, True
+        while first - 2 >= lo and lx[first - 1].text in ("::", ".", "->"):
+            sep, q = lx[first - 1].text, first - 2
+            if sep == "::" and lx[q].text == ">":
+                q = _angle_partner(lx, q, lo) - 1
+            if (q < lo or lx[q].kind is not LexKind.WORD
+                    or lx[q].text in _NOT_CALLEE_NAMES):
+                break
+            scoped = scoped and sep == "::"
+            if scoped:
+                name = lx[q].text + "::" + name
+            first = q
         start, end = lx[first].offset, lx[last].offset + len(lx[last].text)
-        out.append(CallSite(view.source[start:end],
-                            "".join(t.text for t in lx[member:last + 1]),
-                            view.line(start)))
+        out.append(CallSite(view.source[start:end], name, view.line(start)))
     return out
 
 

@@ -8,8 +8,8 @@ diagnostic means for the exit code (errors fail the run, warnings only under
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Severity(Enum):
@@ -17,8 +17,7 @@ class Severity(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Severity
     code: str
     message: str

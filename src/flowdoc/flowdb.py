@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import annotations as _annotations
 from . import cxx_structure as _cxx
@@ -33,21 +33,22 @@ def mangle_anchor(qualified_name: str) -> str:
     return re.sub(r"[^0-9A-Za-z_]", "_", qualified_name.replace("::", "__"))
 
 
-@dataclass(frozen=True)
-class FlowDbEntry:
+class FlowDbEntry(NamedTuple):
     qualified_name: str
     html_path: str
     anchor: str
     max_zoom: int
 
 
-@dataclass
 class AnnotatedFunction:
-    fn: FunctionDef
-    anchor: str
-    annotations: list[_annotations.Annotation]
-    max_zoom: int
-    body: Stmt | None = None  # statement tree, set by analyze_source
+    __slots__ = ("fn", "anchor", "annotations", "max_zoom", "body")
+
+    def __init__(self, fn: FunctionDef, anchor: str,
+                 annotations: list[_annotations.Annotation], max_zoom: int,
+                 body: Stmt | None = None):
+        self.fn, self.anchor, self.annotations = fn, anchor, annotations
+        self.max_zoom = max_zoom
+        self.body = body  # statement tree, set by analyze_source
 
 
 def annotated_functions(defs: list[FunctionDef],
@@ -117,14 +118,9 @@ def analyze_stem(source_paths: list[str | Path],
     header and its .cpp), which share one anchor namespace; None when none
     of them is readable."""
     taken: dict[str, int] = {}
-    annotated: list[AnnotatedFunction] = []
-    readable = False
-    for source_path in source_paths:
-        functions = analyze_source(source_path, diags, taken)
-        if functions is not None:
-            readable = True
-            annotated.extend(functions)
-    return annotated if readable else None
+    results = [analyze_source(path, diags, taken) for path in source_paths]
+    readable = [functions for functions in results if functions is not None]
+    return [af for functions in readable for af in functions] if readable else None
 
 
 def write_db(stem: str, annotated: list[AnnotatedFunction],

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import html
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .flowdb import AnnotatedFunction, FlowDb
 from .ioutil import atomic_write_text
@@ -99,16 +99,17 @@ def emit_index(db: FlowDb, out_dir: str | Path) -> Path:
     return page
 
 
-@dataclass(frozen=True)
-class LinkRef:
+class LinkRef(NamedTuple):
     source: str
     target: str
     ok: bool
 
 
-@dataclass
 class LinkReport:
-    refs: list[LinkRef]
+    __slots__ = ("refs",)
+
+    def __init__(self, refs: list[LinkRef]):
+        self.refs = refs
 
     @property
     def resolved(self) -> int:

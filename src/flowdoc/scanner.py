@@ -19,8 +19,8 @@ stays in the token text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, sink, warning
 
@@ -34,8 +34,7 @@ class TokenKind(Enum):
     PREPROCESSOR = "preprocessor"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int  # 1-based line of the first character

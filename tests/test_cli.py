@@ -162,6 +162,34 @@ class TestDiagnostics:
                             "--out-dir", str(tmp_path / "out"), capsys=capsys)
         assert code == 1 and "[io-error]" in err
 
+    def test_call_after_template_arguments_keeps_its_scope(self, tmp_path,
+                                                           capsys):
+        src = tmp_path / "t.cpp"
+        src.write_text(textwrap.dedent("""\
+            namespace ns {
+            template <class T> struct a {
+              void helper(int n) {
+                //$ help a
+              }
+            };
+            struct b {
+              void helper(int n) {
+                //$ help b
+              }
+            };
+            }
+            void run() {
+              //$ run
+              ns::a<int>::helper(1);  //$
+            }
+            """))
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(src), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 0 and err == ""
+        diagram = (out / "aux_files" / "t__run__zoom0.txt").read_text()
+        assert "[[../t.html#ns__a__helper ns::a::helper()]]" in diagram
+
     def test_unbalanced_file_warns_and_others_still_build(self, tmp_path,
                                                            capsys):
         bad = tmp_path / "bad.cpp"

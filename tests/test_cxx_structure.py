@@ -294,6 +294,10 @@ class TestCallDetection:
         ("items[0].helper();", [("helper", "helper")]),
         ("make().helper();", [("make", "make"), ("helper", "helper")]),
         ("a . b :: c (1);", [("a . b :: c", "b::c")]),
+        ("ns::a<int>::helper(1);", [("ns::a<int>::helper", "ns::a::helper")]),
+        ("obj.a<std::pair<int, int>>::b<T>::f();",
+         [("obj.a<std::pair<int, int>>::b<T>::f", "a::b::f")]),
+        ("x = <int>::f();", [("f", "f")]),
     ])
     def test_chain_starts_after_a_bracket_or_keyword(self, code, expected):
         assert [(c.callee_text, c.normalized_name)
