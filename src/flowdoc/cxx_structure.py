@@ -30,7 +30,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, sink, warning
-from .scanner import Token, TokenKind, line_code_map, source_of
+from .scanner import IDENT, Token, TokenKind, line_code_map, source_of
 
 
 class LexKind(Enum):
@@ -46,9 +46,12 @@ class Lexeme(NamedTuple):
     kind: LexKind
 
 
-# identifiers, pp-numbers (digit separators included), '::', '->', then any
-# single non-space character
-_LEXEME_RE = re.compile(r"[A-Za-z_]\w*|\.?[0-9](?:[\w.']|[eEpP][+-])*|::|->|\S")
+# whitespace, then a lexeme: an identifier, a pp-number (digit separators
+# included), '::', '->' or any other non-space character, the group that
+# matches giving its kind. Code text is matched without its trailing
+# whitespace, so a leading run of whitespace is always followed by a lexeme.
+_LEXEME_RE = re.compile(rf"\s*(?:({IDENT})|(\.?[0-9](?:[\w.']|[eEpP][+-])*)|(::|->|\S))")
+_LEX_KIND = (None, LexKind.WORD, LexKind.NUM, LexKind.PUNCT)
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
 
 
@@ -80,20 +83,14 @@ class CodeStream:
             if tok.kind is TokenKind.LINE_COMMENT and tok.text.startswith("//$"):
                 self.markers.append(tok)
             elif tok.kind is TokenKind.CODE:
-                for m in _LEXEME_RE.finditer(tok.text):
-                    text = m.group()
-                    first = text[0]
-                    if first.isalpha() or first == "_":
-                        kind = LexKind.WORD
-                    elif first.isdigit() or (first == "." and len(text) > 1):
-                        kind = LexKind.NUM
-                    else:
-                        kind = LexKind.PUNCT
-                        if text in _CLOSER:
-                            open_at[_CLOSER[text]].append(len(lexemes))
-                        elif open_at.get(text):
-                            self.partner[open_at[text].pop()] = len(lexemes)
-                    lexemes.append(Lexeme(text, tok.offset + m.start(), kind))
+                for m in _LEXEME_RE.finditer(tok.text.rstrip()):
+                    k = m.lastindex
+                    text = m.group(k)
+                    if text in _CLOSER:
+                        open_at[_CLOSER[text]].append(len(lexemes))
+                    elif open_at.get(text):
+                        self.partner[open_at[text].pop()] = len(lexemes)
+                    lexemes.append(Lexeme(text, tok.offset + m.start(k), _LEX_KIND[k]))
             elif tok.kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT):
                 lexemes.append(Lexeme(tok.text, tok.offset, LexKind.LIT))
         self.lexemes = lexemes
@@ -479,8 +476,9 @@ def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
     ``::``/``.``/``->`` + word pairs, never below lo and never onto a
     keyword or a builtin type; a word before ``::`` may carry a template
     argument list. Literals and comments hold no lexeme that can take part.
-    The callee text is the chain as written; its lookup name is the part
-    after the last ``.`` or ``->``, without template arguments.
+    The callee text is the chain as written, with each gap that holds a
+    comment as one space; its lookup name is the part after the last ``.``
+    or ``->``, without template arguments.
     """
     lx = view.lexemes
     out = []
@@ -501,8 +499,11 @@ def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
             if scoped:
                 name = lx[q].text + "::" + name
             first = q
-        start, end = lx[first].offset, lx[last].offset + len(lx[last].text)
-        out.append(CallSite(view.source[start:end], name, view.line(start)))
+        text = lx[first].text
+        for a, b in zip(lx[first:last], lx[first + 1:last + 1]):
+            gap = view.source[a.offset + len(a.text):b.offset]
+            text += (" " if gap.strip() else gap) + b.text
+        out.append(CallSite(text, name, view.line(lx[first].offset)))
     return out
 
 

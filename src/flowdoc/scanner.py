@@ -9,11 +9,25 @@ later phase:
   raw strings, or block comments, so ``//$`` markers found in LineComment
   tokens are real annotation candidates.
 
-The grammar is deliberately shallow. Raw strings (``R"(...)"``, with optional
-delimiter and encoding prefix) are honored; ``#`` lines (including
-backslash-continued ones) become opaque Preprocessor tokens; everything else
-is a Code run. Lines are 1-based; ``\r\n`` counts as one line break but
-stays in the token text.
+One table of token patterns is tried at each ``"``, ``'``, ``/`` and ``#``;
+what lies between the tokens it matches is Code. A line comment runs up to
+the line break (a ``\r`` before it stays out), a block comment up to the
+first ``*/``. A string or character literal runs up to the same unescaped
+quote, a backslash escaping the next character or ``\r\n``; an encoding
+prefix (``u8'a'``, ``L"x"``) stays in the Code before it. A ``"`` right after
+``R``, ``u8R``, ``uR``, ``UR`` or ``LR`` as a whole identifier (not ``FOOR"``
+or ``éR"``) opens a raw string: a delimiter of at most 16 characters, ``(``,
+and all up to ``)``, the delimiter and ``"``. A ``#`` with only whitespace
+and comments before it on its line opens a directive, which runs through the
+line break, backslash continuations included.
+
+A ``'`` between two hex digits is a digit separator, and stays Code, when it
+continues a number: the identifier characters, dots and quotes before it
+start with a digit or with ``.`` and a digit (``1'000'000``, ``0xFF'AA``, but
+not ``u8'a'``). An unterminated literal ends before its line break, a block
+comment or raw string (bad delimiter included) at the end of input, with a
+warning. Lines are 1-based; ``\r\n`` counts as one line break but stays in
+the token text.
 """
 
 from __future__ import annotations
@@ -41,217 +55,83 @@ class Token(NamedTuple):
     offset: int  # character offset into the source
 
 
-# Characters that can start a non-Code construct (or affect '#' line logic).
+# An identifier is a run of Unicode word characters (\w) that does not start
+# with a digit; a raw-string prefix must not follow a word character.
+IDENT = r"[^\W\d]\w*"
+
+# The token grammar, matched where _SPECIAL finds a character: per kind, a
+# pattern and, for a kind that can be left unterminated, the warning for it
+# and a first group that is then unmatched. _RULES maps the outer group of
+# each kind to that kind, that group and that warning.
 _SPECIAL = re.compile(r'["\'/#]')
+_GRAMMAR = (
+    (TokenKind.LINE_COMMENT, r"//[^\r\n]*(?:\r(?!\n|\Z)[^\r\n]*)*", None),
+    (TokenKind.BLOCK_COMMENT, r"/\*(?s:.*?)(?:(\*/)|\Z)",
+     ("unterminated-block-comment", "unterminated block comment")),
+    (TokenKind.STRING_LIT,
+     r'"(?:(?<=(?<!\w)R")|(?<=(?<!\w)[uUL]R")|(?<=(?<!\w)u8R"))'
+     r'(?:((?P<delim>[^ ()\\\t\n"]{0,16})\((?s:.*?)\)(?P=delim)")|(?s:.*))',
+     ("unterminated-raw-string", "unterminated raw string literal")),
+    (TokenKind.STRING_LIT, r'"[^"\\\n]*(?:\\(?:\r\n|[\s\S]|\Z)[^"\\\n]*)*(")?',
+     ("unterminated-string", "unterminated string literal")),
+    (TokenKind.CHAR_LIT, r"'[^'\\\n]*(?:\\(?:\r\n|[\s\S]|\Z)[^'\\\n]*)*(')?",
+     ("unterminated-char", "unterminated character literal")),
+    (TokenKind.PREPROCESSOR, r"#(?:[^\n]*\\\r?\n)*[^\n]*\n?", None),
+)
+_TABLE = re.compile("|".join(f"(?P<k{n}>{rule[1]})" for n, rule in enumerate(_GRAMMAR)))
+_RULES = {_TABLE.groupindex[f"k{n}"]: (kind, _TABLE.groupindex[f"k{n}"] + 1, warn)
+          for n, (kind, _, warn) in enumerate(_GRAMMAR)}
 
-# A raw-string opener is an encoding prefix + R immediately before the quote,
-# not preceded by another identifier character (so FOOR"x" is not raw).
-_RAW_PREFIX = re.compile(r"(?:u8|[uUL])?R\Z")
-
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
-_WORD_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+_HEX = frozenset("0123456789abcdefABCDEF")
+_NUMBER_START = re.compile(r"\.?[0-9]")
+_CODE, _BLOCK = TokenKind.CODE, TokenKind.BLOCK_COMMENT
 
 
 def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None) -> list[Token]:
-    """Tokenize source text into an ordered, gap-free list of tokens.
-
-    Unterminated constructs surface as warnings; scanning always continues
-    to the end of the input.
-    """
+    """Tokenize source text into an ordered, gap-free list of tokens. An
+    unterminated token is reported as a warning and scanning goes on."""
     diags = sink(diags)
     tokens: list[Token] = []
-    n = len(text)
-
+    append = tokens.append
+    search, match, n = _SPECIAL.search, _TABLE.match, len(text)
     line = 1
-
-    def emit(kind: TokenKind, start: int, end: int) -> None:
-        nonlocal line
-        if end <= start:
-            return
-        chunk = text[start:end]
-        tokens.append(Token(kind, chunk, line, start))
-        line += chunk.count("\n")
-
-    i = 0
-    run_start = 0        # start of the pending Code run
-    line_has_code = False  # any non-whitespace code/literal seen since last newline
-
-    def note_chunk(chunk: str) -> None:
-        # Update line_has_code for a stretch of plain code characters.
-        nonlocal line_has_code
-        nl = chunk.rfind("\n")
-        if nl >= 0:
-            line_has_code = bool(chunk[nl + 1 :].strip())
-        elif chunk.strip():
-            line_has_code = True
-
-    while i < n:
-        m = _SPECIAL.search(text, i)
-        if m is None:
-            note_chunk(text[i:n])
-            i = n
-            break
-        note_chunk(text[i : m.start()])
-        i = m.start()
+    pos = run_start = 0    # run_start: start of the pending Code run
+    line_has_code = False  # code or a literal on the line, as last checked
+    while (special := search(text, pos)) is not None:
+        i = special.start()
+        pos = i + 1
         c = text[i]
-
-        if c == "/":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "/":
-                emit(TokenKind.CODE, run_start, i)
-                end = text.find("\n", i)
-                if end == -1:
-                    end = n
-                # keep \r with the newline, not in the comment text
-                if end > i and text[end - 1] == "\r":
-                    end -= 1
-                emit(TokenKind.LINE_COMMENT, i, end)
-                i = end
-                run_start = i
-            elif nxt == "*":
-                emit(TokenKind.CODE, run_start, i)
-                close = text.find("*/", i + 2)
-                if close == -1:
-                    diags.append(warning("unterminated-block-comment",
-                                         "unterminated block comment", file, line))
-                    emit(TokenKind.BLOCK_COMMENT, i, n)
-                    i = n
-                else:
-                    # a block comment spanning a newline clears the code flag
-                    if "\n" in text[i : close + 2]:
-                        line_has_code = False
-                    emit(TokenKind.BLOCK_COMMENT, i, close + 2)
-                    i = close + 2
-                run_start = i
-            else:
-                i += 1
-                line_has_code = True
-            continue
-
-        if c == '"':
-            prefix = _RAW_PREFIX.search(text, max(0, i - 3), i)
-            is_raw = False
-            if prefix is not None:
-                before = prefix.start() - 1
-                if before < 0 or text[before] not in _WORD_CHARS:
-                    is_raw = True
-            if is_raw:
-                end = _raw_string_end(text, i)
-                emit(TokenKind.CODE, run_start, i)
-                if end == -1:
-                    diags.append(warning("unterminated-raw-string",
-                                         "unterminated raw string literal", file, line))
-                    emit(TokenKind.STRING_LIT, i, n)
-                    i = n
-                else:
-                    emit(TokenKind.STRING_LIT, i, end)
-                    i = end
-            else:
-                emit(TokenKind.CODE, run_start, i)
-                end, terminated = _quoted_end(text, i, '"')
-                if not terminated:
-                    diags.append(warning("unterminated-string",
-                                         "unterminated string literal", file, line))
-                emit(TokenKind.STRING_LIT, i, end)
-                i = end
-            run_start = i
-            line_has_code = True
-            continue
-
-        if c == "'":
-            # C++14 digit separator: 0xBEEF'1234, 1'000'000. Heuristic: a
-            # quote squeezed between hex digits stays plain code.
-            if (0 < i < n - 1 and text[i - 1] in _HEX_DIGITS and text[i + 1] in _HEX_DIGITS):
-                i += 1
-                line_has_code = True
-                continue
-            emit(TokenKind.CODE, run_start, i)
-            end, terminated = _quoted_end(text, i, "'")
-            if not terminated:
-                diags.append(warning("unterminated-char",
-                                     "unterminated character literal", file, line))
-            emit(TokenKind.CHAR_LIT, i, end)
-            i = end
-            run_start = i
-            line_has_code = True
-            continue
-
-        # '#': a directive only when nothing but whitespace (or comments)
-        # precedes it on the line.
-        if line_has_code:
-            i += 1
-            line_has_code = True
-            continue
-        emit(TokenKind.CODE, run_start, i)
-        end = _logical_line_end(text, i)
-        emit(TokenKind.PREPROCESSOR, i, end)
-        i = end
-        run_start = i
-        line_has_code = False
-
-    emit(TokenKind.CODE, run_start, n)
+        if c == "'" and 0 < i < n - 1 and text[i - 1] in _HEX and text[i + 1] in _HEX:
+            j = i  # back over word characters and dots; a quote in the run is a separator
+            while j > run_start and (text[j - 1].isalnum() or text[j - 1] in "_."):
+                j -= 1
+            if (j > run_start and text[j - 1] == "'") or _NUMBER_START.match(text, j):
+                continue  # a digit separator
+        m = match(text, i)
+        if m is None:
+            continue  # a '/' that opens no comment
+        kind, inner, warn = _RULES[m.lastindex]
+        if c == "#" or kind is _BLOCK:  # the flag must see the code before either
+            nl = text.rfind("\n", run_start, i)
+            line_has_code = (bool(text[max(nl + 1, run_start):i].strip())
+                             or (nl < 0 and line_has_code))
+            if c == "#" and line_has_code:
+                continue  # not a directive
+        if run_start < i:
+            chunk = text[run_start:i]
+            append(Token(_CODE, chunk, line, run_start))
+            line += chunk.count("\n")
+        if warn and m.group(inner) is None:
+            diags.append(warning(warn[0], warn[1], file, line))
+        chunk = m.group()
+        append(Token(kind, chunk, line, i))
+        line += chunk.count("\n")
+        pos = run_start = m.end()
+        if kind is not _BLOCK or "\n" in chunk:
+            line_has_code = c in "\"'"  # after a literal
+    if run_start < n:
+        append(Token(_CODE, text[run_start:], line, run_start))
     return tokens
-
-
-def _quoted_end(text: str, start: int, quote: str) -> tuple[int, bool]:
-    """End offset (exclusive) of a plain quoted literal opened at start.
-
-    Backslash escapes (including escaped newlines) are skipped. An unescaped
-    newline or EOF leaves the literal unterminated; the newline itself is not
-    consumed.
-    """
-    n = len(text)
-    j = start + 1
-    while j < n:
-        c = text[j]
-        if c == "\\":
-            j += 2
-            if j <= n and text[j - 1 : j] == "\r" and text[j : j + 1] == "\n":
-                j += 1
-            continue
-        if c == quote:
-            return j + 1, True
-        if c == "\n":
-            return j, False
-        j += 1
-    return n, False
-
-
-def _raw_string_end(text: str, quote_pos: int) -> int:
-    """End offset (exclusive) of a raw string whose opening quote is at
-    quote_pos, or -1 when unterminated or malformed."""
-    n = len(text)
-    j = quote_pos + 1
-    delim = []
-    while j < n and len(delim) <= 16:
-        c = text[j]
-        if c == "(":
-            closer = ")" + "".join(delim) + '"'
-            end = text.find(closer, j + 1)
-            return -1 if end == -1 else end + len(closer)
-        if c in ' )\\\t\n"':
-            return -1
-        delim.append(c)
-        j += 1
-    return -1
-
-
-def _logical_line_end(text: str, start: int) -> int:
-    """End offset (exclusive, newline included) of a preprocessor logical
-    line, honoring backslash continuations."""
-    n = len(text)
-    k = start
-    while True:
-        nl = text.find("\n", k)
-        if nl == -1:
-            return n
-        back = nl - 1
-        if back >= 0 and text[back] == "\r":
-            back -= 1
-        if back >= start and text[back] == "\\":
-            k = nl + 1
-            continue
-        return nl + 1
 
 
 def line_code_map(tokens: list[Token]) -> dict[int, str]:

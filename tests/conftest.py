@@ -1,6 +1,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, with no time limit per
+# example and no example database.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"

@@ -190,6 +190,31 @@ class TestDiagnostics:
         diagram = (out / "aux_files" / "t__run__zoom0.txt").read_text()
         assert "[[../t.html#ns__a__helper ns::a::helper()]]" in diagram
 
+    def test_highlight_after_a_prefixed_char_literal_is_drawn(self, tmp_path,
+                                                              capsys):
+        src = tmp_path / "u.cpp"
+        src.write_text("void g() {\n//$ gee\n}\n"
+                       "void f() {\n//$ start\nchar c = u8'a'; g();  //$\n}\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(src), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 0 and err == ""
+        diagram = (out / "aux_files" / "u__f__zoom0.txt").read_text()
+        assert "[[../u.html#g g()]]" in diagram
+
+    def test_callee_with_a_non_ascii_first_letter_links(self, tmp_path, capsys):
+        src = tmp_path / "e.cpp"
+        src.write_text("void étape(int n) {\n//$ step\n}\n"
+                       "void f() {\n//$ start\nétape(1);  //$\n}\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(src), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 0 and err == ""
+        diagram = (out / "aux_files" / "e__f__zoom0.txt").read_text(encoding="utf-8")
+        assert "[[../e.html#_tape étape()]]" in diagram
+
     def test_unbalanced_file_warns_and_others_still_build(self, tmp_path,
                                                            capsys):
         bad = tmp_path / "bad.cpp"

@@ -298,6 +298,7 @@ class TestCallDetection:
         ("obj.a<std::pair<int, int>>::b<T>::f();",
          [("obj.a<std::pair<int, int>>::b<T>::f", "a::b::f")]),
         ("x = <int>::f();", [("f", "f")]),
+        ("obj /* why */ . run();", [("obj . run", "run")]),
     ])
     def test_chain_starts_after_a_bracket_or_keyword(self, code, expected):
         assert [(c.callee_text, c.normalized_name)
@@ -339,7 +340,7 @@ _BRACKET_SOUP = ["(", ")", "[", "]", "{", "}", "x", " ", "\n", "'('", '")"',
                  "/* { */", "// }\n", "#define X (\n", 'R"([)")"']
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.sampled_from(_BRACKET_SOUP), max_size=60))
 def test_bracket_partners_match_a_forward_depth_scan(pieces):
     view = CodeStream(scan("".join(pieces)))
@@ -367,7 +368,6 @@ _CALL_PIECES = ["f(", "a.b(", "x->y(", "::g(", ")"]
 _HIDING_PIECES = {'"f("': "0", "'('": "0", "/* g( */": " "}
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.lists(st.sampled_from(_CALL_PIECES + list(_HIDING_PIECES)),
                 max_size=12))
 def test_literals_and_comments_never_hold_a_call(pieces):

@@ -189,7 +189,7 @@ class TestResolve:
 _NAME = st.text(alphabet="ab:<>~", min_size=1, max_size=8)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_NAME, st.lists(_NAME, max_size=6), st.lists(_NAME, max_size=3))
 def test_indexed_resolve_matches_a_linear_scan(wanted, others, prefixes):
     # names ending in '::' + wanted make suffix hits and ambiguity common
@@ -207,7 +207,7 @@ def test_indexed_resolve_matches_a_linear_scan(wanted, others, prefixes):
         [("ambiguous-callee", "f.cpp", 7)] if ambiguous else [])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(
     st.tuples(
         st.text(alphabet="abcxyz_:<>~", min_size=1, max_size=12).filter(

@@ -114,6 +114,18 @@ class TestStringsAndChars:
         toks = scan("auto n = 0xFF'AA;\n")
         assert texts(toks, TokenKind.CHAR_LIT) == []
 
+    def test_long_digit_separated_number_is_one_code_token(self):
+        # each quote looks back only to the previous one, so this is linear
+        toks = scan("x = " + "1'" * 50000 + "1;\n")
+        assert kinds(toks) == [TokenKind.CODE]
+
+    def test_encoding_prefixed_char_literal(self):
+        for prefix in ("u8", "u", "U", "L"):
+            diags = []
+            toks = scan(f"char c = {prefix}'a'; g();\n", "f.cpp", diags)
+            assert texts(toks, TokenKind.CHAR_LIT) == ["'a'"], prefix
+            assert diags == [], prefix
+
 
 class TestRawStrings:
     def test_plain_raw(self):
@@ -138,6 +150,10 @@ class TestRawStrings:
         toks = scan(src)
         # plain string: ends at the first unescaped quote
         assert texts(toks, TokenKind.STRING_LIT) == ['"(text)"']
+
+    def test_non_ascii_identifier_ending_in_r_is_not_raw(self):
+        toks = scan('éR"(a "b" )";\n')
+        assert texts(toks, TokenKind.STRING_LIT) == ['"(a "', '" )"']
 
     def test_raw_spanning_lines_round_trips(self):
         src = 'R"(line1\nline2 //$ not real\n)";\n'
@@ -189,17 +205,96 @@ class TestLineCodeMap:
         assert m.get(2, "").strip() == ""
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.text(alphabet=string.printable, max_size=200))
 def test_round_trip_is_lossless_on_arbitrary_text(src):
     tokens = scan(src, "fuzz.cpp", [])
     assert source_of(tokens) == src
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.text(alphabet=st.sampled_from('/"\'\\{}$#\n a1'), max_size=120))
 def test_round_trip_on_hostile_alphabet(src):
     tokens = scan(src, "fuzz.cpp", [])
     assert source_of(tokens) == src
     for tok in tokens:
         assert src[tok.offset:tok.offset + len(tok.text)] == tok.text
+
+
+# Pieces of known kind for the grammar property below. Code pieces end in a
+# space, so no piece runs into the next; a prefix before a literal is Code,
+# and one that is not a raw-string prefix leaves a "(...)" string plain.
+_CODE_WORDS = ["x", "foo_1", "étape", "u8", "R", "::", "->", "(", ")", "{", "}",
+               ";", "+", "*", "<", " / ", "a # b", "1'000'000", "0xFF'AA",
+               "0b1010'1010", "3.14'15", ".5'0", "\t", "\n", "\r\n"]
+_ESCAPES = ["\\n", '\\"', "\\'", "\\\\", "\\\n", "\\\r\n"]
+_INSIDE = ["a", "F", "0", " ", "(", ")", "/", "*", "$", "#", "//$", "/*", "é"]
+_CODE = TokenKind.CODE
+
+
+def _literal(quote, kind):
+    parts = st.sampled_from(_INSIDE + _ESCAPES + ["'" if quote == '"' else '"'])
+    return st.tuples(st.sampled_from(["", "u8", "u", "U", "L", "éR", "xR", "x1"]),
+                     st.lists(parts, min_size=1, max_size=6)).map(
+        lambda t: [(_CODE, t[0]), (kind, quote + "".join(t[1]) + quote)])
+
+
+def _raw(t):
+    prefix, delim, body = t
+    return [(_CODE, prefix), (TokenKind.STRING_LIT, f'"{delim}({body}){delim}"')]
+
+
+def _closes_at_its_end(t):
+    _, delim, body = t
+    return (body + f'){delim}"').find(f'){delim}"') == len(body)
+
+
+_PIECES = st.one_of(
+    st.lists(st.sampled_from(_CODE_WORDS), min_size=1, max_size=6).map(
+        lambda ws: [(_CODE, " ".join(ws) + " ")]),
+    st.tuples(st.sampled_from(["//", "//$", "//$2 "]),
+              st.text(st.sampled_from("ab $/*\"'#\\"), max_size=8),
+              st.sampled_from(["\n", "\r\n"])).map(
+        lambda t: [(TokenKind.LINE_COMMENT, t[0] + t[1]), (_CODE, t[2])]),
+    st.text(st.sampled_from("ab /*\n\"'#$"), max_size=10).filter(
+        lambda b: "*/" not in b).map(lambda b: [(TokenKind.BLOCK_COMMENT, f"/*{b}*/")]),
+    _literal('"', TokenKind.STRING_LIT),
+    _literal("'", TokenKind.CHAR_LIT),
+    st.tuples(st.sampled_from(["R", "u8R", "uR", "UR", "LR"]),
+              st.text(st.sampled_from("ab_{}+*9é"), max_size=16),
+              st.lists(st.sampled_from(['a', ')', ')"', '"', "'", "//$", "\n", "("]),
+                       max_size=6).map("".join)).filter(_closes_at_its_end).map(_raw),
+    st.tuples(st.lists(st.text(st.sampled_from('ab "/*$\'#é'), max_size=8),
+                       min_size=1, max_size=3),
+              st.sampled_from(["\\\n", "\\\r\n"]),
+              st.sampled_from(["\n", "\r\n"])).map(
+        lambda t: [(TokenKind.PREPROCESSOR, "#" + t[1].join(t[0]) + t[2])]),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(_PIECES, max_size=12))
+def test_pieces_of_known_kind_scan_back_to_themselves(groups):
+    pieces, code_on_line = [], False
+    for kind, text in (piece for group in groups for piece in group):
+        if kind is TokenKind.PREPROCESSOR and code_on_line:
+            pieces.append((_CODE, "\n"))  # only comments may precede a directive
+        if text:
+            pieces.append((kind, text))
+        if kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT):
+            code_on_line = True
+        elif kind is _CODE:
+            code_on_line = bool(text.rsplit("\n", 1)[-1].strip()) or (
+                code_on_line and "\n" not in text)
+        elif "\n" in text:
+            code_on_line = False  # after a directive or a comment across lines
+    expected, src = [], ""
+    for kind, text in pieces:
+        if kind is _CODE and expected and expected[-1][0] is _CODE:
+            expected[-1] = (_CODE, expected[-1][1] + text, *expected[-1][2:])
+        else:
+            expected.append((kind, text, src.count("\n") + 1, len(src)))
+        src += text
+    diags = []
+    assert [tuple(t) for t in scan(src, "p.cpp", diags)] == expected
+    assert diags == []
