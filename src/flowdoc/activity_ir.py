@@ -11,21 +11,20 @@ The activity tree is what actually gets drawn. Its nodes:
   zoom level, each action one fork branch.
 * StopNode: a reachable return in a rendered region, or the implicit end.
 
-Zoom projection keeps actions whose level is at most the requested one and
-drops construct shells that end up empty, so a low-zoom diagram is always a
-subgraph of the next deeper one. A fork appears whole from its actions'
-level on.
+Zoom level k draws the nodes whose lowest level is at most k: an action's
+is its zoom, a fork's its actions' zoom, a stop's 0, a branch's or loop's
+the minimum over its bodies (none if they are empty). So a low-zoom diagram
+is a subgraph of the next deeper one, and a construct shell is never empty.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import re
 from enum import Enum
 
 from .annotations import Annotation, AnnotationKind
-from .cxx_structure import Stmt, StmtKind, innermost
+from .cxx_structure import Stmt, StmtKind, owners
 from .diagnostics import Diagnostic, sink, warning
 from .flowdb import AnnotatedFunction, FlowDb
 
@@ -106,7 +105,7 @@ class LevelOutOfRange(ValueError):
 
 
 def collapse_ws(text: str) -> str:
-    return re.sub(r"\s+", " ", text).strip()
+    return " ".join(text.split())
 
 
 def build_activity(af: AnnotatedFunction, db: FlowDb,
@@ -155,10 +154,9 @@ class _Builder:
         self.diags = diags
         # each action goes to the innermost block holding its line
         self.owned: dict[int, list[Annotation]] = {}
-        for a in annos:
-            if a.kind is AnnotationKind.ACTION:
-                owner = innermost(af.body, a.line, StmtKind.BLOCK)
-                self.owned.setdefault(id(owner), []).append(a)
+        actions = [a for a in annos if a.kind is AnnotationKind.ACTION]
+        for owner, a in owners(af.body, actions, StmtKind.BLOCK):
+            self.owned.setdefault(id(owner), []).append(a)
         # descriptions by keyword offset; a condition description targets
         # only if/else/loop keywords, a return description only 'return'.
         # Those the body's root keeps were swallowed past the nesting bound
@@ -310,11 +308,7 @@ def _fork_pass(nodes: list[ActivityNode]) -> list[ActivityNode]:
 
 
 def project(tree: ActivityTree, level: int) -> ActivityTree:
-    """The tree restricted to actions at zoom <= level.
-
-    Construct shells whose every surviving body is empty are dropped; a fork
-    is kept whole or dropped whole; stops always survive.
-    """
+    """The tree restricted to the nodes whose lowest level is at most level."""
     if not 0 <= level <= tree.max_zoom:
         raise LevelOutOfRange(
             f"zoom level {level} outside 0..{tree.max_zoom}")

@@ -53,6 +53,7 @@ class Lexeme(NamedTuple):
 _LEXEME_RE = re.compile(rf"\s*(?:({IDENT})|(\.?[0-9](?:[\w.']|[eEpP][+-])*)|(::|->|\S))")
 _LEX_KIND = (None, LexKind.WORD, LexKind.NUM, LexKind.PUNCT)
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
+_BRACKETS = frozenset("()[]{}")
 
 
 class CodeStream:
@@ -76,24 +77,25 @@ class CodeStream:
         self.code_by_line = line_code_map(tokens)
         self.markers: list[Token] = []  # '//$' line comments, in source order
         lexemes: list[Lexeme] = []
+        new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
+        for tok in tokens:
+            if tok.kind is TokenKind.CODE:
+                at = tok.offset
+                lexemes += [new(Lexeme, (m[k := m.lastindex], at + m.start(k), _LEX_KIND[k]))
+                            for m in _LEXEME_RE.finditer(tok.text.rstrip())]
+            elif tok.kind is TokenKind.LINE_COMMENT and tok.text.startswith("//$"):
+                self.markers.append(tok)
+            elif tok.kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT):
+                lexemes.append(new(Lexeme, (tok.text, tok.offset, LexKind.LIT)))
+        self.lexemes = lexemes
         self.partner: dict[int, int] = {}
         # the open brackets of each type, keyed by their closer
         open_at: dict[str, list[int]] = {")": [], "]": [], "}": []}
-        for tok in tokens:
-            if tok.kind is TokenKind.LINE_COMMENT and tok.text.startswith("//$"):
-                self.markers.append(tok)
-            elif tok.kind is TokenKind.CODE:
-                for m in _LEXEME_RE.finditer(tok.text.rstrip()):
-                    k = m.lastindex
-                    text = m.group(k)
-                    if text in _CLOSER:
-                        open_at[_CLOSER[text]].append(len(lexemes))
-                    elif open_at.get(text):
-                        self.partner[open_at[text].pop()] = len(lexemes)
-                    lexemes.append(Lexeme(text, tok.offset + m.start(k), _LEX_KIND[k]))
-            elif tok.kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT):
-                lexemes.append(Lexeme(tok.text, tok.offset, LexKind.LIT))
-        self.lexemes = lexemes
+        for i, text in [(i, l[0]) for i, l in enumerate(lexemes) if l[0] in _BRACKETS]:
+            if text in _CLOSER:
+                open_at[_CLOSER[text]].append(i)
+            elif open_at[text]:
+                self.partner[open_at[text].pop()] = i
         self._offsets = [l.offset for l in lexemes]
 
     def line(self, offset: int) -> int:
@@ -433,10 +435,10 @@ def parse_body(fn: FunctionDef, view: CodeStream,
     """Parse a recognized function body into a statement tree.
 
     The root is a Block spanning the braces. Each of ``calls`` (the call
-    sites of the body's ``//$`` highlights) is attached to the innermost
-    statement owning its line. ``targets``, the sorted keyword offsets of
-    the body's descriptions, are counted in the warning of the statement
-    kept opaque past the nesting bound that holds them, and kept by the root.
+    sites of the body's ``//$`` highlights, in line order) is attached to the
+    innermost statement owning its line. ``targets``, the sorted keyword
+    offsets of the body's descriptions, are counted in the warning of the
+    statement kept opaque past the nesting bound that holds them, and kept by the root.
     """
     diags = sink(diags)
     lo = view.index_at_or_after(fn.body_start.offset)
@@ -445,28 +447,37 @@ def parse_body(fn: FunctionDef, view: CodeStream,
     children = parser.parse_range(lo + 1, hi)
     root = Stmt(StmtKind.BLOCK, (fn.body_start.line, fn.body_end.line),
                 children=children, keywords=tuple(parser.swallowed))
-    for call in calls:
-        innermost(root, call.line).calls.append(call)
+    for owner, call in owners(root, calls):
+        owner.calls.append(call)
     return root
 
 
-def innermost(stmt: Stmt, line: int, kind: StmtKind | None = None) -> Stmt:
-    """The innermost statement under stmt whose span holds line.
+def owners(stmt: Stmt, items: Iterable, kind: StmtKind | None = None) -> list:
+    """Pair each item (anything with a ``line``, in line order) with the
+    innermost statement under stmt holding its line (at each level the first
+    child holding it), or with kind the innermost one of that kind, else stmt."""
+    out: list = []
+    _descend(stmt, items, kind, stmt, out)
+    return out
 
-    At each level the first child holding the line is followed. With kind,
-    the innermost statement of that kind on that path is returned, or stmt
-    itself when there is none below it.
-    """
-    found = node = stmt
-    while True:
-        for child in node.children:
-            if child.span[0] <= line <= child.span[1]:
-                node = child
-                if kind is None or child.kind is kind:
-                    found = child
-                break
+
+def _descend(node: Stmt, items: Iterable, kind: StmtKind | None, found: Stmt,
+             out: list) -> None:
+    found = node if kind in (None, node.kind) else found
+    children, k, n = node.children, 0, len(node.children)
+    inside: list = []  # the items within children[k]
+    for item in items:
+        while k < n and children[k].span[1] < item.line:
+            if inside:
+                _descend(children[k], inside, kind, found, out)
+                inside = []
+            k += 1
+        if k < n and children[k].span[0] <= item.line:
+            inside.append(item)
         else:
-            return found
+            out.append((found, item))
+    if inside:
+        _descend(children[k], inside, kind, found, out)
 
 
 def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:

@@ -15,6 +15,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
+from .activity_ir import collapse_ws
 from .flowdb import AnnotatedFunction, FlowDb
 from .ioutil import atomic_write_text
 from .plantuml_emit import diagram_filename
@@ -52,21 +53,17 @@ def emit_page(source_stem: str,
     parts.append(f"<h1>{html.escape(source_stem)}</h1>\n")
     for af, texts in funcs:
         parts.append(f'<h2 id="{af.anchor}">{html.escape(af.fn.qualified_name)}</h2>\n')
-        sig = re.sub(r"\s+", " ", af.fn.signature_text).strip()
+        sig = collapse_ws(af.fn.signature_text)
         parts.append(f"<p><code>{html.escape(sig)}</code></p>\n")
         for zoom, text in enumerate(texts):
-            svg = diagram_filename(source_stem, af.anchor, zoom)
-            svg = svg[:-len(".txt")] + ".svg"
-            parts.append(f'<div class="zoom" id="{af.anchor}__zoom{zoom}">\n')
-            parts.append(f"<h3>zoom level {zoom}</h3>\n")
+            name = diagram_filename(source_stem, af.anchor, zoom)[:-len(".txt")]
+            pre = f"<pre>{html.escape(text)}</pre>\n"  # embedded twice
             parts.append(
-                f'<object type="image/svg+xml" data="aux_files/{svg}">\n'
-                f"<pre>{html.escape(text)}</pre>\n"
-                "</object>\n")
-            parts.append(
-                "<details><summary>PlantUML source</summary>\n"
-                f"<pre>{html.escape(text)}</pre>\n"
-                "</details>\n</div>\n")
+                f'<div class="zoom" id="{af.anchor}__zoom{zoom}">\n'
+                f"<h3>zoom level {zoom}</h3>\n"
+                f'<object type="image/svg+xml" data="aux_files/{name}.svg">\n'
+                f"{pre}</object>\n<details><summary>PlantUML source</summary>\n"
+                f"{pre}</details>\n</div>\n")
     parts.append("</body>\n</html>\n")
     page = Path(out_dir) / f"{source_stem}.html"
     atomic_write_text(page, "".join(parts))

@@ -4,31 +4,32 @@ Output uses the current activity syntax (if/then/elseif/else/endif, while,
 repeat, fork) with no indentation, one construct keyword per line, LF line
 endings and a trailing newline, so diagram files are byte-stable across
 runs and platforms.
+
+All zoom levels of a function come from one walk of its tree, which pairs
+each line with its node's lowest level (see ``activity_ir``): level k's text
+is the lines at levels up to k, so each node's lines are built once.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .activity_ir import (ActionNode, ActivityTree, BranchNode, ForkNode,
-                          LoopNode, LoopStyle, StopNode, project)
+                          LoopStyle, StopNode, collapse_ws, project)
 
 # a label line ending in one of these could glue onto the following syntax
 _RISKY_ENDINGS = set(";|<>/]}")
+# whitespace but a plain space (\r, \v, \f, NEL, U+2028...) could split a line
+_ODD_SPACE = re.compile(r"[^\S ]")
 
 
 def _escape_line(text: str) -> str:
-    # every whitespace char except a plain space could break the
-    # one-construct-per-line discipline (\r, \v, \f, NEL, U+2028...)
-    out = re.sub(r"[^\S ]", " ", text)
-    out = out.replace("[[", "[ [")
-    return out.rstrip()
+    return _ODD_SPACE.sub(" ", text).replace("[[", "[ [").rstrip()
 
 
 def _escape_label(text: str) -> str:
-    out = re.sub(r"\s+", " ", text).strip()
-    out = out.replace("[[", "[ [")
-    return out or "..."
+    return collapse_ws(text).replace("[[", "[ [") or "..."
 
 
 def _action_lines(node: ActionNode) -> list[str]:
@@ -52,50 +53,65 @@ def _action_lines(node: ActionNode) -> list[str]:
     return lines
 
 
-def emit(tree: ActivityTree) -> str:
-    """Render one (already projected) activity tree to PlantUML text."""
-    out: list[str] = ["@startuml", "start"]
-    _emit_seq(tree.root, out)
-    out.append("@enduml")
-    return "\n".join(out) + "\n"
+def _arm_head(k: int, arm) -> str:
+    if k and arm.is_else:
+        return f"else ({_escape_label(arm.label)})" if arm.label else "else (no)"
+    return f"{'elseif' if k else 'if'} ({_escape_label(arm.label or '')}) then (yes)"
 
 
-def _emit_seq(nodes, out: list[str]) -> None:
+def _parts(node) -> tuple[list, str]:
+    """A construct's (head line, body) pairs and its closing line."""
+    if isinstance(node, ForkNode):
+        return ([("fork again" if k else "fork", [action])
+                 for k, action in enumerate(node.actions)], "end fork")
+    if isinstance(node, BranchNode):
+        return ([(_arm_head(k, arm), arm.body)
+                 for k, arm in enumerate(node.arms)], "endif")
+    if node.style is LoopStyle.PRE_TEST:
+        return [(f"while ({_escape_label(node.label)})", node.body)], "endwhile"
+    return [("repeat", node.body)], f"repeat while ({_escape_label(node.label)})"
+
+
+def _walk(nodes, out: list) -> float:
+    """Append the (lowest level, line) pairs of nodes to out, in output
+    order, and return the lowest level among them (inf for none)."""
+    low = math.inf
     for node in nodes:
         if isinstance(node, ActionNode):
-            out.extend(_action_lines(node))
-        elif isinstance(node, BranchNode):
-            first = node.arms[0]
-            out.append(f"if ({_escape_label(first.label or '')}) then (yes)")
-            _emit_seq(first.body, out)
-            for arm in node.arms[1:]:
-                if arm.is_else:
-                    if arm.label:
-                        out.append(f"else ({_escape_label(arm.label)})")
-                    else:
-                        out.append("else (no)")
-                else:
-                    out.append(f"elseif ({_escape_label(arm.label or '')}) then (yes)")
-                _emit_seq(arm.body, out)
-            out.append("endif")
-        elif isinstance(node, LoopNode):
-            if node.style is LoopStyle.PRE_TEST:
-                out.append(f"while ({_escape_label(node.label)})")
-                _emit_seq(node.body, out)
-                out.append("endwhile")
-            else:
-                out.append("repeat")
-                _emit_seq(node.body, out)
-                out.append(f"repeat while ({_escape_label(node.label)})")
-        elif isinstance(node, ForkNode):
-            for k, action in enumerate(node.actions):
-                out.append("fork again" if k else "fork")
-                out.extend(_action_lines(action))
-            out.append("end fork")
+            level = node.zoom
+            out += [(level, line) for line in _action_lines(node)]
         elif isinstance(node, StopNode):
-            if node.text:
-                out.append(":" + _escape_line(node.text) + ";")
-            out.append("stop")
+            level = 0
+            text = [":" + _escape_line(node.text) + ";"] if node.text else []
+            out += [(0, line) for line in text + ["stop"]]
+        else:
+            # the head lines take the lowest level of the bodies walked after them
+            parts, tail = _parts(node)
+            level, slots = math.inf, []
+            for head, body in parts:
+                slots.append(len(out))
+                out.append(head)
+                level = min(level, _walk(body, out))
+            for slot in slots:
+                out[slot] = (level, out[slot])
+            out.append((level, tail))
+        low = min(low, level)
+    return low
+
+
+def _texts(nodes, levels) -> list[str]:
+    """For each level in levels, the text of the walk's lines up to it."""
+    out: list[tuple[float, str]] = []
+    _walk(nodes, out)
+    return ["\n".join(["@startuml", "start",
+                       *[line for low, line in out if low <= level],
+                       "@enduml"]) + "\n"
+            for level in levels]
+
+
+def emit(tree: ActivityTree) -> str:
+    """Render one (already projected) activity tree to PlantUML text."""
+    return _texts(tree.root, [math.inf])[0]
 
 
 def diagram_filename(source_stem: str, anchor: str, zoom: int) -> str:
@@ -105,4 +121,6 @@ def diagram_filename(source_stem: str, anchor: str, zoom: int) -> str:
 
 def render_function(tree: ActivityTree) -> list[str]:
     """The PlantUML text of every zoom level of one function, level 0 first."""
-    return [emit(project(tree, level)) for level in range(tree.max_zoom + 1)]
+    # projecting changes no text, as no level shows a shell the walk gave the
+    # level inf; but project() is each level's reference and flowbench times it
+    return _texts(project(tree, tree.max_zoom).root, range(tree.max_zoom + 1))

@@ -92,7 +92,7 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
     unterminated token is reported as a warning and scanning goes on."""
     diags = sink(diags)
     tokens: list[Token] = []
-    append = tokens.append
+    append, new = tokens.append, tuple.__new__  # new skips NamedTuple's __new__
     search, match, n = _SPECIAL.search, _TABLE.match, len(text)
     line = 1
     pos = run_start = 0    # run_start: start of the pending Code run
@@ -119,18 +119,18 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
                 continue  # not a directive
         if run_start < i:
             chunk = text[run_start:i]
-            append(Token(_CODE, chunk, line, run_start))
+            append(new(Token, (_CODE, chunk, line, run_start)))
             line += chunk.count("\n")
         if warn and m.group(inner) is None:
             diags.append(warning(warn[0], warn[1], file, line))
         chunk = m.group()
-        append(Token(kind, chunk, line, i))
+        append(new(Token, (kind, chunk, line, i)))
         line += chunk.count("\n")
         pos = run_start = m.end()
         if kind is not _BLOCK or "\n" in chunk:
             line_has_code = c in "\"'"  # after a literal
     if run_start < n:
-        append(Token(_CODE, text[run_start:], line, run_start))
+        append(new(Token, (_CODE, text[run_start:], line, run_start)))
     return tokens
 
 

@@ -2,11 +2,16 @@ import pytest
 
 from flowdoc.activity_ir import (ActionNode, BranchNode, ForkNode,
                                  LevelOutOfRange, LoopNode, LoopStyle,
-                                 StopNode, build_activity, project)
-from flowdoc.annotations import collect
-from flowdoc.cxx_structure import CodeStream, find_definitions, parse_body
-from flowdoc.flowdb import FlowDb, FlowDbEntry, annotated_functions
+                                 StopNode, _Builder, build_activity, project)
+from flowdoc.annotations import AnnotationKind, collect
+from flowdoc.cxx_structure import (CodeStream, StmtKind, find_definitions,
+                                   parse_body)
+from flowdoc.flowdb import (FlowDb, FlowDbEntry, analyze_source,
+                            annotated_functions)
 from flowdoc.scanner import scan
+
+from conftest import FIXTURES
+from test_cli import _NOISY, _nested_ifs, _zoomed
 
 
 def build(src, db=None, diags=None):
@@ -308,3 +313,53 @@ class TestLeftoverDiagnostics:
         build("void f() {\n//$ act\na();\nif (check()) {  //$\nb();\n}\n}\n",
               diags=diags)
         assert any(d.code == "dangling-call-highlight" for d in diags)
+
+
+def innermost(stmt, line, kind=None):
+    """The reference for ``cxx_structure.owners``, one line at a time: at
+    each level the first child holding the line is followed; with kind, the
+    innermost statement of that kind on that path, or stmt itself."""
+    found = node = stmt
+    while True:
+        for child in node.children:
+            if child.span[0] <= line <= child.span[1]:
+                node = child
+                if kind is None or child.kind is kind:
+                    found = child
+                break
+        else:
+            return found
+
+
+def statements(stmt):
+    yield stmt
+    for child in stmt.children:
+        yield from statements(child)
+
+
+_OWNER_SOURCES = {
+    **{str(p.relative_to(FIXTURES)): p.read_text(encoding="utf-8")
+       for p in sorted(FIXTURES.rglob("*.cpp"))},
+    "noisy.cpp": _NOISY,
+    "zoomed.cpp": _zoomed(12),
+    "deep.cpp": _nested_ifs(100),
+    "too_deep.cpp": _nested_ifs(300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OWNER_SOURCES))
+def test_one_descent_finds_each_line_its_innermost_statement(name, tmp_path):
+    path = tmp_path / name.replace("/", "_")
+    path.write_text(_OWNER_SOURCES[name], encoding="utf-8")
+    afs = analyze_source(path, [])
+    assert afs
+    for af in afs:
+        actions, calls = {}, {}
+        for a in af.annotations:
+            if a.kind is AnnotationKind.ACTION:
+                owner = innermost(af.body, a.line, StmtKind.BLOCK)
+                actions.setdefault(id(owner), []).append(a)
+            for call in a.calls:
+                calls.setdefault(id(innermost(af.body, call.line)), []).append(call)
+        assert _Builder(af, FlowDb(), []).owned == actions
+        assert {id(s): s.calls for s in statements(af.body) if s.calls} == calls

@@ -389,6 +389,68 @@ class TestWorkDoneOnce:
             assert {d.code for d in diags} == _NOISY_CODES
 
 
+def _zoomed(depth):
+    """One function drawn at zoom 0-9: a fork, then depth nested constructs
+    with an action in each, and an action per zoom level innermost."""
+    heads = ("if (a > {k}) {{", "while (a < {k}) {{",
+             "for (int i = 0; i < {k}; ++i) {{", "do {{")
+    tails = ("}", "}", "}", "} while (a);")
+    lines = ["void zoomed(int a) {", "//$ start", "//$3 <parallel> left",
+             "x();", "//$3 <parallel> right", "y();"]
+    for k in range(depth):
+        lines += [heads[k % 4].format(k=k), f"//${k % 10} step {k}", "x();"]
+    for z in range(10):
+        lines += [f"//${z} at {z}", "x();"]
+    lines += [tails[k % 4] for k in reversed(range(depth))] + ["}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestEachNodeEmittedOnce:
+    """``all`` builds the lines of each action node once, however many of
+    the zoom levels show it."""
+
+    @pytest.mark.parametrize("depth", [1, 5, 12])
+    def test_action_lines_built_once_per_node(self, depth, tmp_path,
+                                              monkeypatch, capsys):
+        src = tmp_path / "zoomed.cpp"
+        src.write_text(_zoomed(depth))
+        trees, built = [], []
+        build = activity_ir.build_activity
+        action_lines = plantuml_emit._action_lines
+
+        def kept_build(*args, **kwargs):
+            trees.append(build(*args, **kwargs))
+            return trees[-1]
+
+        def counted_lines(node):
+            built.append(node)
+            return action_lines(node)
+
+        monkeypatch.setattr(activity_ir, "build_activity", kept_build)
+        monkeypatch.setattr(plantuml_emit, "_action_lines", counted_lines)
+        code, _ = run_cli("all", str(src), "--out-dir", str(tmp_path / "out"),
+                          capsys=capsys)
+        assert code == 0
+        [tree] = trees
+        assert tree.max_zoom == 9
+        assert len(built) == _count_actions(tree.root)
+        assert len(set(map(id, built))) == len(built)
+
+
+def _count_actions(nodes):
+    count = 0
+    for node in nodes:
+        if isinstance(node, activity_ir.ActionNode):
+            count += 1
+        elif isinstance(node, activity_ir.ForkNode):
+            count += len(node.actions)
+        elif isinstance(node, activity_ir.BranchNode):
+            count += sum(_count_actions(arm.body) for arm in node.arms)
+        elif isinstance(node, activity_ir.LoopNode):
+            count += _count_actions(node.body)
+    return count
+
+
 def _nested_ifs(depth):
     lines = ["void deep(int a) {", "//$ start"]
     lines += [f"//$ [level {k}]\nif (a > {k}) {{" for k in range(depth)]

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from flowdoc.activity_ir import (ActionNode, ActivityTree, BranchArm,
                                  BranchNode, ForkNode, HighlightedCall,
-                                 LoopNode, LoopStyle, StopNode)
+                                 LoopNode, LoopStyle, StopNode, project)
 from flowdoc.cli import main
 from flowdoc.plantuml_emit import (diagram_filename, emit, render_function)
 
@@ -153,3 +153,56 @@ def test_any_label_emits_one_balanced_if_line(label):
     if_lines = [l for l in out.splitlines() if l.startswith("if (")]
     assert len(if_lines) == 1
     assert if_lines[0].endswith(") then (yes)")
+
+
+# Activity trees of every node shape, nested up to 5 constructs deep. The
+# texts may hold any character, so escaping is exercised along the way.
+_words = st.text(max_size=4)
+_zooms = st.integers(0, 9)
+_actions = st.builds(
+    ActionNode, _words, _zooms,
+    calls=st.lists(st.builds(HighlightedCall, _words, st.none() | _words),
+                   max_size=2))
+_forks = _zooms.flatmap(lambda z: st.lists(
+    st.builds(ActionNode, _words, st.just(z), st.just(True)),
+    min_size=2, max_size=3)).map(ForkNode)
+_stops = st.builds(StopNode, st.none() | _words)
+
+
+def _sequences(depth):
+    leaves = _actions | _forks | _stops
+    if depth == 0:
+        return st.lists(leaves, max_size=3)
+    inner = _sequences(depth - 1)
+    arms = st.tuples(
+        st.builds(BranchArm, _words, inner),
+        st.lists(st.builds(BranchArm, _words, inner), max_size=2),
+        st.none() | st.builds(BranchArm, st.none() | _words, inner,
+                              st.just(True)))
+    branches = arms.map(lambda a: BranchNode(
+        [a[0], *a[1]] + ([a[2]] if a[2] else [])))
+    loops = st.builds(LoopNode, st.sampled_from(LoopStyle), _words, inner)
+    return st.lists(leaves | branches | loops, max_size=3)
+
+
+def _max_zoom(nodes):
+    zooms = [0]
+    for node in nodes:
+        if isinstance(node, ActionNode):
+            zooms.append(node.zoom)
+        elif isinstance(node, ForkNode):
+            zooms.append(node.actions[0].zoom)
+        elif isinstance(node, BranchNode):
+            zooms += [_max_zoom(arm.body) for arm in node.arms]
+        elif isinstance(node, LoopNode):
+            zooms.append(_max_zoom(node.body))
+    return max(zooms)
+
+
+_trees = _sequences(5).map(lambda nodes: ActivityTree(nodes, _max_zoom(nodes)))
+
+
+@given(_trees)
+def test_one_walk_gives_each_projected_level(t):
+    assert render_function(t) == [emit(project(t, level))
+                                  for level in range(t.max_zoom + 1)]
