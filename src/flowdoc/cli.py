@@ -15,14 +15,14 @@ analyzes its own sources.
 
 Diagnostics go to stderr as ``file:line: severity: message [code]``; exit
 status is 0 for success, 1 when errors (or warnings under --werror)
-occurred, 2 for usage problems.
+occurred, 2 for usage problems. The command line is ``entry``, which skips
+interpreter teardown; in-process callers use ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _expand_sources(patterns: list[str],
                     diags: list[Diagnostic]) -> list[str]:
-    import glob as _glob
     out: list[str] = []
     for pattern in patterns:
         p = Path(pattern)
@@ -96,6 +95,7 @@ def _expand_sources(patterns: list[str],
                 str(q) for q in p.rglob("*")
                 if q.is_file() and q.suffix in SOURCE_SUFFIXES))
         else:
+            import glob as _glob  # only patterns need it
             hits = sorted(h for h in _glob.glob(pattern, recursive=True)
                           if Path(h).is_file())
             if hits:
@@ -109,15 +109,24 @@ def _expand_sources(patterns: list[str],
 # ---------------------------------------------------------------------------
 # phases
 
-def _stem_groups(sources: list[str]) -> list[tuple[str, list[str]]]:
+def _stem_groups(sources: list[str], diags: list[Diagnostic]
+                 ) -> list[tuple[str, list[str]]]:
     """Sources bundled by stem, in first-appearance order.
 
     A header and its .cpp share one database, one page and one anchor
-    namespace, so every phase must see them as a unit.
+    namespace, so every phase must see them as a unit. Two headers, or two
+    implementation files, of one stem are merged too, with a warning.
     """
     groups: dict[str, list[str]] = {}
+    first: dict[tuple[str, bool], str] = {}
     for src in sources:
-        groups.setdefault(Path(src).stem, []).append(src)
+        p = Path(src)
+        groups.setdefault(p.stem, []).append(src)
+        other = first.setdefault((p.stem, p.suffix in (".h", ".hpp", ".hh")),
+                                 src)
+        if other != src:
+            diags.append(warning("stem-collision", f"{other} and {src} share "
+                                 f"one stem, database and page", src))
     return list(groups.items())
 
 
@@ -199,7 +208,8 @@ def _phase_render(paths: list[Path], cfg: Config,
     """
     if not cfg.render_cmd:
         return
-    # imported here: it would slow down the start of every run without renders
+    # imported here: they would slow down the start of every run without renders
+    import shlex
     from concurrent.futures import ThreadPoolExecutor
     args_template = shlex.split(cfg.render_cmd)
     has_placeholder = any("{input}" in a for a in args_template)
@@ -254,7 +264,7 @@ def run(cfg: Config, diags: list[Diagnostic]) -> None:
     """
     stems = [(stem, group[0],
               _isolated(group[0], diags, _analyze, stem, group, cfg, diags))
-             for stem, group in _stem_groups(cfg.sources)]
+             for stem, group in _stem_groups(cfg.sources, diags)]
     if cfg.command == "build-db":
         return
     db = flowdb.load_merge(cfg.out_dir, diags)
@@ -287,9 +297,26 @@ def main(argv: list[str] | None = None) -> int:
                  warnings_as_errors=args.werror, quiet=args.quiet)
     run(cfg, diags)
 
-    for d in diags:
-        if d.severity is Severity.ERROR or not cfg.quiet:
-            print(d.format(), file=sys.stderr)
+    sys.stderr.write("".join(
+        d.format() + "\n" for d in diags
+        if d.severity is Severity.ERROR or not cfg.quiet))
     # every diagnostic that is not an error is a warning
     return int(any(d.severity is Severity.ERROR or cfg.warnings_as_errors
                    for d in diags))
+
+
+def entry() -> None:
+    """``main``, then ``os._exit`` once stdout and stderr are flushed: no
+    interpreter teardown, unless a profiler or tracer needs a normal exit."""
+    status = main()
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's hook from 3.12
+    if not (sys.getprofile() or sys.gettrace() or monitoring and any(
+            monitoring.get_tool(tool) for tool in range(6))):
+        try:
+            for stream in (sys.stdout, sys.stderr):  # None when fd is closed
+                if stream is not None:
+                    stream.flush()
+            os._exit(status)
+        except (OSError, ValueError):  # let the normal exit report it
+            pass
+    sys.exit(status)

@@ -10,7 +10,6 @@ every run; nothing in the output directory is treated as input except the
 
 from __future__ import annotations
 
-import html
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -32,11 +31,17 @@ details { margin: 0.5em 0 1.5em; }
 """
 
 
+def _escape(s: str) -> str:
+    """``html.escape(s)``, without importing ``html`` and its entity table."""
+    return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("'", "&#x27;"))
+
+
 def _head(title: str) -> str:
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        f"<title>{html.escape(title)}</title>\n"
+        f"<title>{_escape(title)}</title>\n"
         f"<style>\n{_PAGE_CSS}</style>\n</head>\n<body>\n"
     )
 
@@ -50,14 +55,14 @@ def emit_page(source_stem: str,
     """
     parts = [_head(source_stem)]
     parts.append('<nav><a href="index.html">index</a></nav>\n')
-    parts.append(f"<h1>{html.escape(source_stem)}</h1>\n")
+    parts.append(f"<h1>{_escape(source_stem)}</h1>\n")
     for af, texts in funcs:
-        parts.append(f'<h2 id="{af.anchor}">{html.escape(af.fn.qualified_name)}</h2>\n')
+        parts.append(f'<h2 id="{af.anchor}">{_escape(af.fn.qualified_name)}</h2>\n')
         sig = collapse_ws(af.fn.signature_text)
-        parts.append(f"<p><code>{html.escape(sig)}</code></p>\n")
+        parts.append(f"<p><code>{_escape(sig)}</code></p>\n")
         for zoom, text in enumerate(texts):
             name = diagram_filename(source_stem, af.anchor, zoom)[:-len(".txt")]
-            pre = f"<pre>{html.escape(text)}</pre>\n"  # embedded twice
+            pre = f"<pre>{_escape(text)}</pre>\n"  # embedded twice
             parts.append(
                 f'<div class="zoom" id="{af.anchor}__zoom{zoom}">\n'
                 f"<h3>zoom level {zoom}</h3>\n"
@@ -80,14 +85,14 @@ def emit_index(db: FlowDb, out_dir: str | Path) -> Path:
     if not by_page:
         parts.append("<p>No annotated functions were found.</p>\n")
     for page in sorted(by_page):
-        parts.append(f'<h2><a href="{html.escape(page, quote=True)}">'
-                     f"{html.escape(page)}</a></h2>\n<ul>\n")
+        parts.append(f'<h2><a href="{_escape(page)}">'
+                     f"{_escape(page)}</a></h2>\n<ul>\n")
         for entry in sorted(by_page[page], key=lambda e: (e.qualified_name, e.anchor)):
             zooms = ("zoom 0" if entry.max_zoom == 0
                      else f"zoom 0&ndash;{entry.max_zoom}")
             parts.append(
-                f'<li><a href="{html.escape(entry.html_path, quote=True)}'
-                f'#{entry.anchor}">{html.escape(entry.qualified_name)}</a>'
+                f'<li><a href="{_escape(entry.html_path)}'
+                f'#{entry.anchor}">{_escape(entry.qualified_name)}</a>'
                 f" ({zooms})</li>\n")
         parts.append("</ul>\n")
     parts.append("</body>\n</html>\n")

@@ -127,6 +127,36 @@ class TestPipeline:
         use_txt = (out / "aux_files" / "use__use__zoom0.txt").read_text()
         assert "[[../box.html#Box__pack Box::pack()]]" in use_txt
 
+    def test_two_files_of_one_kind_and_stem_warn_and_merge(self, tmp_path,
+                                                           capsys):
+        for path, name in (("a/util.cpp", "alpha"), ("b/util.cpp", "beta"),
+                           ("a/io.h", "read"), ("b/io.hpp", "write")):
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            (tmp_path / path).write_text(f"void {name}() {{\n//$ {name}\n}}\n")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(tmp_path / "a"), str(tmp_path / "b"),
+                            "--out-dir", str(out), capsys=capsys)
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 2 and all("[stem-collision]" in l for l in lines)
+        for first, second in (("a/io.h", "b/io.hpp"),
+                              ("a/util.cpp", "b/util.cpp")):
+            assert any(l.startswith(f"{tmp_path / second}: warning: ")
+                       and str(tmp_path / first) in l for l in lines)
+        db = (out / "util.flowdb").read_text()
+        assert "alpha" in db and "beta" in db
+        assert sorted(p.name for p in out.glob("*.html")) == [
+            "index.html", "io.html", "util.html"]
+
+    def test_header_and_cpp_in_two_directories_stay_a_silent_pair(
+            self, tmp_path, capsys):
+        # demo has aux.h beside src/aux.cpp
+        code, err = run_cli("all", str(FIXTURES / "demo"),
+                            "--out-dir", str(tmp_path), capsys=capsys)
+        assert code == 0 and err == ""
+        db = (tmp_path / "aux.flowdb").read_text()
+        assert "VINCIA::shower" in db
+
     def test_makeflows_without_db_still_works(self, tmp_path, capsys):
         code, err = run_cli("makeflows", *self.demo_sources(),
                             "--out-dir", str(tmp_path), capsys=capsys)

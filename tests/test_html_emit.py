@@ -1,6 +1,10 @@
+import html
+
+from hypothesis import given, strategies as st
+
 from flowdoc.cxx_structure import FunctionDef, SourcePos
 from flowdoc.flowdb import AnnotatedFunction, FlowDb, FlowDbEntry
-from flowdoc.html_emit import check_links, emit_index, emit_page
+from flowdoc.html_emit import _escape, check_links, emit_index, emit_page
 
 TEXT = "@startuml\nstart\n:x;\nstop\n@enduml\n"
 
@@ -11,6 +15,11 @@ def sample_func(anchor="main", zooms=(0,), text=TEXT, signature=None):
     fn = FunctionDef(name, signature or f"int {anchor}()", SourcePos(1, 0),
                      SourcePos(1, 1), "t.cpp")
     return AnnotatedFunction(fn, anchor, [], len(zooms) - 1), [text] * len(zooms)
+
+
+@given(st.text(alphabet="&<>\"'a;# \n\u00e9", max_size=40) | st.text())
+def test_escape_equals_html_escape(text):
+    assert _escape(text) == html.escape(text, quote=True)
 
 
 class TestPage:
