@@ -7,11 +7,12 @@ Three phases, runnable separately or in one shot:
     flowdoc makehtml [SOURCE...]  write the HTML pages and the index
     flowdoc all SOURCE...         the three phases in order
 
-Phases communicate only through the output directory, so running them as
-separate processes gives byte-identical results to ``all``. ``all`` reads,
-scans and analyzes each source once, and builds and renders each diagram
-once for both the diagram files and the pages; a phase run on its own
-analyzes its own sources.
+``main`` hands the parsed command line to ``run``, the one pipeline: analyze
+each stem and write its database, merge the databases, build each stem's
+diagrams, then write and render the diagrams (makeflows) and write the
+pages and the index (makehtml). Phases communicate only through the output
+directory, so running them as separate processes gives byte-identical
+results to ``all``; a phase run on its own analyzes its own sources.
 
 Diagnostics go to stderr as ``file:line: severity: message [code]``; exit
 status is 0 for success, 1 when errors (or warnings under --werror)
@@ -25,6 +26,7 @@ import argparse
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -39,17 +41,6 @@ _PHASES = (
     ("makehtml", "write HTML pages and the index"),
     ("all", "run build-db, makeflows and makehtml in order"),
 )
-
-
-class Config:
-    __slots__ = ("command", "sources", "out_dir", "render_cmd",
-                 "warnings_as_errors", "quiet")
-
-    def __init__(self, command: str, sources: list[str], out_dir: Path,
-                 render_cmd: str | None, warnings_as_errors: bool, quiet: bool):
-        self.command, self.sources, self.out_dir = command, sources, out_dir
-        self.render_cmd, self.quiet = render_cmd, quiet
-        self.warnings_as_errors = warnings_as_errors
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,20 +121,12 @@ def _stem_groups(sources: list[str], diags: list[Diagnostic]
     return list(groups.items())
 
 
-# each annotated function of a stem with its diagram texts, level 0 first
-Funcs = list[tuple[flowdb.AnnotatedFunction, list[str]]]
-# per stem, its first source and its functions
-Pages = list[tuple[str, str, Funcs]]
-
-
-def _isolated(file: str, diags: list[Diagnostic], work, *args):
-    """``work(*args)``, or None when it raises.
-
-    One stem's unexpected failure becomes an ``internal-error`` for its
-    file, and the run goes on with the other stems.
-    """
+@contextmanager
+def _isolated(file: str, diags: list[Diagnostic]):
+    """A block whose unexpected failure becomes an ``internal-error`` for
+    the stem's file; the run goes on with the other stems."""
     try:
-        return work(*args)
+        yield
     except Exception as exc:  # the boundary that keeps the other stems going
         import traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]
@@ -152,43 +135,6 @@ def _isolated(file: str, diags: list[Diagnostic], work, *args):
             f"internal error ({type(exc).__name__} at "
             f"{Path(frame.filename).name}:{frame.lineno}: {exc}); "
             f"this stem's output is incomplete", file))
-        return None
-
-
-def _analyze(stem: str, group: list[str], cfg: Config,
-             diags: list[Diagnostic]) -> list[flowdb.AnnotatedFunction] | None:
-    annotated = flowdb.analyze_stem(group, diags)
-    if annotated is not None and cfg.command in ("build-db", "all"):
-        flowdb.write_db(stem, annotated, cfg.out_dir)
-    return annotated
-
-
-def _build(annotated: list[flowdb.AnnotatedFunction], db: flowdb.FlowDb,
-           diags: list[Diagnostic]) -> Funcs:
-    return [(af, plantuml_emit.render_function(
-                activity_ir.build_activity(af, db, diags)))
-            for af in annotated]
-
-
-def _write_diagrams(stem: str, funcs: Funcs, aux: Path) -> list[Path]:
-    return [atomic_write_text(
-                aux / plantuml_emit.diagram_filename(stem, af.anchor, zoom),
-                text)
-            for af, texts in funcs for zoom, text in enumerate(texts)]
-
-
-def _phase_makeflows(pages: Pages, cfg: Config,
-                     diags: list[Diagnostic]) -> None:
-    aux = cfg.out_dir / "aux_files"
-    paths = []
-    for stem, file, funcs in pages:
-        paths.extend(_isolated(file, diags, _write_diagrams, stem, funcs, aux)
-                     or ())
-    if not paths:
-        diags.append(warning("no-annotated-functions",
-                             "no annotated functions found; "
-                             "no diagrams were emitted"))
-    _phase_render(paths, cfg, diags)
 
 
 def _render_workers() -> int:
@@ -198,7 +144,7 @@ def _render_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _phase_render(paths: list[Path], cfg: Config,
+def _phase_render(paths: list[Path], args: argparse.Namespace,
                   diags: list[Diagnostic]) -> None:
     """Run the render command once per diagram, up to one per CPU at a time.
 
@@ -206,12 +152,12 @@ def _phase_render(paths: list[Path], cfg: Config,
     diagram order whichever render finishes first. A command that fails to
     start is reported once, and nothing after it.
     """
-    if not cfg.render_cmd:
+    if not args.render_cmd:
         return
     # imported here: they would slow down the start of every run without renders
     import shlex
     from concurrent.futures import ThreadPoolExecutor
-    args_template = shlex.split(cfg.render_cmd)
+    args_template = shlex.split(args.render_cmd)
     has_placeholder = any("{input}" in a for a in args_template)
 
     def render(path: Path) -> subprocess.CompletedProcess | OSError:
@@ -242,39 +188,58 @@ def _phase_render(paths: list[Path], cfg: Config,
         pool.shutdown(cancel_futures=True)
 
 
-def _phase_makehtml(pages: Pages, db: flowdb.FlowDb, cfg: Config,
-                    diags: list[Diagnostic]) -> None:
-    for stem, file, funcs in pages:
-        if funcs:
-            _isolated(file, diags, html_emit.emit_page, stem, funcs,
-                      cfg.out_dir)
-    html_emit.emit_index(db, cfg.out_dir)
-
-
 # ---------------------------------------------------------------------------
 
-def run(cfg: Config, diags: list[Diagnostic]) -> None:
-    """Run the configured phase, or all three, analyzing each source once.
+def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+    """The pipeline: the phase ``args.command`` names, or all three in order.
 
-    Every stem is analyzed, then its database is written (build-db). The
-    later phases merge the databases once, and build and render each
-    function's activity tree once; makeflows writes those diagram texts and
-    makehtml embeds the same texts in the pages. An unexpected failure in
-    one stem's analysis, build or output spares the other stems.
+    ``args`` is ``main``'s namespace with ``sources`` expanded to files
+    (None when makehtml was given no SOURCE) and ``out_dir`` a Path. Each
+    source is analyzed once, and each function's activity tree is built and
+    rendered once: makeflows writes those diagram texts and makehtml embeds
+    the same texts in the pages. An unexpected failure in one stem spares
+    the other stems, and a run that read no source writes nothing.
     """
-    stems = [(stem, group[0],
-              _isolated(group[0], diags, _analyze, stem, group, cfg, diags))
-             for stem, group in _stem_groups(cfg.sources, diags)]
-    if cfg.command == "build-db":
+    out = args.out_dir
+    stems = []
+    for stem, group in _stem_groups(args.sources or [], diags):
+        annotated = None
+        with _isolated(group[0], diags):
+            annotated = flowdb.analyze_stem(group, diags)
+            if annotated is not None and args.command in ("build-db", "all"):
+                flowdb.write_db(stem, annotated, out)
+        stems.append((stem, group[0], annotated))
+    if args.command == "build-db":
         return
-    db = flowdb.load_merge(cfg.out_dir, diags)
-    pages = [(stem, file,
-              _isolated(file, diags, _build, annotated or [], db, diags) or [])
-             for stem, file, annotated in stems]
-    if cfg.command in ("makeflows", "all"):
-        _phase_makeflows(pages, cfg, diags)
-    if cfg.command in ("makehtml", "all"):
-        _phase_makehtml(pages, db, cfg, diags)
+    db = flowdb.load_merge(out, diags)
+    pages = []  # per stem, its functions with their texts, level 0 first
+    for stem, file, annotated in stems:
+        funcs = []
+        with _isolated(file, diags):
+            funcs = [(af, plantuml_emit.render_function(
+                         activity_ir.build_activity(af, db, diags)))
+                     for af in annotated or ()]
+        pages.append((stem, file, funcs))
+    if args.command in ("makeflows", "all"):
+        aux, paths = out / "aux_files", []
+        for stem, file, funcs in pages:
+            with _isolated(file, diags):
+                paths += [atomic_write_text(aux / plantuml_emit.diagram_filename(
+                              stem, af.anchor, zoom), text)
+                          for af, texts in funcs
+                          for zoom, text in enumerate(texts)]
+        if not paths:
+            diags.append(warning("no-annotated-functions",
+                                 "no annotated functions found; "
+                                 "no diagrams were emitted"))
+        _phase_render(paths, args, diags)
+    if args.command in ("makehtml", "all"):
+        for stem, file, funcs in pages:
+            if funcs:
+                with _isolated(file, diags):
+                    html_emit.emit_page(stem, funcs, out)
+        if args.sources is None or any(a is not None for _, _, a in stems):
+            html_emit.emit_index(db, out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -283,25 +248,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-
-    diags: list[Diagnostic] = []
-    sources = _expand_sources(args.sources, diags)
     if not args.sources and args.command != "makehtml":
         print(f"flowdoc {args.command}: at least one SOURCE is required",
               file=sys.stderr)
         return 2
 
-    out_dir = args.out_dir or os.environ.get("FLOWDOC_OUT") or "flowdoc"
-    cfg = Config(command=args.command, sources=sources,
-                 out_dir=Path(out_dir), render_cmd=args.render_cmd,
-                 warnings_as_errors=args.werror, quiet=args.quiet)
-    run(cfg, diags)
+    diags: list[Diagnostic] = []
+    args.sources = (_expand_sources(args.sources, diags)
+                    if args.sources else None)  # makehtml indexes out_dir
+    args.out_dir = Path(args.out_dir or os.environ.get("FLOWDOC_OUT")
+                        or "flowdoc")
+    run(args, diags)
 
     sys.stderr.write("".join(
         d.format() + "\n" for d in diags
-        if d.severity is Severity.ERROR or not cfg.quiet))
+        if d.severity is Severity.ERROR or not args.quiet))
     # every diagnostic that is not an error is a warning
-    return int(any(d.severity is Severity.ERROR or cfg.warnings_as_errors
+    return int(any(d.severity is Severity.ERROR or args.werror
                    for d in diags))
 
 

@@ -3,15 +3,31 @@
 from __future__ import annotations
 
 import os
+import stat
 from pathlib import Path
+
+# read once, at import, before any render thread could inherit the brief 0;
+# a fresh write leaves a regular file of _WRITTEN_MODE
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+_WRITTEN_MODE = stat.S_IFREG | 0o666 & ~_UMASK
 
 
 def atomic_write_text(path: Path, text: str) -> Path:
     """Write text to path via a temp file + rename, so readers never see a
     half-written output. Content is UTF-8 with LF endings as given; the file
     gets the mode the umask leaves of 0o666. A missing parent directory is
-    created."""
+    created. A regular file that already holds these bytes with this mode
+    is left untouched, mtime included."""
     path = Path(path)
+    data = text.encode("utf-8")
+    try:
+        st = os.lstat(path)
+        if (st.st_mode == _WRITTEN_MODE and st.st_size == len(data)
+                and path.read_bytes() == data):
+            return path
+    except OSError:  # missing or unreadable: write it
+        pass
     while True:
         tmp = f"{path}.{os.urandom(6).hex()}.tmp"
         try:
@@ -23,7 +39,7 @@ def atomic_write_text(path: Path, text: str) -> Path:
             pass
     try:
         with open(fd, "wb") as handle:
-            handle.write(text.encode("utf-8"))
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:

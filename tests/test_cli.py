@@ -47,6 +47,25 @@ class TestArgHandling:
         assert code == 1
         assert "[io-error]" in err
 
+    @pytest.mark.parametrize("command",
+                             ["build-db", "makeflows", "makehtml", "all"])
+    @pytest.mark.parametrize("source", ["no/such/*.cpp", "latin1.cpp"])
+    def test_a_run_that_read_no_source_writes_nothing(
+            self, command, source, tmp_path, monkeypatch, capsys):
+        (tmp_path / "latin1.cpp").write_bytes(
+            "void f() {\n//$ café\nx();\n}\n".encode("latin-1"))
+        monkeypatch.delenv("FLOWDOC_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        code, err = run_cli(command, source, capsys=capsys)
+        assert code == 1
+        assert err.splitlines()[0].endswith("[io-error]")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cpp"]
+        # a readable source next to it gets the whole tree
+        code, _ = run_cli(command, source, str(FIXTURES / "lang" / "hello.cpp"),
+                          capsys=capsys)
+        assert code == 1
+        assert (tmp_path / "flowdoc").is_dir()
+
 
 class TestSourceExpansion:
     def test_directory_recursion(self, tmp_path, capsys):

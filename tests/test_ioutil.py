@@ -1,6 +1,7 @@
 """Output files are written atomically, with the umask's permissions."""
 
 import os
+import shutil
 import stat
 
 import pytest
@@ -64,3 +65,64 @@ def test_an_existing_target_is_replaced(tmp_path):
     ioutil.atomic_write_text(target, "new\n")
     assert target.read_text() == "new\n"
     assert os.listdir(tmp_path) == ["db.flowdb"]
+
+
+def test_an_unchanged_file_keeps_its_mtime_and_a_changed_one_is_replaced(
+        tmp_path):
+    target = tmp_path / "page.html"
+    ioutil.atomic_write_text(target, "same\n")
+    os.utime(target, ns=(10**9, 10**9))
+    before = target.stat()
+    assert ioutil.atomic_write_text(target, "same\n") == target
+    after = target.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, 10**9)
+    ioutil.atomic_write_text(target, "diff\n")  # same size, other bytes
+    assert target.read_text() == "diff\n"
+    assert target.stat().st_mtime_ns != 10**9
+    assert os.listdir(tmp_path) == ["page.html"]
+
+
+def test_a_file_with_another_mode_or_a_symlink_is_replaced(tmp_path):
+    written_mode = 0o666 & ~ioutil._UMASK
+    private = tmp_path / "private.txt"
+    private.write_text("same\n")
+    private.chmod(0o600 if written_mode != 0o600 else 0o400)
+    ioutil.atomic_write_text(private, "same\n")
+    assert stat.S_IMODE(private.stat().st_mode) == written_mode
+
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("same\n")
+    os.utime(real, ns=(10**9, 10**9))
+    link.symlink_to(real)
+    ioutil.atomic_write_text(link, "same\n")
+    assert not link.is_symlink() and link.read_text() == "same\n"
+    assert real.stat().st_mtime_ns == 10**9
+
+
+def tree(root):
+    return {p.relative_to(root).as_posix(): (p.read_bytes(),
+                                             p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_rebuild_rewrites_only_the_outputs_that_change(tmp_path, capsys):
+    src, out, fresh = tmp_path / "src", tmp_path / "out", tmp_path / "fresh"
+    shutil.copytree(FIXTURES / "xlink", src)
+    assert main(["all", str(src), "--out-dir", str(out)]) == 0
+    for p in out.rglob("*"):
+        if p.is_file():
+            os.utime(p, ns=(10**9, 10**9))
+    before = tree(out)
+    assert main(["all", str(src), "--out-dir", str(out)]) == 0
+    assert tree(out) == before
+    c_cpp = src / "c.cpp"
+    c_cpp.write_text(c_cpp.read_text().replace("write one log line",
+                                               "write a log line"))
+    assert main(["all", str(src), "--out-dir", str(out)]) == 0
+    after = tree(out)
+    assert {name for name in after if after[name] != before[name]} == {
+        "c.html", "aux_files/c__c_log__zoom0.txt"}
+    assert main(["all", str(src), "--out-dir", str(fresh)]) == 0
+    capsys.readouterr()
+    assert ({name: data for name, (data, _) in after.items()}
+            == {name: data for name, (data, _) in tree(fresh).items()})
