@@ -8,13 +8,13 @@ Marker grammar, applied to a line comment's text:
     //$ [text]     description for a following branch/loop condition or return
 
 A ``//$`` comment on a line that already contains code is a call highlight
-for that line. A bracket form standing before anything other than ``if``,
-``else``, a loop keyword or ``return`` is kept as a plain action (brackets
-and all) and reported, so a typo never silently drops documentation.
-
-Binding of a standalone annotation to "the next statement" ignores blank
-lines, ordinary comments and preprocessor directives, but another ``//$``
-comment in between claims the statement for itself.
+for that line. A description binds to the first lexeme after its comment,
+past blank lines, ordinary comments and preprocessor directives, unless the
+next ``//$`` comment comes before that lexeme. A bracket form bound to
+anything other than ``if``, ``else``, a loop keyword or ``return`` is kept
+as a plain action (brackets and all) and reported, so a typo never silently
+drops documentation. A zoom above ``MAX_ZOOM`` is drawn at ``MAX_ZOOM`` and
+reported, so one marker cannot ask for unbounded diagrams.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from enum import Enum
 
 from .cxx_structure import CallSite, CodeStream, FunctionDef, detect_calls
 from .diagnostics import Diagnostic, sink, warning
-from .scanner import Token
 
 
 class AnnotationKind(Enum):
@@ -51,65 +50,14 @@ class Annotation:
         self.calls: tuple[CallSite, ...] = ()
 
 
-_MARKER_RE = re.compile(r"//\$(\d*)")
-_PARALLEL_TAG = "<parallel>"
-
-
-def parse_marker(comment_text: str) -> tuple[int, bool, str] | None:
-    """Split a ``//$`` comment into (zoom, parallel, payload text).
-
-    Returns None for comments that are not annotations. Zoom digits must sit
-    directly against the marker; ``//$ 1) step one`` is an action whose text
-    begins with "1)", not a zoom-1 action.
-    """
-    m = _MARKER_RE.match(comment_text)
-    if m is None:
-        return None
-    zoom = int(m.group(1)) if m.group(1) else 0
-    rest = comment_text[m.end():].lstrip()
-    parallel = False
-    if rest.startswith(_PARALLEL_TAG):
-        parallel = True
-        rest = rest[len(_PARALLEL_TAG):].lstrip()
-    return zoom, parallel, rest.rstrip()
-
-
-def _bracket_payload(text: str) -> str | None:
-    if len(text) >= 2 and text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if inner:
-            return inner
-    return None
-
-
-_DESC_KINDS = {"if": AnnotationKind.CONDITION_DESC,
-               "else": AnnotationKind.CONDITION_DESC,
-               "loop": AnnotationKind.CONDITION_DESC,
-               "return": AnnotationKind.RETURN_DESC}
-
-
-def classify(comment: Token, following_kind: str | None,
-             standalone: bool) -> Annotation | None:
-    """Pure classification of one comment token.
-
-    following_kind is one of "if", "else", "loop", "return", "other" or
-    None (nothing follows); it is only consulted for standalone
-    bracket-form annotations.
-    """
-    parsed = parse_marker(comment.text)
-    if parsed is None:
-        return None
-    zoom, parallel, text = parsed
-    if not standalone:
-        return Annotation(AnnotationKind.CALL_HIGHLIGHT, text, comment.line,
-                          comment.offset)
-    inner = _bracket_payload(text)
-    kind = _DESC_KINDS.get(following_kind)
-    if inner is not None and kind is not None:
-        return Annotation(kind, inner, comment.line, comment.offset)
-    # an orphan bracket is demoted to an action, brackets preserved
-    return Annotation(AnnotationKind.ACTION, text, comment.line, comment.offset,
-                      zoom=zoom, parallel=parallel)
+# zoom digits touching the marker, an optional leading tag, then the text
+# without its surrounding whitespace
+_MARKER_RE = re.compile(r"//\$(\d*)\s*(<parallel>)?\s*(.*?)\s*\Z", re.S)
+_DESC_RE = re.compile(r"\[\s*(\S.*?)\s*\]\Z", re.S)
+MAX_ZOOM = 99
+_DESC_KINDS = dict.fromkeys(("if", "else", "while", "for", "do"),
+                            AnnotationKind.CONDITION_DESC)
+_DESC_KINDS["return"] = AnnotationKind.RETURN_DESC
 
 
 def collect(view: CodeStream, file: str = "<input>",
@@ -126,9 +74,10 @@ def collect(view: CodeStream, file: str = "<input>",
     """
     diags = sink(diags)
     body_starts = [fn.body_start.offset for fn in defs]
-    markers = view.markers
+    markers, lx = view.markers, view.lexemes
     out: list[Annotation] = []
     for k, tok in enumerate(markers):
+        digits, parallel, text = _MARKER_RE.match(tok.text).groups()
         if view.code_by_line.get(tok.line, "").strip():
             lo = view.index_at_or_after(view.line_starts[tok.line - 1])
             d = bisect.bisect_left(body_starts, tok.offset) - 1
@@ -142,43 +91,35 @@ def collect(view: CodeStream, file: str = "<input>",
                     "postfix '//$' on a line with no detectable call; ignored",
                     file, tok.line))
                 continue
-            ann = classify(tok, None, standalone=False)
+            ann = Annotation(AnnotationKind.CALL_HIGHLIGHT, text, tok.line, tok.offset)
             ann.calls = tuple(calls)
             out.append(ann)
             continue
-        # the next '//$' comment claims whatever follows it
-        block_at = markers[k + 1].offset if k + 1 < len(markers) else None
-        following_kind, target = _following_context(view, tok, block_at)
-        ann = classify(tok, following_kind, standalone=True)
-        if ann.kind is AnnotationKind.ACTION:
-            if _bracket_payload(ann.text) is not None:
-                diags.append(warning(
-                    "orphan-bracket-annotation",
-                    "'[...]' annotation does not precede a branch, loop or "
-                    "return; kept as a plain action",
-                    file, tok.line))
-        else:
-            ann.target = target
-        out.append(ann)
+        desc, kind = _DESC_RE.match(text), None
+        i = view.index_at_or_after(tok.offset + len(tok.text))
+        if desc and i < len(lx) and (k + 1 == len(markers)
+                                     or lx[i].offset < markers[k + 1].offset):
+            kind = _DESC_KINDS.get(lx[i].text)
+        if kind is not None:
+            ann = Annotation(kind, desc[1], tok.line, tok.offset)
+            ann.target = lx[i].offset
+            out.append(ann)
+            continue
+        if desc:
+            diags.append(warning(
+                "orphan-bracket-annotation",
+                "'[...]' annotation does not precede a branch, loop or "
+                "return; kept as a plain action",
+                file, tok.line))
+        # int() refuses a run of more than 4300 digits; one that long is too deep
+        zoom = int(digits or 0) if len(digits) <= 4300 else MAX_ZOOM + 1
+        if zoom > MAX_ZOOM:
+            diags.append(warning(
+                "zoom-too-deep",
+                f"zoom levels above {MAX_ZOOM} are not drawn; "
+                f"this action is drawn at zoom {MAX_ZOOM}",
+                file, tok.line))
+            zoom = MAX_ZOOM
+        out.append(Annotation(AnnotationKind.ACTION, text, tok.line, tok.offset,
+                              zoom, parallel is not None))
     return out
-
-
-def _following_context(view: CodeStream, tok: Token, block_at: int | None
-                       ) -> tuple[str | None, int | None]:
-    """Kind and keyword offset of the code construct following a comment.
-
-    Scans past whitespace, plain comments and preprocessor lines. The
-    ``//$`` comment at offset block_at, if any, blocks the binding.
-    """
-    k = view.index_at_or_after(tok.offset + len(tok.text))
-    lx = view.lexemes
-    if k >= len(lx):
-        return None, None
-    if block_at is not None and lx[k].offset > block_at:
-        return None, None
-    word = lx[k].text
-    if word in ("while", "for", "do"):
-        return "loop", lx[k].offset
-    if word in ("if", "else", "return"):
-        return word, lx[k].offset
-    return "other", None

@@ -565,12 +565,8 @@ class _BodyParser:
             return self._parse_pretest(i, hi)
         if t == "do":
             return self._parse_do(i, hi)
-        if t == "return":
-            return self._parse_return(i, hi)
-        if t == "switch":
+        if t in ("switch", "try"):
             return self._parse_opaque_construct(i, hi)
-        if t == "try":
-            return self._parse_try(i, hi)
         return self._parse_plain(i, hi)
 
     # -- helpers ---------------------------------------------------------
@@ -682,33 +678,27 @@ class _BodyParser:
         return Stmt(StmtKind.DO_WHILE, (self._line(i), self._line(min(j, hi) - 1)),
                     condition_text=cond, children=[body], keywords=keywords), j
 
-    def _parse_return(self, i: int, hi: int) -> tuple[Stmt, int]:
-        j = self._consume_simple(i, hi)
-        return Stmt(StmtKind.RETURN, (self._line(i), self._line(j - 1)),
-                    keywords=(self.lx[i].offset,)), j
-
     def _parse_opaque_construct(self, i: int, hi: int) -> tuple[Stmt, int]:
-        # switch (...) { ... } consumed as one Plain statement
-        j = i + 1
-        grp = self._group(j, hi)
-        if grp is not None:
-            j = grp[1] + 1
-        if j < hi and self.lx[j].text == "{":
-            j = min(self.partner.get(j, hi) + 1, hi)
-        else:
-            j = self._consume_simple(j, hi)
-        return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
-
-    def _parse_try(self, i: int, hi: int) -> tuple[Stmt, int]:
-        _, j = self._substatement(i + 1, hi)
-        while j < hi and self.lx[j].text == "catch":
+        # switch (...) { ... } and try { ... } catch (...) { ... } ... consumed
+        # as one Plain statement, their bodies skipped unread
+        j = i
+        while True:
             grp = self._group(j + 1, hi)
-            k = grp[1] + 1 if grp is not None else j + 1
-            _, j = self._substatement(k, hi)
+            j = j + 1 if grp is None else grp[1] + 1
+            if j < hi and self.lx[j].text == "{":
+                j = min(self.partner.get(j, hi) + 1, hi)
+            else:
+                j = self._consume_simple(j, hi)
+            if j >= hi or self.lx[j].text != "catch":
+                break
         return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
 
     def _parse_plain(self, i: int, hi: int) -> tuple[Stmt, int]:
+        """A statement through its ';'; a return keeps its keyword."""
         j = self._consume_simple(i, hi)
+        if self.lx[i].text == "return":
+            return Stmt(StmtKind.RETURN, (self._line(i), self._line(j - 1)),
+                        keywords=(self.lx[i].offset,)), j
         return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
 
     def _consume_simple(self, i: int, hi: int) -> int:

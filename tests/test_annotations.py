@@ -1,7 +1,13 @@
-from flowdoc.annotations import (AnnotationKind, classify, collect,
-                                 parse_marker)
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flowdoc.annotations import MAX_ZOOM, AnnotationKind, collect
 from flowdoc.cxx_structure import CodeStream
-from flowdoc.scanner import Token, TokenKind, scan
+from flowdoc.scanner import scan
+
+ACTION = AnnotationKind.ACTION
 
 
 def collect_src(src, diags=None):
@@ -9,79 +15,154 @@ def collect_src(src, diags=None):
                    diags if diags is not None else [])
 
 
+def body(*lines):
+    return "void f() {\n" + "\n".join(lines) + "\n}\n"
+
+
+def read(src, diags=None):
+    return [(a.kind, a.zoom, a.parallel, a.text) for a in collect_src(src, diags)]
+
+
+def marker(comment):
+    """(zoom, parallel, text) of a standalone comment read as an action, or
+    None when it is no annotation."""
+    anns = read(body(comment, "x();"))
+    assert len(anns) <= 1 and all(a[0] is ACTION for a in anns)
+    return anns[0][1:] if anns else None
+
+
 class TestMarkerGrammar:
     def test_plain_comment_is_not_annotation(self):
-        assert parse_marker("// just a note") is None
-        assert parse_marker("//not marked") is None
+        assert marker("// just a note") is None
+        assert marker("//not marked") is None
 
     def test_doxygen_markers_are_not_annotations(self):
-        assert parse_marker("/// brief") is None
-        assert parse_marker("//! brief") is None
+        assert marker("/// brief") is None
+        assert marker("//! brief") is None
 
     def test_bare_marker(self):
-        assert parse_marker("//$") == (0, False, "")
+        assert marker("//$") == (0, False, "")
 
     def test_text_after_marker(self):
-        assert parse_marker("//$ do the thing  ") == (0, False, "do the thing")
+        assert marker("//$ do the thing  ") == (0, False, "do the thing")
 
     def test_zoom_digits_attached(self):
-        assert parse_marker("//$2 fine detail") == (2, False, "fine detail")
-        assert parse_marker("//$10 deeper") == (10, False, "deeper")
+        assert marker("//$2 fine detail") == (2, False, "fine detail")
+        assert marker("//$10 deeper") == (10, False, "deeper")
 
     def test_digits_after_space_are_text(self):
-        zoom, parallel, text = parse_marker("//$ 1) prepare system of partons")
-        assert zoom == 0
-        assert text == "1) prepare system of partons"
+        assert marker("//$ 1) prepare system of partons") == (
+            0, False, "1) prepare system of partons")
 
     def test_parallel_tag(self):
-        assert parse_marker("//$ <parallel> task A") == (0, True, "task A")
+        assert marker("//$ <parallel> task A") == (0, True, "task A")
 
     def test_parallel_tag_with_zoom(self):
-        assert parse_marker("//$3 <parallel> task B") == (3, True, "task B")
+        assert marker("//$3 <parallel> task B") == (3, True, "task B")
 
     def test_tag_must_lead_the_text(self):
-        zoom, parallel, text = parse_marker("//$ task <parallel> A")
-        assert not parallel
-        assert text == "task <parallel> A"
+        assert marker("//$ task <parallel> A") == (0, False, "task <parallel> A")
 
 
-def tok(text, line=1):
-    return Token(TokenKind.LINE_COMMENT, text, line, 0)
+def annotation(comment, code):
+    [ann] = collect_src(body(comment, code))
+    return ann
 
 
 class TestClassify:
+    """A marker's kind follows from its line and the lexeme after it."""
+
     def test_standalone_is_action(self):
-        ann = classify(tok("//$ step"), "other", standalone=True)
-        assert ann.kind is AnnotationKind.ACTION
-        assert ann.text == "step"
+        ann = annotation("//$ step", "x();")
+        assert (ann.kind, ann.text) == (ACTION, "step")
 
     def test_postfix_is_call_highlight(self):
-        ann = classify(tok("//$   "), None, standalone=False)
-        assert ann.kind is AnnotationKind.CALL_HIGHLIGHT
-        assert ann.text == ""
+        ann = annotation("helper();  //$   ", "")
+        assert (ann.kind, ann.text) == (AnnotationKind.CALL_HIGHLIGHT, "")
 
     def test_bracket_before_if_is_condition_desc(self):
-        ann = classify(tok("//$ [first branch]"), "if", standalone=True)
-        assert ann.kind is AnnotationKind.CONDITION_DESC
-        assert ann.text == "first branch"
+        ann = annotation("//$ [first branch]", "if (a) {\nx();\n}")
+        assert (ann.kind, ann.text) == (AnnotationKind.CONDITION_DESC, "first branch")
 
     def test_bracket_before_loop(self):
-        ann = classify(tok("//$ [for each item]"), "loop", standalone=True)
-        assert ann.kind is AnnotationKind.CONDITION_DESC
+        for loop in ("for (;;) {}", "while (a) {}", "do {} while (a);"):
+            ann = annotation("//$ [for each item]", loop)
+            assert (ann.kind, ann.text) == (AnnotationKind.CONDITION_DESC, "for each item")
 
     def test_bracket_before_return_is_return_desc(self):
-        ann = classify(tok("//$ [negative outcome]"), "return", standalone=True)
-        assert ann.kind is AnnotationKind.RETURN_DESC
-        assert ann.text == "negative outcome"
+        ann = annotation("//$ [negative outcome]", "return 1;")
+        assert (ann.kind, ann.text) == (AnnotationKind.RETURN_DESC, "negative outcome")
 
     def test_orphan_bracket_demotes_to_action(self):
-        ann = classify(tok("//$ [stranded]"), "other", standalone=True)
-        assert ann.kind is AnnotationKind.ACTION
-        assert ann.text == "[stranded]"
+        ann = annotation("//$ [stranded]", "x();")
+        assert (ann.kind, ann.text) == (ACTION, "[stranded]")
+
+    def test_empty_brackets_are_an_action(self):
+        diags = []
+        anns = collect_src(body("//$ [ ]", "if (a) {\nx();\n}"), diags)
+        assert [(a.kind, a.text) for a in anns] == [(ACTION, "[ ]")]
+        assert diags == []
 
     def test_action_with_brackets_inside_text(self):
-        ann = classify(tok("//$ use arr[0] as seed"), "if", standalone=True)
-        assert ann.kind is AnnotationKind.ACTION
+        ann = annotation("//$ use arr[0] as seed", "if (a) {\nx();\n}")
+        assert (ann.kind, ann.text) == (ACTION, "use arr[0] as seed")
+
+
+@pytest.mark.parametrize("zoom", ["100", "100000000", "9" * 5000])
+def test_zoom_above_the_bound_is_drawn_at_the_bound(zoom):
+    diags = []
+    assert read(body(f"//${zoom} deep", "x();"), diags) == [
+        (ACTION, MAX_ZOOM, False, "deep")]
+    assert [(d.code, d.line) for d in diags] == [("zoom-too-deep", 2)]
+
+
+# The marker grammar spelled out step by step: the reference for the property
+# test below.
+def ref_parse_marker(comment_text):
+    m = re.match(r"//\$(\d*)", comment_text)
+    if m is None:
+        return None
+    zoom = int(m.group(1)) if m.group(1) else 0
+    rest = comment_text[m.end():].lstrip()
+    parallel = False
+    if rest.startswith("<parallel>"):
+        parallel = True
+        rest = rest[len("<parallel>"):].lstrip()
+    return zoom, parallel, rest.rstrip()
+
+
+def ref_bracket_payload(text):
+    if len(text) >= 2 and text.startswith("[") and text.endswith("]"):
+        inner = text[1:-1].strip()
+        if inner:
+            return inner
+    return None
+
+
+FOLLOWERS = {"x();": None, "if (a) {}": AnnotationKind.CONDITION_DESC,
+             "else {}": AnnotationKind.CONDITION_DESC,
+             "while (a) {}": AnnotationKind.CONDITION_DESC,
+             "do {} while (a);": AnnotationKind.CONDITION_DESC,
+             "return 1;": AnnotationKind.RETURN_DESC}
+PIECES = st.sampled_from(["\t", "\r", "\x0b", "\x1c", "\x85", "\u2028",
+                          "\u3000", " ", "\u0663", "0", "1", "9", "a", "z",
+                          "[", "]", "[]", "[ ]", "<parallel>", "<", ">", "$", "/"])
+
+
+@settings(max_examples=200)
+@given(st.lists(PIECES, max_size=12).map("".join), st.sampled_from(sorted(FOLLOWERS)))
+def test_collect_reads_markers_as_the_reference_grammar(tail, follower):
+    view = CodeStream(scan(body("//$" + tail, follower)))
+    [tok] = view.markers  # a lone '\r' stays inside the comment
+    zoom, parallel, text = ref_parse_marker(tok.text)
+    inner = ref_bracket_payload(text)
+    kind = FOLLOWERS[follower] if inner is not None else None
+    [ann] = collect(view, "t.cpp", [])
+    if kind is None:
+        assert (ann.kind, ann.zoom, ann.parallel, ann.text) == (
+            ACTION, min(zoom, MAX_ZOOM), parallel, text)
+    else:
+        assert (ann.kind, ann.text) == (kind, inner)
 
 
 class TestCollect:

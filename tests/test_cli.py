@@ -280,6 +280,18 @@ class TestDiagnostics:
         assert run_cli("all", str(bad), str(good), "--out-dir", str(out),
                        "--werror", capsys=capsys)[0] == 1
 
+    def test_zoom_above_the_bound_draws_the_bound(self, tmp_path, capsys):
+        src = tmp_path / "z.cpp"
+        src.write_text("void f() {\n//$100000000 deep\nx();\n}\n")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(src), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 0
+        assert err == (f"{src}:2: warning: zoom levels above 99 are not drawn; "
+                       "this action is drawn at zoom 99 [zoom-too-deep]\n")
+        assert (out / "z.flowdb").read_text().endswith("\t99\n")
+        assert len(list((out / "aux_files").glob("z__f__zoom*.txt"))) == 100
+
     def test_repeated_diagnostics_deduplicated(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

@@ -202,6 +202,20 @@ class TestStatementTrees:
         root = self.parse("try {\nx();\n} catch (const E& e) {\ny();\n}")
         assert [c.kind for c in root.children] == [StmtKind.PLAIN]
 
+    @pytest.mark.parametrize("inside", [
+        "if a > 0 {\nx();\n}",
+        "{" * (MAX_NESTING + 2) + "\nx();\n" + "}" * (MAX_NESTING + 2)],
+        ids=["malformed-header", "deep-braces"])
+    @pytest.mark.parametrize("wrap", ["switch (k) {\n%s\n}",
+                                      "try {\n%s\n} catch (const E& e) {\n}",
+                                      "try {\n} catch (...) {\n%s\n} catch (F) {}"],
+                             ids=["switch", "try", "catch"])
+    def test_switch_and_try_bodies_are_never_read(self, wrap, inside):
+        diags = []
+        root = self.parse(wrap % inside + "\ny();", diags)
+        assert diags == []
+        assert [c.kind for c in root.children] == [StmtKind.PLAIN, StmtKind.PLAIN]
+
     def test_nested_if_spans(self):
         root = self.parse("if (a) {\nif (b) {\nx();\n}\n}")
         outer = root.children[0]

@@ -1,0 +1,102 @@
+"""``flowdoc all`` on mutated fixtures never fails inside flowdoc.
+
+Each example copies one fixture directory and applies a few mutations
+drawn by Hypothesis: stray braces and quotes, deleted characters, ``//$``
+forms (long zoom digit runs among them), ``#if`` lines, ``<``/``>`` around
+``::``, and constructs nested up to 1000 deep. Then:
+
+- the run returns, and no ``internal-error`` is reported;
+- a second run gives byte-identical files and stderr;
+- no function gets more than ``MAX_ZOOM + 1`` zoom levels, and each
+  level's diagram is a subsequence of the next level's, so its actions are
+  among the next level's;
+- each inserted deep construct gives at most one ``nesting-too-deep``
+  warning.
+"""
+
+import contextlib
+import io
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from flowdoc import cli
+from flowdoc.annotations import MAX_ZOOM
+
+from conftest import FIXTURES
+
+LINES = ["//$", "//$ step", "//$ [why]", "//$ <parallel> side", "//$3 detail",
+         "x();  //$", "#if 0", "#else", "#endif", "#if X", "a < b > ::f();  //$",
+         "ns::a<int>::g(1);  //$", "x < y > ::z(2);", "return 0;", "else {"]
+CHARS = ["{", "}", "(", ")", '"', "'", ";", "<", ">", "::", "\\\n"]
+# one construct nested n deep; each can put at most one statement past the
+# nesting bound
+DEEP = [lambda n: "{" * n + "\nx();  //$\n" + "}" * n,
+        lambda n: "if (a)\n" * n + "x();",
+        lambda n: "while (a)\n" * n + "x();",
+        lambda n: "f" + "(" * n + ")" * n + ";  //$",
+        lambda n: "if (a) {}\n" + "else if (b) {}\n" * n,
+        lambda n: "do " * (n // 3) + "x();" + " while (a);" * (n // 3),
+        lambda n: "{" * n]
+
+line = st.builds("//${}{}".format, st.sampled_from(["", "1", "0", "9", "٣"])
+                 .flatmap(lambda d: st.integers(1, 5000).map(lambda k: d * k)),
+                 st.sampled_from(["", " deep", " [d]"])) | st.sampled_from(LINES)
+mutation = st.one_of(
+    st.tuples(st.just("line"), line),
+    st.tuples(st.just("char"), st.sampled_from(CHARS)),
+    st.tuples(st.just("delete"), st.just("")),
+    st.tuples(st.just("deep"), st.builds(lambda f, n: f(n), st.sampled_from(DEEP),
+                                         st.integers(1, 1000))))
+
+
+def mutate(text, mutations):
+    for (kind, piece), at in mutations:
+        k = int(at * len(text))
+        if kind == "line":
+            k = text.rfind("\n", 0, k) + 1
+            piece += "\n"
+        text = text[:k] + piece + text[k + (kind == "delete"):]
+    return text
+
+
+def run(src, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["all", str(src), "--out-dir", str(out)])
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return code, err.getvalue(), files
+
+
+def is_subsequence(short, long):
+    it = iter(long)
+    return all(line in it for line in short)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["demo", "lang", "xlink"]), st.data(),
+       st.lists(st.tuples(mutation, st.floats(0, 1)), min_size=1, max_size=4))
+def test_mutated_fixtures_build_deterministically(fixture, data, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(FIXTURES / fixture, src)
+        victim = data.draw(st.sampled_from(sorted(src.rglob("*.*"))))
+        victim.write_text(mutate(victim.read_text(), mutations))
+        first = run(src, Path(tmp) / "a")
+        assert "[internal-error]" not in first[1]
+        assert run(src, Path(tmp) / "b") == first
+        levels = {}
+        for name, body in first[2].items():
+            m = re.fullmatch(r"aux_files/(.+)__zoom(\d+)\.txt", name)
+            if m:
+                levels[m[1], int(m[2])] = body.decode().splitlines()
+        for (fn, k), lines in levels.items():
+            assert k <= MAX_ZOOM
+            if (fn, k + 1) in levels:
+                assert is_subsequence(lines, levels[fn, k + 1])
+        deep = sum(kind == "deep" for (kind, _), _ in mutations)
+        assert first[1].count("[nesting-too-deep]") <= deep
