@@ -1,6 +1,9 @@
 """Fusing statement trees with annotations into activity trees.
 
-The activity tree is what actually gets drawn. Its nodes:
+The builder is the one place that pairs annotations with statements: each
+action goes to the innermost block holding its line, each highlighted call
+to the innermost statement holding its line, each description to the keyword
+it targets. The activity tree is what actually gets drawn. Its nodes:
 
 * ActionNode: one box, from a standalone annotation; absorbs the unannotated
   statements after it and carries highlighted calls found on ``//$`` lines.
@@ -121,30 +124,6 @@ def build_activity(af: AnnotatedFunction, db: FlowDb,
     return ActivityTree(root, af.max_zoom)
 
 
-class _Seq:
-    """Output list plus the currently open action box."""
-
-    def __init__(self):
-        self.out: list[ActivityNode] = []
-        self.current: ActionNode | None = None
-
-    def open(self, node: ActionNode) -> None:
-        self.current = node
-        self.out.append(node)
-
-    def close(self) -> None:
-        self.current = None
-
-    def ensure(self) -> ActionNode:
-        if self.current is None:
-            self.open(ActionNode(""))
-        return self.current
-
-    def append(self, node: ActivityNode) -> None:
-        self.close()
-        self.out.append(node)
-
-
 class _Builder:
     def __init__(self, af: AnnotatedFunction, db: FlowDb,
                  diags: list[Diagnostic]):
@@ -152,11 +131,10 @@ class _Builder:
         self.fn = af.fn
         self.db = db
         self.diags = diags
-        # each action goes to the innermost block holding its line
-        self.owned: dict[int, list[Annotation]] = {}
-        actions = [a for a in annos if a.kind is AnnotationKind.ACTION]
-        for owner, a in owners(af.body, actions, StmtKind.BLOCK):
-            self.owned.setdefault(id(owner), []).append(a)
+        # actions and highlighted calls by the id of the statement they go to
+        self.owned = owners(af.body, [a for a in annos if a.kind is AnnotationKind.ACTION],
+                            StmtKind.BLOCK)
+        self.calls = owners(af.body, [c for a in annos for c in a.calls])
         # descriptions by keyword offset; a condition description targets
         # only if/else/loop keywords, a return description only 'return'.
         # Those the body's root keeps were swallowed past the nesting bound
@@ -166,11 +144,8 @@ class _Builder:
                       if a.target is not None and a.target not in swallowed}
         self.highlight_lines = {a.line for a in annos
                                 if a.kind is AnnotationKind.CALL_HIGHLIGHT}
-        trigger = [a.line for a in annos
-                   if a.kind in (AnnotationKind.ACTION,
-                                 AnnotationKind.CALL_HIGHLIGHT,
-                                 AnnotationKind.RETURN_DESC)]
-        self.trigger_lines = sorted(trigger)
+        self.trigger_lines = sorted(a.line for a in annos if a.kind in (
+            AnnotationKind.ACTION, AnnotationKind.CALL_HIGHLIGHT, AnnotationKind.RETURN_DESC))
         self.consumed_descs: set[int] = set()
         self.surfaced_highlights: set[int] = set()
         # (line, callee as written) -> its box entry: a callee repeated on
@@ -198,12 +173,13 @@ class _Builder:
     # -- fusion -----------------------------------------------------------
 
     def fuse_block(self, block: Stmt) -> list[ActivityNode]:
-        seq = _Seq()
+        # the nodes so far; a last ActionNode is the open box, which the
+        # absorbed calls join, and any other node closes it
+        seq: list[ActivityNode] = []
         self._fuse_into(block, seq)
-        seq.close()
-        return _fork_pass(seq.out)
+        return _fork_pass(seq)
 
-    def _fuse_into(self, block: Stmt, seq: _Seq) -> None:
+    def _fuse_into(self, block: Stmt, seq: list[ActivityNode]) -> None:
         # the block's actions, last first; each opens before the first
         # statement or absorbed call below it
         pending = self.owned.get(id(block), [])[::-1]
@@ -212,16 +188,15 @@ class _Builder:
             self._fuse_stmt(stmt, seq, pending)
         _open_actions(pending, math.inf, seq)
 
-    def _fuse_stmt(self, stmt: Stmt, seq: _Seq,
+    def _fuse_stmt(self, stmt: Stmt, seq: list[ActivityNode],
                    pending: list[Annotation]) -> None:
         if stmt.kind is StmtKind.BLOCK:
             # bare blocks are scoping only; contents flow through
             self._fuse_into(stmt, seq)
             return
         if stmt.kind is StmtKind.RETURN:
-            text = self._label(stmt)
             self._absorb_calls(stmt, seq, pending)
-            seq.append(StopNode(text))
+            seq.append(StopNode(self._label(stmt)))
             return
         if stmt.kind is StmtKind.IF and self._renders(stmt):
             seq.append(BranchNode([
@@ -238,9 +213,9 @@ class _Builder:
         # highlight, or they would render)
         self._absorb_calls(stmt, seq, pending)
 
-    def _absorb_calls(self, stmt: Stmt, seq: _Seq,
+    def _absorb_calls(self, stmt: Stmt, seq: list[ActivityNode],
                       pending: list[Annotation]) -> None:
-        for call in stmt.calls:
+        for call in self.calls.get(id(stmt), ()):
             # an action inside an opaque statement names the calls below it
             _open_actions(pending, call.line, seq)
             key = (call.line, call.callee_text)
@@ -258,7 +233,9 @@ class _Builder:
                         self.fn.file, call.line))
                     hc = HighlightedCall(call.callee_text + "()", None)
                 self.linked[key] = hc
-            seq.ensure().calls.append(hc)
+            if not (seq and isinstance(seq[-1], ActionNode)):
+                seq.append(ActionNode(""))  # no box is open: an unnamed one
+            seq[-1].calls.append(hc)
             self.surfaced_highlights.add(call.line)
 
     # -- diagnostics ------------------------------------------------------
@@ -280,11 +257,12 @@ class _Builder:
                 self.fn.file, line))
 
 
-def _open_actions(pending: list[Annotation], line: float, seq: _Seq) -> None:
+def _open_actions(pending: list[Annotation], line: float,
+                  seq: list[ActivityNode]) -> None:
     """Open, in order, the pending actions above line."""
     while pending and pending[-1].line < line:
         a = pending.pop()
-        seq.open(ActionNode(a.text, a.zoom, a.parallel))
+        seq.append(ActionNode(a.text, a.zoom, a.parallel))
 
 
 def _fork_pass(nodes: list[ActivityNode]) -> list[ActivityNode]:

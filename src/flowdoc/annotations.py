@@ -73,7 +73,7 @@ def collect(view: CodeStream, file: str = "<input>",
     reported.
     """
     diags = sink(diags)
-    body_starts = [fn.body_start.offset for fn in defs]
+    body_starts = [fn.body_start for fn in defs]
     markers, lx = view.markers, view.lexemes
     out: list[Annotation] = []
     for k, tok in enumerate(markers):
@@ -81,8 +81,8 @@ def collect(view: CodeStream, file: str = "<input>",
         if view.code_by_line.get(tok.line, "").strip():
             lo = view.index_at_or_after(view.line_starts[tok.line - 1])
             d = bisect.bisect_left(body_starts, tok.offset) - 1
-            if (d >= 0 and defs[d].body_start.line == tok.line
-                    and tok.offset < defs[d].body_end.offset):
+            if (d >= 0 and view.line(body_starts[d]) == tok.line
+                    and tok.offset < defs[d].body_end):
                 lo = view.index_at_or_after(body_starts[d]) + 1
             calls = detect_calls(view, lo, view.index_at_or_after(tok.offset))
             if not calls:

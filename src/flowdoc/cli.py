@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -74,27 +75,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_id(path: str | Path) -> tuple[int, int] | None:
+    """(st_dev, st_ino) of a regular file, None for anything else."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def _expand_sources(patterns: list[str],
                     diags: list[Diagnostic]) -> list[str]:
-    out: list[str] = []
+    """The files the patterns name, in order, each once under its first
+    spelling: a file reached by two paths is one source."""
+    out: dict[tuple[int, int], str] = {}
     for pattern in patterns:
         p = Path(pattern)
-        if p.is_file():
-            out.append(str(p))
-        elif p.is_dir():
-            out.extend(sorted(
-                str(q) for q in p.rglob("*")
-                if q.is_file() and q.suffix in SOURCE_SUFFIXES))
+        if (fid := _file_id(p)) is not None:
+            out.setdefault(fid, str(p))
+            continue
+        if p.is_dir():
+            found = sorted(str(q) for q in p.rglob("*") if q.suffix in SOURCE_SUFFIXES)
         else:
             import glob as _glob  # only patterns need it
-            hits = sorted(h for h in _glob.glob(pattern, recursive=True)
-                          if Path(h).is_file())
-            if hits:
-                out.extend(hits)
-            else:
-                diags.append(error("io-error",
-                                   f"no source matches '{pattern}'", pattern))
-    return list(dict.fromkeys(out))  # first appearances, in order
+            found = sorted(_glob.glob(pattern, recursive=True))
+        hits = [(fid, h) for h in found if (fid := _file_id(h)) is not None]
+        for fid, h in hits:
+            out.setdefault(fid, h)
+        if not hits and not p.is_dir():  # an empty directory is no error
+            diags.append(error("io-error", f"no source matches '{pattern}'", pattern))
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------

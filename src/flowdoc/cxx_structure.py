@@ -7,7 +7,7 @@ it recognizes just enough structure for flowcharting:
   destructors), qualified through a tracked namespace/class context,
 * per-body statement trees with if/else-if/else chains, the three loop
   forms, returns, and opaque Plain statements for everything else,
-* call sites, found only on lines that carry a postfix ``//$`` marker.
+* call sites, and ``owners``, the walk to the statement holding a line.
 
 Positions are character offsets into the source, as the lexed view holds
 them; a statement records the offsets of the keywords a description can bind
@@ -106,16 +106,11 @@ class CodeStream:
         return bisect.bisect_left(self._offsets, offset)
 
 
-class SourcePos(NamedTuple):
-    line: int
-    offset: int
-
-
 class FunctionDef(NamedTuple):
     qualified_name: str
     signature_text: str
-    body_start: SourcePos  # position of '{'
-    body_end: SourcePos    # position of the matching '}'
+    body_start: int  # offset of '{'
+    body_end: int    # offset of the matching '}'
     file: str
 
 
@@ -138,7 +133,7 @@ class StmtKind(Enum):
 class Stmt:
     """One statement. An If's children are its arms, in order: Blocks that
     carry their own condition (None for a bare else) and keyword."""
-    __slots__ = ("kind", "span", "condition_text", "children", "calls", "keywords")
+    __slots__ = ("kind", "span", "condition_text", "children", "keywords")
 
     def __init__(self, kind: StmtKind, span: tuple[int, int],
                  condition_text: str | None = None,
@@ -148,7 +143,6 @@ class Stmt:
         self.kind, self.span = kind, span
         self.condition_text = condition_text  # of a loop or an If arm
         self.children = [] if children is None else children
-        self.calls: list[CallSite] = []
         # offsets of the keywords a description binds to: the arm's 'if' or
         # 'else', the loop's keyword ('do' and its 'while'), 'return'; for a
         # body's root, the targets of the statements kept opaque past MAX_NESTING
@@ -240,10 +234,9 @@ def find_definitions(view: CodeStream, file: str = "<input>",
                     signature = view.source[lx[start].offset:lx[i].offset].strip()
                     if close is None:
                         report_unbalanced(brace_line)
-                    end_off = lx[-1 if close is None else close].offset
-                    defs.append(FunctionDef(qname, signature,
-                                            SourcePos(brace_line, lx[i].offset),
-                                            SourcePos(view.line(end_off), end_off), file))
+                    defs.append(FunctionDef(qname, signature, lx[i].offset,
+                                            lx[-1 if close is None else close].offset,
+                                            file))
                 elif decision in ("namespace", "class", "extern"):
                     scopes.append(_Scope(decision, payload, brace_line))
                     close = i  # step past the '{' alone; its '}' pops the scope
@@ -430,39 +423,34 @@ def _name_chain_before(lx: list[Lexeme], s: int, op: int) -> str | None:
 
 def parse_body(fn: FunctionDef, view: CodeStream,
                diags: list[Diagnostic] | None = None,
-               calls: Iterable[CallSite] = (),
                targets: Sequence[int] = ()) -> Stmt:
     """Parse a recognized function body into a statement tree.
 
-    The root is a Block spanning the braces. Each of ``calls`` (the call
-    sites of the body's ``//$`` highlights, in line order) is attached to the
-    innermost statement owning its line. ``targets``, the sorted keyword
+    The root is a Block spanning the braces. ``targets``, the sorted keyword
     offsets of the body's descriptions, are counted in the warning of the
-    statement kept opaque past the nesting bound that holds them, and kept by the root.
+    statement kept opaque past the nesting bound that holds them, and kept
+    by the root.
     """
     diags = sink(diags)
-    lo = view.index_at_or_after(fn.body_start.offset)
-    hi = view.index_at_or_after(fn.body_end.offset)
+    lo = view.index_at_or_after(fn.body_start)
+    hi = view.index_at_or_after(fn.body_end)
     parser = _BodyParser(view, fn.file, diags, targets)
     children = parser.parse_range(lo + 1, hi)
-    root = Stmt(StmtKind.BLOCK, (fn.body_start.line, fn.body_end.line),
+    return Stmt(StmtKind.BLOCK, (view.line(fn.body_start), view.line(fn.body_end)),
                 children=children, keywords=tuple(parser.swallowed))
-    for owner, call in owners(root, calls):
-        owner.calls.append(call)
-    return root
 
 
-def owners(stmt: Stmt, items: Iterable, kind: StmtKind | None = None) -> list:
-    """Pair each item (anything with a ``line``, in line order) with the
-    innermost statement under stmt holding its line (at each level the first
+def owners(stmt: Stmt, items: Iterable, kind: StmtKind | None = None) -> dict[int, list]:
+    """The items (anything with a ``line``, in line order) by the id of the
+    innermost statement under stmt holding their line (at each level the first
     child holding it), or with kind the innermost one of that kind, else stmt."""
-    out: list = []
+    out: dict[int, list] = {}
     _descend(stmt, items, kind, stmt, out)
     return out
 
 
 def _descend(node: Stmt, items: Iterable, kind: StmtKind | None, found: Stmt,
-             out: list) -> None:
+             out: dict[int, list]) -> None:
     found = node if kind in (None, node.kind) else found
     children, k, n = node.children, 0, len(node.children)
     inside: list = []  # the items within children[k]
@@ -475,7 +463,7 @@ def _descend(node: Stmt, items: Iterable, kind: StmtKind | None, found: Stmt,
         if k < n and children[k].span[0] <= item.line:
             inside.append(item)
         else:
-            out.append((found, item))
+            out.setdefault(id(found), []).append(item)
     if inside:
         _descend(children[k], inside, kind, found, out)
 

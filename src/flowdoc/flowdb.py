@@ -68,8 +68,8 @@ def annotated_functions(defs: list[FunctionDef],
     offsets = [a.offset for a in annos]
     out: list[AnnotatedFunction] = []
     for fn in defs:
-        inside = annos[bisect.bisect_right(offsets, fn.body_start.offset):
-                       bisect.bisect_left(offsets, fn.body_end.offset)]
+        inside = annos[bisect.bisect_right(offsets, fn.body_start):
+                       bisect.bisect_left(offsets, fn.body_end)]
         if not inside:
             continue
         base = mangle_anchor(fn.qualified_name)
@@ -96,7 +96,7 @@ def analyze_source(source_path: str | Path,
     diags = sink(diags)
     path = Path(source_path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is no code
     except (OSError, UnicodeDecodeError) as exc:
         diags.append(error("io-error", f"cannot read source: {exc}", str(path)))
         return None
@@ -105,9 +105,8 @@ def analyze_source(source_path: str | Path,
     annos = _annotations.collect(view, str(path), diags, defs)
     annotated = annotated_functions(defs, annos, taken)
     for af in annotated:
-        af.body = _cxx.parse_body(
-            af.fn, view, diags, [c for a in af.annotations for c in a.calls],
-            [a.target for a in af.annotations if a.target is not None])
+        af.body = _cxx.parse_body(af.fn, view, diags, [
+            a.target for a in af.annotations if a.target is not None])
     return annotated
 
 
@@ -181,9 +180,10 @@ def load_merge(db_dir: str | Path,
                diags: list[Diagnostic] | None = None) -> FlowDb:
     """Merge every ``*.flowdb`` under db_dir.
 
-    Malformed lines are skipped with a diagnostic. When the same qualified
-    name appears in several databases the entry with the lexicographically
-    first html path wins and the collision is reported.
+    Malformed lines are skipped with a diagnostic. When one qualified name
+    has several entries (overloads on one page, or definitions on several
+    pages), the first entry read on the lexicographically first html path
+    wins and the collision is reported.
     """
     diags = sink(diags)
     merged: dict[str, FlowDbEntry] = {}
@@ -211,9 +211,12 @@ def load_merge(db_dir: str | Path,
             elif (entry.html_path, entry.anchor) != (current.html_path, current.anchor):
                 keep = current if current.html_path <= entry.html_path else entry
                 merged[entry.qualified_name] = keep
+                where = (f"more than once on {keep.html_path}; links go to "
+                         f"{keep.html_path}#{keep.anchor}"
+                         if entry.html_path == current.html_path else
+                         f"on more than one page; links go to {keep.html_path}")
                 diags.append(warning(
                     "duplicate-definition",
-                    f"'{entry.qualified_name}' is documented on more than one "
-                    f"page; links go to {keep.html_path}",
+                    f"'{entry.qualified_name}' is documented {where}",
                     str(db_file), lineno))
     return FlowDb(merged)

@@ -185,8 +185,7 @@ def test_criterion_3():
         view = cxx_structure.CodeStream(scanner.scan(text, name, []))
         defs = cxx_structure.find_definitions(view, name, [])
         af = annotated_functions(defs, annotations.collect(view, name, []))[0]
-        af.body = cxx_structure.parse_body(
-            af.fn, view, [], [c for a in af.annotations for c in a.calls])
+        af.body = cxx_structure.parse_body(af.fn, view, [])
         tree = activity_ir.build_activity(af, FlowDb(), [])
         depth_seen[tree.max_zoom] += 1
         prev = None

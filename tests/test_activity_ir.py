@@ -22,8 +22,7 @@ def build(src, db=None, diags=None):
     if not afs:
         return None
     af = afs[0]
-    af.body = parse_body(af.fn, view, diags,
-                         [c for a in af.annotations for c in a.calls])
+    af.body = parse_body(af.fn, view, diags)
     return build_activity(af, db or FlowDb(), diags)
 
 
@@ -331,12 +330,6 @@ def innermost(stmt, line, kind=None):
             return found
 
 
-def statements(stmt):
-    yield stmt
-    for child in stmt.children:
-        yield from statements(child)
-
-
 _OWNER_SOURCES = {
     **{str(p.relative_to(FIXTURES)): p.read_text(encoding="utf-8")
        for p in sorted(FIXTURES.rglob("*.cpp"))},
@@ -361,5 +354,6 @@ def test_one_descent_finds_each_line_its_innermost_statement(name, tmp_path):
                 actions.setdefault(id(owner), []).append(a)
             for call in a.calls:
                 calls.setdefault(id(innermost(af.body, call.line)), []).append(call)
-        assert _Builder(af, FlowDb(), []).owned == actions
-        assert {id(s): s.calls for s in statements(af.body) if s.calls} == calls
+        builder = _Builder(af, FlowDb(), [])
+        assert builder.owned == actions
+        assert builder.calls == calls

@@ -20,6 +20,12 @@ def run_cli(*argv, capsys):
     return code, captured.err
 
 
+def files_of(root):
+    """Every file under root, by path relative to root, with its bytes."""
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestArgHandling:
     def test_version_exits_zero(self, capsys):
         assert run_cli("--version", capsys=capsys)[0] == 0
@@ -89,6 +95,22 @@ class TestSourceExpansion:
                             capsys=capsys)
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("spelling", ["absolute", "dotdot"])
+    def test_a_file_named_two_ways_is_one_source(self, spelling, tmp_path,
+                                                 monkeypatch, capsys):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "m.cpp").write_text(
+            "int main() {\n  //$ step one\n  return 0;\n}\n")
+        monkeypatch.chdir(tmp_path)
+        again = {"absolute": str(tmp_path / "src" / "m.cpp"),
+                 "dotdot": "src/../src/m.cpp"}[spelling]
+        once = run_cli("all", "src", "--werror", "--out-dir", "one",
+                       capsys=capsys)
+        twice = run_cli("all", "src", again, "--werror", "--out-dir", "two",
+                        capsys=capsys)
+        assert twice == once
+        assert files_of(tmp_path / "two") == files_of(tmp_path / "one")
+
 
 class TestPipeline:
     def demo_sources(self):
@@ -122,6 +144,21 @@ class TestPipeline:
         assert files_one == files_two
         for rel in files_one:
             assert (one / rel).read_bytes() == (two / rel).read_bytes()
+
+    def test_a_leading_bom_is_not_code(self, tmp_path, capsys):
+        text = ("#include <vector>\nint main() {\n  //$ step one\n"
+                "  return 0;\n}\n").encode()
+        runs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "m.cpp").write_bytes(prefix + text)
+            runs.append(run_cli("all", str(tmp_path / name / "m.cpp"),
+                                "--out-dir", str(tmp_path / name / "out"),
+                                capsys=capsys))
+        assert runs == [(0, ""), (0, "")]
+        plain, bom = (files_of(tmp_path / name / "out") for name in ("plain", "bom"))
+        assert bom == plain
+        assert b"<p><code>int main()</code></p>" in bom[Path("m.html")]
 
     def test_header_and_cpp_share_page_and_db(self, tmp_path, capsys):
         src = tmp_path / "src"

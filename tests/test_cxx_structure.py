@@ -2,16 +2,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdoc.activity_ir import _Builder
 from flowdoc.annotations import collect
 from flowdoc.cxx_structure import (MAX_NESTING, CodeStream, StmtKind,
                                    detect_calls, find_definitions, parse_body)
 from flowdoc.diagnostics import Severity
+from flowdoc.flowdb import AnnotatedFunction, FlowDb
 from flowdoc.scanner import scan
 
 
 def defs_of(src, diags=None):
     return find_definitions(CodeStream(scan(src)), "t.cpp",
                             diags if diags is not None else [])
+
+
+def body_lines(src):
+    """The lines of the braces of each definition's body."""
+    view = CodeStream(scan(src))
+    return [(view.line(d.body_start), view.line(d.body_end))
+            for d in find_definitions(view, "t.cpp", [])]
 
 
 def names(src):
@@ -59,8 +68,7 @@ class TestDefinitionRecognition:
         ds = defs_of(src)
         assert [d.qualified_name for d in ds] == ["Foo::Foo"]
         # the body is the final brace pair, not the member initializer
-        assert ds[0].body_start.line == 1
-        assert ds[0].body_end.line == 3
+        assert body_lines(src) == [(1, 3)]
 
     def test_template_function(self):
         src = "template <typename T>\nT biggest(T a, T b) {\nreturn a;\n}\n"
@@ -118,9 +126,7 @@ class TestDefinitionRecognition:
 
     def test_body_span_positions(self):
         src = "int f()\n{\nreturn 0;\n}\n"
-        ds = defs_of(src)
-        assert ds[0].body_start.line == 2
-        assert ds[0].body_end.line == 4
+        assert body_lines(src) == [(2, 4)]
 
     def test_unbalanced_brace_reports_error(self):
         diags = []
@@ -276,6 +282,16 @@ def highlighted_calls(src):
             for a in collect(view, "t.cpp", [], defs) for c in a.calls]
 
 
+def placed_calls(src):
+    """The statement tree of the first definition, and the calls the
+    activity builder places on each of its statements (by id)."""
+    view = CodeStream(scan(src))
+    fn = find_definitions(view, "t.cpp", [])[0]
+    af = AnnotatedFunction(fn, "f", collect(view, "t.cpp", [], [fn]), 0,
+                           parse_body(fn, view, []))
+    return af.body, _Builder(af, FlowDb(), []).calls
+
+
 class TestCallDetection:
     def test_simple_call(self):
         calls = calls_on("b_init();  ")
@@ -333,21 +349,23 @@ class TestCallDetection:
                "helper();  //$\n"
                "}\n"
                "}\n")
-        view = CodeStream(scan(src))
-        fn = find_definitions(view, "t.cpp", [])[0]
-        calls = [c for a in collect(view) for c in a.calls]
-        root = parse_body(fn, view, [], calls)
+        root, calls = placed_calls(src)
         stmt = root.children[0].children[0].children[0]
         assert stmt.kind is StmtKind.PLAIN
-        assert [c.normalized_name for c in stmt.calls] == ["helper"]
+        assert [c.normalized_name for c in calls[id(stmt)]] == ["helper"]
+        assert list(calls) == [id(stmt)]
 
     def test_lines_without_marker_attach_nothing(self):
         src = "void f() {\nhelper();\n}\n"
-        view = CodeStream(scan(src))
-        fn = find_definitions(view, "t.cpp", [])[0]
-        calls = [c for a in collect(view) for c in a.calls]
-        root = parse_body(fn, view, [], calls)
-        assert root.children[0].calls == []
+        root, calls = placed_calls(src)
+        assert root.children[0].kind is StmtKind.PLAIN
+        assert calls == {}
+
+    def test_template_scope_reading_before_a_call(self):
+        # a '>' right before '::' closes a balanced '<' on the line: the
+        # scope x<y>, not a comparison with a call of the global f
+        src = "void g() {\n  //$ act\n  x < y > ::f();  //$\n}\n"
+        assert highlighted_calls(src) == [("x < y > ::f", "x::f", 3)]
 
 
 _BRACKET_SOUP = ["(", ")", "[", "]", "{", "}", "x", " ", "\n", "'('", '")"',

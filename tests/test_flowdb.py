@@ -135,7 +135,20 @@ class TestLoadMerge:
         diags = []
         db = load_merge(out, diags)
         assert db.entries["dup"].html_path == "aa.html"
-        assert any(d.code == "duplicate-definition" for d in diags)
+        assert [d.message for d in diags if d.code == "duplicate-definition"] == [
+            "'dup' is documented on more than one page; links go to aa.html"]
+
+    def test_overloads_on_one_page_are_reported_as_such(self, tmp_path):
+        out = tmp_path / "out"
+        src = write(tmp_path, "o.cpp", "void f(int a) {\n//$ one\na++;\n}\n"
+                                       "void f(double b) {\n//$ two\nb++;\n}\n")
+        write_db("o", analyze_stem([src], []), out)
+        diags = []
+        db = load_merge(out, diags)
+        assert db.entries["f"].anchor == "f"
+        assert [(d.code, d.line, d.message) for d in diags] == [
+            ("duplicate-definition", 2,
+             "'f' is documented more than once on o.html; links go to o.html#f")]
 
     def test_merge_across_files(self, tmp_path):
         out = tmp_path / "out"
