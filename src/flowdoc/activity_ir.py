@@ -1,9 +1,15 @@
 """Fusing statement trees with annotations into activity trees.
 
-The builder is the one place that pairs annotations with statements: each
-action goes to the innermost block holding its line, each highlighted call
-to the innermost statement holding its line, each description to the keyword
-it targets. The activity tree is what actually gets drawn. Its nodes:
+The builder is the one place that pairs annotations with statements. Its
+one walk over the statement tree, in source order, places each action and
+highlighted call where the walk stands at the item's offset: an action opens
+a box, a call joins the open box or opens an unnamed one. So a call goes
+with its own statement even on a line shared with another; a call in the
+header of a drawn if or loop goes in the box before the construct, one in an
+else-if header at the top of its arm, one in a do-while's trailing condition
+right after the loop. Each description goes to the keyword it targets.
+Positions are character offsets into the source. The activity tree is what
+actually gets drawn. Its nodes:
 
 * ActionNode: one box, from a standalone annotation; absorbs the unannotated
   statements after it and carries highlighted calls found on ``//$`` lines.
@@ -23,11 +29,10 @@ is a subgraph of the next deeper one, and a construct shell is never empty.
 from __future__ import annotations
 
 import bisect
-import math
 from enum import Enum
 
 from .annotations import Annotation, AnnotationKind
-from .cxx_structure import Stmt, StmtKind, owners
+from .cxx_structure import Stmt, StmtKind
 from .diagnostics import Diagnostic, sink, warning
 from .flowdb import AnnotatedFunction, FlowDb
 
@@ -128,13 +133,11 @@ class _Builder:
     def __init__(self, af: AnnotatedFunction, db: FlowDb,
                  diags: list[Diagnostic]):
         annos = af.annotations
-        self.fn = af.fn
-        self.db = db
-        self.diags = diags
-        # actions and highlighted calls by the id of the statement they go to
-        self.owned = owners(af.body, [a for a in annos if a.kind is AnnotationKind.ACTION],
-                            StmtKind.BLOCK)
-        self.calls = owners(af.body, [c for a in annos for c in a.calls])
+        self.fn, self.db, self.diags = af.fn, db, diags
+        # the actions and highlighted calls by offset, last first: _take pops them
+        self.items = sorted([a for a in annos if a.kind is AnnotationKind.ACTION]
+                            + [c for a in annos for c in a.calls],
+                            key=lambda item: item.offset, reverse=True)
         # descriptions by keyword offset; a condition description targets
         # only if/else/loop keywords, a return description only 'return'.
         # Those the body's root keeps were swallowed past the nesting bound
@@ -142,12 +145,9 @@ class _Builder:
         swallowed = set(af.body.keywords)
         self.descs = {a.target: a for a in annos
                       if a.target is not None and a.target not in swallowed}
-        self.highlight_lines = {a.line for a in annos
-                                if a.kind is AnnotationKind.CALL_HIGHLIGHT}
-        self.trigger_lines = sorted(a.line for a in annos if a.kind in (
-            AnnotationKind.ACTION, AnnotationKind.CALL_HIGHLIGHT, AnnotationKind.RETURN_DESC))
+        self.triggers = sorted([item.offset for item in self.items] + [
+            a.offset for a in annos if a.kind is AnnotationKind.RETURN_DESC])
         self.consumed_descs: set[int] = set()
-        self.surfaced_highlights: set[int] = set()
         # (line, callee as written) -> its box entry: a callee repeated on
         # one line is resolved, and reported, once
         self.linked: dict[tuple[int, str], HighlightedCall] = {}
@@ -155,9 +155,8 @@ class _Builder:
     # -- queries ----------------------------------------------------------
 
     def _renders(self, stmt: Stmt) -> bool:
-        lo, hi = stmt.span
-        i = bisect.bisect_left(self.trigger_lines, lo)
-        return i < len(self.trigger_lines) and self.trigger_lines[i] <= hi
+        i = bisect.bisect_left(self.triggers, stmt.span[0])
+        return i < len(self.triggers) and self.triggers[i] <= stmt.span[1]
 
     def _label(self, stmt: Stmt) -> str | None:
         """The description bound to one of stmt's keywords, else its
@@ -174,69 +173,64 @@ class _Builder:
 
     def fuse_block(self, block: Stmt) -> list[ActivityNode]:
         # the nodes so far; a last ActionNode is the open box, which the
-        # absorbed calls join, and any other node closes it
+        # taken calls join, and any other node closes it
         seq: list[ActivityNode] = []
         self._fuse_into(block, seq)
         return _fork_pass(seq)
 
     def _fuse_into(self, block: Stmt, seq: list[ActivityNode]) -> None:
-        # the block's actions, last first; each opens before the first
-        # statement or absorbed call below it
-        pending = self.owned.get(id(block), [])[::-1]
         for stmt in block.children:
-            _open_actions(pending, stmt.span[0], seq)
-            self._fuse_stmt(stmt, seq, pending)
-        _open_actions(pending, math.inf, seq)
+            self._take(stmt.span[0], seq)
+            self._fuse_stmt(stmt, seq)
+        self._take(block.span[1], seq)
 
-    def _fuse_stmt(self, stmt: Stmt, seq: list[ActivityNode],
-                   pending: list[Annotation]) -> None:
-        if stmt.kind is StmtKind.BLOCK:
-            # bare blocks are scoping only; contents flow through
-            self._fuse_into(stmt, seq)
-            return
-        if stmt.kind is StmtKind.RETURN:
-            self._absorb_calls(stmt, seq, pending)
-            seq.append(StopNode(self._label(stmt)))
-            return
-        if stmt.kind is StmtKind.IF and self._renders(stmt):
-            seq.append(BranchNode([
-                BranchArm(self._label(arm), self.fuse_block(arm),
-                          is_else=arm.condition_text is None)
-                for arm in stmt.children]))
-            return
+    def _fuse_stmt(self, stmt: Stmt, seq: list[ActivityNode]) -> None:
         style = _LOOP_STYLES.get(stmt.kind)
-        if style is not None and self._renders(stmt):
-            seq.append(LoopNode(style, self._label(stmt),
-                                self.fuse_block(stmt.children[0])))
-            return
-        # absorbed: plain statements and silent constructs (which hold no
-        # highlight, or they would render)
-        self._absorb_calls(stmt, seq, pending)
+        if stmt.kind is StmtKind.BLOCK:
+            self._fuse_into(stmt, seq)  # scoping only; contents flow through
+        elif (style or stmt.kind is StmtKind.IF) and self._renders(stmt):
+            # the header's calls go in the box before the construct
+            self._take(stmt.children[0].span[0], seq)
+            if style is None:
+                seq.append(BranchNode([
+                    BranchArm(self._label(arm), self.fuse_block(arm),
+                              is_else=arm.condition_text is None)
+                    for arm in stmt.children]))
+            else:
+                seq.append(LoopNode(style, self._label(stmt),
+                                    self.fuse_block(stmt.children[0])))
+        # what is left: all of an absorbed statement (plain statements and
+        # silent constructs, which hold no item, or they would render), a
+        # do-while's trailing condition, nothing after a block
+        self._take(stmt.span[1] + 1, seq)
+        if stmt.kind is StmtKind.RETURN:
+            seq.append(StopNode(self._label(stmt)))
 
-    def _absorb_calls(self, stmt: Stmt, seq: list[ActivityNode],
-                      pending: list[Annotation]) -> None:
-        for call in self.calls.get(id(stmt), ()):
-            # an action inside an opaque statement names the calls below it
-            _open_actions(pending, call.line, seq)
-            key = (call.line, call.callee_text)
+    def _take(self, before: int, seq: list[ActivityNode]) -> None:
+        """Place the items before offset ``before``: an action opens a box,
+        a call joins the open box or opens an unnamed one."""
+        items = self.items
+        while items and items[-1].offset < before:
+            item = items.pop()
+            if isinstance(item, Annotation):
+                seq.append(ActionNode(item.text, item.zoom, item.parallel))
+                continue
+            key = (item.line, item.callee_text)
             hc = self.linked.get(key)
             if hc is None:
-                entry = self.db.resolve(call, self.fn.file, self.diags)
+                entry = self.db.resolve(item, self.fn.file, self.diags)
                 if entry is not None:
                     hc = HighlightedCall(entry.qualified_name + "()",
                                          f"{entry.html_path}#{entry.anchor}")
                 else:
                     self.diags.append(warning(
-                        "no-link",
-                        f"no diagram found for call '{call.callee_text}'; "
-                        f"shown without a link",
-                        self.fn.file, call.line))
-                    hc = HighlightedCall(call.callee_text + "()", None)
+                        "no-link", f"no diagram found for call '{item.callee_text}'; "
+                        "shown without a link", self.fn.file, item.line))
+                    hc = HighlightedCall(item.callee_text + "()", None)
                 self.linked[key] = hc
             if not (seq and isinstance(seq[-1], ActionNode)):
                 seq.append(ActionNode(""))  # no box is open: an unnamed one
             seq[-1].calls.append(hc)
-            self.surfaced_highlights.add(call.line)
 
     # -- diagnostics ------------------------------------------------------
 
@@ -250,19 +244,6 @@ class _Builder:
                         f"description '[{ann.text}]' was not applied to any "
                         f"rendered {what}",
                         self.fn.file, ann.line))
-        for line in sorted(self.highlight_lines - self.surfaced_highlights):
-            self.diags.append(warning(
-                "dangling-call-highlight",
-                "call highlight could not be attached to an action; ignored",
-                self.fn.file, line))
-
-
-def _open_actions(pending: list[Annotation], line: float,
-                  seq: list[ActivityNode]) -> None:
-    """Open, in order, the pending actions above line."""
-    while pending and pending[-1].line < line:
-        a = pending.pop()
-        seq.append(ActionNode(a.text, a.zoom, a.parallel))
 
 
 def _fork_pass(nodes: list[ActivityNode]) -> list[ActivityNode]:

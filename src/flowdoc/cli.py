@@ -208,9 +208,21 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     source is analyzed once, and each function's activity tree is built and
     rendered once: makeflows writes those diagram texts and makehtml embeds
     the same texts in the pages. An unexpected failure in one stem spares
-    the other stems, and a run that read no source writes nothing.
+    the other stems, and a run that read no source writes nothing. An
+    output whose path this run already wrote, or keeps for the index, is
+    not written and is reported.
     """
     out = args.out_dir
+    written: dict[Path, str] = {}  # each output path, and whose output it is
+
+    def free(path: Path, file: str) -> bool:
+        owner = written.setdefault(path, file)
+        if owner != file:
+            diags.append(warning(
+                "output-collision", f"'{path.relative_to(out).as_posix()}' is already "
+                f"an output of {owner}; not written again", file))
+        return owner == file
+
     stems = []
     for stem, group in _stem_groups(args.sources or [], diags):
         annotated = None
@@ -234,18 +246,19 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
         aux, paths = out / "aux_files", []
         for stem, file, funcs in pages:
             with _isolated(file, diags):
-                paths += [atomic_write_text(aux / plantuml_emit.diagram_filename(
-                              stem, af.anchor, zoom), text)
-                          for af, texts in funcs
-                          for zoom, text in enumerate(texts)]
+                named = [(aux / plantuml_emit.diagram_filename(stem, af.anchor, zoom), text)
+                         for af, texts in funcs for zoom, text in enumerate(texts)]
+                paths += [atomic_write_text(path, text)
+                          for path, text in named if free(path, file)]
         if not paths:
             diags.append(warning("no-annotated-functions",
                                  "no annotated functions found; "
                                  "no diagrams were emitted"))
         _phase_render(paths, args, diags)
     if args.command in ("makehtml", "all"):
+        written[out / "index.html"] = "the index"  # a run with pages has one
         for stem, file, funcs in pages:
-            if funcs:
+            if funcs and free(out / f"{stem}.html", file):
                 with _isolated(file, diags):
                     html_emit.emit_page(stem, funcs, out)
         if args.sources is None or any(a is not None for _, _, a in stems):

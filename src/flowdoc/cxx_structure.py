@@ -7,12 +7,13 @@ it recognizes just enough structure for flowcharting:
   destructors), qualified through a tracked namespace/class context,
 * per-body statement trees with if/else-if/else chains, the three loop
   forms, returns, and opaque Plain statements for everything else,
-* call sites, and ``owners``, the walk to the statement holding a line.
+* call sites.
 
 Positions are character offsets into the source, as the lexed view holds
-them; a statement records the offsets of the keywords a description can bind
-to. The view pairs every bracket with its closer once, so skipping a body, a
-group or an initializer is a lookup, not a rescan.
+them: a statement spans the offsets of its first and last lexeme and records
+those of the keywords a description can bind to; only diagnostics and call
+sites look lines up. The view pairs every bracket with its closer once, so
+skipping a body, a group or an initializer is a lookup, not a rescan.
 
 Declarations (ending in ``;``), lambdas, local classes, operator overloads
 and the bodies of ``switch``/``try`` stay opaque: they are brace-matched and
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
 
@@ -118,6 +119,7 @@ class CallSite(NamedTuple):
     callee_text: str        # as written, e.g. "vinciaOBJ->shower"
     normalized_name: str    # lookup key, e.g. "shower" or "VINCIA::shower"
     line: int
+    offset: int             # of the chain's first lexeme
 
 
 class StmtKind(Enum):
@@ -139,7 +141,9 @@ class Stmt:
                  condition_text: str | None = None,
                  children: list[Stmt] | None = None,
                  keywords: tuple[int, ...] = ()):
-        # span: the first and last source line, inclusive
+        # span: the offsets of the first and last lexeme; a body's root spans
+        # its braces, and an arm starts right after its header, so it holds
+        # the comments between them
         self.kind, self.span = kind, span
         self.condition_text = condition_text  # of a loop or an If arm
         self.children = [] if children is None else children
@@ -436,36 +440,8 @@ def parse_body(fn: FunctionDef, view: CodeStream,
     hi = view.index_at_or_after(fn.body_end)
     parser = _BodyParser(view, fn.file, diags, targets)
     children = parser.parse_range(lo + 1, hi)
-    return Stmt(StmtKind.BLOCK, (view.line(fn.body_start), view.line(fn.body_end)),
+    return Stmt(StmtKind.BLOCK, (fn.body_start, fn.body_end),
                 children=children, keywords=tuple(parser.swallowed))
-
-
-def owners(stmt: Stmt, items: Iterable, kind: StmtKind | None = None) -> dict[int, list]:
-    """The items (anything with a ``line``, in line order) by the id of the
-    innermost statement under stmt holding their line (at each level the first
-    child holding it), or with kind the innermost one of that kind, else stmt."""
-    out: dict[int, list] = {}
-    _descend(stmt, items, kind, stmt, out)
-    return out
-
-
-def _descend(node: Stmt, items: Iterable, kind: StmtKind | None, found: Stmt,
-             out: dict[int, list]) -> None:
-    found = node if kind in (None, node.kind) else found
-    children, k, n = node.children, 0, len(node.children)
-    inside: list = []  # the items within children[k]
-    for item in items:
-        while k < n and children[k].span[1] < item.line:
-            if inside:
-                _descend(children[k], inside, kind, found, out)
-                inside = []
-            k += 1
-        if k < n and children[k].span[0] <= item.line:
-            inside.append(item)
-        else:
-            out.setdefault(id(found), []).append(item)
-    if inside:
-        _descend(children[k], inside, kind, found, out)
 
 
 def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
@@ -502,7 +478,7 @@ def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
         for a, b in zip(lx[first:last], lx[first + 1:last + 1]):
             gap = view.source[a.offset + len(a.text):b.offset]
             text += (" " if gap.strip() else gap) + b.text
-        out.append(CallSite(text, name, view.line(lx[first].offset)))
+        out.append(CallSite(text, name, view.line(lx[first].offset), lx[first].offset))
     return out
 
 
@@ -518,8 +494,8 @@ class _BodyParser:
         self.diags = diags
         self.depth = 0  # blocks and unbraced arms entered, the body included
 
-    def _line(self, i: int) -> int:
-        return self.view.line(self.lx[i].offset)
+    def _span(self, i: int, j: int) -> tuple[int, int]:  # lexemes i through j
+        return self.lx[i].offset, self.lx[j].offset
 
     def parse_range(self, lo: int, hi: int) -> list[Stmt]:
         """The statements of a block's interior [lo, hi). Past MAX_NESTING
@@ -545,7 +521,7 @@ class _BodyParser:
             nxt = close + 1
             if close >= hi:
                 close, nxt = max(hi - 1, i), hi
-            return Stmt(StmtKind.BLOCK, (self._line(i), self._line(close)),
+            return Stmt(StmtKind.BLOCK, self._span(i, close),
                         children=self.parse_range(i + 1, close)), nxt
         if t == "if":
             return self._parse_if(i, hi)
@@ -571,7 +547,7 @@ class _BodyParser:
     def _malformed(self, i: int, hi: int, what: str) -> tuple[Stmt, int]:
         self.diags.append(warning("malformed-control-header",
                                   f"malformed {what} header; treating as plain statement",
-                                  self.file, self._line(i)))
+                                  self.file, self.view.line(self.lx[i].offset)))
         return self._parse_plain(i, hi)
 
     def _opaque(self, lo: int, hi: int) -> Stmt:
@@ -585,16 +561,20 @@ class _BodyParser:
                                   f"statements nested more than {MAX_NESTING} "
                                   f"blocks deep are kept as one opaque statement"
                                   + (held if inside else ""),
-                                  self.file, self._line(lo)))
-        return Stmt(StmtKind.PLAIN, (self._line(lo), self._line(hi - 1)))
+                                  self.file, self.view.line(self.lx[lo].offset)))
+        return Stmt(StmtKind.PLAIN, self._span(lo, hi - 1))
 
     def _substatement(self, i: int, hi: int) -> tuple[Stmt, int]:
-        """One statement (or braced block) wrapped as a Block arm."""
+        """One statement (or braced block) wrapped as a Block arm, which
+        starts right after its header, the lexeme before i."""
+        head = self.lx[i - 1]
+        start = head.offset + len(head.text)
         if i >= hi:
-            line = self._line(hi - 1) if hi > 0 else 1
-            return Stmt(StmtKind.BLOCK, (line, line)), i
+            return Stmt(StmtKind.BLOCK, (start, start)), i
         if self.lx[i].text == "{":
-            return self.parse_one(i, hi)
+            arm, nxt = self.parse_one(i, hi)
+            arm.span = (start, arm.span[1])
+            return arm, nxt
         if self.depth > MAX_NESTING:
             nxt = self._consume_simple(i, hi)
             stmt = self._opaque(i, nxt)
@@ -602,10 +582,9 @@ class _BodyParser:
             self.depth += 1
             stmt, nxt = self.parse_one(i, hi)
             self.depth -= 1
-        if stmt is None:
-            line = self._line(i)
-            return Stmt(StmtKind.BLOCK, (line, line)), nxt
-        return Stmt(StmtKind.BLOCK, stmt.span, children=[stmt]), nxt
+        end = self.lx[i].offset if stmt is None else stmt.span[1]
+        return Stmt(StmtKind.BLOCK, (start, end),
+                    children=[] if stmt is None else [stmt]), nxt
 
     def _if_header(self, j: int, hi: int):
         """The condition group after an 'if' keyword, past 'constexpr'."""
@@ -632,13 +611,13 @@ class _BodyParser:
             if j + 1 < hi and self.lx[j + 1].text == "if":
                 grp = self._if_header(j + 2, hi)
                 if grp is None:
-                    self.diags.append(warning("malformed-control-header",
-                                              "malformed else-if header",
-                                              self.file, self._line(j)))
+                    self.diags.append(warning(
+                        "malformed-control-header", "malformed else-if header",
+                        self.file, self.view.line(self.lx[j].offset)))
                     break
             else:
                 grp = None, j  # a bare else: its arm starts after the keyword
-        return Stmt(StmtKind.IF, (self._line(i), arms[-1].span[1]), children=arms), j
+        return Stmt(StmtKind.IF, (self.lx[i].offset, arms[-1].span[1]), children=arms), j
 
     def _parse_pretest(self, i: int, hi: int) -> tuple[Stmt, int]:
         kw = self.lx[i].text
@@ -648,7 +627,7 @@ class _BodyParser:
         cond, close = grp
         body, j = self._substatement(close + 1, hi)
         kind = StmtKind.WHILE if kw == "while" else StmtKind.FOR
-        return Stmt(kind, (self._line(i), body.span[1]), condition_text=cond,
+        return Stmt(kind, (self.lx[i].offset, body.span[1]), condition_text=cond,
                     children=[body], keywords=(self.lx[i].offset,)), j
 
     def _parse_do(self, i: int, hi: int) -> tuple[Stmt, int]:
@@ -663,7 +642,7 @@ class _BodyParser:
         j = close + 1
         if j < hi and self.lx[j].text == ";":
             j += 1
-        return Stmt(StmtKind.DO_WHILE, (self._line(i), self._line(min(j, hi) - 1)),
+        return Stmt(StmtKind.DO_WHILE, self._span(i, min(j, hi) - 1),
                     condition_text=cond, children=[body], keywords=keywords), j
 
     def _parse_opaque_construct(self, i: int, hi: int) -> tuple[Stmt, int]:
@@ -679,15 +658,15 @@ class _BodyParser:
                 j = self._consume_simple(j, hi)
             if j >= hi or self.lx[j].text != "catch":
                 break
-        return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
+        return Stmt(StmtKind.PLAIN, self._span(i, j - 1)), j
 
     def _parse_plain(self, i: int, hi: int) -> tuple[Stmt, int]:
         """A statement through its ';'; a return keeps its keyword."""
         j = self._consume_simple(i, hi)
         if self.lx[i].text == "return":
-            return Stmt(StmtKind.RETURN, (self._line(i), self._line(j - 1)),
+            return Stmt(StmtKind.RETURN, self._span(i, j - 1),
                         keywords=(self.lx[i].offset,)), j
-        return Stmt(StmtKind.PLAIN, (self._line(i), self._line(j - 1))), j
+        return Stmt(StmtKind.PLAIN, self._span(i, j - 1)), j
 
     def _consume_simple(self, i: int, hi: int) -> int:
         """Advance past one non-control statement: everything through the

@@ -59,9 +59,10 @@ def annotated_functions(defs: list[FunctionDef],
     This is the one place that decides which annotations belong to a
     function, and its ``max_zoom``: those whose ``//$`` marker lies between
     the body's braces, so a line two bodies share goes to one of them.
-    Functions without annotations are skipped. Anchors are deduplicated
-    ('__2', '__3', ...) so overloads get distinct targets; pass a shared
-    ``taken`` map when several sources feed one page.
+    Functions without annotations are skipped. The anchor is the first of
+    the mangled name and it + '__2', '__3', ... that is not yet ``taken``
+    (each anchor, to the last suffix given to it as a name); share that map
+    when several sources feed one page.
     """
     taken = {} if taken is None else taken
     annos = sorted(annos, key=lambda a: a.offset)
@@ -72,10 +73,11 @@ def annotated_functions(defs: list[FunctionDef],
                        bisect.bisect_left(offsets, fn.body_end)]
         if not inside:
             continue
-        base = mangle_anchor(fn.qualified_name)
-        count = taken.get(base, 0) + 1
-        taken[base] = count
-        anchor = base if count == 1 else f"{base}__{count}"
+        anchor = base = mangle_anchor(fn.qualified_name)
+        while anchor in taken:
+            taken[base] += 1
+            anchor = f"{base}__{taken[base]}"
+        taken.setdefault(anchor, 1)
         max_zoom = max((a.zoom for a in inside
                         if a.kind is _annotations.AnnotationKind.ACTION), default=0)
         out.append(AnnotatedFunction(fn, anchor, inside, max_zoom))

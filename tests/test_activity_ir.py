@@ -2,10 +2,9 @@ import pytest
 
 from flowdoc.activity_ir import (ActionNode, BranchNode, ForkNode,
                                  LevelOutOfRange, LoopNode, LoopStyle,
-                                 StopNode, _Builder, build_activity, project)
-from flowdoc.annotations import AnnotationKind, collect
-from flowdoc.cxx_structure import (CodeStream, StmtKind, find_definitions,
-                                   parse_body)
+                                 StopNode, build_activity, project)
+from flowdoc.annotations import collect
+from flowdoc.cxx_structure import CodeStream, find_definitions, parse_body
 from flowdoc.flowdb import (FlowDb, FlowDbEntry, analyze_source,
                             annotated_functions)
 from flowdoc.scanner import scan
@@ -76,6 +75,17 @@ class TestFusion:
 
 
 class TestConstructGating:
+    @pytest.mark.parametrize("src,expected", [
+        ("void f() {\nwhile (b)\n//$ inside\nx();\ny();\n}\n",
+         [("loop", "b", [("action", "inside")])]),
+        ("void f() {\nif (a)\n//$ inside\n{\nx();\n}\n}\n",
+         [("branch", [("a", [("action", "inside")])])]),
+        ("void f() {\nif (a) {\nx();\n}\n//$ inside\nelse {\ny();\n}\n}\n",
+         [("branch", [("a", []), (None, [("action", "inside")])])]),
+    ], ids=["unbraced-body", "brace-on-a-later-line", "before-else"])
+    def test_an_action_after_a_header_is_in_its_arm(self, src, expected):
+        assert shape(build(src).root) == expected + [("stop", None)]
+
     def test_unannotated_if_is_absorbed(self):
         tree = build("void f() {\n//$ all of it\nif (x) {\ny();\n}\nz();\n}\n")
         assert shape(tree.root) == [("action", "all of it"), ("stop", None)]
@@ -307,53 +317,98 @@ class TestLeftoverDiagnostics:
               "//$ [inside opaque]\nreturn 1;\n}\nreturn 0;\n}\n", diags=diags)
         assert any(d.code == "unused-condition-description" for d in diags)
 
-    def test_highlight_on_construct_header_is_reported(self):
+    def test_highlight_on_construct_header_is_drawn(self):
         diags = []
-        build("void f() {\n//$ act\na();\nif (check()) {  //$\nb();\n}\n}\n",
-              diags=diags)
-        assert any(d.code == "dangling-call-highlight" for d in diags)
+        tree = build("void f() {\n//$ act\na();\nif (check()) {  //$\nb();\n}\n}\n",
+                     diags=diags)
+        assert [c.display for c in tree.root[0].calls] == ["check()"]
+        assert [d.code for d in diags] == ["no-link"]
 
 
-def innermost(stmt, line, kind=None):
-    """The reference for ``cxx_structure.owners``, one line at a time: at
-    each level the first child holding the line is followed; with kind, the
-    innermost statement of that kind on that path, or stmt itself."""
-    found = node = stmt
-    while True:
-        for child in node.children:
-            if child.span[0] <= line <= child.span[1]:
-                node = child
-                if kind is None or child.kind is kind:
-                    found = child
-                break
-        else:
-            return found
+def calls_drawn(nodes):
+    """The highlighted calls of an activity tree, in walk order."""
+    out = []
+    for n in nodes:
+        if isinstance(n, ActionNode):
+            out += [c.display for c in n.calls]
+        elif isinstance(n, BranchNode):
+            for arm in n.arms:
+                out += calls_drawn(arm.body)
+        elif isinstance(n, LoopNode):
+            out += calls_drawn(n.body)
+        elif isinstance(n, ForkNode):
+            out += calls_drawn(n.actions)
+    return out
 
 
-_OWNER_SOURCES = {
+# a highlighted call on a line shared with another statement, or in a
+# construct's header, and where it is drawn: the shape, with each box's calls
+_SHARED_LINES = {
+    "void f(int x) {\n//$ act\na();\nif (x) {\nb();\n} else { g();  //$\n}\n}\n":
+        [("act", []), ("branch", [("x", []), (None, [("", ["g()"])])])],
+    "void f(int x) {\n//$ act\nif (x) { h(); } g();  //$\n}\n":
+        [("act", []), ("branch", [("x", [("", ["h()"])])]), ("", ["g()"])],
+    "void f(int x) {\n//$ act\nwhile (next(x)) {  //$\na();\n}\n}\n":
+        [("act", ["next()"]), ("loop", "next(x)", [])],
+    "void f(int x) {\n//$ act\nif (next(x)) {  //$\na();\n}\n}\n":
+        [("act", ["next()"]), ("branch", [("next(x)", [])])],
+    "void f(int x) {\n//$ act\nif (x) {\na();\n} else if (ok(x)) {  //$\nb();\n}\n}\n":
+        [("act", []), ("branch", [("x", []), ("ok(x)", [("", ["ok()"])])])],
+    "void f(int x) {\n//$ act\ndo {\na();\n} while (ok(x));  //$\n}\n":
+        [("act", []), ("loop", "ok(x)", []), ("", ["ok()"])],
+}
+
+
+def drawn(nodes):
+    """``shape``, with each action box as its text and its calls, and
+    without forks and stops."""
+    out = []
+    for n in nodes:
+        if isinstance(n, ActionNode):
+            out.append((n.text, [c.display for c in n.calls]))
+        elif isinstance(n, BranchNode):
+            out.append(("branch", [(a.label, drawn(a.body)) for a in n.arms]))
+        elif isinstance(n, LoopNode):
+            out.append(("loop", n.label, drawn(n.body)))
+    return out
+
+
+@pytest.mark.parametrize("src", list(_SHARED_LINES), ids=[
+    "else-arm", "after-if", "while-header", "if-header", "else-if-header",
+    "do-while-tail"])
+def test_a_call_is_drawn_with_its_statement_or_next_to_its_header(src):
+    diags = []
+    tree = build(src, diags=diags)
+    assert drawn(tree.root) == _SHARED_LINES[src]
+    assert {d.code for d in diags} == {"no-link"}
+
+
+_PLACEMENT_SOURCES = {
     **{str(p.relative_to(FIXTURES)): p.read_text(encoding="utf-8")
        for p in sorted(FIXTURES.rglob("*.cpp"))},
     "noisy.cpp": _NOISY,
     "zoomed.cpp": _zoomed(12),
     "deep.cpp": _nested_ifs(100),
     "too_deep.cpp": _nested_ifs(300),
+    "shared_lines.cpp": "".join(src.replace("void f(", f"void f{k}(")
+                                for k, src in enumerate(_SHARED_LINES)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_OWNER_SOURCES))
+@pytest.mark.parametrize("name", sorted(_PLACEMENT_SOURCES))
 def test_one_descent_finds_each_line_its_innermost_statement(name, tmp_path):
+    """The builder's one walk places each highlighted call with the
+    statement holding it: read in walk order, the calls drawn are the
+    function's highlighted calls in source order, each once."""
     path = tmp_path / name.replace("/", "_")
-    path.write_text(_OWNER_SOURCES[name], encoding="utf-8")
+    path.write_text(_PLACEMENT_SOURCES[name], encoding="utf-8")
     afs = analyze_source(path, [])
     assert afs
     for af in afs:
-        actions, calls = {}, {}
-        for a in af.annotations:
-            if a.kind is AnnotationKind.ACTION:
-                owner = innermost(af.body, a.line, StmtKind.BLOCK)
-                actions.setdefault(id(owner), []).append(a)
-            for call in a.calls:
-                calls.setdefault(id(innermost(af.body, call.line)), []).append(call)
-        builder = _Builder(af, FlowDb(), [])
-        assert builder.owned == actions
-        assert builder.calls == calls
+        diags = []
+        tree = build_activity(af, FlowDb(), diags)
+        calls = sorted((c for a in af.annotations for c in a.calls),
+                       key=lambda c: c.offset)
+        assert calls_drawn(tree.root) == [c.callee_text + "()" for c in calls]
+        assert "dangling-call-highlight" not in [d.code for d in diags]
+

@@ -160,6 +160,39 @@ class TestPipeline:
         assert bom == plain
         assert b"<p><code>int main()</code></p>" in bom[Path("m.html")]
 
+    def all_and_phased(self, tmp_path, capsys, *sources):
+        """The stderr of ``all``, which the three phases as separate runs
+        repeat, and the tree both write."""
+        code, err = run_cli("all", *sources, "--out-dir", str(tmp_path / "one"),
+                            capsys=capsys)
+        assert code == 0
+        phased = [run_cli(phase, *sources, "--out-dir", str(tmp_path / "two"),
+                          capsys=capsys) for phase in ("build-db", "makeflows", "makehtml")]
+        assert [c for c, _ in phased] == [0, 0, 0]
+        assert "".join(e for _, e in phased) == err
+        tree = files_of(tmp_path / "one")
+        assert files_of(tmp_path / "two") == tree
+        return err, tree
+
+    def test_a_diagram_path_two_stems_share_is_written_once(self, tmp_path, capsys):
+        # b::c of a.cpp and c of a__b.cpp both draw to a__b__c__zoom0.txt
+        a, ab = tmp_path / "a.cpp", tmp_path / "a__b.cpp"
+        a.write_text("namespace b {\nvoid c() {\n//$ in a\nx();\n}\n}\n")
+        ab.write_text("void c() {\n//$ in a__b\ny();\n}\n")
+        err, tree = self.all_and_phased(tmp_path, capsys, str(a), str(ab))
+        assert err == (f"{ab}: warning: 'aux_files/a__b__c__zoom0.txt' is already "
+                       f"an output of {a}; not written again [output-collision]\n")
+        assert b":in a;" in tree[Path("aux_files/a__b__c__zoom0.txt")]
+
+    def test_the_index_keeps_its_name(self, tmp_path, capsys):
+        src = tmp_path / "index.cpp"
+        src.write_text("void run() {\n//$ go\nx();\n}\n")
+        err, tree = self.all_and_phased(tmp_path, capsys, str(src))
+        assert err == (f"{src}: warning: 'index.html' is already an output of "
+                       f"the index; not written again [output-collision]\n")
+        assert b"<title>flow documentation</title>" in tree[Path("index.html")]
+        assert Path("aux_files/index__run__zoom0.txt") in tree
+
     def test_header_and_cpp_share_page_and_db(self, tmp_path, capsys):
         src = tmp_path / "src"
         src.mkdir()

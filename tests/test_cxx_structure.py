@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdoc.activity_ir import _Builder
+from flowdoc.activity_ir import StopNode, build_activity
 from flowdoc.annotations import collect
 from flowdoc.cxx_structure import (MAX_NESTING, CodeStream, StmtKind,
                                    detect_calls, find_definitions, parse_body)
@@ -269,6 +269,20 @@ class TestStatementTrees:
         for (a_lo, a_hi), (b_lo, b_hi) in zip(lines, lines[1:]):
             assert a_hi < b_lo
 
+    def test_spans_are_lexeme_offsets(self):
+        # statements sharing a line each get their own span; the root's is
+        # the braces', and an arm starts right after its header
+        src = "void f() { a(); if (b) { c(); } else d(); do e(); while (g); }"
+        view = CodeStream(scan(src))
+        fn = find_definitions(view)[0]
+        root = parse_body(fn, view)
+        assert root.span == (fn.body_start, fn.body_end)
+        assert [src[lo:hi + 1] for lo, hi in (c.span for c in root.children)] == [
+            "a();", "if (b) { c(); } else d();", "do e(); while (g);"]
+        arms = root.children[1].children
+        assert [src[lo:hi + 1] for lo, hi in (a.span for a in arms)] == [
+            " { c(); }", " d();"]
+
 
 def calls_on(code):
     view = CodeStream(scan(code))
@@ -282,14 +296,13 @@ def highlighted_calls(src):
             for a in collect(view, "t.cpp", [], defs) for c in a.calls]
 
 
-def placed_calls(src):
-    """The statement tree of the first definition, and the calls the
-    activity builder places on each of its statements (by id)."""
+def activity_of(src):
+    """The activity tree of the first definition."""
     view = CodeStream(scan(src))
     fn = find_definitions(view, "t.cpp", [])[0]
     af = AnnotatedFunction(fn, "f", collect(view, "t.cpp", [], [fn]), 0,
                            parse_body(fn, view, []))
-    return af.body, _Builder(af, FlowDb(), []).calls
+    return build_activity(af, FlowDb(), [])
 
 
 class TestCallDetection:
@@ -317,6 +330,11 @@ class TestCallDetection:
     def test_multiple_calls_in_order(self):
         calls = calls_on("log(get(), fetch());")
         assert [c.normalized_name for c in calls] == ["log", "get", "fetch"]
+
+    def test_a_call_is_at_its_chain_start(self):
+        calls = calls_on("x = obj.run(f(1));")
+        assert [(c.callee_text, c.offset) for c in calls] == [
+            ("obj.run", 4), ("f", 12)]
 
     @pytest.mark.parametrize("code,expected", [
         ("::helper();", [("helper", "helper")]),
@@ -349,17 +367,15 @@ class TestCallDetection:
                "helper();  //$\n"
                "}\n"
                "}\n")
-        root, calls = placed_calls(src)
-        stmt = root.children[0].children[0].children[0]
-        assert stmt.kind is StmtKind.PLAIN
-        assert [c.normalized_name for c in calls[id(stmt)]] == ["helper"]
-        assert list(calls) == [id(stmt)]
+        branch, stop = activity_of(src).root
+        [arm] = branch.arms
+        [box] = arm.body
+        assert [c.display for c in box.calls] == ["helper()"]
+        assert isinstance(stop, StopNode)
 
     def test_lines_without_marker_attach_nothing(self):
         src = "void f() {\nhelper();\n}\n"
-        root, calls = placed_calls(src)
-        assert root.children[0].kind is StmtKind.PLAIN
-        assert calls == {}
+        assert [type(n) for n in activity_of(src).root] == [StopNode]
 
     def test_template_scope_reading_before_a_call(self):
         # a '>' right before '::' closes a balanced '<' on the line: the

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,16 @@ class TestBuildDb:
                     "void f(double a) {\n//$ doubles\nx();\n}\n")
         anchors = [af.anchor for af in analyze_source(src, [])]
         assert anchors == ["f", "f__2"]
+
+    @pytest.mark.parametrize("heads,expected", [
+        (("g()", "g(double)", "g__2()"), ["g", "g__2", "g__2__2"]),
+        (("g__2()", "g()", "g(double)"), ["g__2", "g", "g__3"]),
+    ])
+    def test_an_anchor_is_unique_on_its_page(self, tmp_path, heads, expected):
+        # a suffixed overload never takes the anchor of a function so named
+        src = write(tmp_path, "m.cpp", "".join(
+            f"void {head} {{\n//$ {head}\nx();\n}}\n" for head in heads))
+        assert [af.anchor for af in analyze_source(src, [])] == expected
 
     def test_sources_sharing_a_stem_are_unioned(self, tmp_path):
         cpp = write(tmp_path, "box.cpp",
@@ -161,7 +172,7 @@ class TestLoadMerge:
 
 
 def call(name, text=None, line=1):
-    return CallSite(text or name, name, line)
+    return CallSite(text or name, name, line, 0)
 
 
 class TestResolve:

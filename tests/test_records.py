@@ -28,7 +28,7 @@ def test_value_records_are_read_only(record, field):
 
 @pytest.mark.parametrize("make", [
     lambda: FlowDbEntry("ns::f", "p.html", "ns__f", 2),
-    lambda: CallSite("obj->f", "f", 7),
+    lambda: CallSite("obj->f", "f", 7, 40),
 ], ids=["FlowDbEntry", "CallSite"])
 def test_equal_value_records_compare_and_hash_equal(make):
     a, b = make(), make()
