@@ -208,59 +208,62 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     source is analyzed once, and each function's activity tree is built and
     rendered once: makeflows writes those diagram texts and makehtml embeds
     the same texts in the pages. An unexpected failure in one stem spares
-    the other stems, and a run that read no source writes nothing. An
-    output whose path this run already wrote, or keeps for the index, is
-    not written and is reported.
+    the other stems, and a run that read no source writes nothing. A
+    diagram path two stems map to is the first one's: the second neither
+    writes it nor embeds its image. A stem named ``index`` gets no page and
+    no database rows, as the index keeps ``index.html``. Each skip is
+    reported once, by the phase that skips a write.
     """
     out = args.out_dir
-    written: dict[Path, str] = {}  # each output path, and whose output it is
-
-    def free(path: Path, file: str) -> bool:
-        owner = written.setdefault(path, file)
-        if owner != file:
-            diags.append(warning(
-                "output-collision", f"'{path.relative_to(out).as_posix()}' is already "
-                f"an output of {owner}; not written again", file))
-        return owner == file
-
     stems = []
     for stem, group in _stem_groups(args.sources or [], diags):
         annotated = None
         with _isolated(group[0], diags):
             annotated = flowdb.analyze_stem(group, diags)
             if annotated is not None and args.command in ("build-db", "all"):
-                flowdb.write_db(stem, annotated, out)
+                if stem == "index" and annotated:
+                    diags.append(warning("output-collision", "'index.html' is already an output "
+                                         "of the index; this stem gets no page and its functions "
+                                         "are neither indexed nor linked", group[0]))
+                flowdb.write_db(stem, annotated if stem != "index" else [], out)
         stems.append((stem, group[0], annotated))
     if args.command == "build-db":
         return
     db = flowdb.load_merge(out, diags)
-    pages = []  # per stem, its functions with their texts, level 0 first
+    aux, owner = out / "aux_files", {}  # each diagram path, and the first source to name it
+    pages = []  # per stem: its functions with their texts, level 0 first; its diagrams
     for stem, file, annotated in stems:
         funcs = []
         with _isolated(file, diags):
             funcs = [(af, plantuml_emit.render_function(
                          activity_ir.build_activity(af, db, diags)))
                      for af in annotated or ()]
-        pages.append((stem, file, funcs))
+        named = [(aux / plantuml_emit.diagram_filename(stem, af.anchor, zoom), text)
+                 for af, texts in funcs for zoom, text in enumerate(texts)]
+        pages.append((stem, file, funcs, [(path, text, owner.setdefault(path, file))
+                                          for path, text in named]))
     if args.command in ("makeflows", "all"):
-        aux, paths = out / "aux_files", []
-        for stem, file, funcs in pages:
+        paths = []
+        for stem, file, funcs, named in pages:
             with _isolated(file, diags):
-                named = [(aux / plantuml_emit.diagram_filename(stem, af.anchor, zoom), text)
-                         for af, texts in funcs for zoom, text in enumerate(texts)]
-                paths += [atomic_write_text(path, text)
-                          for path, text in named if free(path, file)]
+                for path, text, first in named:
+                    if first == file:
+                        paths.append(atomic_write_text(path, text))
+                    else:
+                        diags.append(warning(
+                            "output-collision", f"'{path.relative_to(out).as_posix()}' is "
+                            f"already an output of {first}; not written again", file))
         if not paths:
             diags.append(warning("no-annotated-functions",
                                  "no annotated functions found; "
                                  "no diagrams were emitted"))
         _phase_render(paths, args, diags)
     if args.command in ("makehtml", "all"):
-        written[out / "index.html"] = "the index"  # a run with pages has one
-        for stem, file, funcs in pages:
-            if funcs and free(out / f"{stem}.html", file):
+        for stem, file, funcs, named in pages:
+            if funcs and stem != "index":
                 with _isolated(file, diags):
-                    html_emit.emit_page(stem, funcs, out)
+                    html_emit.emit_page(stem, funcs, out, {
+                        path.name for path, _, first in named if first != file})
         if args.sources is None or any(a is not None for _, _, a in stems):
             html_emit.emit_index(db, out)
 

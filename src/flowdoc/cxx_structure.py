@@ -31,80 +31,51 @@ from enum import Enum
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, sink, warning
-from .scanner import IDENT, Token, TokenKind, line_code_map, source_of
+from .scanner import LexKind, Lexeme, Token, TokenKind, line_code_map, scan
 
-
-class LexKind(Enum):
-    WORD = "word"
-    NUM = "num"
-    PUNCT = "punct"
-    LIT = "lit"
-
-
-class Lexeme(NamedTuple):
-    text: str
-    offset: int
-    kind: LexKind
-
-
-# whitespace, then a lexeme: an identifier, a pp-number (digit separators
-# included), '::', '->' or any other non-space character, the group that
-# matches giving its kind. Code text is matched without its trailing
-# whitespace, so a leading run of whitespace is always followed by a lexeme.
-_LEXEME_RE = re.compile(rf"\s*(?:({IDENT})|(\.?[0-9](?:[\w.']|[eEpP][+-])*)|(::|->|\S))")
-_LEX_KIND = (None, LexKind.WORD, LexKind.NUM, LexKind.PUNCT)
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
 _BRACKETS = frozenset("()[]{}")
 
 
 class CodeStream:
-    """The lexed view of one source file, built once and shared by every
-    layer that reads it.
+    """The lexed view of one source file, built from its text with one
+    ``scanner.scan`` and shared by every layer that reads it.
 
-    Comments and preprocessor tokens vanish from ``lexemes``; string/char
-    literals become single opaque lexemes (their text keeps the quotes, so
-    they can never be mistaken for brackets). A position is a character
-    offset into ``source``, and ``line`` maps it to its line. ``partner``
-    maps the index of each ``(``, ``[`` and ``{`` lexeme to the index of its
-    closer, found with one stack per bracket type; an opener that is never
-    closed has no entry. The view also carries the ``//$`` comments and,
-    only to tell a postfix marker from a standalone one, the per-line code
-    text of ``scanner.line_code_map``; the token list need not outlive it.
+    ``lexemes`` are the scanner's: no comment or directive, and each
+    string/char literal one opaque lexeme (its text keeps the quotes, so it
+    is never mistaken for a bracket). A position is a character offset into
+    ``source``, and ``line`` maps it to its line. ``partner`` maps the index
+    of each ``(``, ``[`` and ``{`` lexeme to the index of its closer, found
+    with one stack per bracket type; an opener never closed has no entry.
+    The view also carries the ``//$`` comments and, only to tell a postfix
+    marker from a standalone one, the per-line code text of
+    ``scanner.line_code_map``; the token list need not outlive it.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self.source = source_of(tokens)
-        self.line_starts = [0] + [m.end() for m in re.finditer("\n", self.source)]
+    def __init__(self, text: str, file: str = "<input>",
+                 diags: list[Diagnostic] | None = None):
+        tokens, lexemes = scan(text, file, diags)
+        self.source = text
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
         self.code_by_line = line_code_map(tokens)
-        self.markers: list[Token] = []  # '//$' line comments, in source order
-        lexemes: list[Lexeme] = []
-        new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
-        for tok in tokens:
-            if tok.kind is TokenKind.CODE:
-                at = tok.offset
-                lexemes += [new(Lexeme, (m[k := m.lastindex], at + m.start(k), _LEX_KIND[k]))
-                            for m in _LEXEME_RE.finditer(tok.text.rstrip())]
-            elif tok.kind is TokenKind.LINE_COMMENT and tok.text.startswith("//$"):
-                self.markers.append(tok)
-            elif tok.kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT):
-                lexemes.append(new(Lexeme, (tok.text, tok.offset, LexKind.LIT)))
+        self.markers: list[Token] = [t for t in tokens if t.kind is TokenKind.LINE_COMMENT
+                                     and t.text.startswith("//$")]  # in source order
         self.lexemes = lexemes
         self.partner: dict[int, int] = {}
         # the open brackets of each type, keyed by their closer
         open_at: dict[str, list[int]] = {")": [], "]": [], "}": []}
-        for i, text in [(i, l[0]) for i, l in enumerate(lexemes) if l[0] in _BRACKETS]:
-            if text in _CLOSER:
-                open_at[_CLOSER[text]].append(i)
-            elif open_at[text]:
-                self.partner[open_at[text].pop()] = i
-        self._offsets = [l.offset for l in lexemes]
+        for i, b in [(i, l[0]) for i, l in enumerate(lexemes) if l[0] in _BRACKETS]:
+            if b in _CLOSER:
+                open_at[_CLOSER[b]].append(i)
+            elif open_at[b]:
+                self.partner[open_at[b].pop()] = i
 
     def line(self, offset: int) -> int:
         """1-based line of a character offset."""
         return bisect.bisect_right(self.line_starts, offset)
 
     def index_at_or_after(self, offset: int) -> int:
-        return bisect.bisect_left(self._offsets, offset)
+        return bisect.bisect_left(self.lexemes, offset, key=lambda lex: lex.offset)
 
 
 class FunctionDef(NamedTuple):

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from . import annotations as _annotations
 from . import cxx_structure as _cxx
-from . import scanner as _scanner
 from .cxx_structure import CallSite, FunctionDef, Stmt
 from .diagnostics import Diagnostic, error, sink, warning
 from .ioutil import atomic_write_text
@@ -102,7 +101,7 @@ def analyze_source(source_path: str | Path,
     except (OSError, UnicodeDecodeError) as exc:
         diags.append(error("io-error", f"cannot read source: {exc}", str(path)))
         return None
-    view = _cxx.CodeStream(_scanner.scan(text, str(path), diags))
+    view = _cxx.CodeStream(text, str(path), diags)
     defs = _cxx.find_definitions(view, str(path), diags)
     annos = _annotations.collect(view, str(path), diags, defs)
     annotated = annotated_functions(defs, annos, taken)

@@ -11,6 +11,7 @@ every run; nothing in the output directory is treated as input except the
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,10 +49,12 @@ def _head(title: str) -> str:
 
 def emit_page(source_stem: str,
               funcs: list[tuple[AnnotatedFunction, list[str]]],
-              out_dir: str | Path) -> Path:
+              out_dir: str | Path, foreign: Container[str] = ()) -> Path:
     """Write <stem>.html for one source file and return its path.
 
-    Each function comes with its diagram texts, level 0 first.
+    Each function comes with its diagram texts, level 0 first. A diagram
+    whose file name is in ``foreign`` is another stem's output, so its
+    image is left out and its text shown in its place.
     """
     parts = [_head(source_stem)]
     parts.append('<nav><a href="index.html">index</a></nav>\n')
@@ -61,13 +64,15 @@ def emit_page(source_stem: str,
         sig = collapse_ws(af.fn.signature_text)
         parts.append(f"<p><code>{_escape(sig)}</code></p>\n")
         for zoom, text in enumerate(texts):
-            name = diagram_filename(source_stem, af.anchor, zoom)[:-len(".txt")]
+            name = diagram_filename(source_stem, af.anchor, zoom)
             pre = f"<pre>{_escape(text)}</pre>\n"  # embedded twice
+            image = pre if name in foreign else (
+                f'<object type="image/svg+xml" data="aux_files/{name[:-len(".txt")]}.svg">\n'
+                f"{pre}</object>\n")
             parts.append(
                 f'<div class="zoom" id="{af.anchor}__zoom{zoom}">\n'
-                f"<h3>zoom level {zoom}</h3>\n"
-                f'<object type="image/svg+xml" data="aux_files/{name}.svg">\n'
-                f"{pre}</object>\n<details><summary>PlantUML source</summary>\n"
+                f"<h3>zoom level {zoom}</h3>\n{image}"
+                f"<details><summary>PlantUML source</summary>\n"
                 f"{pre}</details>\n</div>\n")
     parts.append("</body>\n</html>\n")
     page = Path(out_dir) / f"{source_stem}.html"

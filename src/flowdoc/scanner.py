@@ -1,33 +1,36 @@
-"""Position-preserving tokenizer for C++ source text.
+"""Position-preserving tokenizer and lexer for C++ source text.
 
-The scanner splits a file into code, comment, literal, and preprocessor
-tokens without interpreting the code itself. Two guarantees matter to every
-later phase:
+One pass splits a file into code, comment, literal, and preprocessor tokens
+and the code into lexemes, without interpreting the code itself. Two
+guarantees matter to every later phase:
 
 * lossless: concatenating the token texts reproduces the input byte for byte,
 * comment tokens are never produced from inside string/character literals,
   raw strings, or block comments, so ``//$`` markers found in LineComment
   tokens are real annotation candidates.
 
-One table of token patterns is tried at each ``"``, ``'``, ``/`` and ``#``;
-what lies between the tokens it matches is Code. A line comment runs up to
-the line break (a ``\r`` before it stays out), a block comment up to the
-first ``*/``. A string or character literal runs up to the same unescaped
-quote, a backslash escaping the next character or ``\r\n``; an encoding
-prefix (``u8'a'``, ``L"x"``) stays in the Code before it. A ``"`` right after
+One table of patterns is matched after any whitespace: an identifier, a
+pp-number, punctuation (``::``, ``->`` or one character), a comment, a
+literal or a directive. The first three and each literal are the lexemes;
+what lies between the tokens that are not lexemes is Code. A line comment
+runs up to the line break (a ``\r`` before it stays out), a block comment up
+to the first ``*/``. A string or character literal runs up to the same
+unescaped quote, a backslash escaping the next character or ``\r\n``; an
+encoding prefix (``u8'a'``, ``L"x"``) is an identifier. A ``"`` right after
 ``R``, ``u8R``, ``uR``, ``UR`` or ``LR`` as a whole identifier (not ``FOOR"``
 or ``éR"``) opens a raw string: a delimiter of at most 16 characters, ``(``,
 and all up to ``)``, the delimiter and ``"``. A ``#`` with only whitespace
-and comments before it on its line opens a directive, which runs through the
-line break, backslash continuations included.
+and comments before it on its line opens a directive, which runs through
+the line break, backslash continuations included; any other ``#`` is
+punctuation.
 
-A ``'`` between two hex digits is a digit separator, and stays Code, when it
-continues a number: the identifier characters, dots and quotes before it
-start with a digit or with ``.`` and a digit (``1'000'000``, ``0xFF'AA``, but
-not ``u8'a'``). An unterminated literal ends before its line break, a block
-comment or raw string (bad delimiter included) at the end of input, with a
-warning. Lines are 1-based; ``\r\n`` counts as one line break but stays in
-the token text.
+A pp-number is a digit, or ``.`` and a digit, then word characters and dots.
+A ``'`` in it between two hex digits is a digit separator (``1'000'000``,
+``0xFF'AA``), except in a number that starts with ``.`` right after a word
+character or a dot (``x.5'a'``); any other ``'`` opens a character literal.
+An unterminated literal ends before its line break, a block comment or raw
+string (bad delimiter included) at the end of input, with a warning. Lines
+are 1-based; ``\r\n`` counts as one line break but stays in the token text.
 """
 
 from __future__ import annotations
@@ -55,16 +58,33 @@ class Token(NamedTuple):
     offset: int  # character offset into the source
 
 
+class LexKind(Enum):
+    WORD = "word"
+    NUM = "num"
+    PUNCT = "punct"
+    LIT = "lit"
+
+
+class Lexeme(NamedTuple):
+    text: str
+    offset: int
+    kind: LexKind
+
+
 # An identifier is a run of Unicode word characters (\w) that does not start
 # with a digit; a raw-string prefix must not follow a word character.
 IDENT = r"[^\W\d]\w*"
 
-# The token grammar, matched where _SPECIAL finds a character: per kind, a
-# pattern and, for a kind that can be left unterminated, the warning for it
-# and a first group that is then unmatched. _RULES maps the outer group of
-# each kind to that kind, that group and that warning.
-_SPECIAL = re.compile(r'["\'/#]')
+# The grammar: per kind, a pattern and, for a kind that can be left
+# unterminated, the warning for it and a first group that is then unmatched.
+# _TABLE tries them in order after whitespace, so a '/' is punctuation when it
+# opens no comment (scan makes a '#' that opens no directive punctuation);
+# _RULES maps the outer group of each kind to that kind, that group and that warning.
 _GRAMMAR = (
+    (LexKind.WORD, IDENT, None),
+    (LexKind.NUM, r"(?<![\w.])\.?[0-9][\w.]*(?:(?<=[0-9A-Fa-f])'(?=[0-9A-Fa-f])[\w.]*)*"
+                  r"|\.[0-9][\w.]*", None),
+    (LexKind.PUNCT, r"::|->|[^\s\"'/#]", None),
     (TokenKind.LINE_COMMENT, r"//[^\r\n]*(?:\r(?!\n|\Z)[^\r\n]*)*", None),
     (TokenKind.BLOCK_COMMENT, r"/\*(?s:.*?)(?:(\*/)|\Z)",
      ("unterminated-block-comment", "unterminated block comment")),
@@ -77,68 +97,74 @@ _GRAMMAR = (
     (TokenKind.CHAR_LIT, r"'[^'\\\n]*(?:\\(?:\r\n|[\s\S]|\Z)[^'\\\n]*)*(')?",
      ("unterminated-char", "unterminated character literal")),
     (TokenKind.PREPROCESSOR, r"#(?:[^\n]*\\\r?\n)*[^\n]*\n?", None),
+    (LexKind.PUNCT, r"/", None),
 )
-_TABLE = re.compile("|".join(f"(?P<k{n}>{rule[1]})" for n, rule in enumerate(_GRAMMAR)))
+_TABLE = re.compile(r"\s*(?:%s|\Z)" % "|".join(
+    f"(?P<k{n}>{rule[1]})" for n, rule in enumerate(_GRAMMAR)))
 _RULES = {_TABLE.groupindex[f"k{n}"]: (kind, _TABLE.groupindex[f"k{n}"] + 1, warn)
           for n, (kind, _, warn) in enumerate(_GRAMMAR)}
-
-_HEX = frozenset("0123456789abcdefABCDEF")
-_NUMBER_START = re.compile(r"\.?[0-9]")
+_LEXEMES = {k: kind for k, (kind, _, _) in _RULES.items() if isinstance(kind, LexKind)}
 _CODE, _BLOCK = TokenKind.CODE, TokenKind.BLOCK_COMMENT
 
 
-def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None) -> list[Token]:
-    """Tokenize source text into an ordered, gap-free list of tokens. An
-    unterminated token is reported as a warning and scanning goes on."""
+def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
+         ) -> tuple[list[Token], list[Lexeme]]:
+    """Tokenize source text into an ordered, gap-free list of tokens, and
+    list its lexemes. An unterminated token is reported as a warning and
+    scanning goes on."""
     diags = sink(diags)
     tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__  # new skips NamedTuple's __new__
-    search, match, n = _SPECIAL.search, _TABLE.match, len(text)
+    lexemes: list[Lexeme] = []
+    append, add, new = tokens.append, lexemes.append, tuple.__new__
+    lexeme_kind, finditer = _LEXEMES.get, _TABLE.finditer  # new skips NamedTuple's __new__
     line = 1
     pos = run_start = 0    # run_start: start of the pending Code run
     line_has_code = False  # code or a literal on the line, as last checked
-    while (special := search(text, pos)) is not None:
-        i = special.start()
-        pos = i + 1
-        c = text[i]
-        if c == "'" and 0 < i < n - 1 and text[i - 1] in _HEX and text[i + 1] in _HEX:
-            j = i  # back over word characters and dots; a quote in the run is a separator
-            while j > run_start and (text[j - 1].isalnum() or text[j - 1] in "_."):
-                j -= 1
-            if (j > run_start and text[j - 1] == "'") or _NUMBER_START.match(text, j):
-                continue  # a digit separator
-        m = match(text, i)
-        if m is None:
-            continue  # a '/' that opens no comment
-        kind, inner, warn = _RULES[m.lastindex]
-        if c == "#" or kind is _BLOCK:  # the flag must see the code before either
-            nl = text.rfind("\n", run_start, i)
-            line_has_code = (bool(text[max(nl + 1, run_start):i].strip())
-                             or (nl < 0 and line_has_code))
-            if c == "#" and line_has_code:
-                continue  # not a directive
-        if run_start < i:
-            chunk = text[run_start:i]
-            append(new(Token, (_CODE, chunk, line, run_start)))
+    while pos is not None:  # restarted after a '#' that opens no directive
+        for m in finditer(text, pos):
+            k = m.lastindex
+            if (lex := lexeme_kind(k)) is not None:
+                add(new(Lexeme, (m[k], m.start(k), lex)))
+                continue
+            if k is None:  # the end of the text
+                continue
+            kind, inner, warn = _RULES[k]
+            i = m.start(k)
+            c = text[i]
+            if c == "#" or kind is _BLOCK:  # the flag must see the code before either
+                nl = text.rfind("\n", run_start, i)
+                line_has_code = (bool(text[max(nl + 1, run_start):i].strip())
+                                 or (nl < 0 and line_has_code))
+                if c == "#" and line_has_code:  # not a directive
+                    add(new(Lexeme, ("#", i, LexKind.PUNCT)))
+                    pos = i + 1
+                    break
+            if run_start < i:
+                chunk = text[run_start:i]
+                append(new(Token, (_CODE, chunk, line, run_start)))
+                line += chunk.count("\n")
+            if warn and m.group(inner) is None:
+                diags.append(warning(warn[0], warn[1], file, line))
+            chunk = m[k]
+            append(new(Token, (kind, chunk, line, i)))
+            if c in "\"'":
+                add(new(Lexeme, (chunk, i, LexKind.LIT)))
             line += chunk.count("\n")
-        if warn and m.group(inner) is None:
-            diags.append(warning(warn[0], warn[1], file, line))
-        chunk = m.group()
-        append(new(Token, (kind, chunk, line, i)))
-        line += chunk.count("\n")
-        pos = run_start = m.end()
-        if kind is not _BLOCK or "\n" in chunk:
-            line_has_code = c in "\"'"  # after a literal
-    if run_start < n:
+            run_start = m.end()
+            if kind is not _BLOCK or "\n" in chunk:
+                line_has_code = c in "\"'"  # after a literal
+        else:
+            pos = None
+    if run_start < len(text):
         append(new(Token, (_CODE, text[run_start:], line, run_start)))
-    return tokens
+    return tokens, lexemes
 
 
 def line_code_map(tokens: list[Token]) -> dict[int, str]:
     """Per-line code text, with literals collapsed to quote pairs.
 
     Its one use is to decide whether a ``//$`` comment is postfix (code
-    precedes it on the line); call sites are found on the lexed view.
+    precedes it on the line); call sites are found on the lexemes.
     """
     per_line: dict[int, list[str]] = {}
     for tok in tokens:
@@ -153,8 +179,3 @@ def line_code_map(tokens: list[Token]) -> dict[int, str]:
         elif tok.kind is TokenKind.CHAR_LIT:
             per_line.setdefault(tok.line, []).append("''")
     return {ln: "".join(parts) for ln, parts in per_line.items()}
-
-
-def source_of(tokens: list[Token]) -> str:
-    """Reconstruct the exact source text (the scanner is lossless)."""
-    return "".join(t.text for t in tokens)

@@ -7,7 +7,6 @@ from flowdoc.annotations import collect
 from flowdoc.cxx_structure import CodeStream, find_definitions, parse_body
 from flowdoc.flowdb import (FlowDb, FlowDbEntry, analyze_source,
                             annotated_functions)
-from flowdoc.scanner import scan
 
 from conftest import FIXTURES
 from test_cli import _NOISY, _nested_ifs, _zoomed
@@ -15,7 +14,7 @@ from test_cli import _NOISY, _nested_ifs, _zoomed
 
 def build(src, db=None, diags=None):
     diags = diags if diags is not None else []
-    view = CodeStream(scan(src, "t.cpp", diags))
+    view = CodeStream(src, "t.cpp", diags)
     fns = find_definitions(view, "t.cpp", diags)[:1]
     afs = annotated_functions(fns, collect(view, "t.cpp", diags))
     if not afs:

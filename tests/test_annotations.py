@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from flowdoc.annotations import MAX_ZOOM, AnnotationKind, collect
 from flowdoc.cxx_structure import CodeStream
-from flowdoc.scanner import scan
 
 ACTION = AnnotationKind.ACTION
 
 
 def collect_src(src, diags=None):
-    return collect(CodeStream(scan(src)), "t.cpp",
+    return collect(CodeStream(src), "t.cpp",
                    diags if diags is not None else [])
 
 
@@ -152,7 +151,7 @@ PIECES = st.sampled_from(["\t", "\r", "\x0b", "\x1c", "\x85", "\u2028",
 @settings(max_examples=200)
 @given(st.lists(PIECES, max_size=12).map("".join), st.sampled_from(sorted(FOLLOWERS)))
 def test_collect_reads_markers_as_the_reference_grammar(tail, follower):
-    view = CodeStream(scan(body("//$" + tail, follower)))
+    view = CodeStream(body("//$" + tail, follower))
     [tok] = view.markers  # a lone '\r' stays inside the comment
     zoom, parallel, text = ref_parse_marker(tok.text)
     inner = ref_bracket_payload(text)

@@ -183,15 +183,34 @@ class TestPipeline:
         assert err == (f"{ab}: warning: 'aux_files/a__b__c__zoom0.txt' is already "
                        f"an output of {a}; not written again [output-collision]\n")
         assert b":in a;" in tree[Path("aux_files/a__b__c__zoom0.txt")]
+        # the page of a__b.cpp shows its own text, not a.cpp's image
+        svg = b'data="aux_files/a__b__c__zoom0.svg"'
+        assert svg in tree[Path("a.html")]
+        page = tree[Path("a__b.html")]
+        assert svg not in page and b"<object" not in page
+        assert page.count(b":in a__b;") == 2
 
     def test_the_index_keeps_its_name(self, tmp_path, capsys):
         src = tmp_path / "index.cpp"
         src.write_text("void run() {\n//$ go\nx();\n}\n")
         err, tree = self.all_and_phased(tmp_path, capsys, str(src))
         assert err == (f"{src}: warning: 'index.html' is already an output of "
-                       f"the index; not written again [output-collision]\n")
-        assert b"<title>flow documentation</title>" in tree[Path("index.html")]
+                       f"the index; this stem gets no page and its functions are "
+                       f"neither indexed nor linked [output-collision]\n")
+        index = tree[Path("index.html")]
+        assert b"<title>flow documentation</title>" in index
+        assert b"index.html#" not in index and tree[Path("index.flowdb")] == b""
         assert Path("aux_files/index__run__zoom0.txt") in tree
+
+    def test_no_link_goes_to_the_stem_named_index(self, tmp_path, capsys):
+        (tmp_path / "index.cpp").write_text("void run() {\n//$ go\nx();\n}\n")
+        use = tmp_path / "use.cpp"
+        use.write_text("void use() {\n//$ start\nrun();  //$\n}\n")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(tmp_path / "index.cpp"), str(use),
+                            "--out-dir", str(out), capsys=capsys)
+        assert code == 0 and f"{use}:3: warning: no diagram found for call 'run'" in err
+        assert "index.html" not in (out / "aux_files" / "use__use__zoom0.txt").read_text()
 
     def test_header_and_cpp_share_page_and_db(self, tmp_path, capsys):
         src = tmp_path / "src"
@@ -469,9 +488,9 @@ class TestWorkDoneOnce:
             analyses[str(path)] += 1
             return analyze(path, *args, **kwargs)
 
-        def counted_init(view, tokens):
+        def counted_init(view, *args):
             lexes.append(view)
-            init(view, tokens)
+            init(view, *args)
 
         def counted_build(af, *args, **kwargs):
             builds[(Path(af.fn.file).stem, af.anchor)] += 1

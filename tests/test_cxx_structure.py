@@ -8,17 +8,16 @@ from flowdoc.cxx_structure import (MAX_NESTING, CodeStream, StmtKind,
                                    detect_calls, find_definitions, parse_body)
 from flowdoc.diagnostics import Severity
 from flowdoc.flowdb import AnnotatedFunction, FlowDb
-from flowdoc.scanner import scan
 
 
 def defs_of(src, diags=None):
-    return find_definitions(CodeStream(scan(src)), "t.cpp",
+    return find_definitions(CodeStream(src), "t.cpp",
                             diags if diags is not None else [])
 
 
 def body_lines(src):
     """The lines of the braces of each definition's body."""
-    view = CodeStream(scan(src))
+    view = CodeStream(src)
     return [(view.line(d.body_start), view.line(d.body_end))
             for d in find_definitions(view, "t.cpp", [])]
 
@@ -151,7 +150,7 @@ class TestDefinitionRecognition:
 class TestStatementTrees:
     def parse(self, body, diags=None):
         src = f"void f() {{\n{body}\n}}\n"
-        view = CodeStream(scan(src))
+        view = CodeStream(src)
         fn = find_definitions(view, "t.cpp", [])[0]
         return parse_body(fn, view, diags if diags is not None else [])
 
@@ -241,7 +240,7 @@ class TestStatementTrees:
 
     def test_header_positions_recorded(self):
         src = "void f() {\nif (a) {\nx();\n}\nelse {\ny();\n}\n}\n"
-        view = CodeStream(scan(src))
+        view = CodeStream(src)
         root = parse_body(find_definitions(view)[0], view)
         node = root.children[0]
         assert [src[arm.keywords[0]:][:4] for arm in node.children] == [
@@ -273,7 +272,7 @@ class TestStatementTrees:
         # statements sharing a line each get their own span; the root's is
         # the braces', and an arm starts right after its header
         src = "void f() { a(); if (b) { c(); } else d(); do e(); while (g); }"
-        view = CodeStream(scan(src))
+        view = CodeStream(src)
         fn = find_definitions(view)[0]
         root = parse_body(fn, view)
         assert root.span == (fn.body_start, fn.body_end)
@@ -285,12 +284,12 @@ class TestStatementTrees:
 
 
 def calls_on(code):
-    view = CodeStream(scan(code))
+    view = CodeStream(code)
     return detect_calls(view, 0, len(view.lexemes))
 
 
 def highlighted_calls(src):
-    view = CodeStream(scan(src))
+    view = CodeStream(src)
     defs = find_definitions(view, "t.cpp", [])
     return [(c.callee_text, c.normalized_name, c.line)
             for a in collect(view, "t.cpp", [], defs) for c in a.calls]
@@ -298,7 +297,7 @@ def highlighted_calls(src):
 
 def activity_of(src):
     """The activity tree of the first definition."""
-    view = CodeStream(scan(src))
+    view = CodeStream(src)
     fn = find_definitions(view, "t.cpp", [])[0]
     af = AnnotatedFunction(fn, "f", collect(view, "t.cpp", [], [fn]), 0,
                            parse_body(fn, view, []))
@@ -391,7 +390,7 @@ _BRACKET_SOUP = ["(", ")", "[", "]", "{", "}", "x", " ", "\n", "'('", '")"',
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from(_BRACKET_SOUP), max_size=60))
 def test_bracket_partners_match_a_forward_depth_scan(pieces):
-    view = CodeStream(scan("".join(pieces)))
+    view = CodeStream("".join(pieces))
     texts = [lex.text for lex in view.lexemes]
     closer = {"(": ")", "[": "]", "{": "}"}
     for i, t in enumerate(texts):
