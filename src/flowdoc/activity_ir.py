@@ -3,11 +3,12 @@
 The builder is the one place that pairs annotations with statements. Its
 one walk over the statement tree, in source order, places each action and
 highlighted call where the walk stands at the item's offset: an action opens
-a box, a call joins the open box or opens an unnamed one. So a call goes
-with its own statement even on a line shared with another; a call in the
-header of a drawn if or loop goes in the box before the construct, one in an
-else-if header at the top of its arm, one in a do-while's trailing condition
-right after the loop. Each description goes to the keyword it targets.
+a box, or joins a parallel box of its zoom right before it in a fork; a call
+joins the open box or opens an unnamed one. So a call goes with its own
+statement even on a line shared with another; a call in the header of a
+drawn if or loop goes in the box before the construct, one in an else-if
+header at the top of its arm, one in a do-while's trailing condition right
+after the loop. Each description goes to the keyword it targets.
 Positions are character offsets into the source. The activity tree is what
 actually gets drawn. Its nodes:
 
@@ -147,7 +148,6 @@ class _Builder:
                       if a.target is not None and a.target not in swallowed}
         self.triggers = sorted([item.offset for item in self.items] + [
             a.offset for a in annos if a.kind is AnnotationKind.RETURN_DESC])
-        self.consumed_descs: set[int] = set()
         # (line, callee as written) -> its box entry: a callee repeated on
         # one line is resolved, and reported, once
         self.linked: dict[tuple[int, str], HighlightedCall] = {}
@@ -159,35 +159,31 @@ class _Builder:
         return i < len(self.triggers) and self.triggers[i] <= stmt.span[1]
 
     def _label(self, stmt: Stmt) -> str | None:
-        """The description bound to one of stmt's keywords, else its
-        condition (None for a bare else arm or a return)."""
+        """The description bound to one of stmt's keywords, which it uses
+        up, else its condition (None for a bare else arm or a return)."""
         for kw in stmt.keywords:
             if kw in self.descs:
-                self.consumed_descs.add(kw)
-                return self.descs[kw].text
+                return self.descs.pop(kw).text
         if stmt.condition_text is None:
             return None
         return collapse_ws(stmt.condition_text) or "..."
 
     # -- fusion -----------------------------------------------------------
 
-    def fuse_block(self, block: Stmt) -> list[ActivityNode]:
-        # the nodes so far; a last ActionNode is the open box, which the
-        # taken calls join, and any other node closes it
-        seq: list[ActivityNode] = []
-        self._fuse_into(block, seq)
-        return _fork_pass(seq)
-
-    def _fuse_into(self, block: Stmt, seq: list[ActivityNode]) -> None:
+    def fuse_block(self, block: Stmt, seq: list[ActivityNode] | None = None
+                   ) -> list[ActivityNode]:
+        """The nodes of a block, appended to ``seq`` if given."""
+        seq = [] if seq is None else seq
         for stmt in block.children:
             self._take(stmt.span[0], seq)
             self._fuse_stmt(stmt, seq)
         self._take(block.span[1], seq)
+        return seq
 
     def _fuse_stmt(self, stmt: Stmt, seq: list[ActivityNode]) -> None:
         style = _LOOP_STYLES.get(stmt.kind)
         if stmt.kind is StmtKind.BLOCK:
-            self._fuse_into(stmt, seq)  # scoping only; contents flow through
+            self.fuse_block(stmt, seq)  # scoping only; contents flow through
         elif (style or stmt.kind is StmtKind.IF) and self._renders(stmt):
             # the header's calls go in the box before the construct
             self._take(stmt.children[0].span[0], seq)
@@ -208,12 +204,24 @@ class _Builder:
 
     def _take(self, before: int, seq: list[ActivityNode]) -> None:
         """Place the items before offset ``before``: an action opens a box,
-        a call joins the open box or opens an unnamed one."""
+        or joins a parallel open box of its zoom in a fork; a call joins the
+        open box or opens an unnamed one. The open box is a last action, or
+        a last fork's last action; any other node closes it."""
         items = self.items
         while items and items[-1].offset < before:
             item = items.pop()
+            box = seq[-1] if seq else None
+            if isinstance(box, ForkNode):
+                box = box.actions[-1]
             if isinstance(item, Annotation):
-                seq.append(ActionNode(item.text, item.zoom, item.parallel))
+                node = ActionNode(item.text, item.zoom, item.parallel)
+                if not (item.parallel and isinstance(box, ActionNode)
+                        and box.parallel and box.zoom == item.zoom):
+                    seq.append(node)
+                elif isinstance(seq[-1], ForkNode):
+                    seq[-1].actions.append(node)
+                else:
+                    seq[-1] = ForkNode([box, node])
                 continue
             key = (item.line, item.callee_text)
             hc = self.linked.get(key)
@@ -228,42 +236,23 @@ class _Builder:
                         "shown without a link", self.fn.file, item.line))
                     hc = HighlightedCall(item.callee_text + "()", None)
                 self.linked[key] = hc
-            if not (seq and isinstance(seq[-1], ActionNode)):
-                seq.append(ActionNode(""))  # no box is open: an unnamed one
-            seq[-1].calls.append(hc)
+            if not isinstance(box, ActionNode):
+                box = ActionNode("")  # no box is open: an unnamed one
+                seq.append(box)
+            box.calls.append(hc)
 
     # -- diagnostics ------------------------------------------------------
 
     def report_leftovers(self) -> None:
         for kind, what in ((AnnotationKind.CONDITION_DESC, "construct"),
                            (AnnotationKind.RETURN_DESC, "return")):
-            for kw, ann in sorted(self.descs.items()):
-                if ann.kind is kind and kw not in self.consumed_descs:
+            for _, ann in sorted(self.descs.items()):
+                if ann.kind is kind:
                     self.diags.append(warning(
                         "unused-condition-description",
                         f"description '[{ann.text}]' was not applied to any "
                         f"rendered {what}",
                         self.fn.file, ann.line))
-
-
-def _fork_pass(nodes: list[ActivityNode]) -> list[ActivityNode]:
-    """Group runs of >= 2 consecutive parallel actions at one zoom level."""
-    out: list[ActivityNode] = []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if isinstance(node, ActionNode) and node.parallel:
-            j = i
-            while (j < len(nodes) and isinstance(nodes[j], ActionNode)
-                   and nodes[j].parallel and nodes[j].zoom == node.zoom):
-                j += 1
-            if j - i >= 2:
-                out.append(ForkNode(nodes[i:j]))
-                i = j
-                continue
-        out.append(node)
-        i += 1
-    return out
 
 
 def project(tree: ActivityTree, level: int) -> ActivityTree:

@@ -40,14 +40,14 @@ class Annotation:
                  "target", "calls")
 
     def __init__(self, kind: AnnotationKind, text: str, line: int, offset: int,
-                 zoom: int = 0, parallel: bool = False):
+                 zoom: int = 0, parallel: bool = False, target: int | None = None,
+                 calls: tuple[CallSite, ...] = ()):
         self.kind, self.text, self.line = kind, text, line
         self.offset = offset  # of the '//$' marker
         self.zoom, self.parallel = zoom, parallel
         # offset of the keyword a description binds to (test with 'is not None')
-        self.target: int | None = None
-        # call sites on a highlighted line
-        self.calls: tuple[CallSite, ...] = ()
+        self.target = target
+        self.calls = calls  # call sites on a highlighted line
 
 
 # zoom digits touching the marker, an optional leading tag, then the text
@@ -91,9 +91,8 @@ def collect(view: CodeStream, file: str = "<input>",
                     "postfix '//$' on a line with no detectable call; ignored",
                     file, tok.line))
                 continue
-            ann = Annotation(AnnotationKind.CALL_HIGHLIGHT, text, tok.line, tok.offset)
-            ann.calls = tuple(calls)
-            out.append(ann)
+            out.append(Annotation(AnnotationKind.CALL_HIGHLIGHT, text, tok.line,
+                                  tok.offset, calls=tuple(calls)))
             continue
         desc, kind = _DESC_RE.match(text), None
         i = view.index_at_or_after(tok.offset + len(tok.text))
@@ -101,9 +100,8 @@ def collect(view: CodeStream, file: str = "<input>",
                                      or lx[i].offset < markers[k + 1].offset):
             kind = _DESC_KINDS.get(lx[i].text)
         if kind is not None:
-            ann = Annotation(kind, desc[1], tok.line, tok.offset)
-            ann.target = lx[i].offset
-            out.append(ann)
+            out.append(Annotation(kind, desc[1], tok.line, tok.offset,
+                                  target=lx[i].offset))
             continue
         if desc:
             diags.append(warning(

@@ -167,7 +167,11 @@ def _phase_render(paths: list[Path], args: argparse.Namespace,
     # imported here: they would slow down the start of every run without renders
     import shlex
     from concurrent.futures import ThreadPoolExecutor
-    args_template = shlex.split(args.render_cmd)
+    try:
+        args_template = shlex.split(args.render_cmd)
+    except ValueError as exc:  # an unbalanced quote
+        diags.append(warning("render-failed", f"render command failed to start: {exc}"))
+        return
     has_placeholder = any("{input}" in a for a in args_template)
 
     def render(path: Path) -> subprocess.CompletedProcess | OSError:
@@ -265,7 +269,11 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
                     html_emit.emit_page(stem, funcs, out, {
                         path.name for path, _, first in named if first != file})
         if args.sources is None or any(a is not None for _, _, a in stems):
-            html_emit.emit_index(db, out)
+            try:
+                html_emit.emit_index(db, out)
+            except OSError as exc:
+                diags.append(error("io-error", "cannot write the index: "
+                                   f"{exc.strerror or exc}", str(out / "index.html")))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -167,16 +167,9 @@ def find_definitions(view: CodeStream, file: str = "<input>",
     defs: list[FunctionDef] = []
     scopes: list[_Scope] = []
     start = 0  # the pending declaration is lx[start:i]
-    reported_unbalanced = False
+    unbalanced = 0  # the line of the first brace found unmatched
     i = 0
     n = len(lx)
-
-    def report_unbalanced(line: int) -> None:
-        nonlocal reported_unbalanced
-        if not reported_unbalanced:
-            diags.append(warning("unbalanced-braces", "unbalanced braces", file, line))
-            reported_unbalanced = True
-
     while i < n:
         t = lx[i].text
         if lx[i].kind is LexKind.PUNCT:
@@ -192,6 +185,11 @@ def find_definitions(view: CodeStream, file: str = "<input>",
                 decision, payload = _analyze_buffer(view, start, i)
                 brace_line = view.line(lx[i].offset)
                 close = view.partner.get(i)
+                if decision in ("namespace", "class", "extern"):
+                    scopes.append(_Scope(decision, payload, brace_line))
+                    close = i  # step past the '{' alone; its '}' pops the scope
+                elif close is None:
+                    unbalanced = unbalanced or brace_line
                 if decision == "function":
                     chain, ctor_init = payload
                     if ctor_init and (lx[i - 1].kind is LexKind.WORD
@@ -200,24 +198,15 @@ def find_definitions(view: CodeStream, file: str = "<input>",
                         # identifier or a closing '>' opens a member
                         # initializer, not the body; after ')' or '}' it is
                         # the body. The group stays in the declaration.
-                        if close is None:
-                            report_unbalanced(brace_line)
                         i = n if close is None else close + 1
                         continue
                     qualifiers = [s.name for s in scopes if s.name]
                     qname = "::".join(qualifiers + [chain])
                     signature = view.source[lx[start].offset:lx[i].offset].strip()
-                    if close is None:
-                        report_unbalanced(brace_line)
                     defs.append(FunctionDef(qname, signature, lx[i].offset,
                                             lx[-1 if close is None else close].offset,
                                             file))
-                elif decision in ("namespace", "class", "extern"):
-                    scopes.append(_Scope(decision, payload, brace_line))
-                    close = i  # step past the '{' alone; its '}' pops the scope
-                elif close is None:
-                    # opaque: enum bodies, initializers, lambdas, unknown shapes
-                    report_unbalanced(brace_line)
+                # a body, or an opaque enum body, initializer, lambda: skipped whole
                 i = n if close is None else close + 1
                 start = i
                 continue
@@ -225,7 +214,7 @@ def find_definitions(view: CodeStream, file: str = "<input>",
                 if scopes:
                     scopes.pop()
                 else:
-                    report_unbalanced(view.line(lx[i].offset))
+                    unbalanced = unbalanced or view.line(lx[i].offset)
                 i += 1
                 start = i
                 continue
@@ -237,8 +226,9 @@ def find_definitions(view: CodeStream, file: str = "<input>",
                 continue
         i += 1
 
-    if scopes:
-        report_unbalanced(scopes[0].open_line)
+    if unbalanced or scopes:
+        diags.append(warning("unbalanced-braces", "unbalanced braces", file,
+                             unbalanced or scopes[0].open_line))
     return defs
 
 

@@ -112,28 +112,14 @@ class LinkRef(NamedTuple):
     ok: bool
 
 
-class LinkReport:
-    __slots__ = ("refs",)
-
-    def __init__(self, refs: list[LinkRef]):
-        self.refs = refs
-
-    @property
-    def resolved(self) -> int:
-        return sum(1 for r in self.refs if r.ok)
-
-    @property
-    def broken(self) -> int:
-        return sum(1 for r in self.refs if not r.ok)
-
-
 _ID_RE = re.compile(r'id="([^"]+)"')
 _HREF_RE = re.compile(r'href="([^"]+)"')
 _DIAGRAM_LINK_RE = re.compile(r"\[\[(\S+)")
 
 
-def check_links(out_dir: str | Path) -> LinkReport:
-    """Verify every internal link in an output tree.
+def check_links(out_dir: str | Path) -> list[LinkRef]:
+    """Every internal link in an output tree, each marked whether it
+    resolves.
 
     Covers hrefs in the HTML pages and ``[[target ...]]`` hyperlinks inside
     the diagram texts under aux_files/.
@@ -163,4 +149,4 @@ def check_links(out_dir: str | Path) -> LinkReport:
         for txt in sorted(aux.glob("*.txt")):
             for target in _DIAGRAM_LINK_RE.findall(txt.read_text(encoding="utf-8")):
                 check(f"aux_files/{txt.name}", target)
-    return LinkReport(refs)
+    return refs

@@ -104,7 +104,7 @@ _TABLE = re.compile(r"\s*(?:%s|\Z)" % "|".join(
 _RULES = {_TABLE.groupindex[f"k{n}"]: (kind, _TABLE.groupindex[f"k{n}"] + 1, warn)
           for n, (kind, _, warn) in enumerate(_GRAMMAR)}
 _LEXEMES = {k: kind for k, (kind, _, _) in _RULES.items() if isinstance(kind, LexKind)}
-_CODE, _BLOCK = TokenKind.CODE, TokenKind.BLOCK_COMMENT
+_CODE = TokenKind.CODE
 
 
 def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
@@ -118,8 +118,7 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
     append, add, new = tokens.append, lexemes.append, tuple.__new__
     lexeme_kind, finditer = _LEXEMES.get, _TABLE.finditer  # new skips NamedTuple's __new__
     line = 1
-    pos = run_start = 0    # run_start: start of the pending Code run
-    line_has_code = False  # code or a literal on the line, as last checked
+    pos = run_start = 0  # run_start: start of the pending Code run
     while pos is not None:  # restarted after a '#' that opens no directive
         for m in finditer(text, pos):
             k = m.lastindex
@@ -131,14 +130,12 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
             kind, inner, warn = _RULES[k]
             i = m.start(k)
             c = text[i]
-            if c == "#" or kind is _BLOCK:  # the flag must see the code before either
-                nl = text.rfind("\n", run_start, i)
-                line_has_code = (bool(text[max(nl + 1, run_start):i].strip())
-                                 or (nl < 0 and line_has_code))
-                if c == "#" and line_has_code:  # not a directive
-                    add(new(Lexeme, ("#", i, LexKind.PUNCT)))
-                    pos = i + 1
-                    break
+            # a '#' after a lexeme on its line is punctuation, not a directive
+            if c == "#" and lexemes and text.find(
+                    "\n", lexemes[-1].offset + len(lexemes[-1].text), i) < 0:
+                add(new(Lexeme, ("#", i, LexKind.PUNCT)))
+                pos = i + 1
+                break
             if run_start < i:
                 chunk = text[run_start:i]
                 append(new(Token, (_CODE, chunk, line, run_start)))
@@ -151,8 +148,6 @@ def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
                 add(new(Lexeme, (chunk, i, LexKind.LIT)))
             line += chunk.count("\n")
             run_start = m.end()
-            if kind is not _BLOCK or "\n" in chunk:
-                line_has_code = c in "\"'"  # after a literal
         else:
             pos = None
     if run_start < len(text):

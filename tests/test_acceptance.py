@@ -302,7 +302,7 @@ def test_criterion_5(tmp_path):
     sources = sorted((FIXTURES / "xlink").glob("*.cpp"))
     full_out = tmp_path / "full"
     proc = _run_subprocess(sources, full_out)
-    refs = [r for r in check_links(full_out).refs
+    refs = [r for r in check_links(full_out)
             if r.source.startswith("aux_files/")]
     full_ok = (proc.returncode == 0 and proc.stderr == ""
                and len(refs) == 5 and all(r.ok for r in refs))

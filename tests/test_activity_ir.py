@@ -67,6 +67,12 @@ class TestFusion:
         assert shape(tree.root) == [("action", "last action"),
                                     ("stop", "return value")]
 
+    def test_empty_statements_and_a_bare_block_keep_the_order(self):
+        tree = build("void f() {\n//$ one\nx();\n;\n{\n//$ two\ny();\n}\n;\n"
+                     "//$ three\nz();\n}\n")
+        assert shape(tree.root) == [("action", "one"), ("action", "two"),
+                                    ("action", "three"), ("stop", None)]
+
     def test_mid_function_return_keeps_final_stop(self):
         tree = build("int f() {\n//$ a\nif (x) {\n//$ [early]\nreturn 1;\n}\n"
                      "//$ b\ny();\n}\n")
@@ -107,6 +113,12 @@ class TestConstructGating:
                      "//$ handle\na();\n}\n}\n")
         branch = tree.root[0]
         assert branch.arms[0].label == "rare case"
+
+    def test_if_constexpr_is_labelled_by_its_condition(self):
+        tree = build("void f() {\nif constexpr (sizeof(int) == 4) {\n//$ wide\nx();\n}\n}\n")
+        assert shape(tree.root) == [
+            ("branch", [("sizeof(int) == 4", [("action", "wide")])]),
+            ("stop", None)]
 
     def test_multiline_condition_collapses(self):
         tree = build("void f() {\nif (alpha &&\n    beta) {\n//$ go\na();\n}\n}\n")

@@ -664,6 +664,17 @@ class TestOutDirSelection:
         assert (tmp_path / "flowdoc" / "hello.flowdb").exists()
 
 
+    def test_an_unwritable_index_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "a_file"
+        out.write_text("")
+        code, err = run_cli("all", str(FIXTURES / "lang" / "hello.cpp"),
+                            "--out-dir", str(out), capsys=capsys)
+        assert code == 1
+        last = err.splitlines()[-1]
+        assert last.startswith(f"{out / 'index.html'}: error: cannot write the index: ")
+        assert last.endswith("[io-error]") and err.count("[io-error]") == 1
+
+
 class TestRenderCmd:
     def test_placeholder_substitution(self, tmp_path, capsys):
         code, err = run_cli(
@@ -688,6 +699,16 @@ class TestRenderCmd:
         assert code == 0
         assert err.count("[render-failed]") == 1
         assert "failed to start" in err
+
+    def test_unbalanced_quote_warns_and_the_pages_follow(self, tmp_path, capsys):
+        code, err = run_cli(
+            "all", str(FIXTURES / "lang" / "hello.cpp"), "--out-dir", str(tmp_path),
+            "--render-cmd", "plantuml 'x", capsys=capsys)
+        assert code == 0
+        assert err == ("warning: render command failed to start: "
+                       "No closing quotation [render-failed]\n")
+        assert (tmp_path / "hello.html").is_file()
+        assert (tmp_path / "index.html").is_file()
 
     def test_nonzero_exit_warns_per_diagram(self, tmp_path, capsys):
         code, err = run_cli(

@@ -75,6 +75,18 @@ class TestDefinitionRecognition:
         assert [d.qualified_name for d in ds] == ["biggest"]
         assert ds[0].signature_text.startswith("template <typename T>")
 
+    def test_class_with_several_bases(self):
+        src = ("class VinciaShower : public TimeShower, private Other {\npublic:\n"
+               "void shower() {\n}\n};\n")
+        assert names(src) == ["VinciaShower::shower"]
+
+    def test_template_struct_with_a_templated_base(self):
+        src = "template <typename T> struct S : Base<T> {\nvoid m() {\n}\n};\n"
+        assert names(src) == ["S::m"]
+
+    def test_attribute_before_the_return_type(self):
+        assert names("[[nodiscard]] int f(int x) {\nreturn x;\n}\n") == ["f"]
+
     def test_templated_class_qualifier(self):
         src = "void Box<int>::open() {\n}\n"
         assert names(src) == ["Box<int>::open"]
@@ -137,6 +149,18 @@ class TestDefinitionRecognition:
         diags = []
         defs_of("}\nvoid f() {\n}\n", diags)
         assert any(d.code == "unbalanced-braces" for d in diags)
+
+    @pytest.mark.parametrize("src,line", [
+        ("}\nvoid f() {\nint x;\n", 1),
+        ("void f() {\n{\n}\n}\n}\nvoid g() {\n", 5),
+        ("namespace a {\nnamespace b {\nvoid f() {\n}\n", 1),
+        ("int v[] = {\n1, 2;\nvoid f() {\n}\n", 1),
+    ], ids=["stray-then-unclosed", "unclosed-after-stray", "open-scopes",
+            "unclosed-initializer"])
+    def test_unbalanced_braces_are_reported_once_at_the_first(self, src, line):
+        diags = []
+        defs_of(src, diags)
+        assert [(d.code, d.line) for d in diags] == [("unbalanced-braces", line)]
 
     def test_operator_overload_stays_opaque(self):
         src = "bool operator==(const A& x, const A& y) {\nreturn true;\n}\nint f() {\n}\n"
@@ -233,6 +257,17 @@ class TestStatementTrees:
         root = self.parse("if a > 0 {\nx();\n}", diags)
         assert any(d.code == "malformed-control-header" for d in diags)
         assert all(c.kind is not StmtKind.IF for c in root.children)
+
+    @pytest.mark.parametrize("body,line", [
+        ("if (a) {\nx();\n} else if b {\ny();\n}", 4),
+        ("while x {\ny();\n}", 2),
+        ("do {\nx();\n} until (y);", 2),
+        ("do {\nx();\n} while y;", 2),
+    ], ids=["else-if", "while", "do-until", "do-while"])
+    def test_each_malformed_header_warns_once(self, body, line):
+        diags = []
+        self.parse(body, diags)
+        assert [(d.code, d.line) for d in diags] == [("malformed-control-header", line)]
 
     def test_lambda_body_is_not_statement_structure(self):
         root = self.parse("auto fn = [](int v) { if (v) { w(); } return v; };\nx();")

@@ -138,6 +138,16 @@ class TestLoadMerge:
         assert set(db.entries) == {"good"}
         assert sum(1 for d in diags if d.code == "malformed-db-line") == 3
 
+    def test_a_database_not_in_utf8_is_an_io_error(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.flowdb").write_bytes("caf\xe9\ta.html#caf\t0\n".encode("latin-1"))
+        (out / "b.flowdb").write_text("good\tb.html#good\t0\n", encoding="utf-8")
+        diags = []
+        db = load_merge(out, diags)
+        assert set(db.entries) == {"good"}
+        assert [(d.code, d.file) for d in diags] == [("io-error", str(out / "a.flowdb"))]
+
     def test_duplicate_names_keep_first_page(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
