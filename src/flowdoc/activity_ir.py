@@ -30,7 +30,6 @@ is a subgraph of the next deeper one, and a construct shell is never empty.
 from __future__ import annotations
 
 import bisect
-from enum import Enum
 
 from .annotations import Annotation, AnnotationKind
 from .cxx_structure import Stmt, StmtKind
@@ -38,19 +37,13 @@ from .diagnostics import Diagnostic, sink, warning
 from .flowdb import AnnotatedFunction, FlowDb
 
 
-class HighlightedCall:
-    __slots__ = ("display", "href")
-
-    def __init__(self, display: str, href: str | None):
-        self.display, self.href = display, href  # a None href renders as text
-
-
 class ActionNode:
     __slots__ = ("text", "zoom", "parallel", "calls")
 
     def __init__(self, text: str, zoom: int = 0, parallel: bool = False,
-                 calls: list[HighlightedCall] | None = None):
+                 calls: list[tuple[str, str | None]] | None = None):
         self.text, self.zoom, self.parallel = text, zoom, parallel
+        # (display, href) pairs; a None href renders as text
         self.calls = [] if calls is None else calls
 
 
@@ -69,20 +62,12 @@ class BranchNode:
         self.arms = arms
 
 
-class LoopStyle(Enum):
-    PRE_TEST = "pre"    # while, for
-    POST_TEST = "post"  # do-while
-
-
-_LOOP_STYLES = {StmtKind.WHILE: LoopStyle.PRE_TEST, StmtKind.FOR: LoopStyle.PRE_TEST,
-                StmtKind.DO_WHILE: LoopStyle.POST_TEST}
-
-
 class LoopNode:
-    __slots__ = ("style", "label", "body")
+    __slots__ = ("post_test", "label", "body")
 
-    def __init__(self, style: LoopStyle, label: str, body: list):
-        self.style, self.label, self.body = style, label, body
+    def __init__(self, post_test: bool, label: str, body: list):
+        # post_test: a do-while, else a while or for
+        self.post_test, self.label, self.body = post_test, label, body
 
 
 class ForkNode:
@@ -102,32 +87,22 @@ class StopNode:
 ActivityNode = ActionNode | BranchNode | LoopNode | ForkNode | StopNode
 
 
-class ActivityTree:
-    __slots__ = ("root", "max_zoom")
-
-    def __init__(self, root: list[ActivityNode], max_zoom: int):
-        self.root, self.max_zoom = root, max_zoom
-
-
-class LevelOutOfRange(ValueError):
-    pass
-
-
 def collapse_ws(text: str) -> str:
     return " ".join(text.split())
 
 
 def build_activity(af: AnnotatedFunction, db: FlowDb,
-                   diags: list[Diagnostic] | None = None) -> ActivityTree:
-    """Build the activity tree of one annotated function from its statement
-    tree and the annotations ``flowdb.annotated_functions`` gave it."""
+                   diags: list[Diagnostic] | None = None) -> list[ActivityNode]:
+    """The activity tree of one annotated function, as its top-level node
+    list, from its statement tree and the annotations
+    ``flowdb.annotated_functions`` gave it."""
     diags = sink(diags)
     builder = _Builder(af, db, diags)
     root = builder.fuse_block(af.body)
     if not root or not isinstance(root[-1], StopNode):
         root.append(StopNode())
     builder.report_leftovers()
-    return ActivityTree(root, af.max_zoom)
+    return root
 
 
 class _Builder:
@@ -150,7 +125,7 @@ class _Builder:
             a.offset for a in annos if a.kind is AnnotationKind.RETURN_DESC])
         # (line, callee as written) -> its box entry: a callee repeated on
         # one line is resolved, and reported, once
-        self.linked: dict[tuple[int, str], HighlightedCall] = {}
+        self.linked: dict[tuple[int, str], tuple[str, str | None]] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -181,19 +156,19 @@ class _Builder:
         return seq
 
     def _fuse_stmt(self, stmt: Stmt, seq: list[ActivityNode]) -> None:
-        style = _LOOP_STYLES.get(stmt.kind)
         if stmt.kind is StmtKind.BLOCK:
             self.fuse_block(stmt, seq)  # scoping only; contents flow through
-        elif (style or stmt.kind is StmtKind.IF) and self._renders(stmt):
+        elif stmt.kind in (StmtKind.IF, StmtKind.WHILE, StmtKind.FOR,
+                           StmtKind.DO_WHILE) and self._renders(stmt):
             # the header's calls go in the box before the construct
             self._take(stmt.children[0].span[0], seq)
-            if style is None:
+            if stmt.kind is StmtKind.IF:
                 seq.append(BranchNode([
                     BranchArm(self._label(arm), self.fuse_block(arm),
                               is_else=arm.condition_text is None)
                     for arm in stmt.children]))
             else:
-                seq.append(LoopNode(style, self._label(stmt),
+                seq.append(LoopNode(stmt.kind is StmtKind.DO_WHILE, self._label(stmt),
                                     self.fuse_block(stmt.children[0])))
         # what is left: all of an absorbed statement (plain statements and
         # silent constructs, which hold no item, or they would render), a
@@ -228,13 +203,13 @@ class _Builder:
             if hc is None:
                 entry = self.db.resolve(item, self.fn.file, self.diags)
                 if entry is not None:
-                    hc = HighlightedCall(entry.qualified_name + "()",
-                                         f"{entry.html_path}#{entry.anchor}")
+                    hc = (entry.qualified_name + "()",
+                          f"{entry.html_path}#{entry.anchor}")
                 else:
                     self.diags.append(warning(
                         "no-link", f"no diagram found for call '{item.callee_text}'; "
                         "shown without a link", self.fn.file, item.line))
-                    hc = HighlightedCall(item.callee_text + "()", None)
+                    hc = (item.callee_text + "()", None)
                 self.linked[key] = hc
             if not isinstance(box, ActionNode):
                 box = ActionNode("")  # no box is open: an unnamed one
@@ -255,12 +230,8 @@ class _Builder:
                         self.fn.file, ann.line))
 
 
-def project(tree: ActivityTree, level: int) -> ActivityTree:
+def project(root: list[ActivityNode], level: int) -> list[ActivityNode]:
     """The tree restricted to the nodes whose lowest level is at most level."""
-    if not 0 <= level <= tree.max_zoom:
-        raise LevelOutOfRange(
-            f"zoom level {level} outside 0..{tree.max_zoom}")
-
     def filter_nodes(nodes: list[ActivityNode]) -> list[ActivityNode]:
         out: list[ActivityNode] = []
         for node in nodes:
@@ -275,7 +246,7 @@ def project(tree: ActivityTree, level: int) -> ActivityTree:
             elif isinstance(node, LoopNode):
                 body = filter_nodes(node.body)
                 if body:
-                    out.append(LoopNode(node.style, node.label, body))
+                    out.append(LoopNode(node.post_test, node.label, body))
             elif isinstance(node, ForkNode):
                 if node.actions[0].zoom <= level:
                     out.append(node)
@@ -283,4 +254,4 @@ def project(tree: ActivityTree, level: int) -> ActivityTree:
                 out.append(node)
         return out
 
-    return ActivityTree(filter_nodes(tree.root), tree.max_zoom)
+    return filter_nodes(root)

@@ -133,10 +133,14 @@ def _stem_groups(sources: list[str], diags: list[Diagnostic]
 
 @contextmanager
 def _isolated(file: str, diags: list[Diagnostic]):
-    """A block whose unexpected failure becomes an ``internal-error`` for
-    the stem's file; the run goes on with the other stems."""
+    """A block whose failed write becomes an ``io-error`` at that output,
+    and whose other unexpected failure an ``internal-error`` for the stem's
+    file; the run goes on with the other stems."""
     try:
         yield
+    except OSError as exc:  # only writes raise it: analysis reports its reads
+        diags.append(error("io-error", f"cannot write output: {exc.strerror}",
+                           exc.filename))
     except Exception as exc:  # the boundary that keeps the other stems going
         import traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]
@@ -240,7 +244,7 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
         funcs = []
         with _isolated(file, diags):
             funcs = [(af, plantuml_emit.render_function(
-                         activity_ir.build_activity(af, db, diags)))
+                         activity_ir.build_activity(af, db, diags), af.max_zoom))
                      for af in annotated or ()]
         named = [(aux / plantuml_emit.diagram_filename(stem, af.anchor, zoom), text)
                  for af, texts in funcs for zoom, text in enumerate(texts)]
@@ -257,7 +261,7 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
                         diags.append(warning(
                             "output-collision", f"'{path.relative_to(out).as_posix()}' is "
                             f"already an output of {first}; not written again", file))
-        if not paths:
+        if not any(annotated for _, _, annotated in stems):
             diags.append(warning("no-annotated-functions",
                                  "no annotated functions found; "
                                  "no diagrams were emitted"))
@@ -269,11 +273,8 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
                     html_emit.emit_page(stem, funcs, out, {
                         path.name for path, _, first in named if first != file})
         if args.sources is None or any(a is not None for _, _, a in stems):
-            try:
+            with _isolated(str(out / "index.html"), diags):
                 html_emit.emit_index(db, out)
-            except OSError as exc:
-                diags.append(error("io-error", "cannot write the index: "
-                                   f"{exc.strerror or exc}", str(out / "index.html")))
 
 
 def main(argv: list[str] | None = None) -> int:

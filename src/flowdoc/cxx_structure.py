@@ -1,7 +1,8 @@
 """Structural recognition of C++ function definitions and statement shape.
 
-This is deliberately not a C++ parser. Working on the scanner's Code tokens,
-it recognizes just enough structure for flowcharting:
+This is deliberately not a C++ parser. Working on the lexemes of a
+``CodeStream``, the lexed view of the scanner's code, it recognizes just
+enough structure for flowcharting:
 
 * function definitions (including out-of-line members, constructors and
   destructors), qualified through a tracked namespace/class context,

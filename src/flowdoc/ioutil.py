@@ -18,7 +18,8 @@ def atomic_write_text(path: Path, text: str) -> Path:
     half-written output. Content is UTF-8 with LF endings as given; the file
     gets the mode the umask leaves of 0o666. A missing parent directory is
     created. A regular file that already holds these bytes with this mode
-    is left untouched, mtime included."""
+    is left untouched, mtime included. A failed write raises an OSError
+    whose filename is path."""
     path = Path(path)
     data = text.encode("utf-8")
     try:
@@ -28,23 +29,26 @@ def atomic_write_text(path: Path, text: str) -> Path:
             return path
     except OSError:  # missing or unreadable: write it
         pass
-    while True:
-        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except FileExistsError:  # the name is taken: draw another
-            pass
     try:
-        with open(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        while True:
+            tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileNotFoundError:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except FileExistsError:  # the name is taken: draw another
+                pass
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with open(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:  # named by the output, not its temporary file
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
     return path

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import re
 
-from .activity_ir import (ActionNode, ActivityTree, BranchNode, ForkNode,
-                          LoopStyle, StopNode, collapse_ws, project)
+from .activity_ir import (ActionNode, ActivityNode, BranchNode, ForkNode,
+                          StopNode, collapse_ws, project)
 
 # a label line ending in one of these could glue onto the following syntax
 _RISKY_ENDINGS = set(";|<>/]}")
@@ -36,11 +36,11 @@ def _action_lines(node: ActionNode) -> list[str]:
     lines: list[str] = []
     if node.text:
         lines.append(_escape_line(node.text))
-    for call in node.calls:
-        display = call.display.replace("]]", "] ]")
-        if call.href:
+    for display, href in node.calls:
+        display = display.replace("]]", "] ]")
+        if href:
             # diagrams live in aux_files/, one level below the pages
-            lines.append(f"[[../{call.href} {display}]]")
+            lines.append(f"[[../{href} {display}]]")
         else:
             lines.append(_escape_line(display))
     if not lines:
@@ -67,9 +67,9 @@ def _parts(node) -> tuple[list, str]:
     if isinstance(node, BranchNode):
         return ([(_arm_head(k, arm), arm.body)
                  for k, arm in enumerate(node.arms)], "endif")
-    if node.style is LoopStyle.PRE_TEST:
-        return [(f"while ({_escape_label(node.label)})", node.body)], "endwhile"
-    return [("repeat", node.body)], f"repeat while ({_escape_label(node.label)})"
+    if node.post_test:
+        return [("repeat", node.body)], f"repeat while ({_escape_label(node.label)})"
+    return [(f"while ({_escape_label(node.label)})", node.body)], "endwhile"
 
 
 def _walk(nodes, out: list) -> float:
@@ -109,9 +109,9 @@ def _texts(nodes, levels) -> list[str]:
             for level in levels]
 
 
-def emit(tree: ActivityTree) -> str:
+def emit(root: list[ActivityNode]) -> str:
     """Render one (already projected) activity tree to PlantUML text."""
-    return _texts(tree.root, [math.inf])[0]
+    return _texts(root, [math.inf])[0]
 
 
 def diagram_filename(source_stem: str, anchor: str, zoom: int) -> str:
@@ -119,8 +119,8 @@ def diagram_filename(source_stem: str, anchor: str, zoom: int) -> str:
     return f"{source_stem}__{anchor}__zoom{zoom}.txt"
 
 
-def render_function(tree: ActivityTree) -> list[str]:
-    """The PlantUML text of every zoom level of one function, level 0 first."""
+def render_function(root: list[ActivityNode], max_zoom: int) -> list[str]:
+    """The PlantUML text of zoom levels 0 to max_zoom of one function's tree."""
     # projecting changes no text, as no level shows a shell the walk gave the
     # level inf; but project() is each level's reference and flowbench times it
-    return _texts(project(tree, tree.max_zoom).root, range(tree.max_zoom + 1))
+    return _texts(project(root, max_zoom), range(max_zoom + 1))

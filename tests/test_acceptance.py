@@ -187,10 +187,10 @@ def test_criterion_3():
         af = annotated_functions(defs, annotations.collect(view, name, []))[0]
         af.body = cxx_structure.parse_body(af.fn, view, [])
         tree = activity_ir.build_activity(af, FlowDb(), [])
-        depth_seen[tree.max_zoom] += 1
+        depth_seen[af.max_zoom] += 1
         prev = None
-        for level in range(tree.max_zoom + 1):
-            bag = _action_multiset(activity_ir.project(tree, level).root)
+        for level in range(af.max_zoom + 1):
+            bag = _action_multiset(activity_ir.project(tree, level))
             if prev is not None and (prev - bag):
                 violations.append((seed, level, sorted(prev - bag)))
             prev = bag

@@ -1,7 +1,6 @@
 import pytest
 
-from flowdoc.activity_ir import (ActionNode, BranchNode, ForkNode,
-                                 LevelOutOfRange, LoopNode, LoopStyle,
+from flowdoc.activity_ir import (ActionNode, BranchNode, ForkNode, LoopNode,
                                  StopNode, build_activity, project)
 from flowdoc.annotations import collect
 from flowdoc.cxx_structure import CodeStream, find_definitions, parse_body
@@ -12,8 +11,8 @@ from conftest import FIXTURES
 from test_cli import _NOISY, _nested_ifs, _zoomed
 
 
-def build(src, db=None, diags=None):
-    diags = diags if diags is not None else []
+def annotated(src, diags):
+    """The first function of src, if annotated, with its statement tree."""
     view = CodeStream(src, "t.cpp", diags)
     fns = find_definitions(view, "t.cpp", diags)[:1]
     afs = annotated_functions(fns, collect(view, "t.cpp", diags))
@@ -21,7 +20,13 @@ def build(src, db=None, diags=None):
         return None
     af = afs[0]
     af.body = parse_body(af.fn, view, diags)
-    return build_activity(af, db or FlowDb(), diags)
+    return af
+
+
+def build(src, db=None, diags=None):
+    diags = diags if diags is not None else []
+    af = annotated(src, diags)
+    return None if af is None else build_activity(af, db or FlowDb(), diags)
 
 
 def shape(nodes):
@@ -46,37 +51,37 @@ class TestFusion:
 
     def test_single_action_with_implicit_stop(self):
         tree = build("void f() {\n//$ step one\nx();\ny();\n}\n")
-        assert shape(tree.root) == [("action", "step one"), ("stop", None)]
+        assert shape(tree) == [("action", "step one"), ("stop", None)]
 
     def test_statements_before_first_action_are_invisible(self):
         tree = build("void f() {\nint a = 0;\n//$ visible\nx();\n}\n")
-        assert shape(tree.root) == [("action", "visible"), ("stop", None)]
+        assert shape(tree) == [("action", "visible"), ("stop", None)]
 
     def test_consecutive_actions(self):
         tree = build("void f() {\n//$ one\nx();\n//$ two\ny();\n}\n")
-        assert shape(tree.root) == [("action", "one"), ("action", "two"),
-                                    ("stop", None)]
+        assert shape(tree) == [("action", "one"), ("action", "two"),
+                               ("stop", None)]
 
     def test_return_becomes_stop(self):
         tree = build("int f() {\n//$ work\nx();\nreturn 0;\n}\n")
-        assert shape(tree.root) == [("action", "work"), ("stop", None)]
+        assert shape(tree) == [("action", "work"), ("stop", None)]
 
     def test_return_description(self):
         tree = build("int f() {\n//$ last action\nx();\n"
                      "//$ [return value]\nreturn v;\n}\n")
-        assert shape(tree.root) == [("action", "last action"),
-                                    ("stop", "return value")]
+        assert shape(tree) == [("action", "last action"),
+                               ("stop", "return value")]
 
     def test_empty_statements_and_a_bare_block_keep_the_order(self):
         tree = build("void f() {\n//$ one\nx();\n;\n{\n//$ two\ny();\n}\n;\n"
                      "//$ three\nz();\n}\n")
-        assert shape(tree.root) == [("action", "one"), ("action", "two"),
-                                    ("action", "three"), ("stop", None)]
+        assert shape(tree) == [("action", "one"), ("action", "two"),
+                               ("action", "three"), ("stop", None)]
 
     def test_mid_function_return_keeps_final_stop(self):
         tree = build("int f() {\n//$ a\nif (x) {\n//$ [early]\nreturn 1;\n}\n"
                      "//$ b\ny();\n}\n")
-        assert shape(tree.root)[-1] == ("stop", None)
+        assert shape(tree)[-1] == ("stop", None)
 
 
 class TestConstructGating:
@@ -89,15 +94,15 @@ class TestConstructGating:
          [("branch", [("a", []), (None, [("action", "inside")])])]),
     ], ids=["unbraced-body", "brace-on-a-later-line", "before-else"])
     def test_an_action_after_a_header_is_in_its_arm(self, src, expected):
-        assert shape(build(src).root) == expected + [("stop", None)]
+        assert shape(build(src)) == expected + [("stop", None)]
 
     def test_unannotated_if_is_absorbed(self):
         tree = build("void f() {\n//$ all of it\nif (x) {\ny();\n}\nz();\n}\n")
-        assert shape(tree.root) == [("action", "all of it"), ("stop", None)]
+        assert shape(tree) == [("action", "all of it"), ("stop", None)]
 
     def test_annotated_if_renders_with_condition_label(self):
         tree = build("void f() {\nif (count > 0) {\n//$ drain\nx();\n}\n}\n")
-        assert shape(tree.root) == [
+        assert shape(tree) == [
             ("branch", [("count > 0", [("action", "drain")])]),
             ("stop", None)]
 
@@ -105,24 +110,24 @@ class TestConstructGating:
         diags = []
         tree = build("void f() {\n//$ head\na();\n"
                      "//$ [pointless]\nif (x) {\ny();\n}\n}\n", diags=diags)
-        assert shape(tree.root) == [("action", "head"), ("stop", None)]
+        assert shape(tree) == [("action", "head"), ("stop", None)]
         assert any(d.code == "unused-condition-description" for d in diags)
 
     def test_condition_desc_overrides_label(self):
         tree = build("void f() {\n//$ [rare case]\nif (x&&y||z) {\n"
                      "//$ handle\na();\n}\n}\n")
-        branch = tree.root[0]
+        branch = tree[0]
         assert branch.arms[0].label == "rare case"
 
     def test_if_constexpr_is_labelled_by_its_condition(self):
         tree = build("void f() {\nif constexpr (sizeof(int) == 4) {\n//$ wide\nx();\n}\n}\n")
-        assert shape(tree.root) == [
+        assert shape(tree) == [
             ("branch", [("sizeof(int) == 4", [("action", "wide")])]),
             ("stop", None)]
 
     def test_multiline_condition_collapses(self):
         tree = build("void f() {\nif (alpha &&\n    beta) {\n//$ go\na();\n}\n}\n")
-        assert tree.root[0].arms[0].label == "alpha && beta"
+        assert tree[0].arms[0].label == "alpha && beta"
 
     def test_else_if_chain_with_descs(self):
         tree = build(
@@ -131,42 +136,42 @@ class TestConstructGating:
             "//$ [second way]\nelse if (b) {\n//$ two\ny();\n}\n"
             "else {\n//$ three\nz();\n}\n"
             "}\n")
-        arms = tree.root[0].arms
+        arms = tree[0].arms
         assert [a.label for a in arms] == ["a", "second way", None]
         assert [a.is_else for a in arms] == [False, False, True]
 
     def test_described_else_arm(self):
         tree = build("void f() {\nif (a) {\n//$ one\nx();\n}\n"
                      "//$ [fallback]\nelse {\n//$ two\ny();\n}\n}\n")
-        assert tree.root[0].arms[-1].label == "fallback"
+        assert tree[0].arms[-1].label == "fallback"
 
     def test_empty_else_arm_still_present(self):
         tree = build("void f() {\nif (a) {\n//$ one\nx();\n}\nelse {\nz();\n}\n}\n")
-        arms = tree.root[0].arms
+        arms = tree[0].arms
         assert len(arms) == 2
         assert arms[1].is_else and arms[1].body == []
 
     def test_while_loop(self):
         tree = build("void f() {\nwhile (more()) {\n//$ consume\nx();\n}\n}\n")
-        assert shape(tree.root) == [
+        assert shape(tree) == [
             ("loop", "more()", [("action", "consume")]), ("stop", None)]
-        assert tree.root[0].style is LoopStyle.PRE_TEST
+        assert not tree[0].post_test
 
     def test_for_loop_label_is_full_header(self):
         tree = build("void f() {\nfor (int i = 0; i < n; ++i) {\n//$ step\nx();\n}\n}\n")
-        assert tree.root[0].label == "int i = 0; i < n; ++i"
+        assert tree[0].label == "int i = 0; i < n; ++i"
 
     def test_do_while_post_test(self):
         tree = build("void f() {\ndo {\n//$ pump\nx();\n}\n"
                      "//$ [until drained]\nwhile (y);\n}\n")
-        node = tree.root[0]
-        assert node.style is LoopStyle.POST_TEST
+        node = tree[0]
+        assert node.post_test
         assert node.label == "until drained"
 
     def test_loop_desc_on_header(self):
         tree = build("void f() {\n//$ [for every event]\nwhile (e = next()) {\n"
                      "//$ handle\nx();\n}\n}\n")
-        assert tree.root[0].label == "for every event"
+        assert tree[0].label == "for every event"
 
 
 class TestCallHighlights:
@@ -177,28 +182,28 @@ class TestCallHighlights:
     def test_resolved_call(self):
         tree = build("void f() {\n//$ run it\nobj->shower();  //$\n}\n",
                      db=self.db())
-        action = tree.root[0]
-        assert [(c.display, c.href) for c in action.calls] == [
+        action = tree[0]
+        assert action.calls == [
             ("VINCIA::shower()", "aux.html#VINCIA__shower")]
 
     def test_unresolved_call_warns_and_stays_text(self):
         diags = []
         tree = build("void f() {\n//$ run\nmystery();  //$\n}\n", diags=diags)
-        action = tree.root[0]
-        assert [(c.display, c.href) for c in action.calls] == [
+        action = tree[0]
+        assert action.calls == [
             ("mystery()", None)]
         assert [d.code for d in diags] == ["no-link"]
 
     def test_highlight_without_open_action_creates_implicit_box(self):
         tree = build("void f() {\nobj->shower();  //$\n}\n", db=self.db())
-        assert isinstance(tree.root[0], ActionNode)
-        assert tree.root[0].text == ""
-        assert tree.root[0].calls[0].display == "VINCIA::shower()"
+        assert isinstance(tree[0], ActionNode)
+        assert tree[0].text == ""
+        assert tree[0].calls[0][0] == "VINCIA::shower()"
 
     def test_repeated_callee_on_one_line_warns_once(self):
         diags = []
         tree = build("void f() {\n//$ run\ng(); g();  //$\n}\n", diags=diags)
-        assert [c.display for c in tree.root[0].calls] == ["g()", "g()"]
+        assert [display for display, _ in tree[0].calls] == ["g()", "g()"]
         assert [d.code for d in diags] == ["no-link"]
 
     def test_repeated_ambiguous_callee_warns_once(self):
@@ -207,7 +212,7 @@ class TestCallHighlights:
         diags = []
         tree = build("void f() {\n//$ run\nstep(); step();  //$\n}\n",
                      db=db, diags=diags)
-        assert [c.display for c in tree.root[0].calls] == ["step()", "step()"]
+        assert [display for display, _ in tree[0].calls] == ["step()", "step()"]
         assert [d.code for d in diags] == ["ambiguous-callee", "no-link"]
 
     @pytest.mark.parametrize("code", ["return ::helper(x);",
@@ -218,7 +223,7 @@ class TestCallHighlights:
         diags = []
         tree = build("int f() {\n//$ run\n" + code + "  //$\n}\n",
                      db=db, diags=diags)
-        assert [(c.display, c.href) for c in tree.root[0].calls] == [
+        assert tree[0].calls == [
             ("helper()", "h.html#helper")]
         assert diags == []
 
@@ -229,13 +234,13 @@ class TestCallHighlights:
         ids=["switch", "try", "lambda"])
     def test_call_in_opaque_statement_goes_to_the_action_above_it(self, opaque):
         tree = build("void f() {\n//$ before\na();\n" + opaque + "}\n")
-        assert [(n.text, [c.display for c in n.calls]) for n in tree.root[:-1]] == [
+        assert [(n.text, [display for display, _ in n.calls]) for n in tree[:-1]] == [
             ("before", []), ("inside", ["x()"])]
 
     def test_highlight_makes_construct_render(self):
         tree = build("void f() {\n//$ head\na();\nif (x) {\n"
                      "obj->shower();  //$\n}\n}\n", db=self.db())
-        kinds = [type(n).__name__ for n in tree.root]
+        kinds = [type(n).__name__ for n in tree]
         assert kinds == ["ActionNode", "BranchNode", "StopNode"]
 
 
@@ -243,82 +248,76 @@ class TestForks:
     def test_three_parallel_actions_fork(self):
         tree = build("void f() {\n//$ <parallel> a1\nx();\n"
                      "//$ <parallel> a2\ny();\n//$ <parallel> a3\nz();\n}\n")
-        assert shape(tree.root) == [
+        assert shape(tree) == [
             ("fork", [("action", "a1"), ("action", "a2"), ("action", "a3")]),
             ("stop", None)]
 
     def test_single_parallel_action_stays_plain(self):
         tree = build("void f() {\n//$ <parallel> alone\nx();\n//$ after\ny();\n}\n")
-        assert shape(tree.root)[0] == ("action", "alone")
+        assert shape(tree)[0] == ("action", "alone")
 
     def test_zoom_change_breaks_the_run(self):
         tree = build("void f() {\n//$ <parallel> a\nx();\n"
                      "//$1 <parallel> b\ny();\n//$1 <parallel> c\nz();\n}\n")
-        kinds = [type(n).__name__ for n in tree.root]
+        kinds = [type(n).__name__ for n in tree]
         assert kinds == ["ActionNode", "ForkNode", "StopNode"]
 
 
 class TestProjection:
+    SAMPLE = ("void f() {\n"
+              "//$ coarse\na();\n"
+              "//$1 finer\nb();\n"
+              "//$2 finest\nc();\n"
+              "if (x) {\n//$1 inside\nd();\n}\n"
+              "}\n")
+
     def sample(self):
-        return build(
-            "void f() {\n"
-            "//$ coarse\na();\n"
-            "//$1 finer\nb();\n"
-            "//$2 finest\nc();\n"
-            "if (x) {\n//$1 inside\nd();\n}\n"
-            "}\n")
+        return build(self.SAMPLE)
 
     def test_level_zero_strips_deeper_actions(self):
         tree = project(self.sample(), 0)
-        assert shape(tree.root) == [("action", "coarse"), ("stop", None)]
+        assert shape(tree) == [("action", "coarse"), ("stop", None)]
 
     def test_intermediate_level(self):
         tree = project(self.sample(), 1)
-        assert shape(tree.root) == [
+        assert shape(tree) == [
             ("action", "coarse"), ("action", "finer"),
             ("branch", [("x", [("action", "inside")])]), ("stop", None)]
 
     def test_full_level_keeps_everything(self):
         tree = project(self.sample(), 2)
-        texts = [n.text for n in tree.root if isinstance(n, ActionNode)]
+        texts = [n.text for n in tree if isinstance(n, ActionNode)]
         assert texts == ["coarse", "finer", "finest"]
 
-    def test_out_of_range_raises(self):
-        tree = self.sample()
-        with pytest.raises(LevelOutOfRange):
-            project(tree, 3)
-        with pytest.raises(LevelOutOfRange):
-            project(tree, -1)
-
     def test_max_zoom_reflects_actions(self):
-        assert self.sample().max_zoom == 2
+        assert annotated(self.SAMPLE, []).max_zoom == 2
 
     def test_stop_survives_projection(self):
         tree = build("int f() {\n//$1 deep only\nx();\n"
                      "//$ [done]\nreturn 0;\n}\n")
         zero = project(tree, 0)
-        assert shape(zero.root) == [("stop", "done")]
+        assert shape(zero) == [("stop", "done")]
 
     def test_parallel_actions_at_different_zooms_form_no_fork(self):
         tree = build("void f() {\n//$ <parallel> keep\nx();\n"
                      "//$1 <parallel> deep a\ny();\n}\n")
-        assert [type(n).__name__ for n in tree.root] == [
+        assert [type(n).__name__ for n in tree] == [
             "ActionNode", "ActionNode", "StopNode"]
 
     def test_fork_branch_dropping(self):
         tree = build("void f() {\n//$1 <parallel> a\nx();\n"
                      "//$1 <parallel> b\ny();\n}\n")
-        assert [type(n).__name__ for n in tree.root] == ["ForkNode", "StopNode"]
+        assert [type(n).__name__ for n in tree] == ["ForkNode", "StopNode"]
         zero = project(tree, 0)
-        assert shape(zero.root) == [("stop", None)]
+        assert shape(zero) == [("stop", None)]
 
     def test_empty_branch_shell_elided(self):
         tree = build("void f() {\nif (x) {\n//$1 detail\na();\n}\n"
                      "//$ tail\nb();\n}\n")
         zero = project(tree, 0)
-        assert shape(zero.root) == [("action", "tail"), ("stop", None)]
+        assert shape(zero) == [("action", "tail"), ("stop", None)]
         one = project(tree, 1)
-        assert shape(one.root)[0][0] == "branch"
+        assert shape(one)[0][0] == "branch"
 
 
 class TestLeftoverDiagnostics:
@@ -332,7 +331,7 @@ class TestLeftoverDiagnostics:
         diags = []
         tree = build("void f() {\n//$ act\na();\nif (check()) {  //$\nb();\n}\n}\n",
                      diags=diags)
-        assert [c.display for c in tree.root[0].calls] == ["check()"]
+        assert [display for display, _ in tree[0].calls] == ["check()"]
         assert [d.code for d in diags] == ["no-link"]
 
 
@@ -341,7 +340,7 @@ def calls_drawn(nodes):
     out = []
     for n in nodes:
         if isinstance(n, ActionNode):
-            out += [c.display for c in n.calls]
+            out += [display for display, _ in n.calls]
         elif isinstance(n, BranchNode):
             for arm in n.arms:
                 out += calls_drawn(arm.body)
@@ -376,7 +375,7 @@ def drawn(nodes):
     out = []
     for n in nodes:
         if isinstance(n, ActionNode):
-            out.append((n.text, [c.display for c in n.calls]))
+            out.append((n.text, [display for display, _ in n.calls]))
         elif isinstance(n, BranchNode):
             out.append(("branch", [(a.label, drawn(a.body)) for a in n.arms]))
         elif isinstance(n, LoopNode):
@@ -390,7 +389,7 @@ def drawn(nodes):
 def test_a_call_is_drawn_with_its_statement_or_next_to_its_header(src):
     diags = []
     tree = build(src, diags=diags)
-    assert drawn(tree.root) == _SHARED_LINES[src]
+    assert drawn(tree) == _SHARED_LINES[src]
     assert {d.code for d in diags} == {"no-link"}
 
 
@@ -420,6 +419,6 @@ def test_one_descent_finds_each_line_its_innermost_statement(name, tmp_path):
         tree = build_activity(af, FlowDb(), diags)
         calls = sorted((c for a in af.annotations for c in a.calls),
                        key=lambda c: c.offset)
-        assert calls_drawn(tree.root) == [c.callee_text + "()" for c in calls]
+        assert calls_drawn(tree) == [c.callee_text + "()" for c in calls]
         assert "dangling-call-highlight" not in [d.code for d in diags]
 

@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 import shlex
 import subprocess
@@ -496,9 +498,9 @@ class TestWorkDoneOnce:
             builds[(Path(af.fn.file).stem, af.anchor)] += 1
             return build(af, *args, **kwargs)
 
-        def counted_render(tree):
+        def counted_render(tree, max_zoom):
             renders.append(tree)
-            return render(tree)
+            return render(tree, max_zoom)
 
         def captured_run(cfg, diags):
             runs.append(diags)
@@ -568,9 +570,9 @@ class TestEachNodeEmittedOnce:
         build = activity_ir.build_activity
         action_lines = plantuml_emit._action_lines
 
-        def kept_build(*args, **kwargs):
-            trees.append(build(*args, **kwargs))
-            return trees[-1]
+        def kept_build(af, *args, **kwargs):
+            trees.append((af.max_zoom, build(af, *args, **kwargs)))
+            return trees[-1][1]
 
         def counted_lines(node):
             built.append(node)
@@ -581,9 +583,9 @@ class TestEachNodeEmittedOnce:
         code, _ = run_cli("all", str(src), "--out-dir", str(tmp_path / "out"),
                           capsys=capsys)
         assert code == 0
-        [tree] = trees
-        assert tree.max_zoom == 9
-        assert len(built) == _count_actions(tree.root)
+        [(max_zoom, tree)] = trees
+        assert max_zoom == 9
+        assert len(built) == _count_actions(tree)
         assert len(set(map(id, built))) == len(built)
 
 
@@ -665,14 +667,29 @@ class TestOutDirSelection:
 
 
     def test_an_unwritable_index_is_an_io_error(self, tmp_path, capsys):
-        out = tmp_path / "a_file"
+        """With a regular file as the output directory, each output that
+        cannot be written is one io-error that names it, the same on every
+        run, and the annotated functions analysed are not reported missing."""
+        out, src = tmp_path / "a_file", FIXTURES / "xlink"
         out.write_text("")
-        code, err = run_cli("all", str(FIXTURES / "lang" / "hello.cpp"),
-                            "--out-dir", str(out), capsys=capsys)
-        assert code == 1
-        last = err.splitlines()[-1]
-        assert last.startswith(f"{out / 'index.html'}: error: cannot write the index: ")
-        assert last.endswith("[io-error]") and err.count("[io-error]") == 1
+        runs = [run_cli("all", str(src), "--out-dir", str(out), capsys=capsys)
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+
+        def failed(*names):
+            return [f"{out / name}: error: cannot write output: "
+                    f"{os.strerror(errno.ENOTDIR)} [io-error]" for name in names]
+
+        unlinked = [(src / "a.cpp", 6, "b_init"), (src / "a.cpp", 8, "box.prepare"),
+                    (src / "a.cpp", 10, "c_finish"), (src / "b.cpp", 6, "c_log"),
+                    (src / "c.cpp", 7, "B::prepare")]
+        assert runs[0] == (1, "".join(line + "\n" for line in [
+            *failed("a.flowdb", "b.flowdb", "c.flowdb"),
+            *[f"{file}:{line}: warning: no diagram found for call '{callee}'; "
+              "shown without a link [no-link]" for file, line, callee in unlinked],
+            *failed("aux_files/a__A__run__zoom0.txt", "aux_files/b__b_init__zoom0.txt",
+                    "aux_files/c__c_finish__zoom0.txt"),
+            *failed("a.html", "b.html", "c.html", "index.html")]))
 
 
 class TestRenderCmd:

@@ -401,15 +401,15 @@ class TestCallDetection:
                "helper();  //$\n"
                "}\n"
                "}\n")
-        branch, stop = activity_of(src).root
+        branch, stop = activity_of(src)
         [arm] = branch.arms
         [box] = arm.body
-        assert [c.display for c in box.calls] == ["helper()"]
+        assert [display for display, _ in box.calls] == ["helper()"]
         assert isinstance(stop, StopNode)
 
     def test_lines_without_marker_attach_nothing(self):
         src = "void f() {\nhelper();\n}\n"
-        assert [type(n) for n in activity_of(src).root] == [StopNode]
+        assert [type(n) for n in activity_of(src)] == [StopNode]
 
     def test_template_scope_reading_before_a_call(self):
         # a '>' right before '::' closes a balanced '<' on the line: the

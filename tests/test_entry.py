@@ -81,6 +81,19 @@ def test_phases_as_processes_give_the_all_tree(tmp_path, capsys):
     assert tree(tmp_path / "ph") == tree(tmp_path / "all")
 
 
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    """Processes with different string hashes write the same tree and
+    stderr; runs in one process would all share one hash seed."""
+    out, runs = tmp_path / "out", []
+    for seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = flowdoc("all", XLINK, "--out-dir", str(out))
+        runs.append((proc.returncode, proc.stderr, tree(out)))
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and len(runs[0][2]) > 10
+
+
 @pytest.mark.parametrize("flag", ["--version", "--help"])
 def test_stdout_through_a_pipe_is_complete(flag, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # one help width on both sides

@@ -1,5 +1,6 @@
 """Output files are written atomically, with the umask's permissions."""
 
+import errno
 import os
 import shutil
 import stat
@@ -57,6 +58,16 @@ def test_a_write_that_raises_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         ioutil.atomic_write_text(tmp_path / "sub" / "late.txt", "text")
     assert os.listdir(tmp_path / "sub") == []
+
+
+def test_a_failed_write_names_the_output_not_its_temp_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "page.html"
+    with pytest.raises(NotADirectoryError) as failed:
+        ioutil.atomic_write_text(target, "text")
+    assert (failed.value.filename, failed.value.strerror) == (
+        str(target), os.strerror(errno.ENOTDIR))
+    assert ".tmp" not in str(failed.value)
 
 
 def test_an_existing_target_is_replaced(tmp_path):

@@ -1,15 +1,14 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowdoc.activity_ir import (ActionNode, ActivityTree, BranchArm,
-                                 BranchNode, ForkNode, HighlightedCall,
-                                 LoopNode, LoopStyle, StopNode, project)
+from flowdoc.activity_ir import (ActionNode, BranchArm, BranchNode, ForkNode,
+                                 LoopNode, StopNode, project)
 from flowdoc.cli import main
 from flowdoc.plantuml_emit import (diagram_filename, emit, render_function)
 
 
-def tree(*nodes, max_zoom=0):
-    return ActivityTree(list(nodes) + [StopNode()], max_zoom)
+def tree(*nodes):
+    return list(nodes) + [StopNode()]
 
 
 class TestActions:
@@ -19,23 +18,21 @@ class TestActions:
 
     def test_action_with_linked_call(self):
         node = ActionNode("call shower",
-                          calls=[HighlightedCall("VINCIA::shower()",
-                                                 "aux.html#VINCIA__shower")])
+                          calls=[("VINCIA::shower()", "aux.html#VINCIA__shower")])
         assert emit(tree(node)) == (
             "@startuml\nstart\n:call shower\n"
             "[[../aux.html#VINCIA__shower VINCIA::shower()]];\n"
             "stop\n@enduml\n")
 
     def test_unlinked_call_is_plain_text(self):
-        node = ActionNode("", calls=[HighlightedCall("mystery()", None)])
+        node = ActionNode("", calls=[("mystery()", None)])
         assert ":mystery();" in emit(tree(node))
 
     def test_empty_action_renders_a_box(self):
         assert ": ;" in emit(tree(ActionNode("")))
 
     def test_semicolon_ending_gets_padding_when_not_last(self):
-        node = ActionNode("reset;",
-                          calls=[HighlightedCall("go()", None)])
+        node = ActionNode("reset;", calls=[("go()", None)])
         assert ":reset; \ngo();" in emit(tree(node))
 
     def test_final_line_keeps_its_ending(self):
@@ -68,14 +65,14 @@ class TestConstructs:
         assert "else (fallback)" in emit(tree(node))
 
     def test_while_loop(self):
-        node = LoopNode(LoopStyle.PRE_TEST, "has input",
+        node = LoopNode(False, "has input",
                         [ActionNode("consume")])
         assert emit(tree(node)) == (
             "@startuml\nstart\nwhile (has input)\n:consume;\n"
             "endwhile\nstop\n@enduml\n")
 
     def test_do_while_loop(self):
-        node = LoopNode(LoopStyle.POST_TEST, "retry needed",
+        node = LoopNode(True, "retry needed",
                         [ActionNode("attempt")])
         assert emit(tree(node)) == (
             "@startuml\nstart\nrepeat\n:attempt;\n"
@@ -88,7 +85,7 @@ class TestConstructs:
             "fork again\n:c;\nend fork\nstop\n@enduml\n")
 
     def test_stop_with_text(self):
-        out = emit(ActivityTree([StopNode("return value")], 0))
+        out = emit([StopNode("return value")])
         assert out == "@startuml\nstart\n:return value;\nstop\n@enduml\n"
 
     def test_label_whitespace_collapses(self):
@@ -102,8 +99,7 @@ class TestConstructs:
 
 class TestRenderFunction:
     def two_level_tree(self):
-        return ActivityTree([ActionNode("coarse", zoom=0),
-                             ActionNode("fine", zoom=1), StopNode()], 1)
+        return [ActionNode("coarse", zoom=0), ActionNode("fine", zoom=1), StopNode()]
 
     def test_one_file_per_zoom_under_aux_files(self, tmp_path, capsys):
         src = tmp_path / "b.cpp"
@@ -114,26 +110,24 @@ class TestRenderFunction:
         assert sorted(p.name for p in aux.iterdir()) == [
             "b__B__go__zoom0.txt", "b__B__go__zoom1.txt"]
         assert [(aux / diagram_filename("b", "B__go", k)).read_text()
-                for k in (0, 1)] == render_function(self.two_level_tree())
+                for k in (0, 1)] == render_function(self.two_level_tree(), 1)
 
     def test_projection_applied_per_level(self):
-        texts = render_function(self.two_level_tree())
+        texts = render_function(self.two_level_tree(), 1)
         assert ":fine;" not in texts[0]
         assert ":fine;" in texts[1]
 
     def test_default_link_base_points_up(self):
-        t = ActivityTree([ActionNode("x", calls=[
-                             HighlightedCall("g()", "c.html#g")]),
-                          StopNode()], 0)
-        assert "[[../c.html#g g()]]" in render_function(t)[0]
+        t = [ActionNode("x", calls=[("g()", "c.html#g")]), StopNode()]
+        assert "[[../c.html#g g()]]" in render_function(t, 0)[0]
 
     def test_filename_shape(self):
         assert diagram_filename("main", "ns__f__2", 3) == (
             "main__ns__f__2__zoom3.txt")
 
     def test_deterministic(self):
-        assert (render_function(self.two_level_tree())
-                == render_function(self.two_level_tree()))
+        assert (render_function(self.two_level_tree(), 1)
+                == render_function(self.two_level_tree(), 1))
 
 
 @given(st.text(min_size=1).filter(lambda s: s.strip()))
@@ -161,7 +155,7 @@ _words = st.text(max_size=4)
 _zooms = st.integers(0, 9)
 _actions = st.builds(
     ActionNode, _words, _zooms,
-    calls=st.lists(st.builds(HighlightedCall, _words, st.none() | _words),
+    calls=st.lists(st.tuples(_words, st.none() | _words),
                    max_size=2))
 _forks = _zooms.flatmap(lambda z: st.lists(
     st.builds(ActionNode, _words, st.just(z), st.just(True)),
@@ -181,7 +175,7 @@ def _sequences(depth):
                               st.just(True)))
     branches = arms.map(lambda a: BranchNode(
         [a[0], *a[1]] + ([a[2]] if a[2] else [])))
-    loops = st.builds(LoopNode, st.sampled_from(LoopStyle), _words, inner)
+    loops = st.builds(LoopNode, st.booleans(), _words, inner)
     return st.lists(leaves | branches | loops, max_size=3)
 
 
@@ -199,10 +193,8 @@ def _max_zoom(nodes):
     return max(zooms)
 
 
-_trees = _sequences(5).map(lambda nodes: ActivityTree(nodes, _max_zoom(nodes)))
-
-
-@given(_trees)
+@given(_sequences(5))
 def test_one_walk_gives_each_projected_level(t):
-    assert render_function(t) == [emit(project(t, level))
-                                  for level in range(t.max_zoom + 1)]
+    max_zoom = _max_zoom(t)
+    assert render_function(t, max_zoom) == [emit(project(t, level))
+                                            for level in range(max_zoom + 1)]
