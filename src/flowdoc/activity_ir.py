@@ -33,8 +33,8 @@ import bisect
 
 from .annotations import Annotation, AnnotationKind
 from .cxx_structure import Stmt, StmtKind
-from .diagnostics import Diagnostic, sink, warning
-from .flowdb import AnnotatedFunction, FlowDb
+from .diagnostics import Diagnostic, warning
+from .flowdb import AnnotatedFunction, FlowDb, url_quote
 
 
 class ActionNode:
@@ -92,11 +92,10 @@ def collapse_ws(text: str) -> str:
 
 
 def build_activity(af: AnnotatedFunction, db: FlowDb,
-                   diags: list[Diagnostic] | None = None) -> list[ActivityNode]:
+                   diags: list[Diagnostic]) -> list[ActivityNode]:
     """The activity tree of one annotated function, as its top-level node
     list, from its statement tree and the annotations
     ``flowdb.annotated_functions`` gave it."""
-    diags = sink(diags)
     builder = _Builder(af, db, diags)
     root = builder.fuse_block(af.body)
     if not root or not isinstance(root[-1], StopNode):
@@ -204,7 +203,7 @@ class _Builder:
                 entry = self.db.resolve(item, self.fn.file, self.diags)
                 if entry is not None:
                     hc = (entry.qualified_name + "()",
-                          f"{entry.html_path}#{entry.anchor}")
+                          f"{url_quote(entry.html_path)}#{entry.anchor}")
                 else:
                     self.diags.append(warning(
                         "no-link", f"no diagram found for call '{item.callee_text}'; "

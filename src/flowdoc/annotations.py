@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from enum import Enum
 
 from .cxx_structure import CallSite, CodeStream, FunctionDef, detect_calls
-from .diagnostics import Diagnostic, sink, warning
+from .diagnostics import warning
 
 
 class AnnotationKind(Enum):
@@ -60,9 +60,7 @@ _DESC_KINDS = dict.fromkeys(("if", "else", "while", "for", "do"),
 _DESC_KINDS["return"] = AnnotationKind.RETURN_DESC
 
 
-def collect(view: CodeStream, file: str = "<input>",
-            diags: list[Diagnostic] | None = None,
-            defs: Sequence[FunctionDef] = ()) -> list[Annotation]:
+def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
     """All annotations of a source's lexed view, in source order.
 
     A highlight keeps the call sites among the lexemes of its line, after
@@ -70,9 +68,8 @@ def collect(view: CodeStream, file: str = "<input>",
     marker if it opens there: a definition's declarator is no call.
     Postfix highlights whose line holds no detectable call are dropped with
     a diagnostic; orphan bracket annotations are kept as actions and
-    reported.
+    reported, in ``view.diags``.
     """
-    diags = sink(diags)
     body_starts = [fn.body_start for fn in defs]
     markers, lx = view.markers, view.lexemes
     out: list[Annotation] = []
@@ -86,10 +83,10 @@ def collect(view: CodeStream, file: str = "<input>",
                 lo = view.index_at_or_after(body_starts[d]) + 1
             calls = detect_calls(view, lo, view.index_at_or_after(tok.offset))
             if not calls:
-                diags.append(warning(
+                view.diags.append(warning(
                     "dangling-call-highlight",
                     "postfix '//$' on a line with no detectable call; ignored",
-                    file, tok.line))
+                    view.file, tok.line))
                 continue
             out.append(Annotation(AnnotationKind.CALL_HIGHLIGHT, text, tok.line,
                                   tok.offset, calls=tuple(calls)))
@@ -104,19 +101,19 @@ def collect(view: CodeStream, file: str = "<input>",
                                   target=lx[i].offset))
             continue
         if desc:
-            diags.append(warning(
+            view.diags.append(warning(
                 "orphan-bracket-annotation",
                 "'[...]' annotation does not precede a branch, loop or "
                 "return; kept as a plain action",
-                file, tok.line))
+                view.file, tok.line))
         # int() refuses a run of more than 4300 digits; one that long is too deep
         zoom = int(digits or 0) if len(digits) <= 4300 else MAX_ZOOM + 1
         if zoom > MAX_ZOOM:
-            diags.append(warning(
+            view.diags.append(warning(
                 "zoom-too-deep",
                 f"zoom levels above {MAX_ZOOM} are not drawn; "
                 f"this action is drawn at zoom {MAX_ZOOM}",
-                file, tok.line))
+                view.file, tok.line))
             zoom = MAX_ZOOM
         out.append(Annotation(AnnotationKind.ACTION, text, tok.line, tok.offset,
                               zoom, parallel is not None))

@@ -223,7 +223,7 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     reported once, by the phase that skips a write.
     """
     out = args.out_dir
-    stems = []
+    stems, texts = [], {}  # texts: the databases this run writes, by path
     for stem, group in _stem_groups(args.sources or [], diags):
         annotated = None
         with _isolated(group[0], diags):
@@ -233,11 +233,11 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
                     diags.append(warning("output-collision", "'index.html' is already an output "
                                          "of the index; this stem gets no page and its functions "
                                          "are neither indexed nor linked", group[0]))
-                flowdb.write_db(stem, annotated if stem != "index" else [], out)
+                flowdb.write_db(stem, annotated if stem != "index" else [], out, texts)
         stems.append((stem, group[0], annotated))
     if args.command == "build-db":
         return
-    db = flowdb.load_merge(out, diags)
+    db = flowdb.load_merge(out, diags, texts)
     aux, owner = out / "aux_files", {}  # each diagram path, and the first source to name it
     pages = []  # per stem: its functions with their texts, level 0 first; its diagrams
     for stem, file, annotated in stems:

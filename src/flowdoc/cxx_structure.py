@@ -14,7 +14,9 @@ Positions are character offsets into the source, as the lexed view holds
 them: a statement spans the offsets of its first and last lexeme and records
 those of the keywords a description can bind to; only diagnostics and call
 sites look lines up. The view pairs every bracket with its closer once, so
-skipping a body, a group or an initializer is a lookup, not a rescan.
+skipping a body, a group or an initializer is a lookup, not a rescan. It
+also carries its source's name and diagnostic list, ``view.file`` and
+``view.diags``: every layer that reads the view reports there.
 
 Declarations (ending in ``;``), lambdas, local classes, operator overloads
 and the bodies of ``switch``/``try`` stay opaque: they are brace-matched and
@@ -31,7 +33,7 @@ from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, sink, warning
+from .diagnostics import Diagnostic, warning
 from .scanner import LexKind, Lexeme, Token, TokenKind, line_code_map, scan
 
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
@@ -51,12 +53,13 @@ class CodeStream:
     The view also carries the ``//$`` comments and, only to tell a postfix
     marker from a standalone one, the per-line code text of
     ``scanner.line_code_map``; the token list need not outlive it.
+    ``file`` names the source in diagnostics, and ``diags`` is the list that
+    the scanner and every layer reading the view append them to.
     """
 
-    def __init__(self, text: str, file: str = "<input>",
-                 diags: list[Diagnostic] | None = None):
+    def __init__(self, text: str, file: str, diags: list[Diagnostic]):
         tokens, lexemes = scan(text, file, diags)
-        self.source = text
+        self.source, self.file, self.diags = text, file, diags
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
         self.code_by_line = line_code_map(tokens)
         self.markers: list[Token] = [t for t in tokens if t.kind is TokenKind.LINE_COMMENT
@@ -153,8 +156,7 @@ class _Scope:
         self.kind, self.name, self.open_line = kind, name, open_line
 
 
-def find_definitions(view: CodeStream, file: str = "<input>",
-                     diags: list[Diagnostic] | None = None) -> list[FunctionDef]:
+def find_definitions(view: CodeStream) -> list[FunctionDef]:
     """Recognize function definitions in source order.
 
     The restricted pattern is: optional template header, return-type tokens,
@@ -163,7 +165,6 @@ def find_definitions(view: CodeStream, file: str = "<input>",
     list, then ``{``. Each body is skipped to the partner of its ``{``, so
     nothing inside a function can be mistaken for another definition.
     """
-    diags = sink(diags)
     lx = view.lexemes
     defs: list[FunctionDef] = []
     scopes: list[_Scope] = []
@@ -206,7 +207,7 @@ def find_definitions(view: CodeStream, file: str = "<input>",
                     signature = view.source[lx[start].offset:lx[i].offset].strip()
                     defs.append(FunctionDef(qname, signature, lx[i].offset,
                                             lx[-1 if close is None else close].offset,
-                                            file))
+                                            view.file))
                 # a body, or an opaque enum body, initializer, lambda: skipped whole
                 i = n if close is None else close + 1
                 start = i
@@ -228,8 +229,8 @@ def find_definitions(view: CodeStream, file: str = "<input>",
         i += 1
 
     if unbalanced or scopes:
-        diags.append(warning("unbalanced-braces", "unbalanced braces", file,
-                             unbalanced or scopes[0].open_line))
+        view.diags.append(warning("unbalanced-braces", "unbalanced braces", view.file,
+                                  unbalanced or scopes[0].open_line))
     return defs
 
 
@@ -387,9 +388,7 @@ def _name_chain_before(lx: list[Lexeme], s: int, op: int) -> str | None:
 # ---------------------------------------------------------------------------
 # statement trees
 
-def parse_body(fn: FunctionDef, view: CodeStream,
-               diags: list[Diagnostic] | None = None,
-               targets: Sequence[int] = ()) -> Stmt:
+def parse_body(fn: FunctionDef, view: CodeStream, targets: Sequence[int]) -> Stmt:
     """Parse a recognized function body into a statement tree.
 
     The root is a Block spanning the braces. ``targets``, the sorted keyword
@@ -397,10 +396,9 @@ def parse_body(fn: FunctionDef, view: CodeStream,
     statement kept opaque past the nesting bound that holds them, and kept
     by the root.
     """
-    diags = sink(diags)
     lo = view.index_at_or_after(fn.body_start)
     hi = view.index_at_or_after(fn.body_end)
-    parser = _BodyParser(view, fn.file, diags, targets)
+    parser = _BodyParser(view, targets)
     children = parser.parse_range(lo + 1, hi)
     return Stmt(StmtKind.BLOCK, (fn.body_start, fn.body_end),
                 children=children, keywords=tuple(parser.swallowed))
@@ -445,15 +443,13 @@ def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
 
 
 class _BodyParser:
-    def __init__(self, view: CodeStream, file: str, diags: list[Diagnostic],
-                 targets: Sequence[int]):
+    def __init__(self, view: CodeStream, targets: Sequence[int]):
         self.view = view
         self.targets = targets
         self.swallowed: list[int] = []  # targets inside opaque statements
         self.lx = view.lexemes
         self.partner = view.partner
-        self.file = file
-        self.diags = diags
+        self.file, self.diags = view.file, view.diags
         self.depth = 0  # blocks and unbraced arms entered, the body included
 
     def _span(self, i: int, j: int) -> tuple[int, int]:  # lexemes i through j

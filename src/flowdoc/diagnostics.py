@@ -41,8 +41,3 @@ def warning(code: str, message: str, file: str | None = None, line: int | None =
 
 def error(code: str, message: str, file: str | None = None, line: int | None = None) -> Diagnostic:
     return Diagnostic(Severity.ERROR, code, message, file, line)
-
-
-def sink(diags: list[Diagnostic] | None) -> list[Diagnostic]:
-    """Return a usable diagnostic list (a throwaway one when None is passed)."""
-    return diags if diags is not None else []

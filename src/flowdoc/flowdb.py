@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import annotations as _annotations
 from . import cxx_structure as _cxx
 from .cxx_structure import CallSite, FunctionDef, Stmt
-from .diagnostics import Diagnostic, error, sink, warning
+from .diagnostics import Diagnostic, error, warning
 from .ioutil import atomic_write_text
 
 SOURCE_SUFFIXES = (".cpp", ".cc", ".cxx", ".C", ".h", ".hpp", ".hh")
@@ -30,6 +30,15 @@ def mangle_anchor(qualified_name: str) -> str:
     """HTML anchor for a qualified name: '::' becomes '__', any other
     non-word character becomes '_'."""
     return re.sub(r"[^0-9A-Za-z_]", "_", qualified_name.replace("::", "__"))
+
+
+_URL_UNSAFE = re.compile(r"[%#?\[\]\s]")
+
+
+def url_quote(name: str) -> str:
+    """A file name in a URL: ``%#?[]`` and whitespace, which would end or
+    split the URL, percent-encoded as UTF-8; any other character is kept."""
+    return _URL_UNSAFE.sub(lambda m: "".join(f"%{b:02X}" for b in m[0].encode()), name)
 
 
 class FlowDbEntry(NamedTuple):
@@ -52,7 +61,7 @@ class AnnotatedFunction:
 
 def annotated_functions(defs: list[FunctionDef],
                         annos: list[_annotations.Annotation],
-                        taken: dict[str, int] | None = None) -> list[AnnotatedFunction]:
+                        taken: dict[str, int]) -> list[AnnotatedFunction]:
     """Pair definitions with the annotations inside their bodies.
 
     This is the one place that decides which annotations belong to a
@@ -63,7 +72,6 @@ def annotated_functions(defs: list[FunctionDef],
     (each anchor, to the last suffix given to it as a name); share that map
     when several sources feed one page.
     """
-    taken = {} if taken is None else taken
     annos = sorted(annos, key=lambda a: a.offset)
     offsets = [a.offset for a in annos]
     out: list[AnnotatedFunction] = []
@@ -83,10 +91,8 @@ def annotated_functions(defs: list[FunctionDef],
     return out
 
 
-def analyze_source(source_path: str | Path,
-                   diags: list[Diagnostic] | None = None,
-                   taken: dict[str, int] | None = None
-                   ) -> list[AnnotatedFunction] | None:
+def analyze_source(source_path: str | Path, diags: list[Diagnostic],
+                   taken: dict[str, int]) -> list[AnnotatedFunction] | None:
     """Read, scan and lex one file once, then recognize its definitions,
     collect its annotations and parse each annotated body.
 
@@ -94,7 +100,6 @@ def analyze_source(source_path: str | Path,
     dropped on return. Returns None (with an error diagnostic) when the file
     cannot be read.
     """
-    diags = sink(diags)
     path = Path(source_path)
     try:
         text = path.read_text(encoding="utf-8-sig")  # a leading BOM is no code
@@ -102,18 +107,16 @@ def analyze_source(source_path: str | Path,
         diags.append(error("io-error", f"cannot read source: {exc}", str(path)))
         return None
     view = _cxx.CodeStream(text, str(path), diags)
-    defs = _cxx.find_definitions(view, str(path), diags)
-    annos = _annotations.collect(view, str(path), diags, defs)
-    annotated = annotated_functions(defs, annos, taken)
+    defs = _cxx.find_definitions(view)
+    annotated = annotated_functions(defs, _annotations.collect(view, defs), taken)
     for af in annotated:
-        af.body = _cxx.parse_body(af.fn, view, diags, [
+        af.body = _cxx.parse_body(af.fn, view, [
             a.target for a in af.annotations if a.target is not None])
     return annotated
 
 
 def analyze_stem(source_paths: list[str | Path],
-                 diags: list[Diagnostic] | None = None
-                 ) -> list[AnnotatedFunction] | None:
+                 diags: list[Diagnostic]) -> list[AnnotatedFunction] | None:
     """The annotated functions of the sources sharing one stem (typically a
     header and its .cpp), which share one anchor namespace; None when none
     of them is readable."""
@@ -124,37 +127,37 @@ def analyze_stem(source_paths: list[str | Path],
 
 
 def write_db(stem: str, annotated: list[AnnotatedFunction],
-             out_dir: str | Path) -> Path:
-    """Write <stem>.flowdb for the annotated functions of one stem."""
+             out_dir: str | Path, texts: dict[Path, str]) -> Path:
+    """Write <stem>.flowdb for the annotated functions of one stem, its text
+    first put in ``texts`` by path, for ``load_merge`` even if the write fails."""
     html_path = stem + ".html"
-    lines = sorted(
-        f"{af.fn.qualified_name}\t{html_path}#{af.anchor}\t{af.max_zoom}\n"
-        for af in annotated)
     db_path = Path(out_dir) / (stem + ".flowdb")
-    atomic_write_text(db_path, "".join(lines))
+    texts[db_path] = "".join(sorted(
+        f"{af.fn.qualified_name}\t{html_path}#{af.anchor}\t{af.max_zoom}\n"
+        for af in annotated))
+    atomic_write_text(db_path, texts[db_path])
     return db_path
 
 
 class FlowDb:
-    """Merged view over every ``.flowdb`` in the output directory.
+    """Merged view over the ``.flowdb`` databases of a run.
 
-    ``entries`` must not change after construction: the suffix index is
-    built from it once.
+    ``entries`` is kept, not copied, and must not change after construction:
+    the suffix index is built from it once.
     """
 
-    def __init__(self, entries: dict[str, FlowDbEntry] | None = None):
-        self.entries: dict[str, FlowDbEntry] = dict(entries or {})
+    def __init__(self, entries: dict[str, FlowDbEntry]):
+        self.entries = entries
         # entries by the text after their last '::'; every name ending in
         # '::' + N shares that key with '::' + N
         self._by_last: dict[str, list[tuple[str, FlowDbEntry]]] = {}
         for name, entry in self.entries.items():
             self._by_last.setdefault(_last_part(name), []).append((name, entry))
 
-    def resolve(self, call: CallSite, file: str | None = None,
-                diags: list[Diagnostic] | None = None) -> FlowDbEntry | None:
+    def resolve(self, call: CallSite, file: str,
+                diags: list[Diagnostic]) -> FlowDbEntry | None:
         """The entry a call site links to: exact qualified match first, then
         a unique ``*::name`` suffix match. Ambiguity breaks the link."""
-        diags = sink(diags)
         entry = self.entries.get(call.normalized_name)
         if entry is None:
             suffix = "::" + call.normalized_name
@@ -174,23 +177,25 @@ def _last_part(name: str) -> str:
     return name.rpartition("::")[2]
 
 
-_DB_LINE_RE = re.compile(r"^(\S[^\t]*)\t([^\t#]+\.html)#(\w+)\t(\d+)$")
+# the page is split from the anchor at its last '.html#'
+_DB_LINE_RE = re.compile(r"^(\S[^\t]*)\t([^\t]+\.html)#(\w+)\t(\d+)$")
 
 
-def load_merge(db_dir: str | Path,
-               diags: list[Diagnostic] | None = None) -> FlowDb:
-    """Merge every ``*.flowdb`` under db_dir.
+def load_merge(db_dir: str | Path, diags: list[Diagnostic],
+               texts: dict[Path, str]) -> FlowDb:
+    """Merge the databases ``texts`` holds by path and every other
+    ``*.flowdb`` under db_dir, in the order of their paths.
 
     Malformed lines are skipped with a diagnostic. When one qualified name
     has several entries (overloads on one page, or definitions on several
     pages), the first entry read on the lexicographically first html path
     wins and the collision is reported.
     """
-    diags = sink(diags)
     merged: dict[str, FlowDbEntry] = {}
-    for db_file in sorted(Path(db_dir).glob("*.flowdb")):
+    for db_file in sorted(texts.keys() | Path(db_dir).glob("*.flowdb")):
         try:
-            content = db_file.read_text(encoding="utf-8")
+            content = (texts[db_file] if db_file in texts
+                       else db_file.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             diags.append(error("io-error", f"cannot read database: {exc}",
                                str(db_file)))

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .activity_ir import collapse_ws
-from .flowdb import AnnotatedFunction, FlowDb
+from .flowdb import AnnotatedFunction, FlowDb, url_quote
 from .ioutil import atomic_write_text
 from .plantuml_emit import diagram_filename
 
@@ -49,7 +49,7 @@ def _head(title: str) -> str:
 
 def emit_page(source_stem: str,
               funcs: list[tuple[AnnotatedFunction, list[str]]],
-              out_dir: str | Path, foreign: Container[str] = ()) -> Path:
+              out_dir: str | Path, foreign: Container[str]) -> Path:
     """Write <stem>.html for one source file and return its path.
 
     Each function comes with its diagram texts, level 0 first. A diagram
@@ -66,8 +66,9 @@ def emit_page(source_stem: str,
         for zoom, text in enumerate(texts):
             name = diagram_filename(source_stem, af.anchor, zoom)
             pre = f"<pre>{_escape(text)}</pre>\n"  # embedded twice
+            svg = url_quote(name[:-len(".txt")]) + ".svg"
             image = pre if name in foreign else (
-                f'<object type="image/svg+xml" data="aux_files/{name[:-len(".txt")]}.svg">\n'
+                f'<object type="image/svg+xml" data="aux_files/{_escape(svg)}">\n'
                 f"{pre}</object>\n")
             parts.append(
                 f'<div class="zoom" id="{af.anchor}__zoom{zoom}">\n'
@@ -90,13 +91,13 @@ def emit_index(db: FlowDb, out_dir: str | Path) -> Path:
     if not by_page:
         parts.append("<p>No annotated functions were found.</p>\n")
     for page in sorted(by_page):
-        parts.append(f'<h2><a href="{_escape(page)}">'
+        parts.append(f'<h2><a href="{_escape(url_quote(page))}">'
                      f"{_escape(page)}</a></h2>\n<ul>\n")
         for entry in sorted(by_page[page], key=lambda e: (e.qualified_name, e.anchor)):
             zooms = ("zoom 0" if entry.max_zoom == 0
                      else f"zoom 0&ndash;{entry.max_zoom}")
             parts.append(
-                f'<li><a href="{_escape(entry.html_path)}'
+                f'<li><a href="{_escape(url_quote(entry.html_path))}'
                 f'#{entry.anchor}">{_escape(entry.qualified_name)}</a>'
                 f" ({zooms})</li>\n")
         parts.append("</ul>\n")
@@ -122,8 +123,9 @@ def check_links(out_dir: str | Path) -> list[LinkRef]:
     resolves.
 
     Covers hrefs in the HTML pages and ``[[target ...]]`` hyperlinks inside
-    the diagram texts under aux_files/.
+    the diagram texts under aux_files/, with page names percent-decoded.
     """
+    from urllib.parse import unquote  # only this check needs it
     out = Path(out_dir)
     ids: dict[str, set[str]] = {}
     for page in out.glob("*.html"):
@@ -135,7 +137,7 @@ def check_links(out_dir: str | Path) -> list[LinkRef]:
         if target.startswith(("http:", "https:", "mailto:")):
             return
         page, _, anchor = target.partition("#")
-        page = page.removeprefix("../")
+        page = unquote(page.removeprefix("../"))
         if not page.endswith(".html"):
             return
         ok = page in ids and (not anchor or anchor in ids[page])

@@ -39,7 +39,7 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, sink, warning
+from .diagnostics import Diagnostic, warning
 
 
 class TokenKind(Enum):
@@ -107,12 +107,10 @@ _LEXEMES = {k: kind for k, (kind, _, _) in _RULES.items() if isinstance(kind, Le
 _CODE = TokenKind.CODE
 
 
-def scan(text: str, file: str = "<input>", diags: list[Diagnostic] | None = None
-         ) -> tuple[list[Token], list[Lexeme]]:
+def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Token], list[Lexeme]]:
     """Tokenize source text into an ordered, gap-free list of tokens, and
     list its lexemes. An unterminated token is reported as a warning and
     scanning goes on."""
-    diags = sink(diags)
     tokens: list[Token] = []
     lexemes: list[Lexeme] = []
     append, add, new = tokens.append, lexemes.append, tuple.__new__

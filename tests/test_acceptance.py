@@ -183,10 +183,10 @@ def test_criterion_3():
         text = _generate_fixture(rng)
         name = f"gen{seed}.cpp"
         view = cxx_structure.CodeStream(text, name, [])
-        defs = cxx_structure.find_definitions(view, name, [])
-        af = annotated_functions(defs, annotations.collect(view, name, []))[0]
+        defs = cxx_structure.find_definitions(view)
+        af = annotated_functions(defs, annotations.collect(view, []), {})[0]
         af.body = cxx_structure.parse_body(af.fn, view, [])
-        tree = activity_ir.build_activity(af, FlowDb(), [])
+        tree = activity_ir.build_activity(af, FlowDb({}), [])
         depth_seen[af.max_zoom] += 1
         prev = None
         for level in range(af.max_zoom + 1):
@@ -364,9 +364,8 @@ def test_criterion_6(tmp_path):
     functions_seen = 0
     for src in sources:
         view = cxx_structure.CodeStream(src.read_text(), src.name, [])
-        functions_seen += len(
-            cxx_structure.find_definitions(view, src.name, []))
-        false_positives += len(annotations.collect(view, src.name, []))
+        functions_seen += len(cxx_structure.find_definitions(view))
+        false_positives += len(annotations.collect(view, []))
 
     out = tmp_path / "out"
     code = run_pipeline(sources, out, "--quiet")

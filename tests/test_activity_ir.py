@@ -14,19 +14,19 @@ from test_cli import _NOISY, _nested_ifs, _zoomed
 def annotated(src, diags):
     """The first function of src, if annotated, with its statement tree."""
     view = CodeStream(src, "t.cpp", diags)
-    fns = find_definitions(view, "t.cpp", diags)[:1]
-    afs = annotated_functions(fns, collect(view, "t.cpp", diags))
+    fns = find_definitions(view)[:1]
+    afs = annotated_functions(fns, collect(view, []), {})
     if not afs:
         return None
     af = afs[0]
-    af.body = parse_body(af.fn, view, diags)
+    af.body = parse_body(af.fn, view, [])
     return af
 
 
 def build(src, db=None, diags=None):
     diags = diags if diags is not None else []
     af = annotated(src, diags)
-    return None if af is None else build_activity(af, db or FlowDb(), diags)
+    return None if af is None else build_activity(af, db or FlowDb({}), diags)
 
 
 def shape(nodes):
@@ -412,11 +412,11 @@ def test_one_descent_finds_each_line_its_innermost_statement(name, tmp_path):
     function's highlighted calls in source order, each once."""
     path = tmp_path / name.replace("/", "_")
     path.write_text(_PLACEMENT_SOURCES[name], encoding="utf-8")
-    afs = analyze_source(path, [])
+    afs = analyze_source(path, [], {})
     assert afs
     for af in afs:
         diags = []
-        tree = build_activity(af, FlowDb(), diags)
+        tree = build_activity(af, FlowDb({}), diags)
         calls = sorted((c for a in af.annotations for c in a.calls),
                        key=lambda c: c.offset)
         assert calls_drawn(tree) == [c.callee_text + "()" for c in calls]

@@ -10,8 +10,7 @@ ACTION = AnnotationKind.ACTION
 
 
 def collect_src(src, diags=None):
-    return collect(CodeStream(src), "t.cpp",
-                   diags if diags is not None else [])
+    return collect(CodeStream(src, "t.cpp", diags if diags is not None else []), [])
 
 
 def body(*lines):
@@ -151,12 +150,12 @@ PIECES = st.sampled_from(["\t", "\r", "\x0b", "\x1c", "\x85", "\u2028",
 @settings(max_examples=200)
 @given(st.lists(PIECES, max_size=12).map("".join), st.sampled_from(sorted(FOLLOWERS)))
 def test_collect_reads_markers_as_the_reference_grammar(tail, follower):
-    view = CodeStream(body("//$" + tail, follower))
+    view = CodeStream(body("//$" + tail, follower), "t.cpp", [])
     [tok] = view.markers  # a lone '\r' stays inside the comment
     zoom, parallel, text = ref_parse_marker(tok.text)
     inner = ref_bracket_payload(text)
     kind = FOLLOWERS[follower] if inner is not None else None
-    [ann] = collect(view, "t.cpp", [])
+    [ann] = collect(view, [])
     if kind is None:
         assert (ann.kind, ann.zoom, ann.parallel, ann.text) == (
             ACTION, min(zoom, MAX_ZOOM), parallel, text)

@@ -12,6 +12,7 @@ import pytest
 
 from flowdoc import activity_ir, cli, cxx_structure, flowdb, plantuml_emit
 from flowdoc.cli import main
+from flowdoc.html_emit import check_links
 
 from conftest import FIXTURES, GOLDEN
 
@@ -272,6 +273,31 @@ class TestPipeline:
                             "--out-dir", str(tmp_path), capsys=capsys)
         assert code == 0
         assert "[no-link]" in err  # cross link needs build-db first
+
+    @pytest.mark.parametrize("stem,quoted", [("a#b", "a%23b"), ("my file", "my%20file"),
+                                             ("50%?[x]", "50%25%3F%5Bx%5D")])
+    def test_stems_that_break_urls_get_working_links(self, stem, quoted,
+                                                     tmp_path, capsys):
+        src = tmp_path / f"{stem}.cpp"
+        src.write_text("void f() {\n//$ do f\nx();\n}\n"
+                       "void g() {\n//$ do g\nf();  //$\n}\n")
+        trees = []
+        for phases in (["all"], ["build-db", "makeflows", "makehtml"]):
+            out = tmp_path / phases[0]
+            for phase in phases:
+                assert run_cli(phase, str(src), "--out-dir", str(out),
+                               capsys=capsys) == (0, "")
+            trees.append(files_of(out))
+        assert trees[0] == trees[1]
+        index = (out / "index.html").read_text()
+        assert (f'<li><a href="{quoted}.html#f">f</a>' in index
+                and f'<li><a href="{quoted}.html#g">g</a>' in index)
+        assert f"[[../{quoted}.html#f f()]]" in (
+            out / "aux_files" / f"{stem}__g__zoom0.txt").read_text()
+        assert f'data="aux_files/{quoted}__f__zoom0.svg"' in (
+            out / f"{stem}.html").read_text()
+        refs = check_links(out)
+        assert len(refs) == 5 and all(ref.ok for ref in refs)
 
 
 class TestDiagnostics:
@@ -669,7 +695,8 @@ class TestOutDirSelection:
     def test_an_unwritable_index_is_an_io_error(self, tmp_path, capsys):
         """With a regular file as the output directory, each output that
         cannot be written is one io-error that names it, the same on every
-        run, and the annotated functions analysed are not reported missing."""
+        run, and the annotated functions analysed are not reported missing:
+        the databases that could not be written still link the calls."""
         out, src = tmp_path / "a_file", FIXTURES / "xlink"
         out.write_text("")
         runs = [run_cli("all", str(src), "--out-dir", str(out), capsys=capsys)
@@ -680,16 +707,23 @@ class TestOutDirSelection:
             return [f"{out / name}: error: cannot write output: "
                     f"{os.strerror(errno.ENOTDIR)} [io-error]" for name in names]
 
-        unlinked = [(src / "a.cpp", 6, "b_init"), (src / "a.cpp", 8, "box.prepare"),
-                    (src / "a.cpp", 10, "c_finish"), (src / "b.cpp", 6, "c_log"),
-                    (src / "c.cpp", 7, "B::prepare")]
         assert runs[0] == (1, "".join(line + "\n" for line in [
             *failed("a.flowdb", "b.flowdb", "c.flowdb"),
-            *[f"{file}:{line}: warning: no diagram found for call '{callee}'; "
-              "shown without a link [no-link]" for file, line, callee in unlinked],
             *failed("aux_files/a__A__run__zoom0.txt", "aux_files/b__b_init__zoom0.txt",
                     "aux_files/c__c_finish__zoom0.txt"),
             *failed("a.html", "b.html", "c.html", "index.html")]))
+
+    def test_a_database_that_cannot_be_written_still_links(self, tmp_path, capsys):
+        """A run merges the databases it writes from memory: a directory in
+        the place of one is one io-error, and the calls into it still link."""
+        out, src = tmp_path / "out", FIXTURES / "xlink"
+        (out / "b.flowdb").mkdir(parents=True)
+        code, err = run_cli("all", str(src), "--out-dir", str(out), capsys=capsys)
+        assert (code, err) == (1, f"{out / 'b.flowdb'}: error: cannot write output: "
+                                  f"{os.strerror(errno.EISDIR)} [io-error]\n")
+        assert "[[../b.html#b_init b_init()]]" in (
+            out / "aux_files" / "a__A__run__zoom0.txt").read_text()
+        assert all(ref.ok for ref in check_links(out))
 
 
 class TestRenderCmd:

@@ -11,15 +11,15 @@ from flowdoc.flowdb import AnnotatedFunction, FlowDb
 
 
 def defs_of(src, diags=None):
-    return find_definitions(CodeStream(src), "t.cpp",
-                            diags if diags is not None else [])
+    return find_definitions(CodeStream(src, "t.cpp",
+                                       diags if diags is not None else []))
 
 
 def body_lines(src):
     """The lines of the braces of each definition's body."""
-    view = CodeStream(src)
+    view = CodeStream(src, "t.cpp", [])
     return [(view.line(d.body_start), view.line(d.body_end))
-            for d in find_definitions(view, "t.cpp", [])]
+            for d in find_definitions(view)]
 
 
 def names(src):
@@ -174,9 +174,9 @@ class TestDefinitionRecognition:
 class TestStatementTrees:
     def parse(self, body, diags=None):
         src = f"void f() {{\n{body}\n}}\n"
-        view = CodeStream(src)
-        fn = find_definitions(view, "t.cpp", [])[0]
-        return parse_body(fn, view, diags if diags is not None else [])
+        view = CodeStream(src, "t.cpp", diags if diags is not None else [])
+        fn = find_definitions(view)[0]
+        return parse_body(fn, view, [])
 
     def test_plain_statements_and_return(self):
         root = self.parse("int a = 1;\ncall(a);\nreturn a;")
@@ -275,8 +275,8 @@ class TestStatementTrees:
 
     def test_header_positions_recorded(self):
         src = "void f() {\nif (a) {\nx();\n}\nelse {\ny();\n}\n}\n"
-        view = CodeStream(src)
-        root = parse_body(find_definitions(view)[0], view)
+        view = CodeStream(src, "t.cpp", [])
+        root = parse_body(find_definitions(view)[0], view, [])
         node = root.children[0]
         assert [src[arm.keywords[0]:][:4] for arm in node.children] == [
             "if (", "else"]
@@ -307,9 +307,9 @@ class TestStatementTrees:
         # statements sharing a line each get their own span; the root's is
         # the braces', and an arm starts right after its header
         src = "void f() { a(); if (b) { c(); } else d(); do e(); while (g); }"
-        view = CodeStream(src)
+        view = CodeStream(src, "t.cpp", [])
         fn = find_definitions(view)[0]
-        root = parse_body(fn, view)
+        root = parse_body(fn, view, [])
         assert root.span == (fn.body_start, fn.body_end)
         assert [src[lo:hi + 1] for lo, hi in (c.span for c in root.children)] == [
             "a();", "if (b) { c(); } else d();", "do e(); while (g);"]
@@ -319,24 +319,24 @@ class TestStatementTrees:
 
 
 def calls_on(code):
-    view = CodeStream(code)
+    view = CodeStream(code, "t.cpp", [])
     return detect_calls(view, 0, len(view.lexemes))
 
 
 def highlighted_calls(src):
-    view = CodeStream(src)
-    defs = find_definitions(view, "t.cpp", [])
+    view = CodeStream(src, "t.cpp", [])
+    defs = find_definitions(view)
     return [(c.callee_text, c.normalized_name, c.line)
-            for a in collect(view, "t.cpp", [], defs) for c in a.calls]
+            for a in collect(view, defs) for c in a.calls]
 
 
 def activity_of(src):
     """The activity tree of the first definition."""
-    view = CodeStream(src)
-    fn = find_definitions(view, "t.cpp", [])[0]
-    af = AnnotatedFunction(fn, "f", collect(view, "t.cpp", [], [fn]), 0,
+    view = CodeStream(src, "t.cpp", [])
+    fn = find_definitions(view)[0]
+    af = AnnotatedFunction(fn, "f", collect(view, [fn]), 0,
                            parse_body(fn, view, []))
-    return build_activity(af, FlowDb(), [])
+    return build_activity(af, FlowDb({}), [])
 
 
 class TestCallDetection:
@@ -425,7 +425,7 @@ _BRACKET_SOUP = ["(", ")", "[", "]", "{", "}", "x", " ", "\n", "'('", '")"',
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from(_BRACKET_SOUP), max_size=60))
 def test_bracket_partners_match_a_forward_depth_scan(pieces):
-    view = CodeStream("".join(pieces))
+    view = CodeStream("".join(pieces), "t.cpp", [])
     texts = [lex.text for lex in view.lexemes]
     closer = {"(": ")", "[": "]", "{": "}"}
     for i, t in enumerate(texts):

@@ -39,7 +39,7 @@ class TestBuildDb:
                     "void a() {\n//$ first\nx();\n}\n"
                     "void b() {\ny();\n}\n"
                     "void c() {\n//$2 deep\nz();\n}\n")
-        db_path = write_db("widget", analyze_stem([src], []), tmp_path / "out")
+        db_path = write_db("widget", analyze_stem([src], []), tmp_path / "out", {})
         assert db_path == tmp_path / "out" / "widget.flowdb"
         content = db_path.read_text(encoding="utf-8")
         assert content == ("a\twidget.html#a\t0\n"
@@ -47,7 +47,7 @@ class TestBuildDb:
 
     def test_no_annotations_gives_empty_db(self, tmp_path):
         src = write(tmp_path, "plain.cpp", "int f() {\nreturn 0;\n}\n")
-        db_path = write_db("plain", analyze_stem([src], []), tmp_path / "out")
+        db_path = write_db("plain", analyze_stem([src], []), tmp_path / "out", {})
         assert db_path.read_text(encoding="utf-8") == ""
 
     def test_lines_sorted_and_lf_terminated(self, tmp_path):
@@ -55,7 +55,7 @@ class TestBuildDb:
                     "void zeta() {\n//$ z\nx();\n}\n"
                     "void alpha() {\n//$ a\nx();\n}\n")
         content = write_db("z", analyze_stem([src], []),
-                           tmp_path / "out").read_text(encoding="utf-8")
+                           tmp_path / "out", {}).read_text(encoding="utf-8")
         lines = content.splitlines()
         assert lines == sorted(lines)
         assert content.endswith("\n")
@@ -70,7 +70,7 @@ class TestBuildDb:
         src = write(tmp_path, "over.cpp",
                     "void f(int a) {\n//$ ints\nx();\n}\n"
                     "void f(double a) {\n//$ doubles\nx();\n}\n")
-        anchors = [af.anchor for af in analyze_source(src, [])]
+        anchors = [af.anchor for af in analyze_source(src, [], {})]
         assert anchors == ["f", "f__2"]
 
     @pytest.mark.parametrize("heads,expected", [
@@ -81,7 +81,7 @@ class TestBuildDb:
         # a suffixed overload never takes the anchor of a function so named
         src = write(tmp_path, "m.cpp", "".join(
             f"void {head} {{\n//$ {head}\nx();\n}}\n" for head in heads))
-        assert [af.anchor for af in analyze_source(src, [])] == expected
+        assert [af.anchor for af in analyze_source(src, [], {})] == expected
 
     def test_sources_sharing_a_stem_are_unioned(self, tmp_path):
         cpp = write(tmp_path, "box.cpp",
@@ -91,7 +91,7 @@ class TestBuildDb:
                     "    int size() const {\n//$ measure\nreturn n;\n}\n"
                     "};\n")
         content = write_db("box", analyze_stem([cpp, hdr], []),
-                           tmp_path / "out").read_text(encoding="utf-8")
+                           tmp_path / "out", {}).read_text(encoding="utf-8")
         assert content == ("Box::pack\tbox.html#Box__pack\t0\n"
                            "Box::size\tbox.html#Box__size\t0\n")
 
@@ -100,7 +100,7 @@ class TestBuildDb:
                     "void Box::pack() {\n//$ pack it\nx();\n}\n")
         hdr = write(tmp_path, "box.h", "class Box {\npublic:\nvoid pack();\n};\n")
         content = write_db("box", analyze_stem([cpp, hdr], []),
-                           tmp_path / "out").read_text(encoding="utf-8")
+                           tmp_path / "out", {}).read_text(encoding="utf-8")
         assert "Box::pack" in content
 
     def test_anchor_dedup_spans_the_stem_group(self, tmp_path):
@@ -109,17 +109,34 @@ class TestBuildDb:
         sub.mkdir()
         two = write(sub, "g.cpp", "void g() {\n//$ b\nx();\n}\n")
         content = write_db("g", analyze_stem([one, two], []),
-                           tmp_path / "out").read_text(encoding="utf-8")
+                           tmp_path / "out", {}).read_text(encoding="utf-8")
         assert content == ("g\tg.html#g\t0\n"
                            "g\tg.html#g__2\t0\n")
+
+
+def test_each_analysis_diagnostic_keeps_its_file_and_line(tmp_path):
+    """Every layer reports at the file and line of the source it reads."""
+    sources = [write(tmp_path, "x.h", "void h() {\n//$ act\n"
+                                      "  int a = 1;  //$\n  while x;\n"
+                                      "  s = \"open;\n}\n}\n"),
+               write(tmp_path, "x.cpp", "\n\nvoid c() {\n//$ act\n  while y;\n"
+                                        "  c = \"open;\n  int b = 2;  //$\n}\n}\n")]
+    diags = []
+    assert [af.fn.qualified_name for af in analyze_stem(sources, diags)] == ["h", "c"]
+    h, c = (str(src) for src in sources)
+    assert [(d.file, d.line, d.code) for d in diags] == [
+        (h, 5, "unterminated-string"), (h, 7, "unbalanced-braces"),
+        (h, 3, "dangling-call-highlight"), (h, 4, "malformed-control-header"),
+        (c, 6, "unterminated-string"), (c, 9, "unbalanced-braces"),
+        (c, 7, "dangling-call-highlight"), (c, 5, "malformed-control-header")]
 
 
 class TestLoadMerge:
     def test_round_trip(self, tmp_path):
         src = write(tmp_path, "m.cpp", "void go() {\n//$1 step\nx();\n}\n")
         out = tmp_path / "out"
-        write_db("m", analyze_stem([src], []), out)
-        db = load_merge(out, [])
+        write_db("m", analyze_stem([src], []), out, {})
+        db = load_merge(out, [], {})
         assert len(db.entries) == 1
         entry = db.entries["go"]
         assert entry == FlowDbEntry("go", "m.html", "go", 1)
@@ -134,7 +151,7 @@ class TestLoadMerge:
             "noanchor\tbad.html\t0\n",
             encoding="utf-8")
         diags = []
-        db = load_merge(out, diags)
+        db = load_merge(out, diags, {})
         assert set(db.entries) == {"good"}
         assert sum(1 for d in diags if d.code == "malformed-db-line") == 3
 
@@ -144,7 +161,7 @@ class TestLoadMerge:
         (out / "a.flowdb").write_bytes("caf\xe9\ta.html#caf\t0\n".encode("latin-1"))
         (out / "b.flowdb").write_text("good\tb.html#good\t0\n", encoding="utf-8")
         diags = []
-        db = load_merge(out, diags)
+        db = load_merge(out, diags, {})
         assert set(db.entries) == {"good"}
         assert [(d.code, d.file) for d in diags] == [("io-error", str(out / "a.flowdb"))]
 
@@ -154,7 +171,7 @@ class TestLoadMerge:
         (out / "a.flowdb").write_text("dup\tzz.html#dup\t0\n", encoding="utf-8")
         (out / "b.flowdb").write_text("dup\taa.html#dup\t1\n", encoding="utf-8")
         diags = []
-        db = load_merge(out, diags)
+        db = load_merge(out, diags, {})
         assert db.entries["dup"].html_path == "aa.html"
         assert [d.message for d in diags if d.code == "duplicate-definition"] == [
             "'dup' is documented on more than one page; links go to aa.html"]
@@ -163,9 +180,9 @@ class TestLoadMerge:
         out = tmp_path / "out"
         src = write(tmp_path, "o.cpp", "void f(int a) {\n//$ one\na++;\n}\n"
                                        "void f(double b) {\n//$ two\nb++;\n}\n")
-        write_db("o", analyze_stem([src], []), out)
+        write_db("o", analyze_stem([src], []), out, {})
         diags = []
-        db = load_merge(out, diags)
+        db = load_merge(out, diags, {})
         assert db.entries["f"].anchor == "f"
         assert [(d.code, d.line, d.message) for d in diags] == [
             ("duplicate-definition", 2,
@@ -176,8 +193,8 @@ class TestLoadMerge:
         for name, body in (("one.cpp", "void f1() {\n//$ a\nx();\n}\n"),
                            ("two.cpp", "void f2() {\n//$ b\nx();\n}\n")):
             src = write(tmp_path, name, body)
-            write_db(src.stem, analyze_stem([src], []), out)
-        db = load_merge(out, [])
+            write_db(src.stem, analyze_stem([src], []), out, {})
+        db = load_merge(out, [], {})
         assert set(db.entries) == {"f1", "f2"}
 
 
@@ -196,15 +213,15 @@ class TestResolve:
         })
 
     def test_exact_match(self):
-        entry = self.db().resolve(call("VINCIA::shower"))
+        entry = self.db().resolve(call("VINCIA::shower"), "f.cpp", [])
         assert entry == self.db().entries["VINCIA::shower"]
 
     def test_unique_suffix_match(self):
-        entry = self.db().resolve(call("shower", "vinciaOBJ->shower"))
+        entry = self.db().resolve(call("shower", "vinciaOBJ->shower"), "f.cpp", [])
         assert entry == self.db().entries["VINCIA::shower"]
 
     def test_unknown_name_is_none(self):
-        assert self.db().resolve(call("nonexistent")) is None
+        assert self.db().resolve(call("nonexistent"), "f.cpp", []) is None
 
     def test_ambiguous_suffix_warns_and_breaks_link(self):
         diags = []
@@ -257,7 +274,7 @@ def test_db_write_parse_round_trip(tmp_path_factory, rows):
                    for name, zoom in seen.items())
     (tmp / "gen.flowdb").write_text("".join(lines), encoding="utf-8")
     diags = []
-    db = load_merge(tmp, diags)
+    db = load_merge(tmp, diags, {})
     ok_names = {n for n in seen if mangle_anchor(n)}
     assert set(db.entries) == ok_names
     for name in ok_names:

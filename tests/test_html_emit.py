@@ -23,7 +23,7 @@ def test_escape_equals_html_escape(text):
 
 class TestPage:
     def test_page_path_and_skeleton(self, tmp_path):
-        page = emit_page("main", [sample_func()], tmp_path)
+        page = emit_page("main", [sample_func()], tmp_path, ())
         assert page == tmp_path / "main.html"
         text = page.read_text()
         assert text.startswith("<!DOCTYPE html>")
@@ -33,13 +33,13 @@ class TestPage:
 
     def test_function_section_ids(self, tmp_path):
         text = emit_page("main", [sample_func(zooms=(0, 1))],
-                         tmp_path).read_text()
+                         tmp_path, ()).read_text()
         assert '<h2 id="main">main</h2>' in text
         assert '<div class="zoom" id="main__zoom0">' in text
         assert '<div class="zoom" id="main__zoom1">' in text
 
     def test_svg_object_with_text_fallback(self, tmp_path):
-        text = emit_page("main", [sample_func()], tmp_path).read_text()
+        text = emit_page("main", [sample_func()], tmp_path, ()).read_text()
         assert ('<object type="image/svg+xml" '
                 'data="aux_files/main__main__zoom0.svg">') in text
         assert "<pre>@startuml\nstart\n:x;\nstop\n@enduml\n</pre>" in text
@@ -47,17 +47,17 @@ class TestPage:
 
     def test_signature_collapsed_and_escaped(self, tmp_path):
         fn = sample_func("ns__f", signature="std::vector<int>\nns::f ()")
-        text = emit_page("a", [fn], tmp_path).read_text()
+        text = emit_page("a", [fn], tmp_path, ()).read_text()
         assert "<code>std::vector&lt;int&gt; ns::f ()</code>" in text
 
     def test_diagram_content_html_escaped(self, tmp_path):
         fn = sample_func(text="@startuml\nstart\n:a < b & c;\nstop\n@enduml\n")
-        text = emit_page("main", [fn], tmp_path).read_text()
+        text = emit_page("main", [fn], tmp_path, ()).read_text()
         assert ":a &lt; b &amp; c;" in text
 
     def test_rewrite_is_idempotent(self, tmp_path):
-        first = emit_page("main", [sample_func()], tmp_path).read_bytes()
-        second = emit_page("main", [sample_func()], tmp_path).read_bytes()
+        first = emit_page("main", [sample_func()], tmp_path, ()).read_bytes()
+        second = emit_page("main", [sample_func()], tmp_path, ()).read_bytes()
         assert first == second
 
 
@@ -88,7 +88,7 @@ class TestIndex:
         assert 'href="aux.html#VINCIA__shower"' in text
 
     def test_empty_db_notice(self, tmp_path):
-        text = emit_index(FlowDb(), tmp_path).read_text()
+        text = emit_index(FlowDb({}), tmp_path).read_text()
         assert "No annotated functions were found." in text
 
 
@@ -96,8 +96,8 @@ class TestCheckLinks:
     def write_out(self, root, diagram_target="../aux.html#VINCIA__shower"):
         main_text = ("@startuml\nstart\n:call\n"
                      f"[[{diagram_target} VINCIA::shower()]];\nstop\n@enduml\n")
-        emit_page("aux", [sample_func("VINCIA__shower")], root)
-        emit_page("main", [sample_func("main", text=main_text)], root)
+        emit_page("aux", [sample_func("VINCIA__shower")], root, ())
+        emit_page("main", [sample_func("main", text=main_text)], root, ())
         emit_index(FlowDb({
             "main": FlowDbEntry("main", "main.html", "main", 0),
             "VINCIA::shower": FlowDbEntry("VINCIA::shower", "aux.html",

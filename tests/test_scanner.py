@@ -10,7 +10,7 @@ from flowdoc.scanner import IDENT, LexKind, Lexeme, Token, TokenKind, line_code_
 
 
 def tokens_of(text, file="<input>", diags=None):
-    return scan(text, file, diags)[0]
+    return scan(text, file, diags if diags is not None else [])[0]
 
 
 def source_of(tokens):
