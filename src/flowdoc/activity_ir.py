@@ -34,7 +34,7 @@ import bisect
 from .annotations import Annotation, AnnotationKind
 from .cxx_structure import Stmt, StmtKind
 from .diagnostics import Diagnostic, warning
-from .flowdb import AnnotatedFunction, FlowDb, url_quote
+from .flowdb import AnnotatedFunction, FlowDb
 
 
 class ActionNode:
@@ -202,8 +202,7 @@ class _Builder:
             if hc is None:
                 entry = self.db.resolve(item, self.fn.file, self.diags)
                 if entry is not None:
-                    hc = (entry.qualified_name + "()",
-                          f"{url_quote(entry.html_path)}#{entry.anchor}")
+                    hc = (entry.qualified_name + "()", f"{entry.html_path}#{entry.anchor}")
                 else:
                     self.diags.append(warning(
                         "no-link", f"no diagram found for call '{item.callee_text}'; "

@@ -216,65 +216,69 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     source is analyzed once, and each function's activity tree is built and
     rendered once: makeflows writes those diagram texts and makehtml embeds
     the same texts in the pages. An unexpected failure in one stem spares
-    the other stems, and a run that read no source writes nothing. A
-    diagram path two stems map to is the first one's: the second neither
-    writes it nor embeds its image. A stem named ``index`` gets no page and
-    no database rows, as the index keeps ``index.html``. Each skip is
-    reported once, by the phase that skips a write.
+    the other stems, and a run that read no source writes nothing. Each
+    output is named here once, in ``owner``: the index, and each stem's
+    database, page and diagrams, mapped to the first source to name it. A
+    path another source owns is skipped: a stem whose page is taken (one
+    named ``index``) gets no database rows, and a diagram two stems name
+    shows only its text on the second one's page. Each skip is reported
+    once, by the phase that skips a write.
     """
     out = args.out_dir
+    index = out / "index.html"
+    owner = {index: "the index"}  # each output path, and the first source to name it
     stems, texts = [], {}  # texts: the databases this run writes, by path
     for stem, group in _stem_groups(args.sources or [], diags):
+        file, db_path, page = group[0], out / f"{stem}.flowdb", out / f"{stem}.html"
+        owner.setdefault(db_path, file)
+        owned = owner.setdefault(page, file) == file
         annotated = None
-        with _isolated(group[0], diags):
+        with _isolated(file, diags):
             annotated = flowdb.analyze_stem(group, diags)
             if annotated is not None and args.command in ("build-db", "all"):
-                if stem == "index" and annotated:
-                    diags.append(warning("output-collision", "'index.html' is already an output "
-                                         "of the index; this stem gets no page and its functions "
-                                         "are neither indexed nor linked", group[0]))
-                flowdb.write_db(stem, annotated if stem != "index" else [], out, texts)
-        stems.append((stem, group[0], annotated))
+                if annotated and not owned:
+                    diags.append(warning("output-collision", f"'{page.name}' is already an output "
+                                         f"of {owner[page]}; this stem gets no page and its "
+                                         "functions are neither indexed nor linked", file))
+                flowdb.write_db(db_path, page, annotated if owned else [], texts)
+        stems.append((stem, file, page, annotated))
     if args.command == "build-db":
         return
     db = flowdb.load_merge(out, diags, texts)
-    aux, owner = out / "aux_files", {}  # each diagram path, and the first source to name it
-    pages = []  # per stem: its functions with their texts, level 0 first; its diagrams
-    for stem, file, annotated in stems:
+    pages = []  # per stem: its functions, each with its diagrams as (path, text, owned)
+    for stem, file, page, annotated in stems:
         funcs = []
-        with _isolated(file, diags):
-            funcs = [(af, plantuml_emit.render_function(
-                         activity_ir.build_activity(af, db, diags), af.max_zoom))
+        with _isolated(file, diags):  # the stem's list in full, or none of it
+            funcs = [(af, [(out / "aux_files" / f"{stem}__{af.anchor}__zoom{zoom}.txt", text)
+                           for zoom, text in enumerate(plantuml_emit.render_function(
+                               activity_ir.build_activity(af, db, diags), af.max_zoom))])
                      for af in annotated or ()]
-        named = [(aux / plantuml_emit.diagram_filename(stem, af.anchor, zoom), text)
-                 for af, texts in funcs for zoom, text in enumerate(texts)]
-        pages.append((stem, file, funcs, [(path, text, owner.setdefault(path, file))
-                                          for path, text in named]))
+        pages.append((file, page, [(af, [(path, text, owner.setdefault(path, file) == file)
+                                         for path, text in named]) for af, named in funcs]))
     if args.command in ("makeflows", "all"):
         paths = []
-        for stem, file, funcs, named in pages:
+        for file, page, funcs in pages:
             with _isolated(file, diags):
-                for path, text, first in named:
-                    if first == file:
+                for path, text, owned in (d for _, diagrams in funcs for d in diagrams):
+                    if owned:
                         paths.append(atomic_write_text(path, text))
                     else:
                         diags.append(warning(
                             "output-collision", f"'{path.relative_to(out).as_posix()}' is "
-                            f"already an output of {first}; not written again", file))
-        if not any(annotated for _, _, annotated in stems):
+                            f"already an output of {owner[path]}; not written again", file))
+        if not any(annotated for *_, annotated in stems):
             diags.append(warning("no-annotated-functions",
                                  "no annotated functions found; "
                                  "no diagrams were emitted"))
         _phase_render(paths, args, diags)
     if args.command in ("makehtml", "all"):
-        for stem, file, funcs, named in pages:
-            if funcs and stem != "index":
+        for file, page, funcs in pages:
+            if funcs and owner[page] == file:
                 with _isolated(file, diags):
-                    html_emit.emit_page(stem, funcs, out, {
-                        path.name for path, _, first in named if first != file})
-        if args.sources is None or any(a is not None for _, _, a in stems):
-            with _isolated(str(out / "index.html"), diags):
-                html_emit.emit_index(db, out)
+                    html_emit.emit_page(page, funcs)
+        if args.sources is None or any(a is not None for *_, a in stems):
+            with _isolated(str(index), diags):
+                html_emit.emit_index(db, index)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -376,7 +376,7 @@ def _name_chain_before(lx: list[Lexeme], s: int, op: int) -> str | None:
                 break
             parts.append("".join(t.text for t in lx[p - 1:q + 1]))
             j = p - 2
-        elif lx[q].kind is LexKind.WORD:
+        elif lx[q].kind is LexKind.WORD and lx[q].text not in _NOT_CALLEE_NAMES:
             parts.append(lx[q].text)
             j = q - 1
         else:

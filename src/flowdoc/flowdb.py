@@ -1,6 +1,7 @@
 """The flow database: one ``.flowdb`` file per source, merged for linking.
 
-Format, one entry per line, sorted, LF-terminated:
+Format, one entry per line, sorted, LF-terminated, the page written as the
+URL the links use (``url_quote``d, so no tab or newline splits a line):
 
     qualified_name<TAB>page.html#anchor<TAB>max_zoom
 
@@ -41,9 +42,15 @@ def url_quote(name: str) -> str:
     return _URL_UNSAFE.sub(lambda m: "".join(f"%{b:02X}" for b in m[0].encode()), name)
 
 
+def url_unquote(url: str) -> str:
+    """The name a URL spells: each run of ``%XX`` escapes decoded as UTF-8."""
+    return re.sub(r"(?:%[0-9A-Fa-f]{2})+", lambda m: bytes.fromhex(
+        m[0].replace("%", "")).decode(errors="replace"), url)
+
+
 class FlowDbEntry(NamedTuple):
     qualified_name: str
-    html_path: str
+    html_path: str  # the page as a URL, url_quote'd
     anchor: str
     max_zoom: int
 
@@ -126,14 +133,13 @@ def analyze_stem(source_paths: list[str | Path],
     return [af for functions in readable for af in functions] if readable else None
 
 
-def write_db(stem: str, annotated: list[AnnotatedFunction],
-             out_dir: str | Path, texts: dict[Path, str]) -> Path:
-    """Write <stem>.flowdb for the annotated functions of one stem, its text
+def write_db(db_path: Path, page: Path, annotated: list[AnnotatedFunction],
+             texts: dict[Path, str]) -> Path:
+    """Write db_path for one stem's functions, documented on page, its text
     first put in ``texts`` by path, for ``load_merge`` even if the write fails."""
-    html_path = stem + ".html"
-    db_path = Path(out_dir) / (stem + ".flowdb")
+    url = url_quote(page.name)
     texts[db_path] = "".join(sorted(
-        f"{af.fn.qualified_name}\t{html_path}#{af.anchor}\t{af.max_zoom}\n"
+        f"{af.fn.qualified_name}\t{url}#{af.anchor}\t{af.max_zoom}\n"
         for af in annotated))
     atomic_write_text(db_path, texts[db_path])
     return db_path

@@ -3,7 +3,8 @@
 One page per source file that has annotated functions. Every function gets a
 section with one subsection per zoom level: the SVG (object tag, so links
 inside the diagram stay clickable) with the PlantUML text as fallback and as
-a collapsible block. Pages and the index are regenerated from scratch on
+a collapsible block. Each page, image and the index goes to the path
+``cli.run`` names. Pages and the index are regenerated from scratch on
 every run; nothing in the output directory is treated as input except the
 ``.flowdb`` files.
 """
@@ -11,14 +12,12 @@ every run; nothing in the output directory is treated as input except the
 from __future__ import annotations
 
 import re
-from collections.abc import Container
 from pathlib import Path
 from typing import NamedTuple
 
 from .activity_ir import collapse_ws
-from .flowdb import AnnotatedFunction, FlowDb, url_quote
+from .flowdb import AnnotatedFunction, FlowDb, url_quote, url_unquote
 from .ioutil import atomic_write_text
-from .plantuml_emit import diagram_filename
 
 _PAGE_CSS = """\
 body { font-family: sans-serif; margin: 2em auto; max-width: 60em; padding: 0 1em; }
@@ -47,42 +46,36 @@ def _head(title: str) -> str:
     )
 
 
-def emit_page(source_stem: str,
-              funcs: list[tuple[AnnotatedFunction, list[str]]],
-              out_dir: str | Path, foreign: Container[str]) -> Path:
-    """Write <stem>.html for one source file and return its path.
+def emit_page(page: Path, funcs: list[tuple[AnnotatedFunction, list]]) -> Path:
+    """Write one stem's page and return its path.
 
-    Each function comes with its diagram texts, level 0 first. A diagram
-    whose file name is in ``foreign`` is another stem's output, so its
-    image is left out and its text shown in its place.
+    Each function comes with its diagrams, level 0 first, as (path, text,
+    owned). A diagram not ``owned`` is another stem's output, so its image
+    is left out and its text shown in its place.
     """
-    parts = [_head(source_stem)]
+    parts = [_head(page.stem)]
     parts.append('<nav><a href="index.html">index</a></nav>\n')
-    parts.append(f"<h1>{_escape(source_stem)}</h1>\n")
-    for af, texts in funcs:
+    parts.append(f"<h1>{_escape(page.stem)}</h1>\n")
+    for af, diagrams in funcs:
         parts.append(f'<h2 id="{af.anchor}">{_escape(af.fn.qualified_name)}</h2>\n')
         sig = collapse_ws(af.fn.signature_text)
         parts.append(f"<p><code>{_escape(sig)}</code></p>\n")
-        for zoom, text in enumerate(texts):
-            name = diagram_filename(source_stem, af.anchor, zoom)
+        for zoom, (path, text, owned) in enumerate(diagrams):
             pre = f"<pre>{_escape(text)}</pre>\n"  # embedded twice
-            svg = url_quote(name[:-len(".txt")]) + ".svg"
-            image = pre if name in foreign else (
-                f'<object type="image/svg+xml" data="aux_files/{_escape(svg)}">\n'
-                f"{pre}</object>\n")
+            svg = url_quote(path.with_suffix(".svg").relative_to(page.parent).as_posix())
+            image = (f'<object type="image/svg+xml" data="{_escape(svg)}">\n'
+                     f"{pre}</object>\n") if owned else pre
             parts.append(
                 f'<div class="zoom" id="{af.anchor}__zoom{zoom}">\n'
                 f"<h3>zoom level {zoom}</h3>\n{image}"
                 f"<details><summary>PlantUML source</summary>\n"
                 f"{pre}</details>\n</div>\n")
     parts.append("</body>\n</html>\n")
-    page = Path(out_dir) / f"{source_stem}.html"
-    atomic_write_text(page, "".join(parts))
-    return page
+    return atomic_write_text(page, "".join(parts))
 
 
-def emit_index(db: FlowDb, out_dir: str | Path) -> Path:
-    """Write index.html listing every documented function, grouped by page."""
+def emit_index(db: FlowDb, path: Path) -> Path:
+    """Write the index at path: every documented function, grouped by page."""
     parts = [_head("flow documentation")]
     parts.append("<h1>flow documentation</h1>\n")
     by_page: dict[str, list] = {}
@@ -91,20 +84,18 @@ def emit_index(db: FlowDb, out_dir: str | Path) -> Path:
     if not by_page:
         parts.append("<p>No annotated functions were found.</p>\n")
     for page in sorted(by_page):
-        parts.append(f'<h2><a href="{_escape(url_quote(page))}">'
-                     f"{_escape(page)}</a></h2>\n<ul>\n")
+        parts.append(f'<h2><a href="{_escape(page)}">'
+                     f"{_escape(url_unquote(page))}</a></h2>\n<ul>\n")
         for entry in sorted(by_page[page], key=lambda e: (e.qualified_name, e.anchor)):
             zooms = ("zoom 0" if entry.max_zoom == 0
                      else f"zoom 0&ndash;{entry.max_zoom}")
             parts.append(
-                f'<li><a href="{_escape(url_quote(entry.html_path))}'
+                f'<li><a href="{_escape(page)}'
                 f'#{entry.anchor}">{_escape(entry.qualified_name)}</a>'
                 f" ({zooms})</li>\n")
         parts.append("</ul>\n")
     parts.append("</body>\n</html>\n")
-    page = Path(out_dir) / "index.html"
-    atomic_write_text(page, "".join(parts))
-    return page
+    return atomic_write_text(path, "".join(parts))
 
 
 class LinkRef(NamedTuple):
@@ -123,9 +114,9 @@ def check_links(out_dir: str | Path) -> list[LinkRef]:
     resolves.
 
     Covers hrefs in the HTML pages and ``[[target ...]]`` hyperlinks inside
-    the diagram texts under aux_files/, with page names percent-decoded.
+    the diagram texts under aux_files/, each decoded as a browser reads it.
     """
-    from urllib.parse import unquote  # only this check needs it
+    from html import unescape  # only this check needs it
     out = Path(out_dir)
     ids: dict[str, set[str]] = {}
     for page in out.glob("*.html"):
@@ -136,8 +127,8 @@ def check_links(out_dir: str | Path) -> list[LinkRef]:
     def check(source: str, target: str) -> None:
         if target.startswith(("http:", "https:", "mailto:")):
             return
-        page, _, anchor = target.partition("#")
-        page = unquote(page.removeprefix("../"))
+        page, _, anchor = unescape(target).partition("#")
+        page = url_unquote(page.removeprefix("../"))
         if not page.endswith(".html"):
             return
         ok = page in ids and (not anchor or anchor in ids[page])

@@ -39,7 +39,7 @@ def _action_lines(node: ActionNode) -> list[str]:
     for display, href in node.calls:
         display = display.replace("]]", "] ]")
         if href:
-            # diagrams live in aux_files/, one level below the pages
+            # a diagram lives one directory below the pages
             lines.append(f"[[../{href} {display}]]")
         else:
             lines.append(_escape_line(display))
@@ -107,16 +107,6 @@ def _texts(nodes, levels) -> list[str]:
                        *[line for low, line in out if low <= level],
                        "@enduml"]) + "\n"
             for level in levels]
-
-
-def emit(root: list[ActivityNode]) -> str:
-    """Render one (already projected) activity tree to PlantUML text."""
-    return _texts(root, [math.inf])[0]
-
-
-def diagram_filename(source_stem: str, anchor: str, zoom: int) -> str:
-    """The name, under aux_files/, of one zoom level's diagram text."""
-    return f"{source_stem}__{anchor}__zoom{zoom}.txt"
 
 
 def render_function(root: list[ActivityNode], max_zoom: int) -> list[str]:

@@ -275,7 +275,8 @@ class TestPipeline:
         assert "[no-link]" in err  # cross link needs build-db first
 
     @pytest.mark.parametrize("stem,quoted", [("a#b", "a%23b"), ("my file", "my%20file"),
-                                             ("50%?[x]", "50%25%3F%5Bx%5D")])
+                                             ("50%?[x]", "50%25%3F%5Bx%5D"),
+                                             ("a\tb", "a%09b"), ("a\nb", "a%0Ab")])
     def test_stems_that_break_urls_get_working_links(self, stem, quoted,
                                                      tmp_path, capsys):
         src = tmp_path / f"{stem}.cpp"
@@ -296,6 +297,17 @@ class TestPipeline:
             out / "aux_files" / f"{stem}__g__zoom0.txt").read_text()
         assert f'data="aux_files/{quoted}__f__zoom0.svg"' in (
             out / f"{stem}.html").read_text()
+        refs = check_links(out)
+        assert len(refs) == 5 and all(ref.ok for ref in refs)
+
+    @pytest.mark.parametrize("stem", ["c&d", "it's"])
+    def test_links_are_checked_as_a_browser_reads_them(self, stem, tmp_path, capsys):
+        # the index escapes '&' and "'" in its hrefs
+        src = tmp_path / f"{stem}.cpp"
+        src.write_text("void f() {\n//$ do f\nx();\n}\n"
+                       "void g() {\n//$ do g\nf();  //$\n}\n")
+        out = tmp_path / "out"
+        assert run_cli("all", str(src), "--out-dir", str(out), capsys=capsys) == (0, "")
         refs = check_links(out)
         assert len(refs) == 5 and all(ref.ok for ref in refs)
 

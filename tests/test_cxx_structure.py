@@ -100,6 +100,25 @@ class TestDefinitionRecognition:
                "};\n")
         assert names(src) == ["S::a", "S::b", "S::c", "S::d"]
 
+    @pytest.mark.parametrize("src,expected", [("void ::f() {\n}\n", "f"),
+                                              ("int ::ns::g() {\n}\n", "ns::g")])
+    def test_a_return_type_is_never_a_qualifier(self, src, expected):
+        assert names(src) == [expected]
+
+    @pytest.mark.parametrize("src,expected", [
+        ("template <class T void f() {\n}\n", []),  # an unclosed template header
+        ("A::A() : m{ ( } {\n}\n", []),  # a group left open before the '{'
+        ("template <int N = (1> 2)> void f() {\n}\n", []),  # a '>' inside (...)
+        ("int (f)() {\n}\n", []),  # a parenthesized declarator
+        ("int f() [[nodiscard]] {\n}\n", ["f"]),  # a trailing attribute
+        ("<a>::f() {\n}\n", ["f"]),  # template arguments with no name
+        ("void *::f() {\n}\n", ["f"]),  # no name before the '::'
+    ])
+    def test_declarations_at_the_edge_of_the_pattern(self, src, expected):
+        diags = []
+        assert [d.qualified_name for d in defs_of(src, diags)] == expected
+        assert diags == []
+
     def test_control_keywords_never_match(self):
         src = ("void f() {\n"
                "if (x) { y(); }\n"
@@ -268,6 +287,34 @@ class TestStatementTrees:
         diags = []
         self.parse(body, diags)
         assert [(d.code, d.line) for d in diags] == [("malformed-control-header", line)]
+
+    def test_an_inner_block_the_body_brace_closes(self):
+        diags = []
+        root = self.parse("a();\n{\nb();", diags)
+        assert [c.kind for c in root.children] == [StmtKind.PLAIN, StmtKind.BLOCK]
+        assert [c.kind for c in root.children[1].children] == [StmtKind.PLAIN]
+        assert [(d.code, d.line) for d in diags] == [("unbalanced-braces", 1)]
+
+    def test_an_unclosed_condition_is_a_plain_statement(self):
+        diags = []
+        root = self.parse("if (x { y(); }", diags)
+        assert [c.kind for c in root.children] == [StmtKind.PLAIN]
+        assert [(d.code, d.line) for d in diags] == [("malformed-control-header", 2)]
+
+    def test_an_if_at_the_end_of_the_body_has_an_empty_arm(self):
+        diags = []
+        node = self.parse("if (x)", diags).children[0]
+        assert node.kind is StmtKind.IF
+        assert [(arm.condition_text, arm.children) for arm in node.children] == [("x", [])]
+        assert diags == []
+
+    def test_an_unbraced_switch_ends_at_its_semicolon(self):
+        src = "void f() {\nswitch (x) y();\nz();\n}\n"
+        view = CodeStream(src, "t.cpp", [])
+        root = parse_body(find_definitions(view)[0], view, [])
+        assert [src[a:b + 1] for a, b in (c.span for c in root.children)] == [
+            "switch (x) y();", "z();"]
+        assert view.diags == []
 
     def test_lambda_body_is_not_statement_structure(self):
         root = self.parse("auto fn = [](int v) { if (v) { w(); } return v; };\nx();")

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from flowdoc.cxx_structure import CallSite
 from flowdoc.flowdb import (FlowDb, FlowDbEntry, analyze_source, analyze_stem,
-                            load_merge, mangle_anchor, write_db)
+                            load_merge, mangle_anchor, url_quote, url_unquote,
+                            write_db)
 
 
 class TestAnchors:
@@ -26,6 +27,11 @@ class TestAnchors:
             assert all(c.isalnum() or c == "_" for c in mangle_anchor(name))
 
 
+def write_stem(stem, annotated, out):
+    """``write_db`` as ``cli.run`` calls it: <stem>.flowdb for <stem>.html."""
+    return write_db(out / f"{stem}.flowdb", out / f"{stem}.html", annotated, {})
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.parent.mkdir(parents=True, exist_ok=True)
@@ -39,7 +45,7 @@ class TestBuildDb:
                     "void a() {\n//$ first\nx();\n}\n"
                     "void b() {\ny();\n}\n"
                     "void c() {\n//$2 deep\nz();\n}\n")
-        db_path = write_db("widget", analyze_stem([src], []), tmp_path / "out", {})
+        db_path = write_stem("widget", analyze_stem([src], []), tmp_path / "out")
         assert db_path == tmp_path / "out" / "widget.flowdb"
         content = db_path.read_text(encoding="utf-8")
         assert content == ("a\twidget.html#a\t0\n"
@@ -47,19 +53,30 @@ class TestBuildDb:
 
     def test_no_annotations_gives_empty_db(self, tmp_path):
         src = write(tmp_path, "plain.cpp", "int f() {\nreturn 0;\n}\n")
-        db_path = write_db("plain", analyze_stem([src], []), tmp_path / "out", {})
+        db_path = write_stem("plain", analyze_stem([src], []), tmp_path / "out")
         assert db_path.read_text(encoding="utf-8") == ""
 
     def test_lines_sorted_and_lf_terminated(self, tmp_path):
         src = write(tmp_path, "z.cpp",
                     "void zeta() {\n//$ z\nx();\n}\n"
                     "void alpha() {\n//$ a\nx();\n}\n")
-        content = write_db("z", analyze_stem([src], []),
-                           tmp_path / "out", {}).read_text(encoding="utf-8")
+        content = write_stem("z", analyze_stem([src], []),
+                             tmp_path / "out").read_text(encoding="utf-8")
         lines = content.splitlines()
         assert lines == sorted(lines)
         assert content.endswith("\n")
         assert "\r" not in content
+
+    def test_page_field_is_the_url_the_links_use(self, tmp_path):
+        # a tab would split the line; '#' would end the page name
+        src = write(tmp_path, "a\tb#c.cpp", "void f() {\n//$ act\nx();\n}\n")
+        content = write_stem("a\tb#c", analyze_stem([src], []),
+                             tmp_path / "out").read_text(encoding="utf-8")
+        assert content == "f\ta%09b%23c.html#f\t0\n"
+        diags = []
+        assert load_merge(tmp_path / "out", diags, {}).entries["f"].html_path == (
+            "a%09b%23c.html")
+        assert diags == []
 
     def test_unreadable_source_reports_error(self, tmp_path):
         diags = []
@@ -90,8 +107,8 @@ class TestBuildDb:
                     "class Box {\npublic:\n"
                     "    int size() const {\n//$ measure\nreturn n;\n}\n"
                     "};\n")
-        content = write_db("box", analyze_stem([cpp, hdr], []),
-                           tmp_path / "out", {}).read_text(encoding="utf-8")
+        content = write_stem("box", analyze_stem([cpp, hdr], []),
+                             tmp_path / "out").read_text(encoding="utf-8")
         assert content == ("Box::pack\tbox.html#Box__pack\t0\n"
                            "Box::size\tbox.html#Box__size\t0\n")
 
@@ -99,8 +116,8 @@ class TestBuildDb:
         cpp = write(tmp_path, "box.cpp",
                     "void Box::pack() {\n//$ pack it\nx();\n}\n")
         hdr = write(tmp_path, "box.h", "class Box {\npublic:\nvoid pack();\n};\n")
-        content = write_db("box", analyze_stem([cpp, hdr], []),
-                           tmp_path / "out", {}).read_text(encoding="utf-8")
+        content = write_stem("box", analyze_stem([cpp, hdr], []),
+                             tmp_path / "out").read_text(encoding="utf-8")
         assert "Box::pack" in content
 
     def test_anchor_dedup_spans_the_stem_group(self, tmp_path):
@@ -108,8 +125,8 @@ class TestBuildDb:
         sub = tmp_path / "sub"
         sub.mkdir()
         two = write(sub, "g.cpp", "void g() {\n//$ b\nx();\n}\n")
-        content = write_db("g", analyze_stem([one, two], []),
-                           tmp_path / "out", {}).read_text(encoding="utf-8")
+        content = write_stem("g", analyze_stem([one, two], []),
+                             tmp_path / "out").read_text(encoding="utf-8")
         assert content == ("g\tg.html#g\t0\n"
                            "g\tg.html#g__2\t0\n")
 
@@ -135,7 +152,7 @@ class TestLoadMerge:
     def test_round_trip(self, tmp_path):
         src = write(tmp_path, "m.cpp", "void go() {\n//$1 step\nx();\n}\n")
         out = tmp_path / "out"
-        write_db("m", analyze_stem([src], []), out, {})
+        write_stem("m", analyze_stem([src], []), out)
         db = load_merge(out, [], {})
         assert len(db.entries) == 1
         entry = db.entries["go"]
@@ -180,7 +197,7 @@ class TestLoadMerge:
         out = tmp_path / "out"
         src = write(tmp_path, "o.cpp", "void f(int a) {\n//$ one\na++;\n}\n"
                                        "void f(double b) {\n//$ two\nb++;\n}\n")
-        write_db("o", analyze_stem([src], []), out, {})
+        write_stem("o", analyze_stem([src], []), out)
         diags = []
         db = load_merge(out, diags, {})
         assert db.entries["f"].anchor == "f"
@@ -193,9 +210,14 @@ class TestLoadMerge:
         for name, body in (("one.cpp", "void f1() {\n//$ a\nx();\n}\n"),
                            ("two.cpp", "void f2() {\n//$ b\nx();\n}\n")):
             src = write(tmp_path, name, body)
-            write_db(src.stem, analyze_stem([src], []), out, {})
+            write_stem(src.stem, analyze_stem([src], []), out)
         db = load_merge(out, [], {})
         assert set(db.entries) == {"f1", "f2"}
+
+
+@given(st.text())
+def test_url_unquote_inverts_url_quote(name):
+    assert url_unquote(url_quote(name)) == name
 
 
 def call(name, text=None, line=1):

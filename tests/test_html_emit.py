@@ -16,6 +16,16 @@ def sample_func(anchor="main", zooms=(0,), text=TEXT, signature=None):
     return AnnotatedFunction(fn, anchor, [], len(zooms) - 1), [text] * len(zooms)
 
 
+def write_page(out, stem, funcs, foreign=()):
+    """``emit_page`` as ``cli.run`` calls it: <stem>.html in out, each diagram
+    at aux_files/<stem>__<anchor>__zoom<k>.txt, owned unless named in foreign."""
+    aux = out / "aux_files"
+    return emit_page(out / f"{stem}.html", [
+        (af, [(aux / name, text, name not in foreign) for k, text in enumerate(texts)
+              for name in [f"{stem}__{af.anchor}__zoom{k}.txt"]])
+        for af, texts in funcs])
+
+
 @given(st.text(alphabet="&<>\"'a;# \n\u00e9", max_size=40) | st.text())
 def test_escape_equals_html_escape(text):
     assert _escape(text) == html.escape(text, quote=True)
@@ -23,7 +33,7 @@ def test_escape_equals_html_escape(text):
 
 class TestPage:
     def test_page_path_and_skeleton(self, tmp_path):
-        page = emit_page("main", [sample_func()], tmp_path, ())
+        page = write_page(tmp_path, "main", [sample_func()])
         assert page == tmp_path / "main.html"
         text = page.read_text()
         assert text.startswith("<!DOCTYPE html>")
@@ -32,32 +42,38 @@ class TestPage:
         assert "<h1>main</h1>" in text
 
     def test_function_section_ids(self, tmp_path):
-        text = emit_page("main", [sample_func(zooms=(0, 1))],
-                         tmp_path, ()).read_text()
+        text = write_page(tmp_path, "main", [sample_func(zooms=(0, 1))]).read_text()
         assert '<h2 id="main">main</h2>' in text
         assert '<div class="zoom" id="main__zoom0">' in text
         assert '<div class="zoom" id="main__zoom1">' in text
 
     def test_svg_object_with_text_fallback(self, tmp_path):
-        text = emit_page("main", [sample_func()], tmp_path, ()).read_text()
+        text = write_page(tmp_path, "main", [sample_func()]).read_text()
         assert ('<object type="image/svg+xml" '
                 'data="aux_files/main__main__zoom0.svg">') in text
         assert "<pre>@startuml\nstart\n:x;\nstop\n@enduml\n</pre>" in text
         assert "<summary>PlantUML source</summary>" in text
 
+    def test_a_diagram_another_stem_owns_shows_only_its_text(self, tmp_path):
+        text = write_page(tmp_path, "main", [sample_func(zooms=(0, 1))],
+                          foreign={"main__main__zoom1.txt"}).read_text()
+        assert 'data="aux_files/main__main__zoom0.svg"' in text
+        assert "zoom1.svg" not in text
+        assert text.count("<pre>") == 4
+
     def test_signature_collapsed_and_escaped(self, tmp_path):
         fn = sample_func("ns__f", signature="std::vector<int>\nns::f ()")
-        text = emit_page("a", [fn], tmp_path, ()).read_text()
+        text = write_page(tmp_path, "a", [fn]).read_text()
         assert "<code>std::vector&lt;int&gt; ns::f ()</code>" in text
 
     def test_diagram_content_html_escaped(self, tmp_path):
         fn = sample_func(text="@startuml\nstart\n:a < b & c;\nstop\n@enduml\n")
-        text = emit_page("main", [fn], tmp_path, ()).read_text()
+        text = write_page(tmp_path, "main", [fn]).read_text()
         assert ":a &lt; b &amp; c;" in text
 
     def test_rewrite_is_idempotent(self, tmp_path):
-        first = emit_page("main", [sample_func()], tmp_path, ()).read_bytes()
-        second = emit_page("main", [sample_func()], tmp_path, ()).read_bytes()
+        first = write_page(tmp_path, "main", [sample_func()]).read_bytes()
+        second = write_page(tmp_path, "main", [sample_func()]).read_bytes()
         assert first == second
 
 
@@ -71,24 +87,30 @@ class TestIndex:
                                         "VINCIA__init", 0)})
 
     def test_groups_sorted_by_page(self, tmp_path):
-        text = emit_index(self.db(), tmp_path).read_text()
+        text = emit_index(self.db(), tmp_path / "index.html").read_text()
         assert text.index('href="aux.html"') < text.index('href="main.html"')
 
     def test_entries_sorted_within_group(self, tmp_path):
-        text = emit_index(self.db(), tmp_path).read_text()
+        text = emit_index(self.db(), tmp_path / "index.html").read_text()
         assert text.index("VINCIA::init") < text.index("VINCIA::shower")
 
     def test_zoom_ranges(self, tmp_path):
-        text = emit_index(self.db(), tmp_path).read_text()
+        text = emit_index(self.db(), tmp_path / "index.html").read_text()
         assert ">main</a> (zoom 0)<" in text
         assert ">VINCIA::shower</a> (zoom 0&ndash;2)<" in text
 
     def test_anchor_links(self, tmp_path):
-        text = emit_index(self.db(), tmp_path).read_text()
+        text = emit_index(self.db(), tmp_path / "index.html").read_text()
         assert 'href="aux.html#VINCIA__shower"' in text
 
+    def test_page_field_is_the_href_and_its_name_the_title(self, tmp_path):
+        db = FlowDb({"f": FlowDbEntry("f", "a%09b%23c.html", "f", 0)})
+        text = emit_index(db, tmp_path / "index.html").read_text()
+        assert '<h2><a href="a%09b%23c.html">a\tb#c.html</a></h2>' in text
+        assert '<li><a href="a%09b%23c.html#f">f</a>' in text
+
     def test_empty_db_notice(self, tmp_path):
-        text = emit_index(FlowDb({}), tmp_path).read_text()
+        text = emit_index(FlowDb({}), tmp_path / "index.html").read_text()
         assert "No annotated functions were found." in text
 
 
@@ -96,12 +118,12 @@ class TestCheckLinks:
     def write_out(self, root, diagram_target="../aux.html#VINCIA__shower"):
         main_text = ("@startuml\nstart\n:call\n"
                      f"[[{diagram_target} VINCIA::shower()]];\nstop\n@enduml\n")
-        emit_page("aux", [sample_func("VINCIA__shower")], root, ())
-        emit_page("main", [sample_func("main", text=main_text)], root, ())
+        write_page(root, "aux", [sample_func("VINCIA__shower")])
+        write_page(root, "main", [sample_func("main", text=main_text)])
         emit_index(FlowDb({
             "main": FlowDbEntry("main", "main.html", "main", 0),
             "VINCIA::shower": FlowDbEntry("VINCIA::shower", "aux.html",
-                                          "VINCIA__shower", 0)}), root)
+                                          "VINCIA__shower", 0)}), root / "index.html")
         aux = root / "aux_files"
         aux.mkdir(exist_ok=True)
         (aux / "main__main__zoom0.txt").write_text(main_text)

@@ -1,7 +1,9 @@
-"""Every import in ``src/flowdoc`` is used.
+"""Every import and every top-level name in ``src/flowdoc`` is used.
 
 No linter is part of the toolchain, so this reads each module with ``ast``:
-a name an import binds must be read somewhere in that module.
+a name an import binds must be read somewhere in that module, and a name a
+module defines must be read somewhere in the package. Code only the tests
+use lives in the tests.
 """
 
 import ast
@@ -10,6 +12,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flowdoc"
+# read from outside the package: the export list, and the link check that
+# only the tests run until a command promotes it
+OUTSIDE_USE = {"__all__", "check_links"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -36,3 +41,41 @@ def test_an_unused_import_is_found():
                      "import os.path\nimport re\nfrom .x import A, B as C\n"
                      "re.compile(A)\n")
     assert unused_imports(tree) == [(2, "os"), (4, "C")]
+
+
+def unread_names(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(module, name) of each top-level name no module reads."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, n.id) for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)]
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((module, name) for module, name in defined
+                  if name not in read and name not in OUTSIDE_USE)
+
+
+def test_every_top_level_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert unread_names(trees) == []
+
+
+def test_an_unread_name_is_found():
+    trees = {"a.py": ast.parse("X = 1\nY: int = 2\ndef f():\n    return g()\n"
+                               "def check_links(): pass\n"),
+             "b.py": ast.parse("from .a import X\ndef g():\n    return X\n"
+                               "class C:\n    pass\n")}
+    assert unread_names(trees) == [("a.py", "Y"), ("a.py", "f"), ("b.py", "C")]

@@ -1,10 +1,18 @@
+import math
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flowdoc.activity_ir import (ActionNode, BranchArm, BranchNode, ForkNode,
                                  LoopNode, StopNode, project)
 from flowdoc.cli import main
-from flowdoc.plantuml_emit import (diagram_filename, emit, render_function)
+from flowdoc.plantuml_emit import _texts, render_function
+
+
+def emit(root):
+    """Render one (already projected) activity tree to PlantUML text: the
+    reference each zoom level of ``render_function`` is checked against."""
+    return _texts(root, [math.inf])[0]
 
 
 def tree(*nodes):
@@ -109,7 +117,7 @@ class TestRenderFunction:
         aux = tmp_path / "out" / "aux_files"
         assert sorted(p.name for p in aux.iterdir()) == [
             "b__B__go__zoom0.txt", "b__B__go__zoom1.txt"]
-        assert [(aux / diagram_filename("b", "B__go", k)).read_text()
+        assert [(aux / f"b__B__go__zoom{k}.txt").read_text()
                 for k in (0, 1)] == render_function(self.two_level_tree(), 1)
 
     def test_projection_applied_per_level(self):
@@ -121,9 +129,16 @@ class TestRenderFunction:
         t = [ActionNode("x", calls=[("g()", "c.html#g")]), StopNode()]
         assert "[[../c.html#g g()]]" in render_function(t, 0)[0]
 
-    def test_filename_shape(self):
-        assert diagram_filename("main", "ns__f__2", 3) == (
-            "main__ns__f__2__zoom3.txt")
+    def test_filename_shape(self, tmp_path, capsys):
+        # <stem>__<anchor>__zoom<level>.txt, the page's image the same name as .svg
+        src = tmp_path / "main.cpp"
+        src.write_text("void ns::f(int) {\n//$ a\nx();\n}\n"
+                       "void ns::f(double) {\n//$3 deep\ny();\n}\n")
+        out = tmp_path / "out"
+        assert main(["all", str(src), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert "main__ns__f__2__zoom3.txt" in {p.name for p in (out / "aux_files").iterdir()}
+        assert 'data="aux_files/main__ns__f__2__zoom3.svg"' in (out / "main.html").read_text()
 
     def test_deterministic(self):
         assert (render_function(self.two_level_tree(), 1)
