@@ -43,7 +43,7 @@ class Annotation:
                  zoom: int = 0, parallel: bool = False, target: int | None = None,
                  calls: tuple[CallSite, ...] = ()):
         self.kind, self.text, self.line = kind, text, line
-        self.offset = offset  # of the '//$' marker
+        self.offset = offset  # of the '//$' marker, or of a highlight's first call
         self.zoom, self.parallel = zoom, parallel
         # offset of the keyword a description binds to (test with 'is not None')
         self.target = target
@@ -75,10 +75,11 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
     out: list[Annotation] = []
     for k, tok in enumerate(markers):
         digits, parallel, text = _MARKER_RE.match(tok.text).groups()
-        if view.code_by_line.get(tok.line, "").strip():
-            lo = view.index_at_or_after(view.line_starts[tok.line - 1])
+        line = view.line(tok.offset)
+        if line in view.code_lines:
+            lo = view.index_at_or_after(view.line_starts[line - 1])
             d = bisect.bisect_left(body_starts, tok.offset) - 1
-            if (d >= 0 and view.line(body_starts[d]) == tok.line
+            if (d >= 0 and view.line(body_starts[d]) == line
                     and tok.offset < defs[d].body_end):
                 lo = view.index_at_or_after(body_starts[d]) + 1
             calls = detect_calls(view, lo, view.index_at_or_after(tok.offset))
@@ -86,10 +87,10 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
                 view.diags.append(warning(
                     "dangling-call-highlight",
                     "postfix '//$' on a line with no detectable call; ignored",
-                    view.file, tok.line))
+                    view.file, line))
                 continue
-            out.append(Annotation(AnnotationKind.CALL_HIGHLIGHT, text, tok.line,
-                                  tok.offset, calls=tuple(calls)))
+            out.append(Annotation(AnnotationKind.CALL_HIGHLIGHT, text, line,
+                                  calls[0].offset, calls=tuple(calls)))
             continue
         desc, kind = _DESC_RE.match(text), None
         i = view.index_at_or_after(tok.offset + len(tok.text))
@@ -97,7 +98,7 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
                                      or lx[i].offset < markers[k + 1].offset):
             kind = _DESC_KINDS.get(lx[i].text)
         if kind is not None:
-            out.append(Annotation(kind, desc[1], tok.line, tok.offset,
+            out.append(Annotation(kind, desc[1], line, tok.offset,
                                   target=lx[i].offset))
             continue
         if desc:
@@ -105,7 +106,7 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
                 "orphan-bracket-annotation",
                 "'[...]' annotation does not precede a branch, loop or "
                 "return; kept as a plain action",
-                view.file, tok.line))
+                view.file, line))
         # int() refuses a run of more than 4300 digits; one that long is too deep
         zoom = int(digits or 0) if len(digits) <= 4300 else MAX_ZOOM + 1
         if zoom > MAX_ZOOM:
@@ -113,8 +114,8 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
                 "zoom-too-deep",
                 f"zoom levels above {MAX_ZOOM} are not drawn; "
                 f"this action is drawn at zoom {MAX_ZOOM}",
-                view.file, tok.line))
+                view.file, line))
             zoom = MAX_ZOOM
-        out.append(Annotation(AnnotationKind.ACTION, text, tok.line, tok.offset,
+        out.append(Annotation(AnnotationKind.ACTION, text, line, tok.offset,
                               zoom, parallel is not None))
     return out

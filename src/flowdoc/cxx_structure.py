@@ -19,10 +19,10 @@ also carries its source's name and diagnostic list, ``view.file`` and
 ``view.diags``: every layer that reads the view reports there.
 
 Declarations (ending in ``;``), lambdas, local classes, operator overloads
-and the bodies of ``switch``/``try`` stay opaque: they are brace-matched and
-skipped, never mis-read. Preprocessor content is ignored entirely, so code
-hidden behind conditional compilation can unbalance braces; that surfaces as
-a diagnostic rather than silent misparsing.
+(``operator bool()`` too) and ``switch``/``try`` bodies stay opaque: they are
+brace-matched and skipped, never mis-read. Preprocessor content is ignored
+entirely, so code hidden behind conditional compilation can unbalance
+braces; that surfaces as a diagnostic rather than silent misparsing.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, warning
-from .scanner import LexKind, Lexeme, Token, TokenKind, line_code_map, scan
+from .scanner import LexKind, line_code_map, scan
 
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
 _BRACKETS = frozenset("()[]{}")
@@ -46,25 +46,22 @@ class CodeStream:
 
     ``lexemes`` are the scanner's: no comment or directive, and each
     string/char literal one opaque lexeme (its text keeps the quotes, so it
-    is never mistaken for a bracket). A position is a character offset into
-    ``source``, and ``line`` maps it to its line. ``partner`` maps the index
-    of each ``(``, ``[`` and ``{`` lexeme to the index of its closer, found
-    with one stack per bracket type; an opener never closed has no entry.
-    The view also carries the ``//$`` comments and, only to tell a postfix
-    marker from a standalone one, the per-line code text of
-    ``scanner.line_code_map``; the token list need not outlive it.
-    ``file`` names the source in diagnostics, and ``diags`` is the list that
-    the scanner and every layer reading the view append them to.
+    is never mistaken for a bracket). ``markers`` are its ``//$`` comments,
+    each with its text and offset. A position is a character offset into
+    ``source``, and ``line`` maps it to its line; ``code_lines``, from
+    ``scanner.line_code_map``, holds the lines on which a lexeme starts.
+    ``partner`` maps the index of each ``(``, ``[`` and ``{`` lexeme to the
+    index of its closer, found with one stack per bracket type; an opener
+    never closed has no entry. ``file`` names the source in diagnostics, and
+    ``diags`` is the list that the scanner and every layer reading the view
+    append them to.
     """
 
     def __init__(self, text: str, file: str, diags: list[Diagnostic]):
-        tokens, lexemes = scan(text, file, diags)
-        self.source, self.file, self.diags = text, file, diags
+        lexemes, self.markers = scan(text, file, diags)
+        self.source, self.file, self.diags, self.lexemes = text, file, diags, lexemes
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
-        self.code_by_line = line_code_map(tokens)
-        self.markers: list[Token] = [t for t in tokens if t.kind is TokenKind.LINE_COMMENT
-                                     and t.text.startswith("//$")]  # in source order
-        self.lexemes = lexemes
+        self.code_lines = line_code_map(lexemes, self.line_starts)
         self.partner: dict[int, int] = {}
         # the open brackets of each type, keyed by their closer
         open_at: dict[str, list[int]] = {")": [], "]": [], "}": []}
@@ -234,13 +231,15 @@ def find_definitions(view: CodeStream) -> list[FunctionDef]:
     return defs
 
 
-def _angle_partner(lx: list[Lexeme], i: int, stop: int) -> int:
-    """Index of the angle bracket that matches lx[i], scanning toward stop
-    (excluded): forward from a ``<``, back from a ``>``; -1 when there is
-    none. The view pairs no angle brackets: in code they may compare."""
-    step = 1 if stop > i else -1
-    depth = 0
-    for k in range(i, stop, step):
+def _angle_partner(view: CodeStream, i: int, stop: int) -> int:
+    """Index of the angle bracket that matches lexeme i, scanning toward
+    stop (excluded): forward from a ``<``, back from a ``>``; -1 when there
+    is none. A group the view pairs is stepped over whole, and a bracket it
+    leaves unpaired ends the scan. The view pairs no angle brackets: in code
+    they may compare."""
+    lx, partner = view.lexemes, view.partner
+    step, depth, k = (1 if stop > i else -1), 0, i
+    while (stop - k) * step > 0:
         t = lx[k].text
         if t == lx[i].text:
             depth += 1
@@ -248,6 +247,10 @@ def _angle_partner(lx: list[Lexeme], i: int, stop: int) -> int:
             depth -= 1
             if depth == 0:
                 return k
+        elif t in _BRACKETS and (t in _CLOSER) == (step > 0):
+            k = partner.get(k, stop) if step > 0 else next(
+                (o for o in range(k - 1, stop, -1) if partner.get(o) == k), stop)
+        k += step
     return -1
 
 
@@ -261,7 +264,7 @@ def _analyze_buffer(view: CodeStream, s: int, e: int):
     lx = view.lexemes
     while s < e:
         if lx[s].text == "template" and s + 1 < e and lx[s + 1].text == "<":
-            close = _angle_partner(lx, s + 1, e)
+            close = _angle_partner(view, s + 1, e)
             s = e if close < 0 else close + 1
         elif lx[s].text == "[" and s + 1 < e and lx[s + 1].text == "[":
             s = min(view.partner.get(s, e) + 1, e)
@@ -325,7 +328,7 @@ def _match_function(view: CodeStream, s: int, e: int):
         ok, ctor_init = _trailing_ok(view, cl + 1, e)
         if not ok:
             continue
-        chain = _name_chain_before(lx, s, op)
+        chain = _name_chain_before(view, s, op)
         if chain is None:
             continue
         simple = chain.split("::")[-1].lstrip("~")
@@ -358,7 +361,8 @@ def _trailing_ok(view: CodeStream, k: int, e: int) -> tuple[bool, bool]:
     return True, False
 
 
-def _name_chain_before(lx: list[Lexeme], s: int, op: int) -> str | None:
+def _name_chain_before(view: CodeStream, s: int, op: int) -> str | None:
+    lx = view.lexemes
     j = op - 1
     if j < s or lx[j].kind is not LexKind.WORD:
         return None
@@ -371,7 +375,7 @@ def _name_chain_before(lx: list[Lexeme], s: int, op: int) -> str | None:
     while j > s and lx[j].text == "::":
         q = j - 1
         if lx[q].text == ">":
-            p = _angle_partner(lx, q, s - 1)
+            p = _angle_partner(view, q, s - 1)
             if p <= s or lx[p - 1].kind is not LexKind.WORD:
                 break
             parts.append("".join(t.text for t in lx[p - 1:q + 1]))
@@ -381,6 +385,8 @@ def _name_chain_before(lx: list[Lexeme], s: int, op: int) -> str | None:
             j = q - 1
         else:
             break
+    if j >= s and lx[j].text == "operator":
+        return None  # a conversion operator, named after its type
     parts.reverse()
     return "::".join(parts)
 
@@ -426,7 +432,7 @@ def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
         while first - 2 >= lo and lx[first - 1].text in ("::", ".", "->"):
             sep, q = lx[first - 1].text, first - 2
             if sep == "::" and lx[q].text == ">":
-                q = _angle_partner(lx, q, lo) - 1
+                q = _angle_partner(view, q, lo) - 1
             if (q < lo or lx[q].kind is not LexKind.WORD
                     or lx[q].text in _NOT_CALLEE_NAMES):
                 break
@@ -471,6 +477,9 @@ class _BodyParser:
         return out
 
     def parse_one(self, i: int, hi: int) -> tuple[Stmt | None, int]:
+        i = self._past_labels(i, hi)
+        if i >= hi:
+            return None, i
         t = self.lx[i].text
         if t == ";":
             return None, i + 1
@@ -492,6 +501,14 @@ class _BodyParser:
         return self._parse_plain(i, hi)
 
     # -- helpers ---------------------------------------------------------
+
+    def _past_labels(self, i: int, hi: int) -> int:
+        """Past the labels (``name :``) and ``[[...]]`` lists before a statement."""
+        lx = self.lx
+        while i + 1 < hi and (lx[i].kind is LexKind.WORD and lx[i + 1].text == ":"
+                              or lx[i].text == lx[i + 1].text == "["):
+            i = i + 2 if lx[i + 1].text == ":" else min(self.partner.get(i, hi) + 1, hi)
+        return i
 
     def _group(self, i: int, hi: int):
         """Balanced (...) starting at i; returns (interior_text, close) or None."""
@@ -527,6 +544,7 @@ class _BodyParser:
         starts right after its header, the lexeme before i."""
         head = self.lx[i - 1]
         start = head.offset + len(head.text)
+        i = self._past_labels(i, hi)
         if i >= hi:
             return Stmt(StmtKind.BLOCK, (start, start)), i
         if self.lx[i].text == "{":

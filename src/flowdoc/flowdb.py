@@ -72,8 +72,9 @@ def annotated_functions(defs: list[FunctionDef],
     """Pair definitions with the annotations inside their bodies.
 
     This is the one place that decides which annotations belong to a
-    function, and its ``max_zoom``: those whose ``//$`` marker lies between
-    the body's braces, so a line two bodies share goes to one of them.
+    function, and its ``max_zoom``: those whose offset (a highlight's is its
+    first call's) lies between the body's braces, so a line two bodies share
+    goes to one of them.
     Functions without annotations are skipped. The anchor is the first of
     the mangled name and it + '__2', '__3', ... that is not yet ``taken``
     (each anchor, to the last suffix given to it as a name); share that map
@@ -103,9 +104,8 @@ def analyze_source(source_path: str | Path, diags: list[Diagnostic],
     """Read, scan and lex one file once, then recognize its definitions,
     collect its annotations and parse each annotated body.
 
-    Returns the annotated functions; the tokens and the lexed view are
-    dropped on return. Returns None (with an error diagnostic) when the file
-    cannot be read.
+    Returns the annotated functions; the lexed view is dropped on return.
+    Returns None (with an error diagnostic) when the file cannot be read.
     """
     path = Path(source_path)
     try:

@@ -24,3 +24,12 @@ def golden_dir() -> Path:
 
 def read_golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def in_place_and_apart(src: str, lexemes: list, markers: list) -> bool:
+    """Each lexeme and ``//$`` marker of a scan is the source text at its
+    offset, each list is in source order, and no two of them overlap."""
+    for run in (lexemes, markers, sorted(lexemes + markers, key=lambda p: p.offset)):
+        if any(a.offset + len(a.text) > b.offset for a, b in zip(run, run[1:])):
+            return False
+    return all(src.startswith(p.text, p.offset) for p in lexemes + markers)

@@ -16,9 +16,8 @@ from flowdoc import activity_ir, annotations, cxx_structure, scanner
 from flowdoc.cli import main
 from flowdoc.flowdb import FlowDb, annotated_functions
 from flowdoc.html_emit import check_links
-from flowdoc.scanner import TokenKind
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, in_place_and_apart
 
 
 def report(n, desc, ok, detail=""):
@@ -278,14 +277,13 @@ def test_criterion_4():
     for case in range(cases):
         src, expected = _fuzz_case(rng)
         diags = []
-        tokens, _ = scanner.scan(src, "fuzz.cpp", diags)
-        got = [t.offset for t in tokens
-               if t.kind is TokenKind.LINE_COMMENT and t.text.startswith("//$")]
-        if ("".join(t.text for t in tokens) != src or got != expected or diags):
+        lexemes, markers = scanner.scan(src, "fuzz.cpp", diags)
+        if (not in_place_and_apart(src, lexemes, markers)
+                or [m.offset for m in markers] != expected or diags):
             bad = (case, src)
             break
-    report(4, f"scanner lossless with exact marker identification on "
-              f"{cases} fuzz cases", bad is None, repr(bad))
+    report(4, f"scanner keeps each lexeme and marker in place, with exact "
+              f"marker identification, on {cases} fuzz cases", bad is None, repr(bad))
 
 
 # --------------------------------------------------------------------------

@@ -237,11 +237,35 @@ class TestCallHighlights:
         assert [(n.text, [display for display, _ in n.calls]) for n in tree[:-1]] == [
             ("before", []), ("inside", ["x()"])]
 
+    def test_a_highlight_after_the_closing_brace_is_drawn(self):
+        diags = []
+        tree = build("void f() {\nobj->shower(); }  //$\n", db=self.db(), diags=diags)
+        assert tree[0].calls == [("VINCIA::shower()", "aux.html#VINCIA__shower")]
+        assert diags == []
+
     def test_highlight_makes_construct_render(self):
         tree = build("void f() {\n//$ head\na();\nif (x) {\n"
                      "obj->shower();  //$\n}\n}\n", db=self.db())
         kinds = [type(n).__name__ for n in tree]
         assert kinds == ["ActionNode", "BranchNode", "StopNode"]
+
+
+_LABELLED = ("void f() {\n//$ before\na();\nif (x) {\n//$ inside\nb();\n}\n"
+             "//$ after\nc();\n}\n")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("if (x) {", "retry: if (x) {"),
+    ("if (x) {", "[[likely]] if (x) {"),
+    ("if (x) {", "if (x) [[likely]] {"),
+    ("c();\n}", "c();\nend:\n}"),
+], ids=["label", "attribute-before", "attribute-in-arm", "label-at-the-end"])
+def test_a_label_or_an_attribute_list_hides_no_construct(old, new):
+    plain_diags, diags = [], []
+    plain = shape(build(_LABELLED, diags=plain_diags))
+    assert shape(build(_LABELLED.replace(old, new), diags=diags)) == plain
+    assert diags == plain_diags
+    assert ("action", "after") in plain and plain[1][0] == "branch"
 
 
 class TestForks:

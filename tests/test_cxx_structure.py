@@ -108,11 +108,14 @@ class TestDefinitionRecognition:
     @pytest.mark.parametrize("src,expected", [
         ("template <class T void f() {\n}\n", []),  # an unclosed template header
         ("A::A() : m{ ( } {\n}\n", []),  # a group left open before the '{'
-        ("template <int N = (1> 2)> void f() {\n}\n", []),  # a '>' inside (...)
+        ("template <int N = (1> 2)> void f() {\n}\n", ["f"]),  # a '>' inside (...)
         ("int (f)() {\n}\n", []),  # a parenthesized declarator
         ("int f() [[nodiscard]] {\n}\n", ["f"]),  # a trailing attribute
         ("<a>::f() {\n}\n", ["f"]),  # template arguments with no name
         ("void *::f() {\n}\n", ["f"]),  # no name before the '::'
+        # a conversion operator is named after its type, not as a function
+        ("struct S {\noperator bool() const {\n}\nvoid m() {\n}\n};\n", ["S::m"]),
+        ("S::operator std::string() const {\n}\n", []),
     ])
     def test_declarations_at_the_edge_of_the_pattern(self, src, expected):
         diags = []
@@ -428,6 +431,7 @@ class TestCallDetection:
          [("obj.a<std::pair<int, int>>::b<T>::f", "a::b::f")]),
         ("x = <int>::f();", [("f", "f")]),
         ("obj /* why */ . run();", [("obj . run", "run")]),
+        ("A<(1 > 2)>::g(x);", [("A<(1 > 2)>::g", "A::g")]),
     ])
     def test_chain_starts_after_a_bracket_or_keyword(self, code, expected):
         assert [(c.callee_text, c.normalized_name)

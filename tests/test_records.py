@@ -11,16 +11,16 @@ import pytest
 from flowdoc.cxx_structure import CallSite
 from flowdoc.diagnostics import warning
 from flowdoc.flowdb import FlowDbEntry
-from flowdoc.scanner import Token, TokenKind
+from flowdoc.scanner import Lexeme, LexKind
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("record,field", [
-    (Token(TokenKind.CODE, "x", 1, 0), "text"),
+    (Lexeme("x", 0, LexKind.WORD), "text"),
     (warning("no-link", "m", "f.cpp", 3), "line"),
     (FlowDbEntry("f", "p.html", "f", 0), "max_zoom"),
-], ids=["Token", "Diagnostic", "FlowDbEntry"])
+], ids=["Lexeme", "Diagnostic", "FlowDbEntry"])
 def test_value_records_are_read_only(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1)

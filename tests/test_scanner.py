@@ -1,234 +1,226 @@
 import re
 import string
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowdoc import scanner
+from flowdoc.cxx_structure import CodeStream
 from flowdoc.diagnostics import Severity, warning
-from flowdoc.scanner import IDENT, LexKind, Lexeme, Token, TokenKind, line_code_map, scan
+from flowdoc.scanner import IDENT, LexKind, Lexeme, line_code_map, scan
+
+from conftest import in_place_and_apart
+
+WORD, NUM, PUNCT, LIT = LexKind.WORD, LexKind.NUM, LexKind.PUNCT, LexKind.LIT
 
 
-def tokens_of(text, file="<input>", diags=None):
-    return scan(text, file, diags if diags is not None else [])[0]
+def lexed(text, file="<input>", diags=None):
+    return scan(text, file, diags if diags is not None else [])
 
 
-def source_of(tokens):
-    return "".join(t.text for t in tokens)
+def texts(text):
+    return [lex.text for lex in lexed(text)[0]]
 
 
-def kinds(tokens):
-    return [t.kind for t in tokens]
+def lits(text):
+    return [lex.text for lex in lexed(text)[0] if lex.kind is LIT]
 
 
-def texts(tokens, kind):
-    return [t.text for t in tokens if t.kind is kind]
+def marker_texts(text):
+    return [m.text for m in lexed(text)[1]]
+
+
+def line_starts(text):
+    return [0] + [m.end() for m in re.finditer("\n", text)]
+
+
+def code_lines(text):
+    return line_code_map(lexed(text)[0], line_starts(text))
 
 
 class TestBasics:
     def test_empty_input(self):
-        assert tokens_of("") == []
+        assert lexed("") == ([], [])
 
     def test_plain_code_single_token(self):
-        toks = tokens_of("int x = 1;\n")
-        assert kinds(toks) == [TokenKind.CODE]
-        assert toks[0].text == "int x = 1;\n"
-        assert (toks[0].line, toks[0].offset) == (1, 0)
+        assert lexed("int x = 1;\n") == ([
+            ("int", 0, WORD), ("x", 4, WORD), ("=", 6, PUNCT), ("1", 8, NUM),
+            (";", 9, PUNCT)], [])
 
-    def test_concatenation_reproduces_input(self):
-        src = 'int a; // c\n"str" /* b */ #define X 1\n'
-        assert source_of(tokens_of(src)) == src
+    def test_comments_and_directives_hold_no_lexeme(self):
+        src = 'int a; // c\n"str" /* b */ x\n#define X 1\n'
+        assert lexed(src) == ([("int", 0, WORD), ("a", 4, WORD), (";", 5, PUNCT),
+                               ('"str"', 12, LIT), ("x", 26, WORD)], [])
 
     def test_line_and_offset_tracking(self):
-        toks = tokens_of("ab\ncd // x\n")
-        comment = [t for t in toks if t.kind is TokenKind.LINE_COMMENT][0]
-        assert (comment.line, comment.offset) == (2, 6)
+        src = "ab\ncd //$ x\n"
+        assert lexed(src)[1] == [Lexeme("//$ x", 6, None)]
+        assert CodeStream(src, "<input>", []).line(6) == 2
 
 
 class TestLineComments:
     def test_comment_excludes_newline(self):
-        toks = tokens_of("x; // note\ny;\n")
-        assert texts(toks, TokenKind.LINE_COMMENT) == ["// note"]
+        assert marker_texts("x; //$ note\ny;\n") == ["//$ note"]
+        assert texts("x; //$ note\ny;\n") == ["x", ";", "y", ";"]
 
     def test_comment_at_eof_without_newline(self):
-        toks = tokens_of("// tail")
-        assert kinds(toks) == [TokenKind.LINE_COMMENT]
+        assert lexed("//$ tail") == ([], [Lexeme("//$ tail", 0, None)])
 
     def test_crlf_stays_out_of_comment(self):
-        toks = tokens_of("x; // note\r\ny;\n")
-        assert texts(toks, TokenKind.LINE_COMMENT) == ["// note"]
+        assert marker_texts("x; //$ note\r\ny;\n") == ["//$ note"]
 
     def test_annotation_marker_preserved(self):
-        toks = tokens_of("//$2 step one\n")
-        assert texts(toks, TokenKind.LINE_COMMENT) == ["//$2 step one"]
+        assert marker_texts("//$2 step one\n") == ["//$2 step one"]
+
+    def test_only_a_comment_that_opens_with_the_marker_is_one(self):
+        assert lexed("// plain //$ inside\n/*$ block */ //$\n") == (
+            [], [Lexeme("//$", 33, None)])
 
     def test_comment_inside_string_is_not_a_comment(self):
-        toks = tokens_of('s = "// not a comment";\n')
-        assert texts(toks, TokenKind.LINE_COMMENT) == []
-        assert len(texts(toks, TokenKind.STRING_LIT)) == 1
+        src = 's = "//$ not a comment";\n'
+        assert marker_texts(src) == []
+        assert lits(src) == ['"//$ not a comment"']
 
 
 class TestBlockComments:
     def test_single_line(self):
-        toks = tokens_of("a /* b */ c\n")
-        assert texts(toks, TokenKind.BLOCK_COMMENT) == ["/* b */"]
+        assert lexed("a /* //$ b */ c\n") == ([("a", 0, WORD), ("c", 14, WORD)], [])
 
     def test_multi_line(self):
-        src = "a /* one\ntwo */ b\n"
-        toks = tokens_of(src)
-        assert texts(toks, TokenKind.BLOCK_COMMENT) == ["/* one\ntwo */"]
-        assert source_of(toks) == src
+        assert lexed("a /* one\ntwo */ b\n") == ([("a", 0, WORD), ("b", 16, WORD)], [])
 
     def test_unterminated_reports_error(self):
         diags = []
-        toks = tokens_of("a /* never ends", "f.cpp", diags)
-        assert toks[-1].kind is TokenKind.BLOCK_COMMENT
-        assert any(d.code == "unterminated-block-comment"
-                   and d.severity is Severity.WARNING for d in diags)
+        assert lexed("a /* never ends", "f.cpp", diags) == ([("a", 0, WORD)], [])
+        assert diags == [warning("unterminated-block-comment",
+                                 "unterminated block comment", "f.cpp", 1)]
+        assert diags[0].severity is Severity.WARNING
 
     def test_star_slash_inside_string(self):
-        toks = tokens_of('"*/" /* real */\n')
-        assert len(texts(toks, TokenKind.BLOCK_COMMENT)) == 1
+        assert texts('"*/" /* real */ x\n') == ['"*/"', "x"]
 
 
 class TestStringsAndChars:
     def test_escaped_quote(self):
-        toks = tokens_of(r'"a\"b";')
-        assert texts(toks, TokenKind.STRING_LIT) == [r'"a\"b"']
+        assert lits(r'"a\"b";') == [r'"a\"b"']
 
     def test_escaped_backslash_then_quote_ends(self):
-        toks = tokens_of(r'"a\\" + x;')
-        assert texts(toks, TokenKind.STRING_LIT) == [r'"a\\"']
+        assert texts(r'"a\\" + x;') == [r'"a\\"', "+", "x", ";"]
 
     def test_char_literal(self):
-        toks = tokens_of(r"c = '\n';")
-        assert texts(toks, TokenKind.CHAR_LIT) == [r"'\n'"]
+        assert lits(r"c = '\n';") == [r"'\n'"]
 
     def test_multichar_literal(self):
-        toks = tokens_of("c<<'Hello World';")
-        assert texts(toks, TokenKind.CHAR_LIT) == ["'Hello World'"]
+        assert texts("c<<'Hello World';") == ["c", "<", "<", "'Hello World'", ";"]
 
     def test_unescaped_newline_terminates_with_diagnostic(self):
         diags = []
-        toks = tokens_of('"open\nnext;\n', "f.cpp", diags)
-        assert texts(toks, TokenKind.STRING_LIT) == ['"open']
-        assert any(d.code == "unterminated-string" for d in diags)
-        assert source_of(toks) == '"open\nnext;\n'
+        assert lexed('"open\nnext;\n', "f.cpp", diags) == (
+            [('"open', 0, LIT), ("next", 6, WORD), (";", 10, PUNCT)], [])
+        assert diags == [warning("unterminated-string",
+                                 "unterminated string literal", "f.cpp", 1)]
+
+    def test_each_unterminated_literal_warns_on_its_own_line(self):
+        diags = []
+        lexed('a;\n"x\nb;\r\n\n\'y\n/* z\n', "f.cpp", diags)
+        assert [(d.code, d.line) for d in diags] == [
+            ("unterminated-string", 2), ("unterminated-char", 5),
+            ("unterminated-block-comment", 6)]
 
     def test_digit_separator_is_not_a_char_literal(self):
-        toks = tokens_of("auto n = 1'000'000;\n")
-        assert texts(toks, TokenKind.CHAR_LIT) == []
-        assert kinds(toks) == [TokenKind.CODE]
+        assert lexed("auto n = 1'000'000;\n")[0][3] == ("1'000'000", 9, NUM)
+        assert lits("auto n = 1'000'000;\n") == []
 
     def test_hex_digit_separator(self):
-        toks = tokens_of("auto n = 0xFF'AA;\n")
-        assert texts(toks, TokenKind.CHAR_LIT) == []
+        assert texts("auto n = 0xFF'AA;\n") == ["auto", "n", "=", "0xFF'AA", ";"]
 
     def test_long_digit_separated_number_is_one_code_token(self):
         # each quote looks back only to the previous one, so this is linear
-        toks = tokens_of("x = " + "1'" * 50000 + "1;\n")
-        assert kinds(toks) == [TokenKind.CODE]
+        number = "1'" * 50000 + "1"
+        assert texts("x = " + number + ";\n") == ["x", "=", number, ";"]
 
     def test_encoding_prefixed_char_literal(self):
         for prefix in ("u8", "u", "U", "L"):
             diags = []
-            toks = tokens_of(f"char c = {prefix}'a'; g();\n", "f.cpp", diags)
-            assert texts(toks, TokenKind.CHAR_LIT) == ["'a'"], prefix
+            lexemes = lexed(f"char c = {prefix}'a'; g();\n", "f.cpp", diags)[0]
+            assert lexemes[3:5] == [(prefix, 9, WORD), ("'a'", 9 + len(prefix), LIT)]
             assert diags == [], prefix
 
 
 class TestRawStrings:
     def test_plain_raw(self):
         src = 'auto s = R"(no \\ escapes " here)";\n'
-        toks = tokens_of(src)
-        lits = texts(toks, TokenKind.STRING_LIT)
-        assert lits == ['"(no \\ escapes " here)"']
+        assert lits(src) == ['"(no \\ escapes " here)"']
 
     def test_delimited_raw(self):
-        src = 'R"xy(contains )" inside)xy";\n'
-        toks = tokens_of(src)
-        assert texts(toks, TokenKind.STRING_LIT) == ['"xy(contains )" inside)xy"']
+        assert lits('R"xy(contains )" inside)xy";\n') == ['"xy(contains )" inside)xy"']
 
     def test_prefixed_raw(self):
         for prefix in ("u8", "u", "U", "L"):
-            src = f'{prefix}R"(x)";\n'
-            toks = tokens_of(src)
-            assert texts(toks, TokenKind.STRING_LIT) == ['"(x)"'], prefix
+            assert texts(f'{prefix}R"(x)";\n') == [prefix + "R", '"(x)"', ";"], prefix
 
     def test_identifier_ending_in_r_is_not_raw(self):
-        src = 'VAR"(text)";\n'
-        toks = tokens_of(src)
         # plain string: ends at the first unescaped quote
-        assert texts(toks, TokenKind.STRING_LIT) == ['"(text)"']
+        assert lits('VAR"(text)";\n') == ['"(text)"']
 
     def test_non_ascii_identifier_ending_in_r_is_not_raw(self):
-        toks = tokens_of('éR"(a "b" )";\n')
-        assert texts(toks, TokenKind.STRING_LIT) == ['"(a "', '" )"']
+        assert lits('éR"(a "b" )";\n') == ['"(a "', '" )"']
 
     def test_raw_spanning_lines_round_trips(self):
         src = 'R"(line1\nline2 //$ not real\n)";\n'
-        toks = tokens_of(src)
-        assert source_of(toks) == src
-        assert all(t.kind is not TokenKind.LINE_COMMENT for t in toks)
+        assert lexed(src) == ([("R", 0, WORD), (src[1:-2], 1, LIT),
+                               (";", len(src) - 2, PUNCT)], [])
 
     def test_unterminated_raw(self):
         diags = []
-        toks = tokens_of('R"(never', "f.cpp", diags)
-        assert any(d.code == "unterminated-raw-string" for d in diags)
-        assert source_of(toks) == 'R"(never'
+        assert lexed('R"(never', "f.cpp", diags) == ([("R", 0, WORD), ('"(never', 1, LIT)], [])
+        assert diags == [warning("unterminated-raw-string",
+                                 "unterminated raw string literal", "f.cpp", 1)]
 
 
 class TestPreprocessor:
     def test_directive_consumes_line(self):
-        toks = tokens_of("#define X 1\nint x;\n")
-        assert texts(toks, TokenKind.PREPROCESSOR) == ["#define X 1\n"]
+        assert texts("#define X 1\nint x;\n") == ["int", "x", ";"]
 
     def test_continuation(self):
-        src = "#define M(a) \\\n    (a)\nint y;\n"
-        toks = tokens_of(src)
-        assert texts(toks, TokenKind.PREPROCESSOR) == ["#define M(a) \\\n    (a)\n"]
+        assert texts("#define M(a) \\\n    (a)\nint y;\n") == ["int", "y", ";"]
 
     def test_indented_directive(self):
-        toks = tokens_of("    #pragma once\n")
-        assert texts(toks, TokenKind.PREPROCESSOR) == ["#pragma once\n"]
+        assert lexed("    #pragma once\n") == ([], [])
 
     def test_hash_after_code_is_not_a_directive(self):
-        toks = tokens_of("x = a # b;\n")
-        assert texts(toks, TokenKind.PREPROCESSOR) == []
+        assert lexed("x = a # b;\n")[0] == [
+            ("x", 0, WORD), ("=", 2, PUNCT), ("a", 4, WORD), ("#", 6, PUNCT),
+            ("b", 8, WORD), (";", 9, PUNCT)]
 
     def test_directive_after_block_comment_on_same_line(self):
-        toks = tokens_of("/* c */ #define Y 2\n")
-        assert texts(toks, TokenKind.PREPROCESSOR) == ["#define Y 2\n"]
+        assert lexed("/* c */ #define Y 2\n") == ([], [])
+
+    def test_a_comment_in_a_directive_is_no_marker(self):
+        assert lexed("#if X //$ no\n//$ yes\n") == ([], [Lexeme("//$ yes", 13, None)])
 
 
 class TestLineCodeMap:
     def test_code_and_comment_split(self):
-        m = line_code_map(tokens_of("foo();  //$ note\n"))
-        assert m[1] == "foo();  "
+        assert code_lines("foo();  //$ note\n") == {1}
 
     def test_string_replaced_by_placeholder(self):
-        m = line_code_map(tokens_of('log("//$ fake");\n'))
-        assert m[1] == 'log("");'
+        # a literal is code, and the comment inside it no marker
+        assert code_lines('"//$ fake"\n//$\n') == {1}
 
     def test_standalone_comment_line_has_no_code(self):
-        m = line_code_map(tokens_of("a;\n//$ note\nb;\n"))
-        assert m.get(2, "").strip() == ""
+        assert code_lines("a;\n//$ note\nb;\n") == {1, 3}
+
+    def test_a_literal_is_code_on_its_first_line_only(self):
+        assert code_lines('s = R"(a\nb)"\n;') == {1, 3}
 
 
 @settings(max_examples=300)
-@given(st.text(alphabet=string.printable, max_size=200))
-def test_round_trip_is_lossless_on_arbitrary_text(src):
-    tokens = tokens_of(src, "fuzz.cpp", [])
-    assert source_of(tokens) == src
-
-
-@settings(max_examples=300)
-@given(st.text(alphabet=st.sampled_from('/"\'\\{}$#\n a1'), max_size=120))
+@given(st.one_of(st.text(alphabet=string.printable, max_size=200),
+                 st.text(alphabet=st.sampled_from('/"\'\\{}$#\n a1'), max_size=120)))
 def test_round_trip_on_hostile_alphabet(src):
-    tokens = tokens_of(src, "fuzz.cpp", [])
-    assert source_of(tokens) == src
-    for tok in tokens:
-        assert src[tok.offset:tok.offset + len(tok.text)] == tok.text
+    assert in_place_and_apart(src, *lexed(src, "fuzz.cpp", []))
 
 
 # Pieces of known kind for the grammar property below. Code pieces end in a
@@ -239,7 +231,17 @@ _CODE_WORDS = ["x", "foo_1", "étape", "u8", "R", "::", "->", "(", ")", "{", "}"
                "0b1010'1010", "3.14'15", ".5'0", "\t", "\n", "\r\n"]
 _ESCAPES = ["\\n", '\\"', "\\'", "\\\\", "\\\n", "\\\r\n"]
 _INSIDE = ["a", "F", "0", " ", "(", ")", "/", "*", "$", "#", "//$", "/*", "é"]
-_CODE = TokenKind.CODE
+
+
+class Tok(NamedTuple):  # a token of the reference: kind, text, line, offset
+    kind: str
+    text: str
+    line: int
+    offset: int
+
+
+# the reference token kinds, each named by how its tokens start
+_CODE, _LINE, _BLOCK, _STRING, _CHAR, _DIRECTIVE = "code", "//", "/*", '"', "'", "#"
 
 
 def _literal(quote, kind):
@@ -251,7 +253,7 @@ def _literal(quote, kind):
 
 def _raw(t):
     prefix, delim, body = t
-    return [(_CODE, prefix), (TokenKind.STRING_LIT, f'"{delim}({body}){delim}"')]
+    return [(_CODE, prefix), (_STRING, f'"{delim}({body}){delim}"')]
 
 
 def _closes_at_its_end(t):
@@ -265,11 +267,11 @@ _PIECES = st.one_of(
     st.tuples(st.sampled_from(["//", "//$", "//$2 "]),
               st.text(st.sampled_from("ab $/*\"'#\\"), max_size=8),
               st.sampled_from(["\n", "\r\n"])).map(
-        lambda t: [(TokenKind.LINE_COMMENT, t[0] + t[1]), (_CODE, t[2])]),
+        lambda t: [(_LINE, t[0] + t[1]), (_CODE, t[2])]),
     st.text(st.sampled_from("ab /*\n\"'#$"), max_size=10).filter(
-        lambda b: "*/" not in b).map(lambda b: [(TokenKind.BLOCK_COMMENT, f"/*{b}*/")]),
-    _literal('"', TokenKind.STRING_LIT),
-    _literal("'", TokenKind.CHAR_LIT),
+        lambda b: "*/" not in b).map(lambda b: [(_BLOCK, f"/*{b}*/")]),
+    _literal('"', _STRING),
+    _literal("'", _CHAR),
     st.tuples(st.sampled_from(["R", "u8R", "uR", "UR", "LR"]),
               st.text(st.sampled_from("ab_{}+*9é"), max_size=16),
               st.lists(st.sampled_from(['a', ')', ')"', '"', "'", "//$", "\n", "("]),
@@ -278,7 +280,7 @@ _PIECES = st.one_of(
                        min_size=1, max_size=3),
               st.sampled_from(["\\\n", "\\\r\n"]),
               st.sampled_from(["\n", "\r\n"])).map(
-        lambda t: [(TokenKind.PREPROCESSOR, "#" + t[1].join(t[0]) + t[2])]),
+        lambda t: [(_DIRECTIVE, "#" + t[1].join(t[0]) + t[2])]),
 )
 
 
@@ -287,39 +289,40 @@ _PIECES = st.one_of(
 def test_pieces_of_known_kind_scan_back_to_themselves(groups):
     pieces, code_on_line = [], False
     for kind, text in (piece for group in groups for piece in group):
-        if kind is TokenKind.PREPROCESSOR and code_on_line:
+        if kind == _DIRECTIVE and code_on_line:
             pieces.append((_CODE, "\n"))  # only comments may precede a directive
         if text:
             pieces.append((kind, text))
-        if kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT):
+        if kind in (_STRING, _CHAR):
             code_on_line = True
-        elif kind is _CODE:
+        elif kind == _CODE:
             code_on_line = bool(text.rsplit("\n", 1)[-1].strip()) or (
                 code_on_line and "\n" not in text)
         elif "\n" in text:
             code_on_line = False  # after a directive or a comment across lines
     expected, src = [], ""
     for kind, text in pieces:
-        if kind is _CODE and expected and expected[-1][0] is _CODE:
+        if kind == _CODE and expected and expected[-1][0] == _CODE:
             expected[-1] = (_CODE, expected[-1][1] + text, *expected[-1][2:])
         else:
             expected.append((kind, text, src.count("\n") + 1, len(src)))
         src += text
     diags = []
-    assert [tuple(t) for t in tokens_of(src, "p.cpp", diags)] == expected
+    assert lexed(src, "p.cpp", diags) == derived([Tok(*t) for t in expected])
     assert diags == []
 
 
 # The two-pass reference the one-pass scanner replaced: tokens first, a quote
 # being a digit separator when the word characters and dots before it start a
 # number or follow another separator; then each Code token lexed on its own.
-_REF_RULES = [rule for rule in scanner._GRAMMAR if isinstance(rule[0], TokenKind)]
+# Its tokens are lossless: their texts concatenate to the source.
+_REF_RULES = [rule for rule in scanner._GRAMMAR if rule[0] in (None, LIT)]
 _REF_TABLE = re.compile("|".join(f"(?P<k{n}>{rule[1]})" for n, rule in enumerate(_REF_RULES)))
 _SPECIAL = re.compile(r'["\'/#]')
 _NUMBER_START = re.compile(r"\.?[0-9]")
 _HEX = frozenset("0123456789abcdefABCDEF")
 _LEXEME_RE = re.compile(rf"\s*(?:({IDENT})|(\.?[0-9](?:[\w.']|[eEpP][+-])*)|(::|->|\S))")
-_LEX_KIND = (None, LexKind.WORD, LexKind.NUM, LexKind.PUNCT)
+_LEX_KIND = (None, WORD, NUM, PUNCT)
 
 
 def two_pass(text, file, diags):
@@ -337,33 +340,57 @@ def two_pass(text, file, diags):
         m = _REF_TABLE.match(text, i)
         if m is None:
             continue
-        kind, _, warn = _REF_RULES[int(m.lastgroup[1:])]
-        if c == "#" or kind is TokenKind.BLOCK_COMMENT:
+        _, _, warn = _REF_RULES[int(m.lastgroup[1:])]
+        kind = m.group()[:2] if m.group()[:2] in (_LINE, _BLOCK) else c
+        if c == "#" or kind == _BLOCK:
             nl = text.rfind("\n", run_start, i)
             line_has_code = (bool(text[max(nl + 1, run_start):i].strip())
                              or (nl < 0 and line_has_code))
             if c == "#" and line_has_code:
                 continue
         if run_start < i:
-            tokens.append(Token(_CODE, text[run_start:i], line, run_start))
+            tokens.append(Tok(_CODE, text[run_start:i], line, run_start))
             line += text[run_start:i].count("\n")
         if warn and m.group(m.lastindex + 1) is None:
             diags.append(warning(warn[0], warn[1], file, line))
-        tokens.append(Token(kind, m.group(), line, i))
+        tokens.append(Tok(kind, m.group(), line, i))
         line += m.group().count("\n")
         pos = run_start = m.end()
-        if kind is not TokenKind.BLOCK_COMMENT or "\n" in m.group():
+        if kind != _BLOCK or "\n" in m.group():
             line_has_code = c in "\"'"
     if run_start < n:
-        tokens.append(Token(_CODE, text[run_start:], line, run_start))
-    lexemes = []
+        tokens.append(Tok(_CODE, text[run_start:], line, run_start))
+    return tokens
+
+
+def derived(tokens):
+    """The lexemes and ``//$`` markers of a reference token list."""
+    lexemes, markers = [], []
     for tok in tokens:
-        if tok.kind is _CODE:
+        if tok.kind == _CODE:
             lexemes += [Lexeme(m[k := m.lastindex], tok.offset + m.start(k), _LEX_KIND[k])
                         for m in _LEXEME_RE.finditer(tok.text.rstrip())]
-        elif tok.kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT):
-            lexemes.append(Lexeme(tok.text, tok.offset, LexKind.LIT))
-    return tokens, lexemes
+        elif tok.kind in (_STRING, _CHAR):
+            lexemes.append(Lexeme(tok.text, tok.offset, LIT))
+        elif tok.text.startswith("//$"):
+            markers.append(Lexeme(tok.text, tok.offset, None))
+    return lexemes, markers
+
+
+def ref_line_code_map(tokens):
+    """Per-line code text, with literals collapsed to quote pairs: the
+    token-based answer to "does a line hold code?"."""
+    per_line = {}
+    for tok in tokens:
+        if tok.kind == _CODE:
+            ln = tok.line
+            for part in tok.text.split("\n"):
+                if part:
+                    per_line.setdefault(ln, []).append(part)
+                ln += 1
+        elif tok.kind in (_STRING, _CHAR):
+            per_line.setdefault(tok.line, []).append(tok.kind * 2)
+    return {ln: "".join(parts) for ln, parts in per_line.items()}
 
 
 _FRAGMENTS = ['"', "'", '"s"', "'c'", 'R"x(', ')x"', 'R"(', ')"', "u8'", "u8", "L",
@@ -376,5 +403,10 @@ _FRAGMENTS = ['"', "'", '"s"', "'c'", 'R"x(', ')x"', 'R"(', ')"', "u8'", "u8", "
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join))
 def test_one_pass_equals_the_two_pass_reference(src):
     diags, expected_diags = [], []
-    assert scan(src, "p.cpp", diags) == two_pass(src, "p.cpp", expected_diags)
+    tokens = two_pass(src, "p.cpp", expected_diags)
+    assert "".join(tok.text for tok in tokens) == src
+    lexemes, markers = scan(src, "p.cpp", diags)
+    assert (lexemes, markers) == derived(tokens)
     assert diags == expected_diags
+    assert line_code_map(lexemes, line_starts(src)) == {
+        ln for ln, code in ref_line_code_map(tokens).items() if code.strip()}
