@@ -19,12 +19,11 @@ reported, so one marker cannot ask for unbounded diagrams.
 
 from __future__ import annotations
 
-import bisect
 import re
 from collections.abc import Sequence
 from enum import Enum
 
-from .cxx_structure import CallSite, CodeStream, FunctionDef, detect_calls
+from .cxx_structure import CallSite, CodeStream, FunctionDef, body_holding, detect_calls
 from .diagnostics import warning
 
 
@@ -61,37 +60,47 @@ _DESC_KINDS["return"] = AnnotationKind.RETURN_DESC
 
 
 def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
-    """All annotations of a source's lexed view, in source order.
+    """All annotations of a source's lexed view, in source order, given its
+    definitions in source order; diagnostics go to ``view.diags``.
 
-    A highlight keeps the call sites among the lexemes of its line, after
-    the ``{`` of the body of ``defs`` (in source order) that holds the
-    marker if it opens there: a definition's declarator is no call.
-    Postfix highlights whose line holds no detectable call are dropped with
-    a diagnostic; orphan bracket annotations are kept as actions and
-    reported, in ``view.diags``.
+    A highlight keeps the call sites on its line, before its marker, that
+    lie in a body, so a declarator is no call. It goes to its marker's body,
+    or, past every body, to that of its first call; a call in another body
+    is reported. One in a body with no call there is dropped and reported.
+    Any other marker outside every body is reported alone and kept, for no
+    function; orphan bracket annotations are kept as actions and reported.
     """
-    body_starts = [fn.body_start for fn in defs]
     markers, lx = view.markers, view.lexemes
     out: list[Annotation] = []
     for k, tok in enumerate(markers):
         digits, parallel, text = _MARKER_RE.match(tok.text).groups()
         line = view.line(tok.offset)
+        home = body_holding(defs, tok.offset)
         if line in view.code_lines:
             lo = view.index_at_or_after(view.line_starts[line - 1])
-            d = bisect.bisect_left(body_starts, tok.offset) - 1
-            if (d >= 0 and view.line(body_starts[d]) == line
-                    and tok.offset < defs[d].body_end):
-                lo = view.index_at_or_after(body_starts[d]) + 1
-            calls = detect_calls(view, lo, view.index_at_or_after(tok.offset))
-            if not calls:
+            calls = [(d, c) for c in detect_calls(view, lo, view.index_at_or_after(tok.offset))
+                     if (d := body_holding(defs, c.offset)) is not None]
+            home = calls[0][0] if home is None and calls else home
+            for d, c in calls:
+                if d != home:
+                    view.diags.append(warning(
+                        "unplaced-marker", f"call '{c.callee_text}' lies outside the "
+                        "function body its '//$' is drawn in; not drawn", view.file, line))
+            drawn = tuple(c for d, c in calls if d == home)
+            if drawn:
+                out.append(Annotation(AnnotationKind.CALL_HIGHLIGHT, text, line,
+                                      drawn[0].offset, calls=drawn))
+                continue
+            if home is not None:
                 view.diags.append(warning(
                     "dangling-call-highlight",
                     "postfix '//$' on a line with no detectable call; ignored",
                     view.file, line))
                 continue
-            out.append(Annotation(AnnotationKind.CALL_HIGHLIGHT, text, line,
-                                  calls[0].offset, calls=tuple(calls)))
-            continue
+        if home is None:
+            view.diags.append(warning(
+                "unplaced-marker", "'//$' outside every recognized function body; "
+                "not drawn", view.file, line))
         desc, kind = _DESC_RE.match(text), None
         i = view.index_at_or_after(tok.offset + len(tok.text))
         if desc and i < len(lx) and (k + 1 == len(markers)
@@ -101,7 +110,7 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
             out.append(Annotation(kind, desc[1], line, tok.offset,
                                   target=lx[i].offset))
             continue
-        if desc:
+        if desc and home is not None:
             view.diags.append(warning(
                 "orphan-bracket-annotation",
                 "'[...]' annotation does not precede a branch, loop or "
@@ -109,13 +118,13 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
                 view.file, line))
         # int() refuses a run of more than 4300 digits; one that long is too deep
         zoom = int(digits or 0) if len(digits) <= 4300 else MAX_ZOOM + 1
-        if zoom > MAX_ZOOM:
+        if zoom > MAX_ZOOM and home is not None:
             view.diags.append(warning(
                 "zoom-too-deep",
                 f"zoom levels above {MAX_ZOOM} are not drawn; "
                 f"this action is drawn at zoom {MAX_ZOOM}",
                 view.file, line))
-            zoom = MAX_ZOOM
+        zoom = min(zoom, MAX_ZOOM)
         out.append(Annotation(AnnotationKind.ACTION, text, line, tok.offset,
                               zoom, parallel is not None))
     return out

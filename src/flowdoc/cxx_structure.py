@@ -19,10 +19,11 @@ also carries its source's name and diagnostic list, ``view.file`` and
 ``view.diags``: every layer that reads the view reports there.
 
 Declarations (ending in ``;``), lambdas, local classes, operator overloads
-(``operator bool()`` too) and ``switch``/``try`` bodies stay opaque: they are
-brace-matched and skipped, never mis-read. Preprocessor content is ignored
-entirely, so code hidden behind conditional compilation can unbalance
-braces; that surfaces as a diagnostic rather than silent misparsing.
+(``operator bool()`` and ``operator"" _km`` too) and ``switch``/``try``
+bodies stay opaque: they are brace-matched and skipped, never mis-read.
+Preprocessor content is ignored entirely, so code hidden behind conditional
+compilation can unbalance braces; that surfaces as a diagnostic rather than
+silent misparsing.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import bisect
 import re
 from collections.abc import Sequence
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, warning
@@ -133,16 +135,19 @@ _CLASS_KEYS = ("class", "struct", "union")
 _ACCESS = ("public", "private", "protected")
 _TRAILING_WORDS = {"const", "volatile", "noexcept", "override", "final",
                    "mutable", "constexpr", "throw", "try"}
-_NOT_FUNCTION_NAMES = {
+# words that never name a function or a scope of one
+_NOT_NAMES = {
     "if", "else", "while", "for", "do", "switch", "catch", "return", "goto",
     "new", "delete", "sizeof", "alignof", "alignas", "decltype", "typeid",
     "operator", "case", "default", "using", "static_assert", "asm",
-    "requires", "noexcept", "throw",
+    "requires", "noexcept", "throw", "void", "bool", "char", "short", "int",
+    "long", "float", "double", "signed", "unsigned", "auto",
 }
-_NOT_CALLEE_NAMES = _NOT_FUNCTION_NAMES | {
-    "void", "bool", "char", "short", "int", "long", "float", "double",
-    "signed", "unsigned", "auto", "throw",
-}
+# how a name chain is read, by its reader: the separators it may hold,
+# whether a scope keeps its template arguments in the name, and whether a
+# '~' before the last word joins it only after a separator
+_DECLARATOR = (("::",), True, False)
+_CALLEE = (("::", ".", "->"), False, True)
 
 
 class _Scope:
@@ -262,14 +267,10 @@ def _analyze_buffer(view: CodeStream, s: int, e: int):
     ("opaque", None).
     """
     lx = view.lexemes
-    while s < e:
-        if lx[s].text == "template" and s + 1 < e and lx[s + 1].text == "<":
-            close = _angle_partner(view, s + 1, e)
-            s = e if close < 0 else close + 1
-        elif lx[s].text == "[" and s + 1 < e and lx[s + 1].text == "[":
-            s = min(view.partner.get(s, e) + 1, e)
-        else:
-            break
+    s = _past_attributes(view, s, e)
+    while s + 1 < e and lx[s].text == "template" and lx[s + 1].text == "<":
+        close = _angle_partner(view, s + 1, e)
+        s = e if close < 0 else _past_attributes(view, close + 1, e)
     if s >= e:
         return "opaque", None
 
@@ -302,11 +303,8 @@ def _analyze_buffer(view: CodeStream, s: int, e: int):
 
 
 def _match_function(view: CodeStream, s: int, e: int):
-    """Match the restricted definition pattern against the declaration
-    lexemes [s, e).
-
-    Returns (name_chain, has_ctor_init) or None.
-    """
+    """(name_chain, has_ctor_init) when the declaration lexemes [s, e) match
+    the restricted definition pattern, else None."""
     lx = view.lexemes
     groups: list[tuple[int, int]] = []  # the top-level (...) groups
     k = s
@@ -326,69 +324,74 @@ def _match_function(view: CodeStream, s: int, e: int):
     # list is the first top-level group, the rest are member initializers.
     for op, cl in groups:
         ok, ctor_init = _trailing_ok(view, cl + 1, e)
-        if not ok:
-            continue
-        chain = _name_chain_before(view, s, op)
-        if chain is None:
-            continue
-        simple = chain.split("::")[-1].lstrip("~")
-        if simple in _NOT_FUNCTION_NAMES:
-            continue
-        return chain, ctor_init
+        chain = _name_chain(view, s, op, _DECLARATOR) if ok else None
+        if chain is not None:
+            return chain[1], ctor_init
     return None
 
 
 def _trailing_ok(view: CodeStream, k: int, e: int) -> tuple[bool, bool]:
     lx = view.lexemes
-    while k < e:
+    while (k := _past_attributes(view, k, e)) < e:
         t = lx[k].text
         if t == ":":
             return True, True   # constructor initializer list
         if t == "->":
             return True, False  # trailing return type
-        if t in _TRAILING_WORDS:
-            k += 1
-            if t in ("noexcept", "throw") and k < e and lx[k].text == "(":
-                k = min(view.partner.get(k, e) + 1, e)
-            continue
-        if t == "&":
-            k += 1
-            continue
-        if t == "[" and k + 1 < e and lx[k + 1].text == "[":
+        if t not in _TRAILING_WORDS and t != "&":
+            return False, False
+        k += 1
+        if t in ("noexcept", "throw") and k < e and lx[k].text == "(":
             k = min(view.partner.get(k, e) + 1, e)
-            continue
-        return False, False
     return True, False
 
 
-def _name_chain_before(view: CodeStream, s: int, op: int) -> str | None:
+def _past_attributes(view: CodeStream, k: int, e: int) -> int:
+    """The index past the ``[[...]]`` lists that start at lexeme k, at most e."""
     lx = view.lexemes
-    j = op - 1
-    if j < s or lx[j].kind is not LexKind.WORD:
+    while k + 1 < e and lx[k].text == lx[k + 1].text == "[":
+        k = min(view.partner.get(k, e) + 1, e)
+    return k
+
+
+def _name_chain(view: CodeStream, lo: int, op: int, rules) -> tuple[int, str] | None:
+    """The index of the first lexeme and the name of the chain that ends
+    right before lexeme op, read back no lower than lo by ``rules``,
+    ``_DECLARATOR`` or ``_CALLEE``: a word with the ``~`` before it, then
+    separator + word pairs, a word before ``::`` with its template arguments.
+    It stops before a word of ``_NOT_NAMES``, and is None when that is its
+    last word or when an ``operator`` comes before it, a literal between
+    them or not. Its name is the part after the last ``.`` or ``->``."""
+    seps, keep_args, tilde_after_sep = rules
+    lx = view.lexemes
+    k = op - 1
+    if k < lo or lx[k].kind is not LexKind.WORD or lx[k].text in _NOT_NAMES:
         return None
-    name = lx[j].text
-    j -= 1
-    if j >= s and lx[j].text == "~":
+    name, scoped = lx[k].text, True
+    if k > lo and lx[k - 1].text == "~" and (
+            not tilde_after_sep or k - 2 >= lo and lx[k - 2].text in seps):
+        k -= 1
         name = "~" + name
-        j -= 1
-    parts = [name]
-    while j > s and lx[j].text == "::":
-        q = j - 1
-        if lx[q].text == ">":
-            p = _angle_partner(view, q, s - 1)
-            if p <= s or lx[p - 1].kind is not LexKind.WORD:
-                break
-            parts.append("".join(t.text for t in lx[p - 1:q + 1]))
-            j = p - 2
-        elif lx[q].kind is LexKind.WORD and lx[q].text not in _NOT_CALLEE_NAMES:
-            parts.append(lx[q].text)
-            j = q - 1
-        else:
+    while k - 2 >= lo and lx[k - 1].text in seps:
+        sep, q = lx[k - 1].text, k - 2
+        if sep == "::" and lx[q].text == ">":
+            q = _angle_partner(view, q, lo) - 1
+        if q < lo or lx[q].kind is not LexKind.WORD or lx[q].text in _NOT_NAMES:
             break
-    if j >= s and lx[j].text == "operator":
-        return None  # a conversion operator, named after its type
-    parts.reverse()
-    return "::".join(parts)
+        scoped = scoped and sep == "::"
+        if scoped:
+            scope = lx[q:k - 1] if keep_args else lx[q:q + 1]
+            name = "".join(t.text for t in scope) + "::" + name
+        k = q
+    j = k - 1 if k - 1 >= lo and lx[k - 1].kind is LexKind.LIT else k
+    return None if j - 1 >= lo and lx[j - 1].text == "operator" else (k, name)
+
+
+def body_holding(defs: Sequence[FunctionDef], offset: int) -> int | None:
+    """The index of the definition of ``defs`` (in source order, as
+    ``find_definitions`` gives them) whose body's braces enclose offset."""
+    d = bisect.bisect_left(defs, offset, key=attrgetter("body_start")) - 1
+    return d if d >= 0 and offset < defs[d].body_end else None
 
 
 # ---------------------------------------------------------------------------
@@ -413,35 +416,21 @@ def parse_body(fn: FunctionDef, view: CodeStream, targets: Sequence[int]) -> Stm
 def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
     """Call sites among the lexemes [lo, hi), in order of their ``(``.
 
-    A call is a word right before a ``(`` lexeme, extended back over
-    ``::``/``.``/``->`` + word pairs, never below lo and never onto a
-    keyword or a builtin type; a word before ``::`` may carry a template
-    argument list. Literals and comments hold no lexeme that can take part.
-    The callee text is the chain as written, with each gap that holds a
-    comment as one space; its lookup name is the part after the last ``.``
-    or ``->``, without template arguments.
+    A call is the name chain (``_name_chain``) of ``::``, ``.`` and ``->``
+    right before a ``(``, never below lo; a ``~`` joins its last word only
+    after a separator (``p->~T()``). The callee text is the chain as
+    written, each gap that holds a comment one space; its lookup name drops
+    template arguments.
     """
     lx = view.lexemes
     out = []
     for k in range(lo + 1, hi):
-        last = k - 1
-        if (lx[k].text != "(" or lx[last].kind is not LexKind.WORD
-                or lx[last].text in _NOT_CALLEE_NAMES):
+        chain = _name_chain(view, lo, k, _CALLEE) if lx[k].text == "(" else None
+        if chain is None:
             continue
-        first, name, scoped = last, lx[last].text, True
-        while first - 2 >= lo and lx[first - 1].text in ("::", ".", "->"):
-            sep, q = lx[first - 1].text, first - 2
-            if sep == "::" and lx[q].text == ">":
-                q = _angle_partner(view, q, lo) - 1
-            if (q < lo or lx[q].kind is not LexKind.WORD
-                    or lx[q].text in _NOT_CALLEE_NAMES):
-                break
-            scoped = scoped and sep == "::"
-            if scoped:
-                name = lx[q].text + "::" + name
-            first = q
+        first, name = chain
         text = lx[first].text
-        for a, b in zip(lx[first:last], lx[first + 1:last + 1]):
+        for a, b in zip(lx[first:k - 1], lx[first + 1:k]):
             gap = view.source[a.offset + len(a.text):b.offset]
             text += (" " if gap.strip() else gap) + b.text
         out.append(CallSite(text, name, view.line(lx[first].offset), lx[first].offset))
@@ -505,9 +494,9 @@ class _BodyParser:
     def _past_labels(self, i: int, hi: int) -> int:
         """Past the labels (``name :``) and ``[[...]]`` lists before a statement."""
         lx = self.lx
-        while i + 1 < hi and (lx[i].kind is LexKind.WORD and lx[i + 1].text == ":"
-                              or lx[i].text == lx[i + 1].text == "["):
-            i = i + 2 if lx[i + 1].text == ":" else min(self.partner.get(i, hi) + 1, hi)
+        i = _past_attributes(self.view, i, hi)
+        while i + 1 < hi and lx[i].kind is LexKind.WORD and lx[i + 1].text == ":":
+            i = _past_attributes(self.view, i + 2, hi)
         return i
 
     def _group(self, i: int, hi: int):

@@ -13,7 +13,6 @@ re-reading the other sources.
 
 from __future__ import annotations
 
-import bisect
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -73,21 +72,20 @@ def annotated_functions(defs: list[FunctionDef],
 
     This is the one place that decides which annotations belong to a
     function, and its ``max_zoom``: those whose offset (a highlight's is its
-    first call's) lies between the body's braces, so a line two bodies share
-    goes to one of them.
+    first call's) lies between the body's braces (``body_holding``), so a
+    line two bodies share goes to one of them.
     Functions without annotations are skipped. The anchor is the first of
     the mangled name and it + '__2', '__3', ... that is not yet ``taken``
     (each anchor, to the last suffix given to it as a name); share that map
     when several sources feed one page.
     """
-    annos = sorted(annos, key=lambda a: a.offset)
-    offsets = [a.offset for a in annos]
+    held: dict[int, list[_annotations.Annotation]] = {}
+    for a in sorted(annos, key=lambda a: a.offset):
+        if (d := _cxx.body_holding(defs, a.offset)) is not None:
+            held.setdefault(d, []).append(a)
     out: list[AnnotatedFunction] = []
-    for fn in defs:
-        inside = annos[bisect.bisect_right(offsets, fn.body_start):
-                       bisect.bisect_left(offsets, fn.body_end)]
-        if not inside:
-            continue
+    for d, inside in sorted(held.items()):
+        fn = defs[d]
         anchor = base = mangle_anchor(fn.qualified_name)
         while anchor in taken:
             taken[base] += 1

@@ -183,7 +183,7 @@ def test_criterion_3():
         name = f"gen{seed}.cpp"
         view = cxx_structure.CodeStream(text, name, [])
         defs = cxx_structure.find_definitions(view)
-        af = annotated_functions(defs, annotations.collect(view, []), {})[0]
+        af = annotated_functions(defs, annotations.collect(view, defs), {})[0]
         af.body = cxx_structure.parse_body(af.fn, view, [])
         tree = activity_ir.build_activity(af, FlowDb({}), [])
         depth_seen[af.max_zoom] += 1
@@ -362,8 +362,9 @@ def test_criterion_6(tmp_path):
     functions_seen = 0
     for src in sources:
         view = cxx_structure.CodeStream(src.read_text(), src.name, [])
-        functions_seen += len(cxx_structure.find_definitions(view))
-        false_positives += len(annotations.collect(view, []))
+        defs = cxx_structure.find_definitions(view)
+        functions_seen += len(defs)
+        false_positives += len(annotations.collect(view, defs))
 
     out = tmp_path / "out"
     code = run_pipeline(sources, out, "--quiet")

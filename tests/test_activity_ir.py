@@ -14,8 +14,8 @@ from test_cli import _NOISY, _nested_ifs, _zoomed
 def annotated(src, diags):
     """The first function of src, if annotated, with its statement tree."""
     view = CodeStream(src, "t.cpp", diags)
-    fns = find_definitions(view)[:1]
-    afs = annotated_functions(fns, collect(view, []), {})
+    defs = find_definitions(view)
+    afs = annotated_functions(defs[:1], collect(view, defs), {})
     if not afs:
         return None
     af = afs[0]

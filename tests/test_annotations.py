@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowdoc.annotations import MAX_ZOOM, AnnotationKind, collect
-from flowdoc.cxx_structure import CodeStream
+from flowdoc.cxx_structure import CodeStream, find_definitions
 
 ACTION = AnnotationKind.ACTION
 
 
+def collect_view(view):
+    return collect(view, find_definitions(view))
+
+
 def collect_src(src, diags=None):
-    return collect(CodeStream(src, "t.cpp", diags if diags is not None else []), [])
+    return collect_view(CodeStream(src, "t.cpp", diags if diags is not None else []))
 
 
 def body(*lines):
@@ -155,7 +159,7 @@ def test_collect_reads_markers_as_the_reference_grammar(tail, follower):
     zoom, parallel, text = ref_parse_marker(tok.text)
     inner = ref_bracket_payload(text)
     kind = FOLLOWERS[follower] if inner is not None else None
-    [ann] = collect(view, [])
+    [ann] = collect_view(view)
     if kind is None:
         assert (ann.kind, ann.zoom, ann.parallel, ann.text) == (
             ACTION, min(zoom, MAX_ZOOM), parallel, text)

@@ -177,6 +177,18 @@ class TestPipeline:
         assert files_of(tmp_path / "two") == tree
         return err, tree
 
+    def each_phase(self, tmp_path, capsys, *sources):
+        """The stderr of ``all`` and of each phase as a separate run, which
+        analyzes the sources again, and the tree that both write."""
+        runs = [run_cli("all", *sources, "--out-dir", str(tmp_path / "one"),
+                        capsys=capsys)]
+        runs += [run_cli(phase, *sources, "--out-dir", str(tmp_path / "two"),
+                         capsys=capsys) for phase in ("build-db", "makeflows", "makehtml")]
+        assert [c for c, _ in runs] == [0, 0, 0, 0]
+        tree = files_of(tmp_path / "one")
+        assert files_of(tmp_path / "two") == tree
+        return [e for _, e in runs], tree
+
     def test_a_diagram_path_two_stems_share_is_written_once(self, tmp_path, capsys):
         # b::c of a.cpp and c of a__b.cpp both draw to a__b__c__zoom0.txt
         a, ab = tmp_path / "a.cpp", tmp_path / "a__b.cpp"
@@ -204,6 +216,47 @@ class TestPipeline:
         assert b"<title>flow documentation</title>" in index
         assert b"index.html#" not in index and tree[Path("index.flowdb")] == b""
         assert Path("aux_files/index__run__zoom0.txt") in tree
+
+    @pytest.mark.parametrize("src", [
+        "//$ at file scope\n",
+        "struct S {\n//$ in a class body\nint m;\n};\n",
+        "auto lam = [] {\n//$ in a namespace-scope lambda\nx();\n};\n",
+        "template <> void f<int>() {\n//$ in an explicit specialization\n}\n",
+        "int (h)() {\n//$ in a parenthesized declarator\n}\n",
+        "int w = k();  //$\n",
+        "int v = 1;  //$\n",
+    ], ids=["file-scope", "class-body", "lambda", "specialization",
+            "parenthesized", "file-scope-call", "file-scope-no-call"])
+    def test_a_marker_outside_every_body_is_reported_once(self, tmp_path, capsys, src):
+        path = tmp_path / "s.cpp"
+        path.write_text("void ok() {\n//$ drawn\n}\n" + src)
+        errs, tree = self.each_phase(tmp_path, capsys, str(path))
+        line = 3 + next(n for n, text in enumerate(src.splitlines(), 1) if "//$" in text)
+        assert errs == 4 * [f"{path}:{line}: warning: '//$' outside every recognized "
+                            f"function body; not drawn [unplaced-marker]\n"]
+        assert tree[Path("s.flowdb")] == b"ok\ts.html#ok\t0\n"
+
+    def test_a_highlight_past_two_bodies_is_drawn_in_the_first(self, tmp_path, capsys):
+        # the marker is past b's body: x() goes to a, whose body it is in;
+        # b is a declarator, and g() in b's body is reported, not dropped
+        path = tmp_path / "s.cpp"
+        path.write_text("void a() {\nx(); } void b() { g(); }  //$\n")
+        errs, tree = self.each_phase(tmp_path, capsys, str(path))
+        unplaced = (f"{path}:2: warning: call 'g' lies outside the function body "
+                    f"its '//$' is drawn in; not drawn [unplaced-marker]\n")
+        both = unplaced + (f"{path}:2: warning: no diagram found for call 'x'; "
+                           f"shown without a link [no-link]\n")
+        assert errs == [both, unplaced, both, both]
+        assert tree[Path("s.flowdb")] == b"a\ts.html#a\t0\n"
+        assert b"x();" in tree[Path("aux_files/s__a__zoom0.txt")]
+
+    def test_an_explicit_destructor_call_links_to_the_destructor(self, tmp_path, capsys):
+        path = tmp_path / "s.cpp"
+        path.write_text("struct T { T() {\n//$ make\n} ~T() {\n//$ free\n} };\n"
+                        "void u(T* p) {\np->~T();  //$\n}\n")
+        err, tree = self.all_and_phased(tmp_path, capsys, str(path))
+        assert err == ""
+        assert b"[[../s.html#T___T T::~T()]]" in tree[Path("aux_files/s__u__zoom0.txt")]
 
     def test_no_link_goes_to_the_stem_named_index(self, tmp_path, capsys):
         (tmp_path / "index.cpp").write_text("void run() {\n//$ go\nx();\n}\n")

@@ -7,7 +7,7 @@ from flowdoc.annotations import collect
 from flowdoc.cxx_structure import (MAX_NESTING, CodeStream, StmtKind,
                                    detect_calls, find_definitions, parse_body)
 from flowdoc.diagnostics import Severity
-from flowdoc.flowdb import AnnotatedFunction, FlowDb
+from flowdoc.flowdb import AnnotatedFunction, FlowDb, annotated_functions
 
 
 def defs_of(src, diags=None):
@@ -116,6 +116,8 @@ class TestDefinitionRecognition:
         # a conversion operator is named after its type, not as a function
         ("struct S {\noperator bool() const {\n}\nvoid m() {\n}\n};\n", ["S::m"]),
         ("S::operator std::string() const {\n}\n", []),
+        # a literal operator, with its literal between 'operator' and the suffix
+        ('long double operator"" _km(long double x) {\n}\n', []),
     ])
     def test_declarations_at_the_edge_of_the_pattern(self, src, expected):
         diags = []
@@ -462,6 +464,13 @@ class TestCallDetection:
         src = "void f() {\nhelper();\n}\n"
         assert [type(n) for n in activity_of(src)] == [StopNode]
 
+    def test_a_tilde_joins_a_call_after_a_separator(self):
+        # an explicit destructor call names the destructor; a '~' that
+        # starts an expression is a complement
+        calls = calls_on("p->~T(); q.~T(); T::~T(); x = ~g();")
+        assert [(c.callee_text, c.normalized_name) for c in calls] == [
+            ("p->~T", "~T"), ("q.~T", "~T"), ("T::~T", "T::~T"), ("g", "g")]
+
     def test_template_scope_reading_before_a_call(self):
         # a '>' right before '::' closes a balanced '<' on the line: the
         # scope x<y>, not a comparison with a call of the global f
@@ -505,6 +514,90 @@ _HIDING_PIECES = {'"f("': "0", "'('": "0", "/* g( */": " "}
                 max_size=12))
 def test_literals_and_comments_never_hold_a_call(pieces):
     def lookup_names(line):
-        return [name for _, name, _ in highlighted_calls(line + "  //$\n")]
+        src = "void t() {\n" + line + "  //$\n}\n"
+        return [name for _, name, _ in highlighted_calls(src)]
     plain = [_HIDING_PIECES.get(p, p) for p in pieces]
     assert lookup_names(" ".join(pieces)) == lookup_names(" ".join(plain))
+
+
+# A small declaration grammar, in the spirit of flowbench/corpus.py: each
+# shape draws a definition head (up to its '{') and the name it is
+# documented under, None for a shape README "Limitations" lists as not
+# recognized. Scopes keep their template arguments, without blanks.
+_SCOPES = ["", "A::", "A<int>::", "ns::A<T, 2>::", "::ns::"]
+_RETURNS = ["void ", "int ", "std::vector<int> ", "const T& ", "unsigned long ",
+            "static inline int "]
+_PARAMS = ["()", "(int x)", "(const A& a, int n = (1 > 2))"]
+_TRAILERS = ["const", "&", "noexcept", "noexcept(sizeof(T) > 2)", "override",
+             "final"]
+_UNRECOGNIZED = [
+    "A::operator bool() const", "A::operator std::string()",
+    'long double operator"" _km(long double x)',
+    'unsigned operator""_u(unsigned long long v)',
+    "bool operator==(const A& o) const", "A& A::operator=(const A&)",
+    "template <> void f<int>()", "int (f)()",
+    "template <class T> void f(T t) requires C<T>",
+]
+
+
+@st.composite
+def _definitions(draw):
+    params = draw(st.sampled_from(_PARAMS))
+    trailers = "".join(" " + t for t in _TRAILERS if draw(st.booleans()))
+    shape = draw(st.sampled_from(["function", "constructor", "destructor", "other"]))
+    if shape == "other":
+        return draw(st.sampled_from(_UNRECOGNIZED)), None
+    if shape == "constructor":
+        scope = draw(st.sampled_from(["", "ns::"]))
+        init = draw(st.sampled_from(["", " : m(1)", " : m{1}, n(f(2))",
+                                     " : base<int>{x}, m(a.b())"]))
+        return f"{scope}A::A{params}{init}", scope + "A::A"
+    if shape == "destructor":
+        scope = draw(st.sampled_from(["", "ns::"]))
+        return f"{scope}A::~A(){draw(st.sampled_from(['', ' noexcept']))}", scope + "A::~A"
+    scope = draw(st.sampled_from(_SCOPES))
+    returns = draw(st.sampled_from(_RETURNS + ["auto "]))
+    if scope.startswith("::") and returns.endswith("> "):
+        returns = "int "  # 'vector<int> ::ns::f' is one qualified name in C++ too
+    if returns == "auto ":
+        trailers += " -> int"
+    header = draw(st.sampled_from(["", "template <class T> ", "template <int N = (1> 2)> "]
+                                  + (["template <> "] if "<" in scope else [])))
+    attribute = draw(st.sampled_from(["", "[[nodiscard]] ", "[[gnu::cold, deprecated]] "]))
+    name = "".join(scope.split()).lstrip(":") + "f"
+    return f"{header}{attribute}{returns}{scope}f{params}{trailers}", name
+
+
+@settings(max_examples=150)
+@given(st.lists(_definitions(), min_size=1, max_size=4), st.booleans(),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_each_marker_of_a_generated_definition_is_drawn_or_reported(
+        definitions, in_namespace, highlight):
+    """A marker in a recognized body goes to that definition, under its
+    qualified name; one in a body the recognizer skips is reported once,
+    as unplaced-marker, at its line."""
+    lines, expected, calls = ["namespace N {"] if in_namespace else [], {}, {}
+    for k, (head, name) in enumerate(definitions):
+        qualified = None if name is None else ("N::" if in_namespace else "") + name
+        if highlight[k]:  # on the declarator's line: the declarator is no call
+            lines.append(f"{head} {{ g{k}();  //$")
+            expected[len(lines)] = qualified
+            if name is not None:
+                calls[len(lines)] = [f"g{k}"]
+        else:
+            lines.append(head + " {")
+        lines.append(f"//$ act{k}")
+        expected[len(lines)] = qualified
+        lines.append("}")
+    lines += ["}"] if in_namespace else []
+    diags = []
+    view = CodeStream("\n".join(lines) + "\n", "t.cpp", diags)
+    defs = find_definitions(view)
+    functions = annotated_functions(defs, collect(view, defs), {})
+    drawn = {a.line: af.fn.qualified_name for af in functions for a in af.annotations}
+    reported = [d.line for d in diags if d.code == "unplaced-marker"]
+    assert drawn == {line: name for line, name in expected.items() if name}
+    assert reported == [line for line, name in expected.items() if name is None]
+    assert [d.code for d in diags] == ["unplaced-marker"] * len(reported)
+    assert calls == {a.line: [c.callee_text for c in a.calls]
+                     for af in functions for a in af.annotations if a.calls}
