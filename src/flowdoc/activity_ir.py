@@ -95,7 +95,7 @@ def build_activity(af: AnnotatedFunction, db: FlowDb,
                    diags: list[Diagnostic]) -> list[ActivityNode]:
     """The activity tree of one annotated function, as its top-level node
     list, from its statement tree and the annotations
-    ``flowdb.annotated_functions`` gave it."""
+    ``annotations.collect`` placed in it."""
     builder = _Builder(af, db, diags)
     root = builder.fuse_block(af.body)
     if not root or not isinstance(root[-1], StopNode):

@@ -8,9 +8,10 @@ Marker grammar, applied to a line comment's text:
     //$ [text]     description for a following branch/loop condition or return
 
 A ``//$`` comment on a line that already contains code is a call highlight
-for that line. A description binds to the first lexeme after its comment,
-past blank lines, ordinary comments and preprocessor directives, unless the
-next ``//$`` comment comes before that lexeme. A bracket form bound to
+for that line; anything after its marker is reported, not drawn. A
+description binds to the first lexeme after its comment, past blank lines,
+ordinary comments and preprocessor directives, unless the next ``//$``
+comment comes before that lexeme. A bracket form bound to
 anything other than ``if``, ``else``, a loop keyword or ``return`` is kept
 as a plain action (brackets and all) and reported, so a typo never silently
 drops documentation. A zoom above ``MAX_ZOOM`` is drawn at ``MAX_ZOOM`` and
@@ -42,7 +43,7 @@ class Annotation:
                  zoom: int = 0, parallel: bool = False, target: int | None = None,
                  calls: tuple[CallSite, ...] = ()):
         self.kind, self.text, self.line = kind, text, line
-        self.offset = offset  # of the '//$' marker, or of a highlight's first call
+        self.offset = offset  # of the '//$' marker
         self.zoom, self.parallel = zoom, parallel
         # offset of the keyword a description binds to (test with 'is not None')
         self.target = target
@@ -59,19 +60,24 @@ _DESC_KINDS = dict.fromkeys(("if", "else", "while", "for", "do"),
 _DESC_KINDS["return"] = AnnotationKind.RETURN_DESC
 
 
-def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
-    """All annotations of a source's lexed view, in source order, given its
-    definitions in source order; diagnostics go to ``view.diags``.
+def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> dict[int, list[Annotation]]:
+    """The annotations of a source's lexed view, in source order, by the
+    index in ``defs`` (its definitions, in source order) of the definition
+    each belongs to, in index order; diagnostics go to ``view.diags``.
 
+    This is the one place that decides which annotations belong to a
+    function. A marker belongs to the body whose braces enclose it
+    (``body_holding``), so a line two bodies share gives it to one of them.
     A highlight keeps the call sites on its line, before its marker, that
     lie in a body, so a declarator is no call. It goes to its marker's body,
     or, past every body, to that of its first call; a call in another body
-    is reported. One in a body with no call there is dropped and reported.
-    Any other marker outside every body is reported alone and kept, for no
-    function; orphan bracket annotations are kept as actions and reported.
+    is reported, and so is any text after its marker, which is not drawn.
+    One in a body with no call there is dropped and reported. Any other
+    marker outside every body is reported alone and dropped; orphan bracket
+    annotations are kept as actions and reported.
     """
     markers, lx = view.markers, view.lexemes
-    out: list[Annotation] = []
+    held: dict[int, list[Annotation]] = {}
     for k, tok in enumerate(markers):
         digits, parallel, text = _MARKER_RE.match(tok.text).groups()
         line = view.line(tok.offset)
@@ -88,8 +94,12 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
                         "function body its '//$' is drawn in; not drawn", view.file, line))
             drawn = tuple(c for d, c in calls if d == home)
             if drawn:
-                out.append(Annotation(AnnotationKind.CALL_HIGHLIGHT, text, line,
-                                      drawn[0].offset, calls=drawn))
+                if digits or parallel or text:
+                    view.diags.append(warning(
+                        "ignored-highlight-text", "zoom digits, tag and text after a "
+                        "call-highlighting '//$' are not drawn", view.file, line))
+                held.setdefault(home, []).append(Annotation(
+                    AnnotationKind.CALL_HIGHLIGHT, text, line, tok.offset, calls=drawn))
                 continue
             if home is not None:
                 view.diags.append(warning(
@@ -101,16 +111,17 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
             view.diags.append(warning(
                 "unplaced-marker", "'//$' outside every recognized function body; "
                 "not drawn", view.file, line))
+            continue
         desc, kind = _DESC_RE.match(text), None
         i = view.index_at_or_after(tok.offset + len(tok.text))
         if desc and i < len(lx) and (k + 1 == len(markers)
                                      or lx[i].offset < markers[k + 1].offset):
             kind = _DESC_KINDS.get(lx[i].text)
         if kind is not None:
-            out.append(Annotation(kind, desc[1], line, tok.offset,
-                                  target=lx[i].offset))
+            held.setdefault(home, []).append(Annotation(
+                kind, desc[1], line, tok.offset, target=lx[i].offset))
             continue
-        if desc and home is not None:
+        if desc:
             view.diags.append(warning(
                 "orphan-bracket-annotation",
                 "'[...]' annotation does not precede a branch, loop or "
@@ -118,13 +129,13 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> list[Annotation]:
                 view.file, line))
         # int() refuses a run of more than 4300 digits; one that long is too deep
         zoom = int(digits or 0) if len(digits) <= 4300 else MAX_ZOOM + 1
-        if zoom > MAX_ZOOM and home is not None:
+        if zoom > MAX_ZOOM:
             view.diags.append(warning(
                 "zoom-too-deep",
                 f"zoom levels above {MAX_ZOOM} are not drawn; "
                 f"this action is drawn at zoom {MAX_ZOOM}",
                 view.file, line))
-        zoom = min(zoom, MAX_ZOOM)
-        out.append(Annotation(AnnotationKind.ACTION, text, line, tok.offset,
-                              zoom, parallel is not None))
-    return out
+        held.setdefault(home, []).append(Annotation(
+            AnnotationKind.ACTION, text, line, tok.offset, min(zoom, MAX_ZOOM),
+            parallel is not None))
+    return held

@@ -206,6 +206,21 @@ def _phase_render(paths: list[Path], args: argparse.Namespace,
         pool.shutdown(cancel_futures=True)
 
 
+# a file name's bytes on most filesystems, less atomic_write_text's '.{12 hex}.tmp'
+_NAME_BYTES = 255 - 17
+
+
+def _bounded(name: str, longest: str) -> str:
+    """name, or, when name + longest would pass _NAME_BYTES, a prefix of
+    name, '~' and a digest of all of name, short enough for longest to fit."""
+    data, room = os.fsencode(name), _NAME_BYTES - len(longest)
+    if len(data) <= room:
+        return name
+    import hashlib  # only a name over the cap needs it
+    digest = hashlib.sha256(data).hexdigest()[:12]
+    return data[:room - 13].decode(errors="ignore") + "~" + digest
+
+
 # ---------------------------------------------------------------------------
 
 def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
@@ -222,14 +237,17 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     path another source owns is skipped: a stem whose page is taken (one
     named ``index``) gets no database rows, and a diagram two stems name
     shows only its text on the second one's page. Each skip is reported
-    once, by the phase that skips a write.
+    once, by the phase that skips a write. A name too long for a file
+    keeps a prefix and ends in a digest (``_bounded``); a stem's database
+    and page share one, and so do a function's diagrams.
     """
     out = args.out_dir
     index = out / "index.html"
     owner = {index: "the index"}  # each output path, and the first source to name it
     stems, texts = [], {}  # texts: the databases this run writes, by path
     for stem, group in _stem_groups(args.sources or [], diags):
-        file, db_path, page = group[0], out / f"{stem}.flowdb", out / f"{stem}.html"
+        base = _bounded(stem, ".flowdb")
+        file, db_path, page = group[0], out / f"{base}.flowdb", out / f"{base}.html"
         owner.setdefault(db_path, file)
         owned = owner.setdefault(page, file) == file
         annotated = None
@@ -249,10 +267,11 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     for stem, file, page, annotated in stems:
         funcs = []
         with _isolated(file, diags):  # the stem's list in full, or none of it
-            funcs = [(af, [(out / "aux_files" / f"{stem}__{af.anchor}__zoom{zoom}.txt", text)
+            funcs = [(af, [(out / "aux_files" / f"{base}__zoom{zoom}.txt", text)
                            for zoom, text in enumerate(plantuml_emit.render_function(
                                activity_ir.build_activity(af, db, diags), af.max_zoom))])
-                     for af in annotated or ()]
+                     for af in annotated or ()
+                     for base in [_bounded(f"{stem}__{af.anchor}", f"__zoom{af.max_zoom}.txt")]]
         pages.append((file, page, [(af, [(path, text, owner.setdefault(path, file) == file)
                                          for path, text in named]) for af, named in funcs]))
     if args.command in ("makeflows", "all"):

@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, warning
-from .scanner import LexKind, line_code_map, scan
+from .scanner import _OFFSET, LexKind, line_code_map, scan
 
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
 _BRACKETS = frozenset("()[]{}")
@@ -78,7 +78,7 @@ class CodeStream:
         return bisect.bisect_right(self.line_starts, offset)
 
     def index_at_or_after(self, offset: int) -> int:
-        return bisect.bisect_left(self.lexemes, offset, key=lambda lex: lex.offset)
+        return bisect.bisect_left(self.lexemes, offset, key=_OFFSET)
 
 
 class FunctionDef(NamedTuple):

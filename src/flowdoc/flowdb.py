@@ -66,25 +66,17 @@ class AnnotatedFunction:
 
 
 def annotated_functions(defs: list[FunctionDef],
-                        annos: list[_annotations.Annotation],
+                        held: dict[int, list[_annotations.Annotation]],
                         taken: dict[str, int]) -> list[AnnotatedFunction]:
-    """Pair definitions with the annotations inside their bodies.
+    """Name the definitions ``annotations.collect`` placed annotations in,
+    in the order of ``held``, and give each its ``max_zoom``.
 
-    This is the one place that decides which annotations belong to a
-    function, and its ``max_zoom``: those whose offset (a highlight's is its
-    first call's) lies between the body's braces (``body_holding``), so a
-    line two bodies share goes to one of them.
-    Functions without annotations are skipped. The anchor is the first of
-    the mangled name and it + '__2', '__3', ... that is not yet ``taken``
-    (each anchor, to the last suffix given to it as a name); share that map
-    when several sources feed one page.
+    The anchor is the first of the mangled name and it + '__2', '__3', ...
+    that is not yet ``taken`` (each anchor, to the last suffix given to it
+    as a name); share that map when several sources feed one page.
     """
-    held: dict[int, list[_annotations.Annotation]] = {}
-    for a in sorted(annos, key=lambda a: a.offset):
-        if (d := _cxx.body_holding(defs, a.offset)) is not None:
-            held.setdefault(d, []).append(a)
     out: list[AnnotatedFunction] = []
-    for d, inside in sorted(held.items()):
+    for d, inside in held.items():
         fn = defs[d]
         anchor = base = mangle_anchor(fn.qualified_name)
         while anchor in taken:

@@ -15,7 +15,8 @@ def annotated(src, diags):
     """The first function of src, if annotated, with its statement tree."""
     view = CodeStream(src, "t.cpp", diags)
     defs = find_definitions(view)
-    afs = annotated_functions(defs[:1], collect(view, defs), {})
+    held = collect(view, defs)
+    afs = annotated_functions(defs, {0: held[0]} if 0 in held else {}, {})
     if not afs:
         return None
     af = afs[0]

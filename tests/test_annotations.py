@@ -10,7 +10,8 @@ ACTION = AnnotationKind.ACTION
 
 
 def collect_view(view):
-    return collect(view, find_definitions(view))
+    """The annotations of view, in source order, each function's in turn."""
+    return [a for annos in collect(view, find_definitions(view)).values() for a in annos]
 
 
 def collect_src(src, diags=None):
@@ -254,5 +255,6 @@ class TestCollect:
         assert collect_src(src) == []
 
     def test_marker_at_end_of_file(self):
-        anns = collect_src("void f() {\n}\n//$ trailing note")
-        assert [a.kind for a in anns] == [AnnotationKind.ACTION]
+        diags = []
+        assert collect_src("void f() {\n}\n//$ trailing note", diags) == []
+        assert [(d.code, d.line) for d in diags] == [("unplaced-marker", 3)]

@@ -250,6 +250,51 @@ class TestPipeline:
         assert tree[Path("s.flowdb")] == b"a\ts.html#a\t0\n"
         assert b"x();" in tree[Path("aux_files/s__a__zoom0.txt")]
 
+    @pytest.mark.parametrize("tail", ["//$ this text goes nowhere", "//$3", "//$ [why]",
+                                      "//$2 <parallel> side"])
+    def test_text_after_a_highlight_is_reported_and_its_call_drawn(self, tmp_path, capsys,
+                                                                   tail):
+        path = tmp_path / "s.cpp"
+        path.write_text(f"void g() {{\n//$ do g\n}}\nvoid f() {{\n//$ act\ng();  {tail}\n}}\n")
+        errs, tree = self.each_phase(tmp_path, capsys, str(path))
+        assert errs == 4 * [f"{path}:6: warning: zoom digits, tag and text after a "
+                            "call-highlighting '//$' are not drawn [ignored-highlight-text]\n"]
+        assert tree[Path("aux_files/s__f__zoom0.txt")] == (
+            b"@startuml\nstart\n:act\n[[../s.html#g g()]];\nstop\n@enduml\n")
+        assert Path("aux_files/s__f__zoom1.txt") not in tree
+
+    def test_names_over_the_file_name_cap_keep_a_prefix_and_end_in_a_digest(
+            self, tmp_path, capsys):
+        scopes = [f"namespace_number_{k}_with_a_long_name" for k in range(8)]
+        long_fn = "::".join(scopes) + "::runs"  # 300 bytes
+        deep = tmp_path / "deep.cpp"
+        deep.write_text("".join(f"namespace {s} {{\n" for s in scopes)
+                        + "void runs() {\n//$ go\nx();\n//$2 closer\ny();\n}\n" + "}\n" * 8
+                        + f"void main2() {{\n//$ call\n{long_fn}();  //$\n}}\n")
+        stem = "s" * 251
+        wide = tmp_path / f"{stem}.cpp"
+        wide.write_text("void f() {\n//$ do f\nruns();  //$\n}\n")
+        assert len(long_fn) == 300 and len(wide.name) == 255
+        err, tree = self.all_and_phased(tmp_path, capsys, str(deep), str(wide))
+        assert err == ""
+        assert run_cli("all", str(deep), str(wide), "--out-dir", str(tmp_path / "w"),
+                       "--werror", capsys=capsys) == (0, "")
+        names = sorted(p.name for p in tree)
+        assert max(len(name.encode()) for name in names) == 238
+        assert "deep__main2__zoom0.txt" in names and "deep.html" in names
+        long_diagrams = [n for n in names if n.startswith("deep__namespace_number_0_")]
+        assert len(long_diagrams) == 3
+        assert len({n.rsplit("__zoom", 1)[0] for n in long_diagrams}) == 1
+        assert re.fullmatch(r"deep__namespace_number_0_\w+~[0-9a-f]{12}__zoom0\.txt",
+                            long_diagrams[0])
+        pages = [n for n in names if n.startswith(stem[:200]) and "__" not in n]
+        assert [n.rsplit(".", 1)[1] for n in pages] == ["flowdb", "html"]
+        assert pages[0].removesuffix(".flowdb") == pages[1].removesuffix(".html")
+        refs = check_links(tmp_path / "one")
+        assert len(refs) > 5 and all(ref.ok for ref in refs)
+        page = tree[Path("deep.html")].decode()
+        assert f'data="aux_files/{long_diagrams[2][:-4]}.svg"' in page
+
     def test_an_explicit_destructor_call_links_to_the_destructor(self, tmp_path, capsys):
         path = tmp_path / "s.cpp"
         path.write_text("struct T { T() {\n//$ make\n} ~T() {\n//$ free\n} };\n"

@@ -379,14 +379,14 @@ def highlighted_calls(src):
     view = CodeStream(src, "t.cpp", [])
     defs = find_definitions(view)
     return [(c.callee_text, c.normalized_name, c.line)
-            for a in collect(view, defs) for c in a.calls]
+            for annos in collect(view, defs).values() for a in annos for c in a.calls]
 
 
 def activity_of(src):
     """The activity tree of the first definition."""
     view = CodeStream(src, "t.cpp", [])
     fn = find_definitions(view)[0]
-    af = AnnotatedFunction(fn, "f", collect(view, [fn]), 0,
+    af = AnnotatedFunction(fn, "f", collect(view, [fn]).get(0, []), 0,
                            parse_body(fn, view, []))
     return build_activity(af, FlowDb({}), [])
 

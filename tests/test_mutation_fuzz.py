@@ -29,8 +29,9 @@ from flowdoc.annotations import MAX_ZOOM
 from conftest import FIXTURES
 
 LINES = ["//$", "//$ step", "//$ [why]", "//$ <parallel> side", "//$3 detail",
-         "x();  //$", "#if 0", "#else", "#endif", "#if X", "a < b > ::f();  //$",
-         "ns::a<int>::g(1);  //$", "x < y > ::z(2);", "return 0;", "else {"]
+         "x();  //$", "x();  //$ note", "x();  //$2", "#if 0", "#else", "#endif", "#if X",
+         "a < b > ::f();  //$", "ns::a<int>::g(1);  //$", "x < y > ::z(2);", "return 0;",
+         "else {"]
 CHARS = ["{", "}", "(", ")", '"', "'", ";", "<", ">", "::", "\\\n"]
 # one construct nested n deep; each can put at most one statement past the
 # nesting bound
