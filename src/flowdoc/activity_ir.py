@@ -114,12 +114,8 @@ class _Builder:
                             + [c for a in annos for c in a.calls],
                             key=lambda item: item.offset, reverse=True)
         # descriptions by keyword offset; a condition description targets
-        # only if/else/loop keywords, a return description only 'return'.
-        # Those the body's root keeps were swallowed past the nesting bound
-        # and counted in a nesting-too-deep warning already.
-        swallowed = set(af.body.keywords)
-        self.descs = {a.target: a for a in annos
-                      if a.target is not None and a.target not in swallowed}
+        # only if/else/loop keywords, a return description only 'return'
+        self.descs = {a.target: a for a in annos if a.target is not None}
         self.triggers = sorted([item.offset for item in self.items] + [
             a.offset for a in annos if a.kind is AnnotationKind.RETURN_DESC])
         # (line, callee as written) -> its box entry: a callee repeated on

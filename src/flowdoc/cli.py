@@ -112,23 +112,29 @@ def _expand_sources(patterns: list[str],
 
 def _stem_groups(sources: list[str], diags: list[Diagnostic]
                  ) -> list[tuple[str, list[str]]]:
-    """Sources bundled by stem, in first-appearance order.
+    """Sources bundled by stem, in first-appearance order, each group
+    under its first spelling.
 
     A header and its .cpp share one database, one page and one anchor
-    namespace, so every phase must see them as a unit. Two headers, or two
-    implementation files, of one stem are merged too, with a warning.
+    namespace, so every phase must see them as a unit. Stems are compared
+    case-folded, as a case-insensitive filesystem compares names. Two
+    headers, or two implementation files, of one stem are merged too, with
+    a warning, and so is a source whose stem is spelled in other case.
     """
-    groups: dict[str, list[str]] = {}
+    groups: dict[str, tuple[str, list[str]]] = {}
     first: dict[tuple[str, bool], str] = {}
     for src in sources:
         p = Path(src)
-        groups.setdefault(p.stem, []).append(src)
-        other = first.setdefault((p.stem, p.suffix in (".h", ".hpp", ".hh")),
-                                 src)
+        key = p.stem.casefold()
+        stem, group = groups.setdefault(key, (p.stem, []))
+        other = first.setdefault((key, p.suffix in (".h", ".hpp", ".hh")), src)
+        if other == src and stem != p.stem:
+            other = group[0]
+        group.append(src)
         if other != src:
             diags.append(warning("stem-collision", f"{other} and {src} share "
                                  f"one stem, database and page", src))
-    return list(groups.items())
+    return list(groups.values())
 
 
 @contextmanager
@@ -239,24 +245,30 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     shows only its text on the second one's page. Each skip is reported
     once, by the phase that skips a write. A name too long for a file
     keeps a prefix and ends in a digest (``_bounded``); a stem's database
-    and page share one, and so do a function's diagrams.
+    and page share one, and so do a function's diagrams. Paths are owned
+    case-folded, so no two outputs differ only in case.
     """
     out = args.out_dir
     index = out / "index.html"
-    owner = {index: "the index"}  # each output path, and the first source to name it
+    owner = {str(index).casefold(): "the index"}  # by output path, case-folded
+
+    def claim(path: Path, file: str) -> str:
+        """The first source to name path, file if none did."""
+        return owner.setdefault(str(path).casefold(), file)
+
     stems, texts = [], {}  # texts: the databases this run writes, by path
     for stem, group in _stem_groups(args.sources or [], diags):
         base = _bounded(stem, ".flowdb")
         file, db_path, page = group[0], out / f"{base}.flowdb", out / f"{base}.html"
-        owner.setdefault(db_path, file)
-        owned = owner.setdefault(page, file) == file
+        claim(db_path, file)
+        owned = claim(page, file) == file
         annotated = None
         with _isolated(file, diags):
             annotated = flowdb.analyze_stem(group, diags)
             if annotated is not None and args.command in ("build-db", "all"):
                 if annotated and not owned:
                     diags.append(warning("output-collision", f"'{page.name}' is already an output "
-                                         f"of {owner[page]}; this stem gets no page and its "
+                                         f"of {claim(page, file)}; this stem gets no page and its "
                                          "functions are neither indexed nor linked", file))
                 flowdb.write_db(db_path, page, annotated if owned else [], texts)
         stems.append((stem, file, page, annotated))
@@ -272,11 +284,11 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
                                activity_ir.build_activity(af, db, diags), af.max_zoom))])
                      for af in annotated or ()
                      for base in [_bounded(f"{stem}__{af.anchor}", f"__zoom{af.max_zoom}.txt")]]
-        pages.append((file, page, [(af, [(path, text, owner.setdefault(path, file) == file)
+        pages.append((stem, file, page, [(af, [(path, text, claim(path, file) == file)
                                          for path, text in named]) for af, named in funcs]))
     if args.command in ("makeflows", "all"):
         paths = []
-        for file, page, funcs in pages:
+        for _, file, page, funcs in pages:
             with _isolated(file, diags):
                 for path, text, owned in (d for _, diagrams in funcs for d in diagrams):
                     if owned:
@@ -284,17 +296,17 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
                     else:
                         diags.append(warning(
                             "output-collision", f"'{path.relative_to(out).as_posix()}' is "
-                            f"already an output of {owner[path]}; not written again", file))
+                            f"already an output of {claim(path, file)}; not written again", file))
         if not any(annotated for *_, annotated in stems):
             diags.append(warning("no-annotated-functions",
                                  "no annotated functions found; "
                                  "no diagrams were emitted"))
         _phase_render(paths, args, diags)
     if args.command in ("makehtml", "all"):
-        for file, page, funcs in pages:
-            if funcs and owner[page] == file:
+        for stem, file, page, funcs in pages:
+            if funcs and claim(page, file) == file:
                 with _isolated(file, diags):
-                    html_emit.emit_page(page, funcs)
+                    html_emit.emit_page(page, stem, funcs)
         if args.sources is None or any(a is not None for *_, a in stems):
             with _isolated(str(index), diags):
                 html_emit.emit_index(db, index)

@@ -122,8 +122,7 @@ class Stmt:
         self.condition_text = condition_text  # of a loop or an If arm
         self.children = [] if children is None else children
         # offsets of the keywords a description binds to: the arm's 'if' or
-        # 'else', the loop's keyword ('do' and its 'while'), 'return'; for a
-        # body's root, the targets of the statements kept opaque past MAX_NESTING
+        # 'else', the loop's keyword ('do' and its 'while'), 'return'
         self.keywords = keywords
 
 
@@ -397,20 +396,13 @@ def body_holding(defs: Sequence[FunctionDef], offset: int) -> int | None:
 # ---------------------------------------------------------------------------
 # statement trees
 
-def parse_body(fn: FunctionDef, view: CodeStream, targets: Sequence[int]) -> Stmt:
-    """Parse a recognized function body into a statement tree.
-
-    The root is a Block spanning the braces. ``targets``, the sorted keyword
-    offsets of the body's descriptions, are counted in the warning of the
-    statement kept opaque past the nesting bound that holds them, and kept
-    by the root.
-    """
+def parse_body(fn: FunctionDef, view: CodeStream) -> Stmt:
+    """Parse a recognized function body into a statement tree, whose root
+    is a Block spanning the braces."""
     lo = view.index_at_or_after(fn.body_start)
     hi = view.index_at_or_after(fn.body_end)
-    parser = _BodyParser(view, targets)
-    children = parser.parse_range(lo + 1, hi)
     return Stmt(StmtKind.BLOCK, (fn.body_start, fn.body_end),
-                children=children, keywords=tuple(parser.swallowed))
+                children=_BodyParser(view).parse_range(lo + 1, hi))
 
 
 def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
@@ -438,10 +430,8 @@ def detect_calls(view: CodeStream, lo: int, hi: int) -> list[CallSite]:
 
 
 class _BodyParser:
-    def __init__(self, view: CodeStream, targets: Sequence[int]):
+    def __init__(self, view: CodeStream):
         self.view = view
-        self.targets = targets
-        self.swallowed: list[int] = []  # targets inside opaque statements
         self.lx = view.lexemes
         self.partner = view.partner
         self.file, self.diags = view.file, view.diags
@@ -516,15 +506,9 @@ class _BodyParser:
 
     def _opaque(self, lo: int, hi: int) -> Stmt:
         """The lexemes [lo, hi) past the nesting bound as one statement."""
-        inside = self.targets[
-            bisect.bisect_left(self.targets, self.lx[lo].offset):
-            bisect.bisect_right(self.targets, self.lx[hi - 1].offset)]
-        self.swallowed += inside
-        held = f"; the {len(inside)} descriptions inside it are not drawn"
         self.diags.append(warning("nesting-too-deep",
                                   f"statements nested more than {MAX_NESTING} "
-                                  f"blocks deep are kept as one opaque statement"
-                                  + (held if inside else ""),
+                                  f"blocks deep are kept as one opaque statement",
                                   self.file, self.view.line(self.lx[lo].offset)))
         return Stmt(StmtKind.PLAIN, self._span(lo, hi - 1))
 

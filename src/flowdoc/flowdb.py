@@ -72,17 +72,19 @@ def annotated_functions(defs: list[FunctionDef],
     in the order of ``held``, and give each its ``max_zoom``.
 
     The anchor is the first of the mangled name and it + '__2', '__3', ...
-    that is not yet ``taken`` (each anchor, to the last suffix given to it
-    as a name); share that map when several sources feed one page.
+    that is not yet ``taken`` (each anchor, case-folded, to the last suffix
+    given to it as a name): anchors name diagram files, so no two may differ
+    only in case. Share that map when several sources feed one page.
     """
     out: list[AnnotatedFunction] = []
     for d, inside in held.items():
         fn = defs[d]
         anchor = base = mangle_anchor(fn.qualified_name)
-        while anchor in taken:
-            taken[base] += 1
-            anchor = f"{base}__{taken[base]}"
-        taken.setdefault(anchor, 1)
+        key = base.casefold()
+        while anchor.casefold() in taken:
+            taken[key] += 1
+            anchor = f"{base}__{taken[key]}"
+        taken.setdefault(anchor.casefold(), 1)
         max_zoom = max((a.zoom for a in inside
                         if a.kind is _annotations.AnnotationKind.ACTION), default=0)
         out.append(AnnotatedFunction(fn, anchor, inside, max_zoom))
@@ -107,8 +109,7 @@ def analyze_source(source_path: str | Path, diags: list[Diagnostic],
     defs = _cxx.find_definitions(view)
     annotated = annotated_functions(defs, _annotations.collect(view, defs), taken)
     for af in annotated:
-        af.body = _cxx.parse_body(af.fn, view, [
-            a.target for a in af.annotations if a.target is not None])
+        af.body = _cxx.parse_body(af.fn, view)
     return annotated
 
 

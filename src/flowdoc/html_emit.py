@@ -46,16 +46,16 @@ def _head(title: str) -> str:
     )
 
 
-def emit_page(page: Path, funcs: list[tuple[AnnotatedFunction, list]]) -> Path:
-    """Write one stem's page and return its path.
+def emit_page(page: Path, stem: str, funcs: list[tuple[AnnotatedFunction, list]]) -> Path:
+    """Write one stem's page, titled by the stem, and return its path.
 
     Each function comes with its diagrams, level 0 first, as (path, text,
     owned). A diagram not ``owned`` is another stem's output, so its image
     is left out and its text shown in its place.
     """
-    parts = [_head(page.stem)]
+    parts = [_head(stem)]
     parts.append('<nav><a href="index.html">index</a></nav>\n')
-    parts.append(f"<h1>{_escape(page.stem)}</h1>\n")
+    parts.append(f"<h1>{_escape(stem)}</h1>\n")
     for af, diagrams in funcs:
         parts.append(f'<h2 id="{af.anchor}">{_escape(af.fn.qualified_name)}</h2>\n')
         sig = collapse_ws(af.fn.signature_text)

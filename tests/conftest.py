@@ -33,3 +33,13 @@ def in_place_and_apart(src: str, lexemes: list, markers: list) -> bool:
         if any(a.offset + len(a.text) > b.offset for a, b in zip(run, run[1:])):
             return False
     return all(src.startswith(p.text, p.offset) for p in lexemes + markers)
+
+
+def case_clashes(names) -> list[list[str]]:
+    """The groups of output names (paths relative to the output directory)
+    that differ only in case: on a case-insensitive filesystem, such as the
+    default on macOS and Windows, each later write would replace the first."""
+    groups: dict[str, list[str]] = {}
+    for name in names:
+        groups.setdefault(str(name).casefold(), []).append(str(name))
+    return [group for group in groups.values() if len(group) > 1]

@@ -184,7 +184,7 @@ def test_criterion_3():
         view = cxx_structure.CodeStream(text, name, [])
         defs = cxx_structure.find_definitions(view)
         af = annotated_functions(defs, annotations.collect(view, defs), {})[0]
-        af.body = cxx_structure.parse_body(af.fn, view, [])
+        af.body = cxx_structure.parse_body(af.fn, view)
         tree = activity_ir.build_activity(af, FlowDb({}), [])
         depth_seen[af.max_zoom] += 1
         prev = None

@@ -20,7 +20,7 @@ def annotated(src, diags):
     if not afs:
         return None
     af = afs[0]
-    af.body = parse_body(af.fn, view, [])
+    af.body = parse_body(af.fn, view)
     return af
 
 

@@ -27,6 +27,8 @@ from hypothesis import given, settings, strategies
 
 from flowdoc import cli
 
+from conftest import case_clashes
+
 FLOWBENCH = Path(__file__).resolve().parents[1] / "flowbench"
 sys.path.insert(0, str(FLOWBENCH))
 import check  # noqa: E402
@@ -58,6 +60,7 @@ def test_all_meets_the_corpus_oracle(workload, tmp_path, monkeypatch, capsys):
     assert code == 0
     assert checks.attempted > 0
     assert checks.failed == 0, checks.examples
+    assert case_clashes(snapshot(tmp_path / "out")) == []
 
 
 SMALL = {
@@ -98,6 +101,7 @@ def test_generated_corpora_build_phased_and_rebuild_in_place(workload, seed):
         for phase in ("build-db", "makeflows", "makehtml"):
             flowdoc(phase, src, "--out-dir", str(phased))
         assert check.tree_digest(out) == check.tree_digest(phased)
+        assert case_clashes(snapshot(out)) == []
         for path in out.rglob("*"):
             if path.is_file():
                 st = path.stat()

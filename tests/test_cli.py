@@ -14,7 +14,7 @@ from flowdoc import activity_ir, cli, cxx_structure, flowdb, plantuml_emit
 from flowdoc.cli import main
 from flowdoc.html_emit import check_links
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, case_clashes
 
 
 def run_cli(*argv, capsys):
@@ -294,6 +294,10 @@ class TestPipeline:
         assert len(refs) > 5 and all(ref.ok for ref in refs)
         page = tree[Path("deep.html")].decode()
         assert f'data="aux_files/{long_diagrams[2][:-4]}.svg"' in page
+        # the cut page is titled by its stem; the index shows the file its link opens
+        wide_page = tree[Path(pages[1])].decode()
+        assert f"<title>{stem}</title>" in wide_page and f"<h1>{stem}</h1>" in wide_page
+        assert f">{pages[1]}</a></h2>" in tree[Path("index.html")].decode()
 
     def test_an_explicit_destructor_call_links_to_the_destructor(self, tmp_path, capsys):
         path = tmp_path / "s.cpp"
@@ -312,6 +316,55 @@ class TestPipeline:
                             "--out-dir", str(out), capsys=capsys)
         assert code == 0 and f"{use}:3: warning: no diagram found for call 'run'" in err
         assert "index.html" not in (out / "aux_files" / "use__use__zoom0.txt").read_text()
+
+    def test_a_stem_named_index_in_other_case_gets_no_page(self, tmp_path, capsys):
+        src = tmp_path / "INDEX.cpp"
+        src.write_text("void run() {\n//$ go\nx();\n}\n")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(src), "--out-dir", str(out), capsys=capsys)
+        assert code == 0
+        assert err == (f"{src}: warning: 'INDEX.html' is already an output of the index; "
+                       "this stem gets no page and its functions are neither indexed "
+                       "nor linked [output-collision]\n")
+        tree = files_of(out)
+        assert case_clashes(tree) == [] and Path("index.html") in tree
+
+    def test_stems_and_anchors_that_differ_only_in_case_name_distinct_outputs(
+            self, tmp_path, capsys):
+        lower, upper = tmp_path / "a.cpp", tmp_path / "A.cpp"
+        lower.write_text("void run() {\n//$ lower\nx();\n}\n"
+                         "void Run() {\n//$ upper\ny();\n}\n")
+        upper.write_text("void f() {\n//$ call\nrun();  //$\n}\n")
+        errs, tree = self.each_phase(tmp_path, capsys, str(lower), str(upper))
+        assert errs == [f"{upper}: warning: {lower} and {upper} share one stem, "
+                        "database and page [stem-collision]\n"] * 4
+        assert case_clashes(tree) == []
+        assert sorted(p.as_posix() for p in tree) == [
+            "a.flowdb", "a.html", "aux_files/a__Run__2__zoom0.txt",
+            "aux_files/a__f__zoom0.txt", "aux_files/a__run__zoom0.txt", "index.html"]
+        assert tree[Path("a.flowdb")] == (b"Run\ta.html#Run__2\t0\nf\ta.html#f\t0\n"
+                                          b"run\ta.html#run\t0\n")
+        assert b"[[../a.html#run run()]]" in tree[Path("aux_files/a__f__zoom0.txt")]
+
+    def test_diagrams_of_two_stems_named_alike_but_for_case_collide(self, tmp_path, capsys):
+        first, second = tmp_path / "a__B.cpp", tmp_path / "a.cpp"
+        first.write_text("void c() {\n//$ one\nx();\n}\n")
+        second.write_text("namespace b {\nvoid c() {\n//$ two\ny();\n}\n}\n")
+        out = tmp_path / "out"
+        code, err = run_cli("all", str(first), str(second), "--out-dir", str(out),
+                            capsys=capsys)
+        assert code == 0
+        assert err == (f"{second}: warning: 'aux_files/a__b__c__zoom0.txt' is already "
+                       f"an output of {first}; not written again [output-collision]\n")
+        tree = files_of(out)
+        assert case_clashes(tree) == [] and Path("aux_files/a__B__c__zoom0.txt") in tree
+
+    @pytest.mark.parametrize("fixture", ["demo", "lang", "xlink"])
+    def test_no_two_outputs_of_a_fixture_differ_only_in_case(self, fixture, tmp_path,
+                                                             capsys):
+        run_cli("all", str(FIXTURES / fixture), "--out-dir", str(tmp_path), capsys=capsys)
+        tree = files_of(tmp_path)
+        assert len(tree) > 3 and case_clashes(tree) == []
 
     def test_header_and_cpp_share_page_and_db(self, tmp_path, capsys):
         src = tmp_path / "src"
@@ -762,10 +815,12 @@ class TestDeepNesting:
         code, err, out = self.run_deep(1000, tmp_path, capsys)
         assert code == 0
         assert err.count("[nesting-too-deep]") == 1
-        # the descriptions inside the opaque statement are counted there,
-        # not reported one by one
-        assert "the 871 descriptions inside it are not drawn" in err
-        assert "[unused-condition-description]" not in err
+        assert "descriptions inside it" not in err
+        # each description inside the opaque statement is reported at its
+        # own line, as one inside a switch body is
+        unused = [line.split(":")[1] for line in err.splitlines()
+                  if line.endswith("[unused-condition-description]")]
+        assert unused == [str(3 + 2 * k) for k in range(cxx_structure.MAX_NESTING + 1, 1000)]
         assert (out / "ok.html").is_file() and (out / "deep.html").is_file()
 
     def test_nesting_within_the_bound_is_drawn_in_full(self, tmp_path, capsys):

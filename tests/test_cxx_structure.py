@@ -200,7 +200,7 @@ class TestStatementTrees:
         src = f"void f() {{\n{body}\n}}\n"
         view = CodeStream(src, "t.cpp", diags if diags is not None else [])
         fn = find_definitions(view)[0]
-        return parse_body(fn, view, [])
+        return parse_body(fn, view)
 
     def test_plain_statements_and_return(self):
         root = self.parse("int a = 1;\ncall(a);\nreturn a;")
@@ -316,7 +316,7 @@ class TestStatementTrees:
     def test_an_unbraced_switch_ends_at_its_semicolon(self):
         src = "void f() {\nswitch (x) y();\nz();\n}\n"
         view = CodeStream(src, "t.cpp", [])
-        root = parse_body(find_definitions(view)[0], view, [])
+        root = parse_body(find_definitions(view)[0], view)
         assert [src[a:b + 1] for a, b in (c.span for c in root.children)] == [
             "switch (x) y();", "z();"]
         assert view.diags == []
@@ -328,7 +328,7 @@ class TestStatementTrees:
     def test_header_positions_recorded(self):
         src = "void f() {\nif (a) {\nx();\n}\nelse {\ny();\n}\n}\n"
         view = CodeStream(src, "t.cpp", [])
-        root = parse_body(find_definitions(view)[0], view, [])
+        root = parse_body(find_definitions(view)[0], view)
         node = root.children[0]
         assert [src[arm.keywords[0]:][:4] for arm in node.children] == [
             "if (", "else"]
@@ -361,7 +361,7 @@ class TestStatementTrees:
         src = "void f() { a(); if (b) { c(); } else d(); do e(); while (g); }"
         view = CodeStream(src, "t.cpp", [])
         fn = find_definitions(view)[0]
-        root = parse_body(fn, view, [])
+        root = parse_body(fn, view)
         assert root.span == (fn.body_start, fn.body_end)
         assert [src[lo:hi + 1] for lo, hi in (c.span for c in root.children)] == [
             "a();", "if (b) { c(); } else d();", "do e(); while (g);"]
@@ -387,7 +387,7 @@ def activity_of(src):
     view = CodeStream(src, "t.cpp", [])
     fn = find_definitions(view)[0]
     af = AnnotatedFunction(fn, "f", collect(view, [fn]).get(0, []), 0,
-                           parse_body(fn, view, []))
+                           parse_body(fn, view))
     return build_activity(af, FlowDb({}), [])
 
 

@@ -20,7 +20,7 @@ def write_page(out, stem, funcs, foreign=()):
     """``emit_page`` as ``cli.run`` calls it: <stem>.html in out, each diagram
     at aux_files/<stem>__<anchor>__zoom<k>.txt, owned unless named in foreign."""
     aux = out / "aux_files"
-    return emit_page(out / f"{stem}.html", [
+    return emit_page(out / f"{stem}.html", stem, [
         (af, [(aux / name, text, name not in foreign) for k, text in enumerate(texts)
               for name in [f"{stem}__{af.anchor}__zoom{k}.txt"]])
         for af, texts in funcs])

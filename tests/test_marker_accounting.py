@@ -2,11 +2,12 @@
 
 A marker is drawn when what it says shows in a diagram of its source: its
 text as an action, its ``[...]`` text as a branch, loop or end label, or,
-for a postfix marker with nothing after it, a call of its line. It is
-reported when one of ``REPORTS`` names its line. Each drawn action and
-label accounts for one marker only. The sources are the fixtures, small
-benchmark corpora and Hypothesis files that put every marker form between
-the lines of generated functions, file-scope code and class bodies.
+for a postfix marker with nothing after it, every call of its line that
+lies in a function body. It is reported when one of ``REPORTS`` names its
+line. Each drawn action and label accounts for one marker only. The
+sources are the fixtures, small benchmark corpora, a body nested past the
+nesting bound and Hypothesis files that put every marker form between the
+lines of generated functions, file-scope code and class bodies.
 """
 
 import random
@@ -18,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from flowdoc.activity_ir import (ActionNode, BranchNode, ForkNode, LoopNode,
                                  build_activity)
 from flowdoc.annotations import collect
-from flowdoc.cxx_structure import CodeStream, detect_calls, find_definitions, parse_body
+from flowdoc.cxx_structure import (MAX_NESTING, CodeStream, body_holding, detect_calls,
+                                   find_definitions, parse_body)
 from flowdoc.flowdb import SOURCE_SUFFIXES, FlowDb, annotated_functions
 
 from conftest import FIXTURES
@@ -56,8 +58,7 @@ def unaccounted(text, name="t.cpp"):
     assert list(held) == sorted(held)  # annotated_functions keeps this order
     actions, labels, calls = Counter(), Counter(), set()
     for af in annotated_functions(defs, held, {}):
-        af.body = parse_body(af.fn, view, [a.target for a in af.annotations
-                                           if a.target is not None])
+        af.body = parse_body(af.fn, view)
         drawn_items(build_activity(af, FlowDb({}), diags), actions, labels, calls)
     reported = {d.line for d in diags if d.code in REPORTS}
     missing = []
@@ -70,8 +71,10 @@ def unaccounted(text, name="t.cpp"):
         _, _, said = ref_parse_marker(tok.text)
         payload = ref_bracket_payload(said)
         if lo < hi:  # postfix: its calls are all it can show
-            if tok.text[3:].strip() or not any(
-                    f"{c.callee_text}()" in calls for c in detect_calls(view, lo, hi)):
+            in_bodies = [c for c in detect_calls(view, lo, hi)
+                         if body_holding(defs, c.offset) is not None]
+            if tok.text[3:].strip() or not in_bodies or not all(
+                    f"{c.callee_text}()" in calls for c in in_bodies):
                 missing.append(line)
         elif payload is not None and labels[payload] > 0:
             labels[payload] -= 1
@@ -97,6 +100,14 @@ def test_each_marker_of_a_small_corpus_is_drawn_or_reported(workload):
     assert sum(text.count("//$") for text in files.values()) > 10
     for rel, text in files.items():
         assert unaccounted(text, rel) == [], rel
+
+
+def test_each_description_past_the_nesting_bound_is_reported():
+    depth = MAX_NESTING + 12
+    src = "".join(["void deep(int a) {\n//$ start\n"]
+                  + [f"//$ [level {k}]\nif (a > {k}) {{\n" for k in range(depth)]
+                  + ["//$ innermost\nx();\n", "}\n" * depth, "}\n"])
+    assert unaccounted(src) == []
 
 
 STANDALONE = ["//$", "//$ {t}", "//$2 {t}", "//$100 {t}", "//$ <parallel> {t}",
@@ -139,6 +150,8 @@ def marked_sources(draw):
     for k in range(draw(st.integers(1, 3))):
         head, tail = draw(st.sampled_from([
             ([f"void f{k}() {{"], ["}"]), ([f"int S{k}::f(int x) const {{"], ["}"]),
+            # a line two bodies share, its highlight past both
+            ([f"void f{k}() {{"], ["@a(); } void b@() { @b(); }  //$"]),
             ([f"struct C{k} {{", "int n;", "void m() {"], ["}", "};"])]))
         lines += head + draw(statements()) + tail
         lines += draw(st.sampled_from([[], ["int g = @();"], ["auto h = [] { @(); };"]]))

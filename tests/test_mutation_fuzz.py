@@ -11,7 +11,9 @@ forms (long zoom digit runs among them), ``#if`` lines, ``<``/``>`` around
   level's diagram is a subsequence of the next level's, so its actions are
   among the next level's;
 - each inserted deep construct gives at most one ``nesting-too-deep``
-  warning.
+  warning;
+- every ``//$`` of the mutated file is drawn or reported, and no two
+  outputs differ only in case.
 """
 
 import contextlib
@@ -26,7 +28,8 @@ from hypothesis import given, settings, strategies as st
 from flowdoc import cli
 from flowdoc.annotations import MAX_ZOOM
 
-from conftest import FIXTURES
+from conftest import FIXTURES, case_clashes
+from test_marker_accounting import unaccounted
 
 LINES = ["//$", "//$ step", "//$ [why]", "//$ <parallel> side", "//$3 detail",
          "x();  //$", "x();  //$ note", "x();  //$2", "#if 0", "#else", "#endif", "#if X",
@@ -86,7 +89,8 @@ def test_mutated_fixtures_build_deterministically(fixture, data, mutations):
         src = Path(tmp) / "src"
         shutil.copytree(FIXTURES / fixture, src)
         victim = data.draw(st.sampled_from(sorted(src.rglob("*.*"))))
-        victim.write_text(mutate(victim.read_text(), mutations))
+        text = mutate(victim.read_text(), mutations)
+        victim.write_text(text)
         first = run(src, Path(tmp) / "a")
         assert "[internal-error]" not in first[1]
         assert run(src, Path(tmp) / "b") == first
@@ -101,3 +105,5 @@ def test_mutated_fixtures_build_deterministically(fixture, data, mutations):
                 assert is_subsequence(lines, levels[fn, k + 1])
         deep = sum(kind == "deep" for (kind, _), _ in mutations)
         assert first[1].count("[nesting-too-deep]") <= deep
+        assert unaccounted(text, victim.name) == []
+        assert case_clashes(first[2]) == []
