@@ -1,16 +1,16 @@
 """Fusing statement trees with annotations into activity trees.
 
-The builder is the one place that pairs annotations with statements. Its
-one walk over the statement tree, in source order, places each action and
-highlighted call where the walk stands at the item's offset: an action opens
-a box, or joins a parallel box of its zoom right before it in a fork; a call
-joins the open box or opens an unnamed one. So a call goes with its own
-statement even on a line shared with another; a call in the header of a
-drawn if or loop goes in the box before the construct, one in an else-if
-header at the top of its arm, one in a do-while's trailing condition right
-after the loop. Each description goes to the keyword it targets.
-Positions are character offsets into the source. The activity tree is what
-actually gets drawn. Its nodes:
+The builder is the one place that pairs annotations with statements. It
+splits them once, by ``target``: descriptions, and the actions and call
+sites its one walk over the statement tree, in source order, places where
+the walk stands at the item's offset: an action opens a box, or joins a
+parallel box of its zoom right before it in a fork; a call joins the open
+box or opens an unnamed one. So a call goes with its own statement even on
+a line shared with another; a call in the header of a drawn if or loop goes
+in the box before the construct, one in an else-if header at the top of its
+arm, one in a do-while's trailing condition right after the loop. Each
+description goes to the keyword it targets. Positions are character offsets
+into the source. The activity tree is what actually gets drawn. Its nodes:
 
 * ActionNode: one box, from a standalone annotation; absorbs the unannotated
   statements after it and carries highlighted calls found on ``//$`` lines.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 
-from .annotations import Annotation, AnnotationKind
+from .annotations import Annotation
 from .cxx_structure import Stmt, StmtKind
 from .diagnostics import Diagnostic, warning
 from .flowdb import AnnotatedFunction, FlowDb
@@ -107,17 +107,17 @@ def build_activity(af: AnnotatedFunction, db: FlowDb,
 class _Builder:
     def __init__(self, af: AnnotatedFunction, db: FlowDb,
                  diags: list[Diagnostic]):
-        annos = af.annotations
         self.fn, self.db, self.diags = af.fn, db, diags
-        # the actions and highlighted calls by offset, last first: _take pops them
-        self.items = sorted([a for a in annos if a.kind is AnnotationKind.ACTION]
-                            + [c for a in annos for c in a.calls],
-                            key=lambda item: item.offset, reverse=True)
-        # descriptions by keyword offset; a condition description targets
-        # only if/else/loop keywords, a return description only 'return'
-        self.descs = {a.target: a for a in annos if a.target is not None}
+        # the actions and highlighted calls, last first: _take pops them;
+        # the descriptions by the offset of their keyword
+        self.items, self.descs = [], {}
+        for a in reversed(af.annotations):
+            if isinstance(a, Annotation) and a.target is not None:
+                self.descs[a.target] = a
+            else:
+                self.items.append(a)
         self.triggers = sorted([item.offset for item in self.items] + [
-            a.offset for a in annos if a.kind is AnnotationKind.RETURN_DESC])
+            a.offset for a in self.descs.values() if a.keyword == "return"])
         # (line, callee as written) -> its box entry: a callee repeated on
         # one line is resolved, and reported, once
         self.linked: dict[tuple[int, str], tuple[str, str | None]] = {}
@@ -213,15 +213,14 @@ class _Builder:
     # -- diagnostics ------------------------------------------------------
 
     def report_leftovers(self) -> None:
-        for kind, what in ((AnnotationKind.CONDITION_DESC, "construct"),
-                           (AnnotationKind.RETURN_DESC, "return")):
-            for _, ann in sorted(self.descs.items()):
-                if ann.kind is kind:
-                    self.diags.append(warning(
-                        "unused-condition-description",
-                        f"description '[{ann.text}]' was not applied to any "
-                        f"rendered {what}",
-                        self.fn.file, ann.line))
+        # the condition descriptions, then the return descriptions
+        for ann in sorted(self.descs.values(),
+                          key=lambda a: (a.keyword == "return", a.target)):
+            what = "return" if ann.keyword == "return" else "construct"
+            self.diags.append(warning(
+                "unused-condition-description",
+                f"description '[{ann.text}]' was not applied to any "
+                f"rendered {what}", self.fn.file, ann.line))
 
 
 def project(root: list[ActivityNode], level: int) -> list[ActivityNode]:

@@ -16,38 +16,30 @@ anything other than ``if``, ``else``, a loop keyword or ``return`` is kept
 as a plain action (brackets and all) and reported, so a typo never silently
 drops documentation. A zoom above ``MAX_ZOOM`` is drawn at ``MAX_ZOOM`` and
 reported, so one marker cannot ask for unbounded diagrams.
+
+What a marker means is decided here once, into values: an ``Annotation``
+is an action or a description, and a highlight is the ``CallSite``s it draws.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from enum import Enum
+from typing import NamedTuple
 
 from .cxx_structure import CallSite, CodeStream, FunctionDef, body_holding, detect_calls
 from .diagnostics import warning
 
 
-class AnnotationKind(Enum):
-    ACTION = "action"
-    CONDITION_DESC = "condition_desc"
-    RETURN_DESC = "return_desc"
-    CALL_HIGHLIGHT = "call_highlight"
-
-
-class Annotation:
-    __slots__ = ("kind", "text", "line", "offset", "zoom", "parallel",
-                 "target", "calls")
-
-    def __init__(self, kind: AnnotationKind, text: str, line: int, offset: int,
-                 zoom: int = 0, parallel: bool = False, target: int | None = None,
-                 calls: tuple[CallSite, ...] = ()):
-        self.kind, self.text, self.line = kind, text, line
-        self.offset = offset  # of the '//$' marker
-        self.zoom, self.parallel = zoom, parallel
-        # offset of the keyword a description binds to (test with 'is not None')
-        self.target = target
-        self.calls = calls  # call sites on a highlighted line
+class Annotation(NamedTuple):
+    """An action, or a description bound to the keyword at offset target."""
+    text: str
+    line: int
+    offset: int  # of the '//$' marker
+    zoom: int = 0
+    parallel: bool = False
+    target: int | None = None
+    keyword: str | None = None
 
 
 # zoom digits touching the marker, an optional leading tag, then the text
@@ -55,20 +47,21 @@ class Annotation:
 _MARKER_RE = re.compile(r"//\$(\d*)\s*(<parallel>)?\s*(.*?)\s*\Z", re.S)
 _DESC_RE = re.compile(r"\[\s*(\S.*?)\s*\]\Z", re.S)
 MAX_ZOOM = 99
-_DESC_KINDS = dict.fromkeys(("if", "else", "while", "for", "do"),
-                            AnnotationKind.CONDITION_DESC)
-_DESC_KINDS["return"] = AnnotationKind.RETURN_DESC
+_DESC_WORDS = {"if", "else", "while", "for", "do", "return"}
 
 
-def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> dict[int, list[Annotation]]:
+def collect(view: CodeStream, defs: Sequence[FunctionDef]
+            ) -> dict[int, list[Annotation | CallSite]]:
     """The annotations of a source's lexed view, in source order, by the
     index in ``defs`` (its definitions, in source order) of the definition
-    each belongs to, in index order; diagnostics go to ``view.diags``.
+    each belongs to, in index order; diagnostics go to ``view.diags``. An
+    action or description is an ``Annotation``; a highlight is the
+    ``CallSite``s it draws, each one entry.
 
     This is the one place that decides which annotations belong to a
     function. A marker belongs to the body whose braces enclose it
     (``body_holding``), so a line two bodies share gives it to one of them.
-    A highlight keeps the call sites on its line, before its marker, that
+    A highlight draws the call sites on its line, before its marker, that
     lie in a body, so a declarator is no call. It goes to its marker's body,
     or, past every body, to that of its first call; a call in another body
     is reported, and so is any text after its marker, which is not drawn.
@@ -77,7 +70,7 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> dict[int, list[Ann
     annotations are kept as actions and reported.
     """
     markers, lx = view.markers, view.lexemes
-    held: dict[int, list[Annotation]] = {}
+    held: dict[int, list[Annotation | CallSite]] = {}
     for k, tok in enumerate(markers):
         digits, parallel, text = _MARKER_RE.match(tok.text).groups()
         line = view.line(tok.offset)
@@ -98,8 +91,7 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> dict[int, list[Ann
                     view.diags.append(warning(
                         "ignored-highlight-text", "zoom digits, tag and text after a "
                         "call-highlighting '//$' are not drawn", view.file, line))
-                held.setdefault(home, []).append(Annotation(
-                    AnnotationKind.CALL_HIGHLIGHT, text, line, tok.offset, calls=drawn))
+                held.setdefault(home, []).extend(drawn)
                 continue
             if home is not None:
                 view.diags.append(warning(
@@ -112,14 +104,12 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> dict[int, list[Ann
                 "unplaced-marker", "'//$' outside every recognized function body; "
                 "not drawn", view.file, line))
             continue
-        desc, kind = _DESC_RE.match(text), None
+        desc = _DESC_RE.match(text)
         i = view.index_at_or_after(tok.offset + len(tok.text))
-        if desc and i < len(lx) and (k + 1 == len(markers)
-                                     or lx[i].offset < markers[k + 1].offset):
-            kind = _DESC_KINDS.get(lx[i].text)
-        if kind is not None:
+        if desc and i < len(lx) and lx[i].text in _DESC_WORDS and (
+                k + 1 == len(markers) or lx[i].offset < markers[k + 1].offset):
             held.setdefault(home, []).append(Annotation(
-                kind, desc[1], line, tok.offset, target=lx[i].offset))
+                desc[1], line, tok.offset, target=lx[i].offset, keyword=lx[i].text))
             continue
         if desc:
             view.diags.append(warning(
@@ -136,6 +126,5 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]) -> dict[int, list[Ann
                 f"this action is drawn at zoom {MAX_ZOOM}",
                 view.file, line))
         held.setdefault(home, []).append(Annotation(
-            AnnotationKind.ACTION, text, line, tok.offset, min(zoom, MAX_ZOOM),
-            parallel is not None))
+            text, line, tok.offset, min(zoom, MAX_ZOOM), parallel is not None))
     return held

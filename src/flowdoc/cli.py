@@ -117,15 +117,16 @@ def _stem_groups(sources: list[str], diags: list[Diagnostic]
 
     A header and its .cpp share one database, one page and one anchor
     namespace, so every phase must see them as a unit. Stems are compared
-    case-folded, as a case-insensitive filesystem compares names. Two
-    headers, or two implementation files, of one stem are merged too, with
-    a warning, and so is a source whose stem is spelled in other case.
+    by ``_name_key``, as a case- and normalization-insensitive filesystem
+    compares names. Two headers, or two implementation files, of one stem
+    are merged too, with a warning, and so is a source whose stem is
+    spelled otherwise (in other case, or other Unicode normalization).
     """
     groups: dict[str, tuple[str, list[str]]] = {}
     first: dict[tuple[str, bool], str] = {}
     for src in sources:
         p = Path(src)
-        key = p.stem.casefold()
+        key = _name_key(p.stem)
         stem, group = groups.setdefault(key, (p.stem, []))
         other = first.setdefault((key, p.suffix in (".h", ".hpp", ".hh")), src)
         if other == src and stem != p.stem:
@@ -135,6 +136,15 @@ def _stem_groups(sources: list[str], diags: list[Diagnostic]
             diags.append(warning("stem-collision", f"{other} and {src} share "
                                  f"one stem, database and page", src))
     return list(groups.values())
+
+
+def _name_key(name: str) -> str:
+    """name as a filesystem that ignores case and Unicode normalization
+    compares it: its canonical caseless form, NFD(casefold(NFD(name)))."""
+    if name.isascii():
+        return name.casefold()
+    import unicodedata  # only a non-ASCII name needs it
+    return unicodedata.normalize("NFD", unicodedata.normalize("NFD", name).casefold())
 
 
 @contextmanager
@@ -189,7 +199,8 @@ def _phase_render(paths: list[Path], args: argparse.Namespace,
         if not has_placeholder:
             argv.append(str(path))
         try:
-            return subprocess.run(argv, capture_output=True, text=True)
+            return subprocess.run(argv, capture_output=True, encoding="utf-8",
+                                  errors="replace")
         except OSError as exc:
             return exc
 
@@ -246,15 +257,16 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     once, by the phase that skips a write. A name too long for a file
     keeps a prefix and ends in a digest (``_bounded``); a stem's database
     and page share one, and so do a function's diagrams. Paths are owned
-    case-folded, so no two outputs differ only in case.
+    by ``_name_key``, so no two outputs differ only in case or Unicode
+    normalization.
     """
     out = args.out_dir
     index = out / "index.html"
-    owner = {str(index).casefold(): "the index"}  # by output path, case-folded
+    owner = {_name_key(str(index)): "the index"}  # by output path's _name_key
 
     def claim(path: Path, file: str) -> str:
         """The first source to name path, file if none did."""
-        return owner.setdefault(str(path).casefold(), file)
+        return owner.setdefault(_name_key(str(path)), file)
 
     stems, texts = [], {}  # texts: the databases this run writes, by path
     for stem, group in _stem_groups(args.sources or [], diags):

@@ -13,10 +13,12 @@ enough structure for flowcharting:
 Positions are character offsets into the source, as the lexed view holds
 them: a statement spans the offsets of its first and last lexeme and records
 those of the keywords a description can bind to; only diagnostics and call
-sites look lines up. The view pairs every bracket with its closer once, so
-skipping a body, a group or an initializer is a lookup, not a rescan. It
-also carries its source's name and diagnostic list, ``view.file`` and
-``view.diags``: every layer that reads the view reports there.
+sites look lines up. A statement is an immutable ``Stmt``, built whole: an
+If arm carries its condition and keyword from the start. The view pairs
+every bracket with its closer once, so skipping a body, a group or an
+initializer is a lookup, not a rescan. It also carries its source's name
+and diagnostic list, ``view.file`` and ``view.diags``: every layer that
+reads the view reports there.
 
 Declarations (ending in ``;``), lambdas, local classes, operator overloads
 (``operator bool()`` and ``operator"" _km`` too) and ``switch``/``try``
@@ -106,24 +108,19 @@ class StmtKind(Enum):
     RETURN = "return"
 
 
-class Stmt:
+class Stmt(NamedTuple):
     """One statement. An If's children are its arms, in order: Blocks that
     carry their own condition (None for a bare else) and keyword."""
-    __slots__ = ("kind", "span", "condition_text", "children", "keywords")
-
-    def __init__(self, kind: StmtKind, span: tuple[int, int],
-                 condition_text: str | None = None,
-                 children: list[Stmt] | None = None,
-                 keywords: tuple[int, ...] = ()):
-        # span: the offsets of the first and last lexeme; a body's root spans
-        # its braces, and an arm starts right after its header, so it holds
-        # the comments between them
-        self.kind, self.span = kind, span
-        self.condition_text = condition_text  # of a loop or an If arm
-        self.children = [] if children is None else children
-        # offsets of the keywords a description binds to: the arm's 'if' or
-        # 'else', the loop's keyword ('do' and its 'while'), 'return'
-        self.keywords = keywords
+    kind: StmtKind
+    # the offsets of the first and last lexeme; a body's root spans its
+    # braces, and an arm starts right after its header, so it holds the
+    # comments between them
+    span: tuple[int, int]
+    condition_text: str | None = None  # of a loop or an If arm
+    children: tuple[Stmt, ...] = ()
+    # offsets of the keywords a description binds to: the arm's 'if' or
+    # 'else', the loop's keyword ('do' and its 'while'), 'return'
+    keywords: tuple[int, ...] = ()
 
 
 # Blocks nested deeper than this below a function body are kept as one
@@ -149,12 +146,10 @@ _DECLARATOR = (("::",), True, False)
 _CALLEE = (("::", ".", "->"), False, True)
 
 
-class _Scope:
-    __slots__ = ("kind", "name", "open_line")
-
-    def __init__(self, kind: str, name: str | None, open_line: int):
-        # kind: 'namespace' | 'class' | 'extern'
-        self.kind, self.name, self.open_line = kind, name, open_line
+class _Scope(NamedTuple):
+    kind: str  # 'namespace' | 'class' | 'extern'
+    name: str | None
+    open_line: int
 
 
 def find_definitions(view: CodeStream) -> list[FunctionDef]:
@@ -440,11 +435,11 @@ class _BodyParser:
     def _span(self, i: int, j: int) -> tuple[int, int]:  # lexemes i through j
         return self.lx[i].offset, self.lx[j].offset
 
-    def parse_range(self, lo: int, hi: int) -> list[Stmt]:
+    def parse_range(self, lo: int, hi: int) -> tuple[Stmt, ...]:
         """The statements of a block's interior [lo, hi). Past MAX_NESTING
         blocks below the function body it is one opaque statement."""
         if self.depth > MAX_NESTING and lo < hi:
-            return [self._opaque(lo, hi)]
+            return (self._opaque(lo, hi),)
         self.depth += 1
         out: list[Stmt] = []
         i = lo
@@ -453,7 +448,7 @@ class _BodyParser:
             if stmt is not None:
                 out.append(stmt)
         self.depth -= 1
-        return out
+        return tuple(out)
 
     def parse_one(self, i: int, hi: int) -> tuple[Stmt | None, int]:
         i = self._past_labels(i, hi)
@@ -512,28 +507,29 @@ class _BodyParser:
                                   self.file, self.view.line(self.lx[lo].offset)))
         return Stmt(StmtKind.PLAIN, self._span(lo, hi - 1))
 
-    def _substatement(self, i: int, hi: int) -> tuple[Stmt, int]:
-        """One statement (or braced block) wrapped as a Block arm, which
-        starts right after its header, the lexeme before i."""
+    def _substatement(self, i: int, hi: int, cond: str | None = None,
+                      keywords: tuple[int, ...] = ()) -> tuple[Stmt, int]:
+        """One statement (or braced block) as a Block arm with cond and
+        keywords, which starts right after its header, the lexeme before i."""
         head = self.lx[i - 1]
         start = head.offset + len(head.text)
         i = self._past_labels(i, hi)
         if i >= hi:
-            return Stmt(StmtKind.BLOCK, (start, start)), i
-        if self.lx[i].text == "{":
-            arm, nxt = self.parse_one(i, hi)
-            arm.span = (start, arm.span[1])
-            return arm, nxt
-        if self.depth > MAX_NESTING:
-            nxt = self._consume_simple(i, hi)
-            stmt = self._opaque(i, nxt)
+            end, children, nxt = start, (), i
+        elif self.lx[i].text == "{":
+            block, nxt = self.parse_one(i, hi)
+            end, children = block.span[1], block.children
         else:
-            self.depth += 1
-            stmt, nxt = self.parse_one(i, hi)
-            self.depth -= 1
-        end = self.lx[i].offset if stmt is None else stmt.span[1]
-        return Stmt(StmtKind.BLOCK, (start, end),
-                    children=[] if stmt is None else [stmt]), nxt
+            if self.depth > MAX_NESTING:
+                nxt = self._consume_simple(i, hi)
+                stmt = self._opaque(i, nxt)
+            else:
+                self.depth += 1
+                stmt, nxt = self.parse_one(i, hi)
+                self.depth -= 1
+            end, children = ((self.lx[i].offset, ()) if stmt is None
+                             else (stmt.span[1], (stmt,)))
+        return Stmt(StmtKind.BLOCK, (start, end), cond, children, keywords), nxt
 
     def _if_header(self, j: int, hi: int):
         """The condition group after an 'if' keyword, past 'constexpr'."""
@@ -551,8 +547,7 @@ class _BodyParser:
         keyword = i
         while True:
             cond, close = grp
-            arm, j = self._substatement(close + 1, hi)
-            arm.condition_text, arm.keywords = cond, (self.lx[keyword].offset,)
+            arm, j = self._substatement(close + 1, hi, cond, (self.lx[keyword].offset,))
             arms.append(arm)
             if cond is None or j >= hi or self.lx[j].text != "else":
                 break
@@ -566,7 +561,7 @@ class _BodyParser:
                     break
             else:
                 grp = None, j  # a bare else: its arm starts after the keyword
-        return Stmt(StmtKind.IF, (self.lx[i].offset, arms[-1].span[1]), children=arms), j
+        return Stmt(StmtKind.IF, (self.lx[i].offset, arms[-1].span[1]), None, tuple(arms)), j
 
     def _parse_pretest(self, i: int, hi: int) -> tuple[Stmt, int]:
         kw = self.lx[i].text
@@ -576,8 +571,8 @@ class _BodyParser:
         cond, close = grp
         body, j = self._substatement(close + 1, hi)
         kind = StmtKind.WHILE if kw == "while" else StmtKind.FOR
-        return Stmt(kind, (self.lx[i].offset, body.span[1]), condition_text=cond,
-                    children=[body], keywords=(self.lx[i].offset,)), j
+        return Stmt(kind, (self.lx[i].offset, body.span[1]), cond, (body,),
+                    (self.lx[i].offset,)), j
 
     def _parse_do(self, i: int, hi: int) -> tuple[Stmt, int]:
         body, j = self._substatement(i + 1, hi)
@@ -591,8 +586,8 @@ class _BodyParser:
         j = close + 1
         if j < hi and self.lx[j].text == ";":
             j += 1
-        return Stmt(StmtKind.DO_WHILE, self._span(i, min(j, hi) - 1),
-                    condition_text=cond, children=[body], keywords=keywords), j
+        return Stmt(StmtKind.DO_WHILE, self._span(i, min(j, hi) - 1), cond, (body,),
+                    keywords), j
 
     def _parse_opaque_construct(self, i: int, hi: int) -> tuple[Stmt, int]:
         # switch (...) { ... } and try { ... } catch (...) { ... } ... consumed

@@ -54,22 +54,19 @@ class FlowDbEntry(NamedTuple):
     max_zoom: int
 
 
-class AnnotatedFunction:
-    __slots__ = ("fn", "anchor", "annotations", "max_zoom", "body")
-
-    def __init__(self, fn: FunctionDef, anchor: str,
-                 annotations: list[_annotations.Annotation], max_zoom: int,
-                 body: Stmt | None = None):
-        self.fn, self.anchor, self.annotations = fn, anchor, annotations
-        self.max_zoom = max_zoom
-        self.body = body  # statement tree, set by analyze_source
+class AnnotatedFunction(NamedTuple):
+    fn: FunctionDef
+    anchor: str
+    annotations: tuple[_annotations.Annotation | CallSite, ...]  # from annotations.collect
+    max_zoom: int
+    body: Stmt  # the statement tree, from parse_body
 
 
-def annotated_functions(defs: list[FunctionDef],
-                        held: dict[int, list[_annotations.Annotation]],
+def annotated_functions(view: _cxx.CodeStream, defs: list[FunctionDef],
+                        held: dict[int, list[_annotations.Annotation | CallSite]],
                         taken: dict[str, int]) -> list[AnnotatedFunction]:
-    """Name the definitions ``annotations.collect`` placed annotations in,
-    in the order of ``held``, and give each its ``max_zoom``.
+    """The definitions ``annotations.collect`` placed annotations in, in the
+    order of ``held``, each named, given its ``max_zoom`` and its body parsed.
 
     The anchor is the first of the mangled name and it + '__2', '__3', ...
     that is not yet ``taken`` (each anchor, case-folded, to the last suffix
@@ -85,9 +82,11 @@ def annotated_functions(defs: list[FunctionDef],
             taken[key] += 1
             anchor = f"{base}__{taken[key]}"
         taken.setdefault(anchor.casefold(), 1)
+        # a description's zoom is 0, and a call site has none
         max_zoom = max((a.zoom for a in inside
-                        if a.kind is _annotations.AnnotationKind.ACTION), default=0)
-        out.append(AnnotatedFunction(fn, anchor, inside, max_zoom))
+                        if isinstance(a, _annotations.Annotation)), default=0)
+        out.append(AnnotatedFunction(fn, anchor, tuple(inside), max_zoom,
+                                     _cxx.parse_body(fn, view)))
     return out
 
 
@@ -107,10 +106,7 @@ def analyze_source(source_path: str | Path, diags: list[Diagnostic],
         return None
     view = _cxx.CodeStream(text, str(path), diags)
     defs = _cxx.find_definitions(view)
-    annotated = annotated_functions(defs, _annotations.collect(view, defs), taken)
-    for af in annotated:
-        af.body = _cxx.parse_body(af.fn, view)
-    return annotated
+    return annotated_functions(view, defs, _annotations.collect(view, defs), taken)
 
 
 def analyze_stem(source_paths: list[str | Path],

@@ -3,7 +3,7 @@ import pytest
 from flowdoc.activity_ir import (ActionNode, BranchNode, ForkNode, LoopNode,
                                  StopNode, build_activity, project)
 from flowdoc.annotations import collect
-from flowdoc.cxx_structure import CodeStream, find_definitions, parse_body
+from flowdoc.cxx_structure import CallSite, CodeStream, find_definitions
 from flowdoc.flowdb import (FlowDb, FlowDbEntry, analyze_source,
                             annotated_functions)
 
@@ -16,12 +16,8 @@ def annotated(src, diags):
     view = CodeStream(src, "t.cpp", diags)
     defs = find_definitions(view)
     held = collect(view, defs)
-    afs = annotated_functions(defs, {0: held[0]} if 0 in held else {}, {})
-    if not afs:
-        return None
-    af = afs[0]
-    af.body = parse_body(af.fn, view)
-    return af
+    afs = annotated_functions(view, defs, {0: held[0]} if 0 in held else {}, {})
+    return afs[0] if afs else None
 
 
 def build(src, db=None, diags=None):
@@ -442,7 +438,7 @@ def test_one_descent_finds_each_line_its_innermost_statement(name, tmp_path):
     for af in afs:
         diags = []
         tree = build_activity(af, FlowDb({}), diags)
-        calls = sorted((c for a in af.annotations for c in a.calls),
+        calls = sorted((c for c in af.annotations if isinstance(c, CallSite)),
                        key=lambda c: c.offset)
         assert calls_drawn(tree) == [c.callee_text + "()" for c in calls]
         assert "dangling-call-highlight" not in [d.code for d in diags]

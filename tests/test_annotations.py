@@ -3,10 +3,20 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowdoc.annotations import MAX_ZOOM, AnnotationKind, collect
-from flowdoc.cxx_structure import CodeStream, find_definitions
+from flowdoc.annotations import MAX_ZOOM, collect
+from flowdoc.cxx_structure import CallSite, CodeStream, find_definitions
 
-ACTION = AnnotationKind.ACTION
+ACTION, CONDITION, RETURN, CALL = "action", "condition", "return", "call"
+
+
+def kind(entry):
+    """What an entry of collect draws: a highlighted call, an action, or a
+    description of a condition or of a return."""
+    if isinstance(entry, CallSite):
+        return CALL
+    if entry.target is None:
+        return ACTION
+    return RETURN if entry.keyword == "return" else CONDITION
 
 
 def collect_view(view):
@@ -23,14 +33,14 @@ def body(*lines):
 
 
 def read(src, diags=None):
-    return [(a.kind, a.zoom, a.parallel, a.text) for a in collect_src(src, diags)]
+    return [(kind(a), a.zoom, a.parallel, a.text) for a in collect_src(src, diags)]
 
 
 def marker(comment):
     """(zoom, parallel, text) of a standalone comment read as an action, or
     None when it is no annotation."""
     anns = read(body(comment, "x();"))
-    assert len(anns) <= 1 and all(a[0] is ACTION for a in anns)
+    assert len(anns) <= 1 and all(a[0] == ACTION for a in anns)
     return anns[0][1:] if anns else None
 
 
@@ -77,38 +87,38 @@ class TestClassify:
 
     def test_standalone_is_action(self):
         ann = annotation("//$ step", "x();")
-        assert (ann.kind, ann.text) == (ACTION, "step")
+        assert (kind(ann), ann.text) == (ACTION, "step")
 
     def test_postfix_is_call_highlight(self):
         ann = annotation("helper();  //$   ", "")
-        assert (ann.kind, ann.text) == (AnnotationKind.CALL_HIGHLIGHT, "")
+        assert (kind(ann), ann.callee_text) == (CALL, "helper")
 
     def test_bracket_before_if_is_condition_desc(self):
         ann = annotation("//$ [first branch]", "if (a) {\nx();\n}")
-        assert (ann.kind, ann.text) == (AnnotationKind.CONDITION_DESC, "first branch")
+        assert (kind(ann), ann.text) == (CONDITION, "first branch")
 
     def test_bracket_before_loop(self):
         for loop in ("for (;;) {}", "while (a) {}", "do {} while (a);"):
             ann = annotation("//$ [for each item]", loop)
-            assert (ann.kind, ann.text) == (AnnotationKind.CONDITION_DESC, "for each item")
+            assert (kind(ann), ann.text) == (CONDITION, "for each item")
 
     def test_bracket_before_return_is_return_desc(self):
         ann = annotation("//$ [negative outcome]", "return 1;")
-        assert (ann.kind, ann.text) == (AnnotationKind.RETURN_DESC, "negative outcome")
+        assert (kind(ann), ann.text) == (RETURN, "negative outcome")
 
     def test_orphan_bracket_demotes_to_action(self):
         ann = annotation("//$ [stranded]", "x();")
-        assert (ann.kind, ann.text) == (ACTION, "[stranded]")
+        assert (kind(ann), ann.text) == (ACTION, "[stranded]")
 
     def test_empty_brackets_are_an_action(self):
         diags = []
         anns = collect_src(body("//$ [ ]", "if (a) {\nx();\n}"), diags)
-        assert [(a.kind, a.text) for a in anns] == [(ACTION, "[ ]")]
+        assert [(kind(a), a.text) for a in anns] == [(ACTION, "[ ]")]
         assert diags == []
 
     def test_action_with_brackets_inside_text(self):
         ann = annotation("//$ use arr[0] as seed", "if (a) {\nx();\n}")
-        assert (ann.kind, ann.text) == (ACTION, "use arr[0] as seed")
+        assert (kind(ann), ann.text) == (ACTION, "use arr[0] as seed")
 
 
 @pytest.mark.parametrize("zoom", ["100", "100000000", "9" * 5000])
@@ -142,11 +152,11 @@ def ref_bracket_payload(text):
     return None
 
 
-FOLLOWERS = {"x();": None, "if (a) {}": AnnotationKind.CONDITION_DESC,
-             "else {}": AnnotationKind.CONDITION_DESC,
-             "while (a) {}": AnnotationKind.CONDITION_DESC,
-             "do {} while (a);": AnnotationKind.CONDITION_DESC,
-             "return 1;": AnnotationKind.RETURN_DESC}
+FOLLOWERS = {"x();": None, "if (a) {}": CONDITION,
+             "else {}": CONDITION,
+             "while (a) {}": CONDITION,
+             "do {} while (a);": CONDITION,
+             "return 1;": RETURN}
 PIECES = st.sampled_from(["\t", "\r", "\x0b", "\x1c", "\x85", "\u2028",
                           "\u3000", " ", "\u0663", "0", "1", "9", "a", "z",
                           "[", "]", "[]", "[ ]", "<parallel>", "<", ">", "$", "/"])
@@ -159,13 +169,13 @@ def test_collect_reads_markers_as_the_reference_grammar(tail, follower):
     [tok] = view.markers  # a lone '\r' stays inside the comment
     zoom, parallel, text = ref_parse_marker(tok.text)
     inner = ref_bracket_payload(text)
-    kind = FOLLOWERS[follower] if inner is not None else None
+    expected = FOLLOWERS[follower] if inner is not None else None
     [ann] = collect_view(view)
-    if kind is None:
-        assert (ann.kind, ann.zoom, ann.parallel, ann.text) == (
+    if expected is None:
+        assert (kind(ann), ann.zoom, ann.parallel, ann.text) == (
             ACTION, min(zoom, MAX_ZOOM), parallel, text)
     else:
-        assert (ann.kind, ann.text) == (kind, inner)
+        assert (kind(ann), ann.text) == (expected, inner)
 
 
 class TestCollect:
@@ -178,7 +188,7 @@ class TestCollect:
     def test_postfix_on_call_line(self):
         src = "void f() {\nhelper();  //$\n}\n"
         anns = collect_src(src)
-        assert [a.kind for a in anns] == [AnnotationKind.CALL_HIGHLIGHT]
+        assert [kind(a) for a in anns] == [CALL]
 
     def test_postfix_without_call_is_dropped_with_warning(self):
         diags = []
@@ -197,8 +207,8 @@ class TestCollect:
                "if (x) {\n//$ inside\ny();\n}\n"
                "}\n")
         anns = collect_src(src)
-        assert anns[0].kind is AnnotationKind.CONDITION_DESC
-        assert anns[0].target is not None
+        assert kind(anns[0]) == CONDITION
+        assert src.startswith("if (x)", anns[0].target)
 
     def test_another_annotation_blocks_binding(self):
         diags = []
@@ -208,7 +218,7 @@ class TestCollect:
                "if (x) {\ny();\n}\n"
                "}\n")
         anns = collect_src(src, diags)
-        assert anns[0].kind is AnnotationKind.ACTION
+        assert kind(anns[0]) == ACTION
         assert anns[0].text == "[meant for the if]"
         assert any(d.code == "orphan-bracket-annotation" for d in diags)
 
@@ -220,7 +230,7 @@ class TestCollect:
                "if (x) {\ny();\n}\n"
                "}\n")
         anns = collect_src(src, diags)
-        assert anns[0].kind is AnnotationKind.ACTION
+        assert kind(anns[0]) == ACTION
         assert any(d.code == "orphan-bracket-annotation" for d in diags)
 
     def test_desc_before_else_if(self):
@@ -230,7 +240,7 @@ class TestCollect:
                "else if (b) {\ny();\n}\n"
                "}\n")
         anns = collect_src(src)
-        assert anns[0].kind is AnnotationKind.CONDITION_DESC
+        assert kind(anns[0]) == CONDITION
 
     def test_desc_before_do_while_trailer(self):
         src = ("void f() {\n"
@@ -239,12 +249,12 @@ class TestCollect:
                "while (next());\n"
                "}\n")
         anns = collect_src(src)
-        assert anns[0].kind is AnnotationKind.CONDITION_DESC
+        assert kind(anns[0]) == CONDITION
 
     def test_desc_before_return(self):
         src = "int f() {\n//$ [the answer]\nreturn 42;\n}\n"
         anns = collect_src(src)
-        assert anns[0].kind is AnnotationKind.RETURN_DESC
+        assert kind(anns[0]) == RETURN
 
     def test_annotation_inside_string_is_ignored(self):
         src = 'void f() {\nlog("//$ fake");\n}\n'

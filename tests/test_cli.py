@@ -346,6 +346,31 @@ class TestPipeline:
                                           b"run\ta.html#run\t0\n")
         assert b"[[../a.html#run run()]]" in tree[Path("aux_files/a__f__zoom0.txt")]
 
+    def test_a_header_and_a_cpp_whose_stems_differ_in_case_share_a_stem(self, tmp_path,
+                                                                        capsys):
+        header, impl = tmp_path / "a.h", tmp_path / "A.cpp"
+        header.write_text("void f() {\n//$ in the header\nx();\n}\n")
+        impl.write_text("void g() {\n//$ in the cpp\ny();\n}\n")
+        errs, tree = self.each_phase(tmp_path, capsys, str(header), str(impl))
+        assert errs == [f"{impl}: warning: {header} and {impl} share one stem, "
+                        "database and page [stem-collision]\n"] * 4
+        assert tree[Path("a.flowdb")] == b"f\ta.html#f\t0\ng\ta.html#g\t0\n"
+
+    def test_stems_that_differ_only_in_unicode_normalization_are_one_stem(
+            self, tmp_path, capsys):
+        # a filesystem that ignores normalization, as macOS's do, would give
+        # both spellings one page and one database
+        nfc, nfd = tmp_path / "caf\u00e9.cpp", tmp_path / "cafe\u0301.cpp"
+        nfc.write_text("void f() {\n//$ composed\nx();\n}\n")
+        nfd.write_text("void g() {\n//$ decomposed\ny();\n}\n")
+        errs, tree = self.each_phase(tmp_path, capsys, str(nfc), str(nfd))
+        assert errs == [f"{nfd}: warning: {nfc} and {nfd} share one stem, "
+                        "database and page [stem-collision]\n"] * 4
+        assert case_clashes(tree) == []
+        assert sorted(p.as_posix() for p in tree) == [
+            "aux_files/caf\u00e9__f__zoom0.txt", "aux_files/caf\u00e9__g__zoom0.txt",
+            "caf\u00e9.flowdb", "caf\u00e9.html", "index.html"]
+
     def test_diagrams_of_two_stems_named_alike_but_for_case_collide(self, tmp_path, capsys):
         first, second = tmp_path / "a__B.cpp", tmp_path / "a.cpp"
         first.write_text("void c() {\n//$ one\nx();\n}\n")
@@ -934,6 +959,21 @@ class TestRenderCmd:
         assert code == 0
         assert "[render-failed]" in err
         assert "status 1" in err
+
+    @pytest.mark.parametrize("status", [1, 0])
+    def test_output_that_is_not_utf8_is_read_as_utf8(self, status, tmp_path, capsys):
+        # each render prints the byte 0xff, which no UTF-8 text holds
+        render = rf"""sh -c 'printf "\377bad\n" >&2; exit {status}' {{input}}"""
+        code, err = run_cli("all", str(FIXTURES / "demo"), "--out-dir", str(tmp_path),
+                            "--render-cmd", render, capsys=capsys)
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: render command exited with status 1 for {name}: "
+            "\ufffdbad [render-failed]" for name in (
+                "aux__VINCIA__shower__zoom0.txt", "aux__VINCIA__shower__zoom1.txt",
+                "main__main__zoom0.txt")] * status
+        assert sorted(p.name for p in tmp_path.glob("*.html")) == [
+            "aux.html", "index.html", "main.html"]
 
     @staticmethod
     def two_stems(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from flowdoc.activity_ir import StopNode, build_activity
 from flowdoc.annotations import collect
-from flowdoc.cxx_structure import (MAX_NESTING, CodeStream, StmtKind,
+from flowdoc.cxx_structure import (MAX_NESTING, CallSite, CodeStream, StmtKind,
                                    detect_calls, find_definitions, parse_body)
 from flowdoc.diagnostics import Severity
 from flowdoc.flowdb import AnnotatedFunction, FlowDb, annotated_functions
@@ -186,6 +186,18 @@ class TestDefinitionRecognition:
         defs_of(src, diags)
         assert [(d.code, d.line) for d in diags] == [("unbalanced-braces", line)]
 
+    @pytest.mark.parametrize("stray", ["int x) {", "int x) y() {"])
+    def test_a_stray_closing_parenthesis_makes_no_definition(self, stray):
+        # its '//$' is reported, and the next function is still documented
+        diags = []
+        view = CodeStream(f"{stray} //$ a\n}}\nvoid g() {{\n//$ b\ny();\n}}\n",
+                          "t.cpp", diags)
+        defs = find_definitions(view)
+        functions = annotated_functions(view, defs, collect(view, defs), {})
+        assert [af.fn.qualified_name for af in functions] == ["g"]
+        assert [a.text for a in functions[0].annotations] == ["b"]
+        assert [(d.code, d.line) for d in diags] == [("unplaced-marker", 1)]
+
     def test_operator_overload_stays_opaque(self):
         src = "bool operator==(const A& x, const A& y) {\nreturn true;\n}\nint f() {\n}\n"
         assert names(src) == ["f"]
@@ -310,7 +322,7 @@ class TestStatementTrees:
         diags = []
         node = self.parse("if (x)", diags).children[0]
         assert node.kind is StmtKind.IF
-        assert [(arm.condition_text, arm.children) for arm in node.children] == [("x", [])]
+        assert [(arm.condition_text, arm.children) for arm in node.children] == [("x", ())]
         assert diags == []
 
     def test_an_unbraced_switch_ends_at_its_semicolon(self):
@@ -379,14 +391,15 @@ def highlighted_calls(src):
     view = CodeStream(src, "t.cpp", [])
     defs = find_definitions(view)
     return [(c.callee_text, c.normalized_name, c.line)
-            for annos in collect(view, defs).values() for a in annos for c in a.calls]
+            for annos in collect(view, defs).values() for c in annos
+            if isinstance(c, CallSite)]
 
 
 def activity_of(src):
     """The activity tree of the first definition."""
     view = CodeStream(src, "t.cpp", [])
     fn = find_definitions(view)[0]
-    af = AnnotatedFunction(fn, "f", collect(view, [fn]).get(0, []), 0,
+    af = AnnotatedFunction(fn, "f", tuple(collect(view, [fn]).get(0, ())), 0,
                            parse_body(fn, view))
     return build_activity(af, FlowDb({}), [])
 
@@ -593,11 +606,15 @@ def test_each_marker_of_a_generated_definition_is_drawn_or_reported(
     diags = []
     view = CodeStream("\n".join(lines) + "\n", "t.cpp", diags)
     defs = find_definitions(view)
-    functions = annotated_functions(defs, collect(view, defs), {})
+    functions = annotated_functions(view, defs, collect(view, defs), {})
     drawn = {a.line: af.fn.qualified_name for af in functions for a in af.annotations}
     reported = [d.line for d in diags if d.code == "unplaced-marker"]
     assert drawn == {line: name for line, name in expected.items() if name}
     assert reported == [line for line, name in expected.items() if name is None]
     assert [d.code for d in diags] == ["unplaced-marker"] * len(reported)
-    assert calls == {a.line: [c.callee_text for c in a.calls]
-                     for af in functions for a in af.annotations if a.calls}
+    highlighted = {}
+    for af in functions:
+        for c in af.annotations:
+            if isinstance(c, CallSite):
+                highlighted.setdefault(c.line, []).append(c.callee_text)
+    assert calls == highlighted

@@ -33,7 +33,7 @@ def tree(out):
 
 
 def test_start_up_and_a_plain_run_import_nothing_they_do_not_use(tmp_path):
-    unused = ("html", "shlex", "glob", "concurrent.futures")
+    unused = ("html", "shlex", "glob", "concurrent.futures", "unicodedata")
     code = f"""if True:
         import json, sys
         import argparse, bisect, collections.abc, enum, math, os, pathlib
@@ -79,6 +79,23 @@ def test_phases_as_processes_give_the_all_tree(tmp_path, capsys):
     assert main(["all", *sources, "--out-dir", str(tmp_path / "all")]) == 0
     assert capsys.readouterr().err == ""
     assert tree(tmp_path / "ph") == tree(tmp_path / "all")
+
+
+def test_no_text_is_read_or_written_in_the_locale_encoding(tmp_path):
+    """Under ``-X warn_default_encoding``, with that warning an error, a run
+    that renders gives what it gives without them: every text it reads or
+    writes, a render command's output too, names its encoding."""
+    render = "sh -c 'cp \"$0\" \"${0%.txt}.svg\"' {input}"
+    runs = []
+    for flags in ([], ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]):
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, *flags, "-m", "flowdoc", "all", DEMO,
+                               "--out-dir", str(out), "--render-cmd", render],
+                              capture_output=True, text=True)
+        runs.append((proc.returncode, proc.stderr, tree(out)))
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (0, "") and "aux_files/main__main__zoom0.svg" in runs[0][2]
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import html
 
 from hypothesis import given, strategies as st
 
-from flowdoc.cxx_structure import FunctionDef
+from flowdoc.cxx_structure import FunctionDef, Stmt, StmtKind
 from flowdoc.flowdb import AnnotatedFunction, FlowDb, FlowDbEntry
 from flowdoc.html_emit import _escape, check_links, emit_index, emit_page
 
@@ -13,7 +13,8 @@ def sample_func(anchor="main", zooms=(0,), text=TEXT, signature=None):
     """A page entry: the function record and its diagram text per zoom."""
     name = anchor.replace("__", "::")
     fn = FunctionDef(name, signature or f"int {anchor}()", 0, 1, "t.cpp")
-    return AnnotatedFunction(fn, anchor, [], len(zooms) - 1), [text] * len(zooms)
+    body = Stmt(StmtKind.BLOCK, (0, 1))
+    return AnnotatedFunction(fn, anchor, (), len(zooms) - 1, body), [text] * len(zooms)
 
 
 def write_page(out, stem, funcs, foreign=()):

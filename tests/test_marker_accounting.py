@@ -20,7 +20,7 @@ from flowdoc.activity_ir import (ActionNode, BranchNode, ForkNode, LoopNode,
                                  build_activity)
 from flowdoc.annotations import collect
 from flowdoc.cxx_structure import (MAX_NESTING, CodeStream, body_holding, detect_calls,
-                                   find_definitions, parse_body)
+                                   find_definitions)
 from flowdoc.flowdb import SOURCE_SUFFIXES, FlowDb, annotated_functions
 
 from conftest import FIXTURES
@@ -57,8 +57,7 @@ def unaccounted(text, name="t.cpp"):
     held = collect(view, defs)
     assert list(held) == sorted(held)  # annotated_functions keeps this order
     actions, labels, calls = Counter(), Counter(), set()
-    for af in annotated_functions(defs, held, {}):
-        af.body = parse_body(af.fn, view)
+    for af in annotated_functions(view, defs, held, {}):
         drawn_items(build_activity(af, FlowDb({}), diags), actions, labels, calls)
     reported = {d.line for d in diags if d.code in REPORTS}
     missing = []

@@ -8,19 +8,37 @@ from pathlib import Path
 
 import pytest
 
-from flowdoc.cxx_structure import CallSite
+from flowdoc.annotations import Annotation, collect
+from flowdoc.cxx_structure import CallSite, CodeStream, Stmt, StmtKind, find_definitions
 from flowdoc.diagnostics import warning
-from flowdoc.flowdb import FlowDbEntry
+from flowdoc.flowdb import AnnotatedFunction, FlowDbEntry, annotated_functions
 from flowdoc.scanner import Lexeme, LexKind
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def analyzed():
+    """The annotated function of a source that holds every kind of record:
+    an action, a highlighted call, two descriptions and nested statements."""
+    src = ("int f(int n) {\n//$1 step\nwhile (n) {\ng();  //$\n"
+           "//$ [positive]\nif (n > 0) { n--; } else { n++; }\n}\n"
+           "//$ [done]\nreturn n;\n}\n")
+    view = CodeStream(src, "t.cpp", [])
+    defs = find_definitions(view)
+    [af] = annotated_functions(view, defs, collect(view, defs), {})
+    return af
 
 
 @pytest.mark.parametrize("record,field", [
     (Lexeme("x", 0, LexKind.WORD), "text"),
     (warning("no-link", "m", "f.cpp", 3), "line"),
     (FlowDbEntry("f", "p.html", "f", 0), "max_zoom"),
-], ids=["Lexeme", "Diagnostic", "FlowDbEntry"])
+    (Annotation("step", 2, 14), "target"),
+    (Stmt(StmtKind.PLAIN, (0, 1)), "span"),
+    (analyzed(), "body"),
+    (analyzed().body.children[0].children[0], "condition_text"),
+], ids=["Lexeme", "Diagnostic", "FlowDbEntry", "Annotation", "Stmt",
+        "AnnotatedFunction", "Stmt arm"])
 def test_value_records_are_read_only(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1)
@@ -29,7 +47,11 @@ def test_value_records_are_read_only(record, field):
 @pytest.mark.parametrize("make", [
     lambda: FlowDbEntry("ns::f", "p.html", "ns__f", 2),
     lambda: CallSite("obj->f", "f", 7, 40),
-], ids=["FlowDbEntry", "CallSite"])
+    lambda: Annotation("positive", 5, 60, target=75, keyword="if"),
+    lambda: Stmt(StmtKind.BLOCK, (3, 9), "x", (Stmt(StmtKind.RETURN, (4, 8), keywords=(4,)),),
+                 (0,)),
+    analyzed,
+], ids=["FlowDbEntry", "CallSite", "Annotation", "Stmt", "AnnotatedFunction"])
 def test_equal_value_records_compare_and_hash_equal(make):
     a, b = make(), make()
     assert a is not b
