@@ -63,11 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "or ./flowdoc)")
         sp.add_argument("--render-cmd", default=None,
                         help="command template that renders a diagram text "
-                             "to SVG; '{input}' is replaced by the .txt "
-                             "path, e.g. 'plantuml -tsvg {input}'. Up to "
-                             "one render per CPU runs at a time, so the "
-                             "command must not write to a fixed shared "
-                             "path; failures are reported in diagram order")
+                             "to SVG; '{input}' is replaced by the .txt path, e.g. "
+                             "'plantuml -tsvg {input}'; without '{input}' the path "
+                             "is appended as the last argument. Up to one render per "
+                             "CPU runs at a time, so the command must not write to a "
+                             "fixed shared path; failures are reported in diagram order")
         sp.add_argument("--werror", action="store_true",
                         help="treat warnings as errors (exit status 1)")
         sp.add_argument("--quiet", action="store_true",

@@ -15,10 +15,11 @@ them: a statement spans the offsets of its first and last lexeme and records
 those of the keywords a description can bind to; only diagnostics and call
 sites look lines up. A statement is an immutable ``Stmt``, built whole: an
 If arm carries its condition and keyword from the start. The view pairs
-every bracket with its closer once, so skipping a body, a group or an
-initializer is a lookup, not a rescan. It also carries its source's name
-and diagnostic list, ``view.file`` and ``view.diags``: every layer that
-reads the view reports there.
+every bracket with its closer once, angle brackets included, so skipping a
+body, a group or an initializer is a lookup, not a rescan. An angle pair is
+read only where a template is expected: in code ``<`` and ``>`` may compare.
+It also carries its source's name and diagnostic list, ``view.file`` and
+``view.diags``: every layer that reads the view reports there.
 
 Declarations (ending in ``;``), lambdas, local classes, operator overloads
 (``operator bool()`` and ``operator"" _km`` too) and ``switch``/``try``
@@ -41,7 +42,7 @@ from .diagnostics import Diagnostic, warning
 from .scanner import _OFFSET, LexKind, line_code_map, scan
 
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
-_BRACKETS = frozenset("()[]{}")
+_BRACKETS = frozenset("()[]{}<>")
 
 
 class CodeStream:
@@ -56,9 +57,12 @@ class CodeStream:
     ``scanner.line_code_map``, holds the lines on which a lexeme starts.
     ``partner`` maps the index of each ``(``, ``[`` and ``{`` lexeme to the
     index of its closer, found with one stack per bracket type; an opener
-    never closed has no entry. ``file`` names the source in diagnostics, and
-    ``diags`` is the list that the scanner and every layer reading the view
-    append them to.
+    never closed has no entry. ``angle``, from the same pass, maps each ``<``
+    to the ``>`` that closes it within one bracket group, and back; a closer
+    that is unpaired or crosses another bracket ends the ``<``s open before
+    it. A pair is read only where a template is expected. ``file`` names the
+    source in diagnostics, and ``diags`` is the list that the scanner and
+    every layer reading the view append them to.
     """
 
     def __init__(self, text: str, file: str, diags: list[Diagnostic]):
@@ -67,13 +71,29 @@ class CodeStream:
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
         self.code_lines = line_code_map(lexemes, self.line_starts)
         self.partner: dict[int, int] = {}
+        self.angle: dict[int, int] = {}
         # the open brackets of each type, keyed by their closer
         open_at: dict[str, list[int]] = {")": [], "]": [], "}": []}
+        # per group, innermost last, its opener and the '<'s open in it: the
+        # file's, then one per opener until its closer comes while innermost
+        groups: list[tuple[int, list[int]]] = [(-1, [])]
         for i, b in [(i, l[0]) for i, l in enumerate(lexemes) if l[0] in _BRACKETS]:
             if b in _CLOSER:
                 open_at[_CLOSER[b]].append(i)
-            elif open_at[b]:
-                self.partner[open_at[b].pop()] = i
+                groups.append((i, []))
+            elif b in open_at:
+                o = open_at[b].pop() if open_at[b] else None
+                if o is not None:
+                    self.partner[o] = i
+                if groups[-1][0] == o:
+                    groups.pop()
+                else:  # unpaired, or closing across another bracket
+                    groups = [(-1, [])]  # no '<' open before it pairs
+            elif b == "<":
+                groups[-1][1].append(i)
+            elif groups[-1][1]:  # a '>' that closes a '<'
+                self.angle[i] = o = groups[-1][1].pop()
+                self.angle[o] = i
 
     def line(self, offset: int) -> int:
         """1-based line of a character offset."""
@@ -230,29 +250,6 @@ def find_definitions(view: CodeStream) -> list[FunctionDef]:
     return defs
 
 
-def _angle_partner(view: CodeStream, i: int, stop: int) -> int:
-    """Index of the angle bracket that matches lexeme i, scanning toward
-    stop (excluded): forward from a ``<``, back from a ``>``; -1 when there
-    is none. A group the view pairs is stepped over whole, and a bracket it
-    leaves unpaired ends the scan. The view pairs no angle brackets: in code
-    they may compare."""
-    lx, partner = view.lexemes, view.partner
-    step, depth, k = (1 if stop > i else -1), 0, i
-    while (stop - k) * step > 0:
-        t = lx[k].text
-        if t == lx[i].text:
-            depth += 1
-        elif t in ("<", ">"):
-            depth -= 1
-            if depth == 0:
-                return k
-        elif t in _BRACKETS and (t in _CLOSER) == (step > 0):
-            k = partner.get(k, stop) if step > 0 else next(
-                (o for o in range(k - 1, stop, -1) if partner.get(o) == k), stop)
-        k += step
-    return -1
-
-
 def _analyze_buffer(view: CodeStream, s: int, e: int):
     """Classify the pending declaration lexemes [s, e), which end at a '{'.
 
@@ -263,8 +260,7 @@ def _analyze_buffer(view: CodeStream, s: int, e: int):
     lx = view.lexemes
     s = _past_attributes(view, s, e)
     while s + 1 < e and lx[s].text == "template" and lx[s + 1].text == "<":
-        close = _angle_partner(view, s + 1, e)
-        s = e if close < 0 else _past_attributes(view, close + 1, e)
+        s = _past_attributes(view, view.angle.get(s + 1, e) + 1, e)
     if s >= e:
         return "opaque", None
 
@@ -369,7 +365,7 @@ def _name_chain(view: CodeStream, lo: int, op: int, rules) -> tuple[int, str] | 
     while k - 2 >= lo and lx[k - 1].text in seps:
         sep, q = lx[k - 1].text, k - 2
         if sep == "::" and lx[q].text == ">":
-            q = _angle_partner(view, q, lo) - 1
+            q = view.angle.get(q, lo) - 1
         if q < lo or lx[q].kind is not LexKind.WORD or lx[q].text in _NOT_NAMES:
             break
         scoped = scoped and sep == "::"

@@ -8,7 +8,7 @@ than the lexemes and the markers.
 
 One table of patterns is matched after any whitespace: an identifier, a
 pp-number, punctuation (``::``, ``->`` or one character), a comment, a
-literal or a directive. The first three and each literal are the lexemes;
+literal or a ``#``. The first three and each literal are the lexemes;
 a line comment that starts with ``//$`` is a marker. A line comment runs up
 to the line break (a ``\r`` before it stays out), a block comment up to the
 first ``*/``. A string or character literal runs up to the same unescaped
@@ -58,13 +58,14 @@ class Lexeme(NamedTuple):
 # with a digit; a raw-string prefix must not follow a word character.
 IDENT = r"[^\W\d]\w*"
 
+_DIRECTIVE = re.compile(r"#(?:[^\n]*\\\r?\n)*[^\n]*\n?")  # through its line break
 # The grammar: per kind (None for a comment or a directive), a pattern and,
 # for a kind that can be left unterminated, the warning for it and a first
 # group that is then unmatched. _TABLE tries them in order after whitespace,
-# so a '/' is punctuation when it opens no comment (scan makes a '#' that
-# opens no directive punctuation); _RULES maps the outer group of each kind to
-# that kind, that group and that warning, _PLAIN that of a word, a number or
-# punctuation to its kind.
+# so a '/' is punctuation when it opens no comment; of a directive it matches
+# only the '#', which scan makes punctuation or skips the directive from.
+# _RULES maps the outer group of each kind to that kind, that group and that
+# warning, _PLAIN that of a word, a number or punctuation to its kind.
 _GRAMMAR = (
     (LexKind.WORD, IDENT, None),
     (LexKind.NUM, r"(?<![\w.])\.?[0-9][\w.]*(?:(?<=[0-9A-Fa-f])'(?=[0-9A-Fa-f])[\w.]*)*"
@@ -81,11 +82,11 @@ _GRAMMAR = (
      ("unterminated-string", "unterminated string literal")),
     (LexKind.LIT, r"'[^'\\\n]*(?:\\(?:\r\n|[\s\S]|\Z)[^'\\\n]*)*(')?",
      ("unterminated-char", "unterminated character literal")),
-    (None, r"#(?:[^\n]*\\\r?\n)*[^\n]*\n?", None),
+    (None, _DIRECTIVE.pattern, None),
     (LexKind.PUNCT, r"/", None),
 )
 _TABLE = re.compile(r"\s*(?:%s|\Z)" % "|".join(
-    f"(?P<k{n}>{rule[1]})" for n, rule in enumerate(_GRAMMAR)))
+    f"(?P<k{n}>{'#' if p == _DIRECTIVE.pattern else p})" for n, (_, p, _) in enumerate(_GRAMMAR)))
 _RULES = {_TABLE.groupindex[f"k{n}"]: (kind, _TABLE.groupindex[f"k{n}"] + 1, warn)
           for n, (kind, _, warn) in enumerate(_GRAMMAR)}
 _OFFSET = itemgetter(1)  # of a Lexeme
@@ -99,7 +100,7 @@ def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Lexeme], l
     add, new = lexemes.append, tuple.__new__  # new skips NamedTuple's __new__
     plain, finditer = _PLAIN.get, _TABLE.finditer
     line, counted, pos = 1, 0, 0  # line: that of offset counted, the last reported
-    while pos is not None:  # restarted after a '#' that opens no directive
+    while pos is not None:  # restarted past each directive
         for m in finditer(text, pos):
             k = m.lastindex
             if (kind := plain(k)) is not None:
@@ -109,11 +110,11 @@ def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Lexeme], l
                 continue
             kind, inner, warn = _RULES[k]
             i = m.start(k)
-            # a '#' after a lexeme on its line is punctuation, not a directive
-            if text[i] == "#" and lexemes and text.find(
-                    "\n", lexemes[-1].offset + len(lexemes[-1].text), i) < 0:
-                add(new(Lexeme, ("#", i, LexKind.PUNCT)))
-                pos = i + 1
+            if text[i] == "#":  # after a lexeme on its line, punctuation
+                if lexemes and text.find("\n", lexemes[-1].offset + len(lexemes[-1].text), i) < 0:
+                    add(new(Lexeme, ("#", i, LexKind.PUNCT)))
+                    continue
+                pos = _DIRECTIVE.match(text, i).end()
                 break
             if warn and m.group(inner) is None:
                 line, counted = line + text.count("\n", counted, i), i

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowdoc.activity_ir import StopNode, build_activity
@@ -489,6 +491,27 @@ class TestCallDetection:
         # scope x<y>, not a comparison with a call of the global f
         src = "void g() {\n  //$ act\n  x < y > ::f();  //$\n}\n"
         assert highlighted_calls(src) == [("x < y > ::f", "x::f", 3)]
+        # but never a '<' outside the unclosed '(' that holds the '>'
+        src = "void g() {\n  //$ act\n  b < x.y( >::k(  //$\n}\n"
+        assert highlighted_calls(src) == [("x.y", "y", 3), ("k", "k", 3)]
+
+    def test_reading_a_highlighted_line_reads_each_lexeme_a_bounded_number_of_times(self):
+        def reads(n):  # of the lexemes, by detect_calls on x > ::f() ... n times
+            view = CodeStream("void g() {\n  x " + "> ::f() " * n + " //$\n}\n", "t.cpp", [])
+            view.lexemes = _CountingList(view.lexemes)
+            detect_calls(view, 0, len(view.lexemes))
+            return view.lexemes.reads
+        assert reads(2000) <= 12 * reads(200)
+
+
+class _CountingList(list):
+    """A list that counts the items read from it by index or slice."""
+    reads = 0
+
+    def __getitem__(self, k):
+        item = super().__getitem__(k)
+        self.reads += len(item) if isinstance(k, slice) else 1
+        return item
 
 
 _BRACKET_SOUP = ["(", ")", "[", "]", "{", "}", "x", " ", "\n", "'('", '")"',
@@ -515,6 +538,31 @@ def test_bracket_partners_match_a_forward_depth_scan(pieces):
                     found = k
                     break
         assert view.partner.get(i) == found
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_BRACKET_SOUP) | st.sampled_from(["<", ">", "<<", ">>"]),
+                max_size=60))
+@example(["(", "<", "[", ")", ">", "]"])  # groups that cross
+def test_angle_pairs_nest_within_one_bracket_group(pieces):
+    view = CodeStream("".join(pieces), "t.cpp", [])
+    texts = [lex.text for lex in view.lexemes]
+
+    def group(k):  # the opener of the innermost paired group holding lexeme k
+        return max((o for o, c in view.partner.items() if o < k < c), default=None)
+    pairs = []
+    for a, b in view.angle.items():
+        assert view.angle[b] == a
+        if texts[a] == "<":
+            assert texts[b] == ">" and a < b
+            pairs.append((a, b))
+    assert len(view.angle) == 2 * len(pairs)
+    closers = set(view.partner.values())
+    for a, b in pairs:
+        assert group(a) == group(b)
+        assert all(t not in ")]}" or k in closers for k, t in enumerate(texts[a:b], a))
+    for (a, b), (c, d) in itertools.combinations(sorted(pairs), 2):
+        assert b < c or d < b
 
 
 _CALL_PIECES = ["f(", "a.b(", "x->y(", "::g(", ")"]

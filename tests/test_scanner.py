@@ -194,11 +194,34 @@ class TestPreprocessor:
             ("x", 0, WORD), ("=", 2, PUNCT), ("a", 4, WORD), ("#", 6, PUNCT),
             ("b", 8, WORD), (";", 9, PUNCT)]
 
+    def test_a_line_of_hashes_is_matched_a_bounded_number_of_times(self, monkeypatch):
+        table = _CountingTable(scanner._TABLE)
+        monkeypatch.setattr(scanner, "_TABLE", table)
+
+        def drawn(n):  # characters matched in scanning x # # ... n times
+            table.drawn = 0
+            scan("x " + "# " * n + "\n", "t.cpp", [])
+            return table.drawn
+        assert drawn(20000) <= 12 * drawn(2000)
+
     def test_directive_after_block_comment_on_same_line(self):
         assert lexed("/* c */ #define Y 2\n") == ([], [])
 
     def test_a_comment_in_a_directive_is_no_marker(self):
         assert lexed("#if X //$ no\n//$ yes\n") == ([], [Lexeme("//$ yes", 13, None)])
+
+
+class _CountingTable:
+    """Stands in for a compiled pattern, summing the length of the matches
+    its ``finditer`` gives."""
+
+    def __init__(self, table):
+        self.table, self.drawn = table, 0
+
+    def finditer(self, text, pos=0):
+        for m in self.table.finditer(text, pos):
+            self.drawn += m.end() - m.start()
+            yield m
 
 
 class TestLineCodeMap:
