@@ -87,7 +87,8 @@ def _file_id(path: str | Path) -> tuple[int, int] | None:
 def _expand_sources(patterns: list[str],
                     diags: list[Diagnostic]) -> list[str]:
     """The files the patterns name, in order, each once under its first
-    spelling: a file reached by two paths is one source."""
+    spelling: a file reached by two paths is one source. A file whose name
+    is not UTF-8 is reported and left out."""
     out: dict[tuple[int, int], str] = {}
     for pattern in patterns:
         p = Path(pattern)
@@ -104,7 +105,14 @@ def _expand_sources(patterns: list[str],
             out.setdefault(fid, h)
         if not hits and not p.is_dir():  # an empty directory is no error
             diags.append(error("io-error", f"no source matches '{pattern}'", pattern))
-    return list(out.values())
+    kept = []
+    for src in out.values():
+        try:
+            Path(src).name.encode()  # undecodable bytes are read as surrogates
+            kept.append(src)
+        except UnicodeEncodeError:  # its outputs' names and links could not be written
+            diags.append(error("io-error", "cannot read source: its file name is not UTF-8", src))
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +260,13 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     output is named here once, in ``owner``: the index, and each stem's
     database, page and diagrams, mapped to the first source to name it. A
     path another source owns is skipped: a stem whose page is taken (one
-    named ``index``) gets no database rows, and a diagram two stems name
-    shows only its text on the second one's page. Each skip is reported
-    once, by the phase that skips a write. A name too long for a file
-    keeps a prefix and ends in a digest (``_bounded``); a stem's database
-    and page share one, and so do a function's diagrams. Paths are owned
-    by ``_name_key``, so no two outputs differ only in case or Unicode
-    normalization.
+    named ``index``) gets no database rows, one whose database is taken
+    writes none, and a diagram two stems name shows only its text on the
+    second one's page. Each skip is reported once, by the phase that skips
+    a write. A name too long for a file keeps a prefix and ends in a digest
+    (``_bounded``); a stem's database and page share one, and so do a
+    function's diagrams. Paths are owned by ``_name_key``, so no two
+    outputs differ only in case or Unicode normalization.
     """
     out = args.out_dir
     index = out / "index.html"
@@ -272,7 +280,7 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
     for stem, group in _stem_groups(args.sources or [], diags):
         base = _bounded(stem, ".flowdb")
         file, db_path, page = group[0], out / f"{base}.flowdb", out / f"{base}.html"
-        claim(db_path, file)
+        db_owned = claim(db_path, file) == file
         owned = claim(page, file) == file
         annotated = None
         with _isolated(file, diags):
@@ -282,7 +290,8 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
                     diags.append(warning("output-collision", f"'{page.name}' is already an output "
                                          f"of {claim(page, file)}; this stem gets no page and its "
                                          "functions are neither indexed nor linked", file))
-                flowdb.write_db(db_path, page, annotated if owned else [], texts)
+                if db_owned:
+                    flowdb.write_db(db_path, page, annotated if owned else [], texts)
         stems.append((stem, file, page, annotated))
     if args.command == "build-db":
         return

@@ -135,17 +135,20 @@ def write_db(db_path: Path, page: Path, annotated: list[AnnotatedFunction],
 class FlowDb:
     """Merged view over the ``.flowdb`` databases of a run.
 
-    ``entries`` is kept, not copied, and must not change after construction:
-    the suffix index is built from it once.
+    ``entries`` is kept, not copied, and must not change after construction.
+    ``_suffix`` maps the text after each ``::`` in every name to that name's
+    entry, or to None when several names end in ``'::' + text``.
     """
 
     def __init__(self, entries: dict[str, FlowDbEntry]):
         self.entries = entries
-        # entries by the text after their last '::'; every name ending in
-        # '::' + N shares that key with '::' + N
-        self._by_last: dict[str, list[tuple[str, FlowDbEntry]]] = {}
-        for name, entry in self.entries.items():
-            self._by_last.setdefault(_last_part(name), []).append((name, entry))
+        self._suffix: dict[str, FlowDbEntry | None] = {}
+        for name, entry in entries.items():
+            i = name.find("::")
+            while i >= 0:
+                key = name[i + 2:]
+                self._suffix[key] = None if key in self._suffix else entry
+                i = name.find("::", i + 1)
 
     def resolve(self, call: CallSite, file: str,
                 diags: list[Diagnostic]) -> FlowDbEntry | None:
@@ -153,25 +156,18 @@ class FlowDb:
         a unique ``*::name`` suffix match. Ambiguity breaks the link."""
         entry = self.entries.get(call.normalized_name)
         if entry is None:
-            suffix = "::" + call.normalized_name
-            hits = [e for name, e in self._by_last.get(_last_part(suffix), ())
-                    if name.endswith(suffix)]
-            if len(hits) > 1:
+            entry = self._suffix.get(call.normalized_name, ())  # None: ambiguous
+            if entry is None:
                 diags.append(warning(
                     "ambiguous-callee",
                     f"call '{call.callee_text}' matches multiple documented "
                     f"functions; not linked",
                     file, call.line))
-            entry = hits[0] if len(hits) == 1 else None
-        return entry
+        return entry or None
 
 
-def _last_part(name: str) -> str:
-    return name.rpartition("::")[2]
-
-
-# the page is split from the anchor at its last '.html#'
-_DB_LINE_RE = re.compile(r"^(\S[^\t]*)\t([^\t]+\.html)#(\w+)\t(\d+)$")
+# the page, url_quote'd, holds no '#'; a zoom is at most MAX_ZOOM (99)
+_DB_LINE_RE = re.compile(r"^(\S[^\t]*)\t([^\t#]+\.html)#(\w+)\t([0-9]{1,2})$")
 
 
 def load_merge(db_dir: str | Path, diags: list[Diagnostic],

@@ -114,6 +114,26 @@ class TestSourceExpansion:
         assert twice == once
         assert files_of(tmp_path / "two") == files_of(tmp_path / "one")
 
+    def test_a_source_whose_name_is_not_utf8_is_left_out(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        try:
+            (src / os.fsdecode(b"\xffbad.cpp")).write_text("void bad() {\n//$ b\n}\n")
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        (src / "ok.cpp").write_text("void ok() {\n//$ o\nbad();  //$\n}\n")
+        # a subprocess: stderr escapes the name, as a captured stream does not
+        proc = subprocess.run([sys.executable, "-m", "flowdoc", "all", str(src),
+                               "--out-dir", str(tmp_path / "out")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"{src}/\\udcffbad.cpp: error: cannot read source: its file name is "
+            f"not UTF-8 [io-error]\n{src / 'ok.cpp'}:3: warning: no diagram found for "
+            f"call 'bad'; shown without a link [no-link]\n")
+        assert sorted(files_of(tmp_path / "out")) == [Path(name) for name in (
+            "aux_files/ok__ok__zoom0.txt", "index.html", "ok.flowdb", "ok.html")]
+
 
 class TestPipeline:
     def demo_sources(self):
@@ -216,6 +236,20 @@ class TestPipeline:
         assert b"<title>flow documentation</title>" in index
         assert b"index.html#" not in index and tree[Path("index.flowdb")] == b""
         assert Path("aux_files/index__run__zoom0.txt") in tree
+
+    def test_a_stem_that_loses_its_page_writes_no_database(self, tmp_path, capsys):
+        # the second stem is spelled as the first one's cut name
+        first = tmp_path / ("x" * 240 + ".cpp")
+        first.write_text("void fa() {\n//$ a\n}\n")
+        cut = cli._bounded("x" * 240, ".flowdb")
+        second = tmp_path / (cut + ".cpp")
+        second.write_text("void fb() {\n//$ b\nfa();  //$\n}\n")
+        err, tree = self.all_and_phased(tmp_path, capsys, str(first), str(second))
+        assert err == (f"{second}: warning: '{cut}.html' is already an output of "
+                       f"{first}; this stem gets no page and its functions are "
+                       f"neither indexed nor linked [output-collision]\n")
+        assert tree[Path(f"{cut}.flowdb")] == f"fa\t{cut}.html#fa\t0\n".encode()
+        assert f'href="{cut}.html#fa"'.encode() in tree[Path("index.html")]
 
     @pytest.mark.parametrize("src", [
         "//$ at file scope\n",

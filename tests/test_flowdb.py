@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,12 +167,17 @@ class TestLoadMerge:
             "good\tbad.html#good\t0\n"
             "missing fields\n"
             "neg\tbad.html#neg\t-1\n"
-            "noanchor\tbad.html\t0\n",
+            "noanchor\tbad.html\t0\n"
+            # a zoom is 0-99 in ASCII digits, and url_quote escapes '#' in a page
+            "big\tbad.html#big\t100\n"
+            "long\tbad.html#long\t" + "9" * 5000 + "\n"
+            "arabic\tbad.html#arabic\t\u0663\n"
+            "hash\tb#ad.html#hash\t0\n",
             encoding="utf-8")
         diags = []
         db = load_merge(out, diags, {})
         assert set(db.entries) == {"good"}
-        assert sum(1 for d in diags if d.code == "malformed-db-line") == 3
+        assert [d.line for d in diags if d.code == "malformed-db-line"] == [2, 3, 4, 5, 6, 7, 8]
 
     def test_a_database_not_in_utf8_is_an_io_error(self, tmp_path):
         out = tmp_path / "out"
@@ -257,6 +264,32 @@ class TestResolve:
         entry = db.resolve(call("trim"), "f.cpp", diags)
         assert (entry.html_path, entry.anchor) == ("top.html", "trim")
         assert diags == []
+
+
+def resolve_events(n):
+    """The trace events of one resolve of 'run' among n 'n{i}::run' entries."""
+    db = FlowDb({f"n{i}::run": FlowDbEntry(f"n{i}::run", "p.html", f"n{i}__run", 0)
+                 for i in range(n)})
+    events, diags = 0, []
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += 1
+        return count
+
+    before = sys.gettrace()
+    sys.settrace(count)
+    try:
+        db.resolve(call("run"), "f.cpp", diags)
+    finally:
+        sys.settrace(before)
+    assert [d.code for d in diags] == ["ambiguous-callee"]
+    return events
+
+
+def test_resolve_does_bounded_work_however_many_names_end_alike():
+    # a lookup, not a scan of every same-named definition
+    assert resolve_events(1000) <= 1.2 * resolve_events(100)
 
 
 _NAME = st.text(alphabet="ab:<>~", min_size=1, max_size=8)

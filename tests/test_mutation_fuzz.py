@@ -14,6 +14,13 @@ forms (long zoom digit runs among them), ``#if`` lines, ``<``/``>`` around
   warning;
 - every ``//$`` of the mutated file is drawn or reported, and no two
   outputs differ only in case.
+
+A second property mutates one ``.flowdb`` that build-db wrote for a
+fixture: a deleted tab, a ``#`` in the page field, a zoom field of 1 to
+5000 digits, or a byte that is not UTF-8. makeflows and makehtml then
+report no ``internal-error``, a second run gives byte-identical files and
+stderr, and each broken line is a ``malformed-db-line`` (an ``io-error``
+for the file when it is not UTF-8).
 """
 
 import contextlib
@@ -46,8 +53,9 @@ DEEP = [lambda n: "{" * n + "\nx();  //$\n" + "}" * n,
         lambda n: "do " * (n // 3) + "x();" + " while (a);" * (n // 3),
         lambda n: "{" * n]
 
-line = st.builds("//${}{}".format, st.sampled_from(["", "1", "0", "9", "٣"])
-                 .flatmap(lambda d: st.integers(1, 5000).map(lambda k: d * k)),
+zoom = st.sampled_from(["", "1", "0", "9", "٣"]).flatmap(
+    lambda d: st.integers(1, 5000).map(lambda k: d * k))
+line = st.builds("//${}{}".format, zoom,
                  st.sampled_from(["", " deep", " [d]"])) | st.sampled_from(LINES)
 mutation = st.one_of(
     st.tuples(st.just("line"), line),
@@ -67,10 +75,11 @@ def mutate(text, mutations):
     return text
 
 
-def run(src, out):
+def run(src, out, *phases):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli.main(["all", str(src), "--out-dir", str(out)])
+        code = [cli.main([phase, str(src), "--out-dir", str(out)])
+                for phase in phases or ["all"]]
     files = {p.relative_to(out).as_posix(): p.read_bytes()
              for p in sorted(out.rglob("*")) if p.is_file()}
     return code, err.getvalue(), files
@@ -107,3 +116,50 @@ def test_mutated_fixtures_build_deterministically(fixture, data, mutations):
         assert first[1].count("[nesting-too-deep]") <= deep
         assert unaccounted(text, victim.name) == []
         assert case_clashes(first[2]) == []
+
+
+@st.composite
+def db_mutation(draw, row):
+    """A database row with one mutation drawn, as bytes, and whether the
+    mutation breaks it."""
+    name, page, rest = row.split("\t")
+    kind = draw(st.sampled_from(["tab", "hash", "zoom", "byte"]))
+    if kind == "tab":
+        tab = draw(st.sampled_from([len(name), len(name) + 1 + len(page)]))
+        return (row[:tab] + row[tab + 1:]).encode(), True
+    if kind == "hash":
+        k = draw(st.integers(0, page.index("#")))
+        return "\t".join([name, page[:k] + "#" + page[k:], rest]).encode(), True
+    if kind == "zoom":
+        digits = draw(zoom)
+        broken = re.fullmatch("[0-9]{1,2}", digits) is None
+        return "\t".join([name, page, digits]).encode(), broken
+    data = row.encode()
+    k = draw(st.integers(0, len(data)))
+    return data[:k] + b"\xff" + data[k:], True
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["demo", "lang", "xlink"]), st.data())
+def test_mutated_databases_are_read_deterministically(fixture, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, a, b = FIXTURES / fixture, Path(tmp) / "a", Path(tmp) / "b"
+        assert run(src, a, "build-db")[:2] == ([0], "")
+        victim = data.draw(st.sampled_from(
+            sorted(p for p in a.glob("*.flowdb") if p.stat().st_size)))
+        rows = victim.read_text().splitlines()
+        at = data.draw(st.integers(0, len(rows) - 1))
+        piece, broken = data.draw(db_mutation(rows[at]))
+        victim.write_bytes(b"".join(piece + b"\n" if n == at else f"{row}\n".encode()
+                                    for n, row in enumerate(rows)))
+        shutil.copytree(a, b)
+        first = run(src, a, "makeflows", "makehtml")
+        assert "[internal-error]" not in first[1]
+        assert run(src, b, "makeflows", "makehtml") == (
+            first[0], first[1].replace(str(a), str(b)), first[2])
+        if b"\xff" in piece:
+            expected = f"{victim}: error: cannot read database: "
+        else:
+            expected = f"{victim}:{at + 1}: warning: malformed database line: "
+        # makeflows and makehtml each read the database
+        assert first[1].count(expected) == (2 if broken else 0)
