@@ -10,7 +10,9 @@ a line shared with another; a call in the header of a drawn if or loop goes
 in the box before the construct, one in an else-if header at the top of its
 arm, one in a do-while's trailing condition right after the loop. Each
 description goes to the keyword it targets. Positions are character offsets
-into the source. The activity tree is what actually gets drawn. Its nodes:
+into the source. The activity tree is what actually gets drawn. Its nodes
+are records with read-only fields; the builder fills only the open box's
+``calls`` and the open fork's ``actions``, lists each box or fork owns:
 
 * ActionNode: one box, from a standalone annotation; absorbs the unannotated
   statements after it and carries highlighted calls found on ``//$`` lines.
@@ -30,6 +32,8 @@ is a subgraph of the next deeper one, and a construct shell is never empty.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .annotations import Annotation
 from .cxx_structure import Stmt, StmtKind
@@ -37,51 +41,35 @@ from .diagnostics import Diagnostic, warning
 from .flowdb import AnnotatedFunction, FlowDb
 
 
-class ActionNode:
-    __slots__ = ("text", "zoom", "parallel", "calls")
-
-    def __init__(self, text: str, zoom: int = 0, parallel: bool = False,
-                 calls: list[tuple[str, str | None]] | None = None):
-        self.text, self.zoom, self.parallel = text, zoom, parallel
-        # (display, href) pairs; a None href renders as text
-        self.calls = [] if calls is None else calls
+class ActionNode(NamedTuple):
+    text: str
+    zoom: int = 0
+    parallel: bool = False
+    calls: Sequence[tuple[str, str | None]] = ()  # (display, href or None)
 
 
-class BranchArm:
-    __slots__ = ("label", "body", "is_else")
-
-    def __init__(self, label: str | None, body: list, is_else: bool = False):
-        # label is None only for an undescribed else arm
-        self.label, self.body, self.is_else = label, body, is_else
+class BranchArm(NamedTuple):
+    label: str | None  # None only for an undescribed else arm
+    body: list
+    is_else: bool = False
 
 
-class BranchNode:
-    __slots__ = ("arms",)
-
-    def __init__(self, arms: list[BranchArm]):
-        self.arms = arms
+class BranchNode(NamedTuple):
+    arms: list[BranchArm]
 
 
-class LoopNode:
-    __slots__ = ("post_test", "label", "body")
-
-    def __init__(self, post_test: bool, label: str, body: list):
-        # post_test: a do-while, else a while or for
-        self.post_test, self.label, self.body = post_test, label, body
+class LoopNode(NamedTuple):
+    post_test: bool  # a do-while, else a while or for
+    label: str
+    body: list
 
 
-class ForkNode:
-    __slots__ = ("actions",)
-
-    def __init__(self, actions: list[ActionNode]):
-        self.actions = actions  # all at one zoom level, at least two
+class ForkNode(NamedTuple):
+    actions: list[ActionNode]  # all at one zoom level, at least two
 
 
-class StopNode:
-    __slots__ = ("text",)
-
-    def __init__(self, text: str | None = None):
-        self.text = text
+class StopNode(NamedTuple):
+    text: str | None = None
 
 
 ActivityNode = ActionNode | BranchNode | LoopNode | ForkNode | StopNode
@@ -184,7 +172,7 @@ class _Builder:
             if isinstance(box, ForkNode):
                 box = box.actions[-1]
             if isinstance(item, Annotation):
-                node = ActionNode(item.text, item.zoom, item.parallel)
+                node = ActionNode(item.text, item.zoom, item.parallel, [])
                 if not (item.parallel and isinstance(box, ActionNode)
                         and box.parallel and box.zoom == item.zoom):
                     seq.append(node)
@@ -206,7 +194,7 @@ class _Builder:
                     hc = (item.callee_text + "()", None)
                 self.linked[key] = hc
             if not isinstance(box, ActionNode):
-                box = ActionNode("")  # no box is open: an unnamed one
+                box = ActionNode("", calls=[])  # no box is open: an unnamed one
                 seq.append(box)
             box.calls.append(hc)
 

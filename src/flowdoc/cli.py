@@ -200,12 +200,11 @@ def _phase_render(paths: list[Path], args: argparse.Namespace,
     except ValueError as exc:  # an unbalanced quote
         diags.append(warning("render-failed", f"render command failed to start: {exc}"))
         return
-    has_placeholder = any("{input}" in a for a in args_template)
+    if not any("{input}" in a for a in args_template):
+        args_template.append("{input}")
 
     def render(path: Path) -> subprocess.CompletedProcess | OSError:
         argv = [a.replace("{input}", str(path)) for a in args_template]
-        if not has_placeholder:
-            argv.append(str(path))
         try:
             return subprocess.run(argv, capture_output=True, encoding="utf-8",
                                   errors="replace")

@@ -32,12 +32,13 @@ def mangle_anchor(qualified_name: str) -> str:
     return re.sub(r"[^0-9A-Za-z_]", "_", qualified_name.replace("::", "__"))
 
 
-_URL_UNSAFE = re.compile(r"[%#?\[\]\s]")
+_URL_UNSAFE = re.compile(r"[%#?\[\]\s:\\]")
 
 
 def url_quote(name: str) -> str:
     """A file name in a URL: ``%#?[]`` and whitespace, which would end or
-    split the URL, percent-encoded as UTF-8; any other character is kept."""
+    split the URL, ``:``, which could start a scheme, and ``\\``, which a
+    browser reads as ``/``, percent-encoded as UTF-8; any other is kept."""
     return _URL_UNSAFE.sub(lambda m: "".join(f"%{b:02X}" for b in m[0].encode()), name)
 
 
@@ -194,8 +195,9 @@ def load_merge(db_dir: str | Path, diags: list[Diagnostic],
                 continue
             m = _DB_LINE_RE.match(raw)
             if m is None:
+                cut = f"... ({len(raw)} characters)" if len(raw) > 60 else ""
                 diags.append(warning("malformed-db-line",
-                                     f"malformed database line: {raw!r}",
+                                     f"malformed database line: {raw[:60]!r}{cut}",
                                      str(db_file), lineno))
                 continue
             entry = FlowDbEntry(m.group(1), m.group(2), m.group(3),

@@ -107,14 +107,16 @@ class LinkRef(NamedTuple):
 _ID_RE = re.compile(r'id="([^"]+)"')
 _HREF_RE = re.compile(r'href="([^"]+)"')
 _DIAGRAM_LINK_RE = re.compile(r"\[\[(\S+)")
+_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
 
 
 def check_links(out_dir: str | Path) -> list[LinkRef]:
-    """Every internal link in an output tree, each marked whether it
-    resolves.
+    """Every internal link in an output tree, each marked whether it resolves.
 
     Covers hrefs in the HTML pages and ``[[target ...]]`` hyperlinks inside
-    the diagram texts under aux_files/, each decoded as a browser reads it.
+    the diagram texts under aux_files/, each read as a browser reads it: a
+    ``\\`` is a ``/``, and a link in any scheme but http, https or mailto
+    is broken.
     """
     from html import unescape  # only this check needs it
     out = Path(out_dir)
@@ -125,14 +127,15 @@ def check_links(out_dir: str | Path) -> list[LinkRef]:
     refs: list[LinkRef] = []
 
     def check(source: str, target: str) -> None:
-        if target.startswith(("http:", "https:", "mailto:")):
+        href = unescape(target).replace("\\", "/")
+        if href.startswith(("http:", "https:", "mailto:")):
             return
-        page, _, anchor = unescape(target).partition("#")
+        page, _, anchor = href.partition("#")
         page = url_unquote(page.removeprefix("../"))
-        if not page.endswith(".html"):
-            return
-        ok = page in ids and (not anchor or anchor in ids[page])
-        refs.append(LinkRef(source, target, ok))
+        foreign = _SCHEME_RE.match(href) is not None
+        if foreign or page.endswith(".html"):
+            ok = not foreign and page in ids and (not anchor or anchor in ids[page])
+            refs.append(LinkRef(source, target, ok))
 
     for page in sorted(out.glob("*.html")):
         for href in _HREF_RE.findall(page.read_text(encoding="utf-8")):

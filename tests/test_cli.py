@@ -486,7 +486,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("stem,quoted", [("a#b", "a%23b"), ("my file", "my%20file"),
                                              ("50%?[x]", "50%25%3F%5Bx%5D"),
-                                             ("a\tb", "a%09b"), ("a\nb", "a%0Ab")])
+                                             ("a\tb", "a%09b"), ("a\nb", "a%0Ab"),
+                                             ("std:vec", "std%3Avec"),
+                                             ("back\\slash", "back%5Cslash")])
     def test_stems_that_break_urls_get_working_links(self, stem, quoted,
                                                      tmp_path, capsys):
         src = tmp_path / f"{stem}.cpp"
@@ -961,10 +963,13 @@ class TestRenderCmd:
         assert len(made) == 1
 
     def test_appends_path_without_placeholder(self, tmp_path, capsys):
+        # the appended path is the script's $0: the command's last argument
         code, err = run_cli(
-            "makeflows", str(FIXTURES / "lang" / "hello.cpp"),
-            "--out-dir", str(tmp_path), "--render-cmd", "ls", capsys=capsys)
+            "makeflows", str(FIXTURES / "lang" / "hello.cpp"), "--out-dir", str(tmp_path),
+            "--render-cmd", """sh -c 'cp "$0" "$0.rendered"'""", capsys=capsys)
         assert code == 0 and err == ""
+        made = list((tmp_path / "aux_files").glob("*.rendered"))
+        assert len(made) == 1
 
     def test_missing_renderer_warns_once(self, tmp_path, capsys):
         code, err = run_cli(

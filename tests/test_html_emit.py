@@ -150,6 +150,17 @@ class TestCheckLinks:
         self.write_out(tmp_path, diagram_target="../gone.html#x")
         assert sum(not r.ok for r in check_links(tmp_path)) == 1
 
+    def test_links_a_browser_reads_elsewhere_are_broken(self, tmp_path):
+        # "std:" is a scheme, and a backslash is a slash, so a directory
+        self.write_out(tmp_path)
+        (tmp_path / "std:vec.html").write_text("<p></p>")
+        (tmp_path / "a\\b.html").write_text("<p></p>")
+        extra = tmp_path / "main.html"
+        extra.write_text(extra.read_text().replace(
+            "</body>", '<a href="std:vec.html">s</a><a href="a\\b.html">a</a></body>'))
+        broken = [r.target for r in check_links(tmp_path) if not r.ok]
+        assert broken == ["std:vec.html", "a\\b.html"]
+
     def test_external_links_ignored(self, tmp_path):
         self.write_out(tmp_path)
         extra = tmp_path / "main.html"

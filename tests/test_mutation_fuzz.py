@@ -163,3 +163,7 @@ def test_mutated_databases_are_read_deterministically(fixture, data):
             expected = f"{victim}:{at + 1}: warning: malformed database line: "
         # makeflows and makehtml each read the database
         assert first[1].count(expected) == (2 if broken else 0)
+        # a diagnostic quotes a bounded excerpt of a broken row
+        messages = [re.split(r": (?:warning|error): ", line, maxsplit=1)[-1]
+                    for line in first[1].splitlines()]
+        assert max(map(len, messages), default=0) <= 200

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from flowdoc.activity_ir import (ActionNode, BranchArm, BranchNode, ForkNode, LoopNode,
+                                 StopNode, build_activity)
 from flowdoc.annotations import Annotation, collect
 from flowdoc.cxx_structure import CallSite, CodeStream, Stmt, StmtKind, find_definitions
 from flowdoc.diagnostics import warning
-from flowdoc.flowdb import AnnotatedFunction, FlowDbEntry, annotated_functions
+from flowdoc.flowdb import AnnotatedFunction, FlowDb, FlowDbEntry, annotated_functions
 from flowdoc.scanner import Lexeme, LexKind
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,8 +39,15 @@ def analyzed():
     (Stmt(StmtKind.PLAIN, (0, 1)), "span"),
     (analyzed(), "body"),
     (analyzed().body.children[0].children[0], "condition_text"),
+    (ActionNode("step", calls=[]), "calls"),
+    (BranchArm("yes", []), "body"),
+    (BranchNode([]), "arms"),
+    (LoopNode(False, "n", []), "label"),
+    (ForkNode([]), "actions"),
+    (StopNode(), "text"),
 ], ids=["Lexeme", "Diagnostic", "FlowDbEntry", "Annotation", "Stmt",
-        "AnnotatedFunction", "Stmt arm"])
+        "AnnotatedFunction", "Stmt arm", "ActionNode", "BranchArm", "BranchNode",
+        "LoopNode", "ForkNode", "StopNode"])
 def test_value_records_are_read_only(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1)
@@ -57,6 +66,11 @@ def test_equal_value_records_compare_and_hash_equal(make):
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_activity_trees_of_one_function_compare_equal():
+    a, b = (build_activity(analyzed(), FlowDb({}), []) for _ in range(2))
+    assert a is not b and a == b
 
 
 def test_import_does_not_load_dataclasses():
