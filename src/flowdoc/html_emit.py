@@ -11,9 +11,7 @@ every run; nothing in the output directory is treated as input except the
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
-from typing import NamedTuple
 
 from .activity_ir import collapse_ws
 from .flowdb import AnnotatedFunction, FlowDb, url_quote, url_unquote
@@ -97,52 +95,3 @@ def emit_index(db: FlowDb, path: Path) -> Path:
     parts.append("</body>\n</html>\n")
     return atomic_write_text(path, "".join(parts))
 
-
-class LinkRef(NamedTuple):
-    source: str
-    target: str
-    ok: bool
-
-
-_ID_RE = re.compile(r'id="([^"]+)"')
-_HREF_RE = re.compile(r'href="([^"]+)"')
-_DIAGRAM_LINK_RE = re.compile(r"\[\[(\S+)")
-_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
-
-
-def check_links(out_dir: str | Path) -> list[LinkRef]:
-    """Every internal link in an output tree, each marked whether it resolves.
-
-    Covers hrefs in the HTML pages and ``[[target ...]]`` hyperlinks inside
-    the diagram texts under aux_files/, each read as a browser reads it: a
-    ``\\`` is a ``/``, and a link in any scheme but http, https or mailto
-    is broken.
-    """
-    from html import unescape  # only this check needs it
-    out = Path(out_dir)
-    ids: dict[str, set[str]] = {}
-    for page in out.glob("*.html"):
-        ids[page.name] = set(_ID_RE.findall(page.read_text(encoding="utf-8")))
-
-    refs: list[LinkRef] = []
-
-    def check(source: str, target: str) -> None:
-        href = unescape(target).replace("\\", "/")
-        if href.startswith(("http:", "https:", "mailto:")):
-            return
-        page, _, anchor = href.partition("#")
-        page = url_unquote(page.removeprefix("../"))
-        foreign = _SCHEME_RE.match(href) is not None
-        if foreign or page.endswith(".html"):
-            ok = not foreign and page in ids and (not anchor or anchor in ids[page])
-            refs.append(LinkRef(source, target, ok))
-
-    for page in sorted(out.glob("*.html")):
-        for href in _HREF_RE.findall(page.read_text(encoding="utf-8")):
-            check(page.name, href)
-    aux = out / "aux_files"
-    if aux.is_dir():
-        for txt in sorted(aux.glob("*.txt")):
-            for target in _DIAGRAM_LINK_RE.findall(txt.read_text(encoding="utf-8")):
-                check(f"aux_files/{txt.name}", target)
-    return refs

@@ -1,7 +1,12 @@
+import re
+from html import unescape
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
+
+from flowdoc.flowdb import url_unquote
 
 # Property tests draw the same examples on every run, with no time limit per
 # example and no example database.
@@ -43,3 +48,62 @@ def case_clashes(names) -> list[list[str]]:
     for name in names:
         groups.setdefault(str(name).casefold(), []).append(str(name))
     return [group for group in groups.values() if len(group) > 1]
+
+
+class LinkRef(NamedTuple):
+    source: str
+    target: str
+    ok: bool
+
+
+_ID_RE = re.compile(r'id="([^"]+)"')
+_PAGE_LINK_RE = re.compile(r'\b(href|data)="([^"]+)"')
+_DIAGRAM_LINK_RE = re.compile(r"\[\[(\S+)")
+_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
+
+
+def check_links(out_dir, rendered: bool = False) -> list[LinkRef]:
+    """Every internal link and image in an output tree, each marked whether
+    a browser opening the tree finds it.
+
+    Reads the hrefs and ``<object data>`` images of the HTML pages and the
+    ``[[target ...]]`` hyperlinks of the diagram texts under aux_files/,
+    each as a browser does: entities are unescaped, a ``\\`` is a ``/``, and
+    a link in any scheme but http, https or mailto is broken. An image is
+    found when it names ``aux_files/<name>.svg`` and ``<name>.txt`` is a
+    diagram in the tree; in a ``rendered`` tree the ``.svg`` must exist too.
+    """
+    out = Path(out_dir)
+    ids = {page.name: set(_ID_RE.findall(page.read_text(encoding="utf-8")))
+           for page in out.glob("*.html")}
+    refs: list[LinkRef] = []
+
+    def as_read(target: str) -> str:
+        return unescape(target).replace("\\", "/")
+
+    def link(source: str, target: str) -> None:
+        href = as_read(target)
+        if href.startswith(("http:", "https:", "mailto:")):
+            return
+        page, _, anchor = href.partition("#")
+        page = url_unquote(page.removeprefix("../"))
+        foreign = _SCHEME_RE.match(href) is not None
+        if foreign or page.endswith(".html"):
+            ok = not foreign and page in ids and (not anchor or anchor in ids[page])
+            refs.append(LinkRef(source, target, ok))
+
+    def image(source: str, target: str) -> None:
+        # the file a browser loads: the path before any query or fragment
+        folder, _, name = re.split("[?#]", as_read(target))[0].partition("/")
+        svg = out / "aux_files" / url_unquote(name)
+        ok = (folder == "aux_files" and "/" not in name and svg.suffix == ".svg"
+              and svg.with_suffix(".txt").is_file() and (not rendered or svg.is_file()))
+        refs.append(LinkRef(source, target, ok))
+
+    for page in sorted(out.glob("*.html")):
+        for attr, target in _PAGE_LINK_RE.findall(page.read_text(encoding="utf-8")):
+            (image if attr == "data" else link)(page.name, target)
+    for txt in sorted(out.glob("aux_files/*.txt")):
+        for target in _DIAGRAM_LINK_RE.findall(txt.read_text(encoding="utf-8")):
+            link(f"aux_files/{txt.name}", target)
+    return refs

@@ -15,9 +15,8 @@ from collections import Counter
 from flowdoc import activity_ir, annotations, cxx_structure, scanner
 from flowdoc.cli import main
 from flowdoc.flowdb import FlowDb, annotated_functions
-from flowdoc.html_emit import check_links
 
-from conftest import FIXTURES, GOLDEN, in_place_and_apart
+from conftest import FIXTURES, GOLDEN, check_links, in_place_and_apart
 
 
 def report(n, desc, ok, detail=""):

@@ -6,7 +6,8 @@ zoom level must and must not show, the page anchors, the index entries and
 the count of each diagnostic code. ``flowbench/check.py`` compares an output
 tree and its stderr with that oracle. The ``render`` corpus runs the render
 phase with the benchmark's stub renderer, which copies each diagram text to
-its ``.svg``, so every diagram must get one.
+its ``.svg``, so every diagram must get one. No link or image in any of
+these trees is broken.
 
 Small corpora drawn from Hypothesis seeds also run phase by phase and are
 rebuilt in place: a second ``all`` into the same tree changes no byte and no
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies
 
 from flowdoc import cli
 
-from conftest import case_clashes
+from conftest import case_clashes, check_links
 
 FLOWBENCH = Path(__file__).resolve().parents[1] / "flowbench"
 sys.path.insert(0, str(FLOWBENCH))
@@ -61,6 +62,8 @@ def test_all_meets_the_corpus_oracle(workload, tmp_path, monkeypatch, capsys):
     assert checks.attempted > 0
     assert checks.failed == 0, checks.examples
     assert case_clashes(snapshot(tmp_path / "out")) == []
+    refs = check_links(tmp_path / "out", rendered=render)
+    assert refs and [ref for ref in refs if not ref.ok] == []
 
 
 SMALL = {

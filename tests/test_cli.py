@@ -12,9 +12,8 @@ import pytest
 
 from flowdoc import activity_ir, cli, cxx_structure, flowdb, plantuml_emit
 from flowdoc.cli import main
-from flowdoc.html_emit import check_links
 
-from conftest import FIXTURES, GOLDEN, case_clashes
+from conftest import FIXTURES, GOLDEN, case_clashes, check_links
 
 
 def run_cli(*argv, capsys):
@@ -510,7 +509,8 @@ class TestPipeline:
         assert f'data="aux_files/{quoted}__f__zoom0.svg"' in (
             out / f"{stem}.html").read_text()
         refs = check_links(out)
-        assert len(refs) == 5 and all(ref.ok for ref in refs)
+        # 5 links and the page's 2 images
+        assert len(refs) == 7 and all(ref.ok for ref in refs)
 
     @pytest.mark.parametrize("stem", ["c&d", "it's"])
     def test_links_are_checked_as_a_browser_reads_them(self, stem, tmp_path, capsys):
@@ -521,7 +521,8 @@ class TestPipeline:
         out = tmp_path / "out"
         assert run_cli("all", str(src), "--out-dir", str(out), capsys=capsys) == (0, "")
         refs = check_links(out)
-        assert len(refs) == 5 and all(ref.ok for ref in refs)
+        # 5 links and the page's 2 images
+        assert len(refs) == 7 and all(ref.ok for ref in refs)
 
 
 class TestDiagnostics:

@@ -1,10 +1,13 @@
 import html
 
+import pytest
 from hypothesis import given, strategies as st
 
 from flowdoc.cxx_structure import FunctionDef, Stmt, StmtKind
 from flowdoc.flowdb import AnnotatedFunction, FlowDb, FlowDbEntry
-from flowdoc.html_emit import _escape, check_links, emit_index, emit_page
+from flowdoc.html_emit import _escape, emit_index, emit_page
+
+from conftest import check_links
 
 TEXT = "@startuml\nstart\n:x;\nstop\n@enduml\n"
 
@@ -168,3 +171,34 @@ class TestCheckLinks:
             "</body>", '<a href="https://example.com/x">ext</a></body>'))
         assert all("example.com" not in r.target
                    for r in check_links(tmp_path))
+
+    def test_images_are_checked(self, tmp_path):
+        self.write_out(tmp_path)
+        images = [r for r in check_links(tmp_path) if r.target.endswith(".svg")]
+        assert images == [
+            ("aux.html", "aux_files/aux__VINCIA__shower__zoom0.svg", True),
+            ("main.html", "aux_files/main__main__zoom0.svg", True)]
+
+    @pytest.mark.parametrize("data, diagram", [
+        ("aux_files/gone.svg", None),
+        ("aux_files/main__main__zoom0.txt", None),
+        ("main__main__zoom0.svg", None),
+        ("../aux_files/main__main__zoom0.svg", None),
+        ("aux_files/a?b.svg", "a?b.txt"),
+        # a backslash is a slash: the directory aux_files/back/
+        ("aux_files/back\\slash.svg", "back\\slash.txt")])
+    def test_an_image_that_names_no_diagram_is_broken(self, data, diagram, tmp_path):
+        self.write_out(tmp_path)
+        if diagram:
+            (tmp_path / "aux_files" / diagram).write_text(TEXT)
+        page = tmp_path / "main.html"
+        page.write_text(page.read_text().replace(
+            'data="aux_files/main__main__zoom0.svg"', f'data="{data}"'))
+        assert [r.target for r in check_links(tmp_path) if not r.ok] == [data]
+
+    def test_a_rendered_tree_needs_each_svg(self, tmp_path):
+        self.write_out(tmp_path)
+        (tmp_path / "aux_files" / "main__main__zoom0.svg").write_text("<svg/>")
+        assert all(r.ok for r in check_links(tmp_path))
+        broken = [r.target for r in check_links(tmp_path, rendered=True) if not r.ok]
+        assert broken == ["aux_files/aux__VINCIA__shower__zoom0.svg"]

@@ -6,21 +6,22 @@ forms (long zoom digit runs among them), ``#if`` lines, ``<``/``>`` around
 ``::``, and constructs nested up to 1000 deep. Then:
 
 - the run returns, and no ``internal-error`` is reported;
-- a second run gives byte-identical files and stderr;
+- a second run into another directory gives byte-identical files, and the
+  same stderr but for the output directory's name;
 - no function gets more than ``MAX_ZOOM + 1`` zoom levels, and each
   level's diagram is a subsequence of the next level's, so its actions are
   among the next level's;
 - each inserted deep construct gives at most one ``nesting-too-deep``
   warning;
-- every ``//$`` of the mutated file is drawn or reported, and no two
-  outputs differ only in case.
+- every ``//$`` of the mutated file is drawn or reported, no two outputs
+  differ only in case, and no link or image in the tree is broken.
 
 A second property mutates one ``.flowdb`` that build-db wrote for a
 fixture: a deleted tab, a ``#`` in the page field, a zoom field of 1 to
 5000 digits, or a byte that is not UTF-8. makeflows and makehtml then
 report no ``internal-error``, a second run gives byte-identical files and
-stderr, and each broken line is a ``malformed-db-line`` (an ``io-error``
-for the file when it is not UTF-8).
+stderr, no link or image in the tree is broken, and each broken line is a
+``malformed-db-line`` (an ``io-error`` for the file when it is not UTF-8).
 """
 
 import contextlib
@@ -35,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 from flowdoc import cli
 from flowdoc.annotations import MAX_ZOOM
 
-from conftest import FIXTURES, case_clashes
+from conftest import FIXTURES, case_clashes, check_links
 from test_marker_accounting import unaccounted
 
 LINES = ["//$", "//$ step", "//$ [why]", "//$ <parallel> side", "//$3 detail",
@@ -100,9 +101,12 @@ def test_mutated_fixtures_build_deterministically(fixture, data, mutations):
         victim = data.draw(st.sampled_from(sorted(src.rglob("*.*"))))
         text = mutate(victim.read_text(), mutations)
         victim.write_text(text)
-        first = run(src, Path(tmp) / "a")
+        a, b = Path(tmp) / "a", Path(tmp) / "b"
+        first = run(src, a)
         assert "[internal-error]" not in first[1]
-        assert run(src, Path(tmp) / "b") == first
+        # a diagnostic may name a database in the output directory
+        assert run(src, b) == (first[0], first[1].replace(str(a), str(b)), first[2])
+        assert [ref for ref in check_links(a) if not ref.ok] == []
         levels = {}
         for name, body in first[2].items():
             m = re.fullmatch(r"aux_files/(.+)__zoom(\d+)\.txt", name)
@@ -167,3 +171,4 @@ def test_mutated_databases_are_read_deterministically(fixture, data):
         messages = [re.split(r": (?:warning|error): ", line, maxsplit=1)[-1]
                     for line in first[1].splitlines()]
         assert max(map(len, messages), default=0) <= 200
+        assert [ref for ref in check_links(a) if not ref.ok] == []
