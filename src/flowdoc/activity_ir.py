@@ -141,8 +141,7 @@ class _Builder:
     def _fuse_stmt(self, stmt: Stmt, seq: list[ActivityNode]) -> None:
         if stmt.kind is StmtKind.BLOCK:
             self.fuse_block(stmt, seq)  # scoping only; contents flow through
-        elif stmt.kind in (StmtKind.IF, StmtKind.WHILE, StmtKind.FOR,
-                           StmtKind.DO_WHILE) and self._renders(stmt):
+        elif stmt.kind in (StmtKind.IF, StmtKind.LOOP, StmtKind.DO_WHILE) and self._renders(stmt):
             # the header's calls go in the box before the construct
             self._take(stmt.children[0].span[0], seq)
             if stmt.kind is StmtKind.IF:

@@ -34,7 +34,7 @@ from . import __version__
 from . import activity_ir, flowdb, html_emit, plantuml_emit
 from .diagnostics import Diagnostic, Severity, error, warning
 from .flowdb import SOURCE_SUFFIXES
-from .ioutil import atomic_write_text
+from .ioutil import TMP_SUFFIX_BYTES, atomic_write_text
 
 _PHASES = (
     ("build-db", "analyze sources and write flow databases"),
@@ -230,8 +230,8 @@ def _phase_render(paths: list[Path], args: argparse.Namespace,
         pool.shutdown(cancel_futures=True)
 
 
-# a file name's bytes on most filesystems, less atomic_write_text's '.{12 hex}.tmp'
-_NAME_BYTES = 255 - 17
+# a file name's bytes on most filesystems, less atomic_write_text's suffix
+_NAME_BYTES = 255 - TMP_SUFFIX_BYTES
 
 
 def _bounded(name: str, longest: str) -> str:

@@ -122,9 +122,8 @@ class StmtKind(Enum):
     PLAIN = "plain"
     BLOCK = "block"
     IF = "if"
-    WHILE = "while"
+    LOOP = "loop"  # a while or for loop: its test comes first
     DO_WHILE = "do_while"
-    FOR = "for"
     RETURN = "return"
 
 
@@ -463,7 +462,7 @@ class _BodyParser:
         if t == "if":
             return self._parse_if(i, hi)
         if t in ("while", "for"):
-            return self._parse_pretest(i, hi)
+            return self._parse_loop(i, hi)
         if t == "do":
             return self._parse_do(i, hi)
         if t in ("switch", "try"):
@@ -481,7 +480,10 @@ class _BodyParser:
         return i
 
     def _group(self, i: int, hi: int):
-        """Balanced (...) starting at i; returns (interior_text, close) or None."""
+        """The condition header at i, a balanced (...) after an optional
+        'constexpr': (interior_text, close) or None."""
+        if i < hi and self.lx[i].text == "constexpr":
+            i += 1
         if i >= hi or self.lx[i].text != "(":
             return None
         close = self.partner.get(i, hi)
@@ -527,16 +529,10 @@ class _BodyParser:
                              else (stmt.span[1], (stmt,)))
         return Stmt(StmtKind.BLOCK, (start, end), cond, children, keywords), nxt
 
-    def _if_header(self, j: int, hi: int):
-        """The condition group after an 'if' keyword, past 'constexpr'."""
-        if j < hi and self.lx[j].text == "constexpr":
-            j += 1
-        return self._group(j, hi)
-
     # -- statement forms -------------------------------------------------
 
     def _parse_if(self, i: int, hi: int) -> tuple[Stmt, int]:
-        grp = self._if_header(i + 1, hi)
+        grp = self._group(i + 1, hi)
         if grp is None:
             return self._malformed(i, hi, "if")
         arms: list[Stmt] = []
@@ -549,7 +545,7 @@ class _BodyParser:
                 break
             keyword = j
             if j + 1 < hi and self.lx[j + 1].text == "if":
-                grp = self._if_header(j + 2, hi)
+                grp = self._group(j + 2, hi)
                 if grp is None:
                     self.diags.append(warning(
                         "malformed-control-header", "malformed else-if header",
@@ -559,23 +555,18 @@ class _BodyParser:
                 grp = None, j  # a bare else: its arm starts after the keyword
         return Stmt(StmtKind.IF, (self.lx[i].offset, arms[-1].span[1]), None, tuple(arms)), j
 
-    def _parse_pretest(self, i: int, hi: int) -> tuple[Stmt, int]:
-        kw = self.lx[i].text
+    def _parse_loop(self, i: int, hi: int) -> tuple[Stmt, int]:
         grp = self._group(i + 1, hi)
         if grp is None:
-            return self._malformed(i, hi, kw)
+            return self._malformed(i, hi, self.lx[i].text)
         cond, close = grp
         body, j = self._substatement(close + 1, hi)
-        kind = StmtKind.WHILE if kw == "while" else StmtKind.FOR
-        return Stmt(kind, (self.lx[i].offset, body.span[1]), cond, (body,),
+        return Stmt(StmtKind.LOOP, (self.lx[i].offset, body.span[1]), cond, (body,),
                     (self.lx[i].offset,)), j
 
     def _parse_do(self, i: int, hi: int) -> tuple[Stmt, int]:
-        body, j = self._substatement(i + 1, hi)
-        if j >= hi or self.lx[j].text != "while":
-            return self._malformed(i, hi, "do-while")
-        keywords = (self.lx[i].offset, self.lx[j].offset)
-        grp = self._group(j + 1, hi)
+        body, w = self._substatement(i + 1, hi)
+        grp = self._group(w + 1, hi) if w < hi and self.lx[w].text == "while" else None
         if grp is None:
             return self._malformed(i, hi, "do-while")
         cond, close = grp
@@ -583,7 +574,7 @@ class _BodyParser:
         if j < hi and self.lx[j].text == ";":
             j += 1
         return Stmt(StmtKind.DO_WHILE, self._span(i, min(j, hi) - 1), cond, (body,),
-                    keywords), j
+                    (self.lx[i].offset, self.lx[w].offset)), j
 
     def _parse_opaque_construct(self, i: int, hi: int) -> tuple[Stmt, int]:
         # switch (...) { ... } and try { ... } catch (...) { ... } ... consumed

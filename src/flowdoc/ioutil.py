@@ -11,6 +11,10 @@ from pathlib import Path
 _UMASK = os.umask(0)
 os.umask(_UMASK)
 _WRITTEN_MODE = stat.S_IFREG | 0o666 & ~_UMASK
+# a temporary file is named by its output and this, 12 random hex digits in
+# the braces; the suffix takes TMP_SUFFIX_BYTES bytes of the file name
+_TMP_SUFFIX = ".{}.tmp"
+TMP_SUFFIX_BYTES = len(_TMP_SUFFIX.format("0" * 12))
 
 
 def atomic_write_text(path: Path, text: str) -> Path:
@@ -31,7 +35,7 @@ def atomic_write_text(path: Path, text: str) -> Path:
         pass
     try:
         while True:
-            tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+            tmp = str(path) + _TMP_SUFFIX.format(os.urandom(6).hex())
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 break

@@ -17,9 +17,12 @@ prefix (``u8'a'``, ``L"x"``) is an identifier. A ``"`` right after ``R``,
 ``u8R``, ``uR``, ``UR`` or ``LR`` as a whole identifier (not ``FOOR"`` or
 ``éR"``) opens a raw string: a delimiter of at most 16 characters, ``(``,
 and all up to ``)``, the delimiter and ``"``. A ``#`` with only whitespace
-and comments before it on its line opens a directive, which runs through
-the line break, backslash continuations included; any other ``#`` is
-punctuation.
+and comments before it on its line opens a directive; any other ``#`` is
+punctuation. A directive's pieces are read by the same table, as C++
+removes comments before it runs directives: it runs through the first line
+break that no comment or literal holds and no backslash continues, so a
+block comment that opens on it ends it only where the comment ends. Its
+lexemes are dropped, and a ``//$`` comment on it is reported, not returned.
 
 A pp-number is a digit, or ``.`` and a digit, then word characters and dots.
 A ``'`` in it between two hex digits is a digit separator (``1'000'000``,
@@ -58,14 +61,13 @@ class Lexeme(NamedTuple):
 # with a digit; a raw-string prefix must not follow a word character.
 IDENT = r"[^\W\d]\w*"
 
-_DIRECTIVE = re.compile(r"#(?:[^\n]*\\\r?\n)*[^\n]*\n?")  # through its line break
-# The grammar: per kind (None for a comment or a directive), a pattern and,
-# for a kind that can be left unterminated, the warning for it and a first
-# group that is then unmatched. _TABLE tries them in order after whitespace,
-# so a '/' is punctuation when it opens no comment; of a directive it matches
-# only the '#', which scan makes punctuation or skips the directive from.
-# _RULES maps the outer group of each kind to that kind, that group and that
-# warning, _PLAIN that of a word, a number or punctuation to its kind.
+# The grammar: per kind (None for a comment or a directive's '#'), a pattern
+# and, for a kind that can be left unterminated, the warning for it and a
+# first group that is then unmatched. _TABLE tries them in order after
+# whitespace, so a '/' is punctuation when it opens no comment; a '#' is
+# punctuation or opens a directive, which scan decides. _RULES maps the
+# outer group of each kind to that kind, that group and that warning,
+# _PLAIN that of a word, a number or punctuation to its kind.
 _GRAMMAR = (
     (LexKind.WORD, IDENT, None),
     (LexKind.NUM, r"(?<![\w.])\.?[0-9][\w.]*(?:(?<=[0-9A-Fa-f])'(?=[0-9A-Fa-f])[\w.]*)*"
@@ -82,24 +84,31 @@ _GRAMMAR = (
      ("unterminated-string", "unterminated string literal")),
     (LexKind.LIT, r"'[^'\\\n]*(?:\\(?:\r\n|[\s\S]|\Z)[^'\\\n]*)*(')?",
      ("unterminated-char", "unterminated character literal")),
-    (None, _DIRECTIVE.pattern, None),
+    (None, "#", None),
     (LexKind.PUNCT, r"/", None),
 )
 _TABLE = re.compile(r"\s*(?:%s|\Z)" % "|".join(
-    f"(?P<k{n}>{'#' if p == _DIRECTIVE.pattern else p})" for n, (_, p, _) in enumerate(_GRAMMAR)))
+    f"(?P<k{n}>{p})" for n, (_, p, _) in enumerate(_GRAMMAR)))
 _RULES = {_TABLE.groupindex[f"k{n}"]: (kind, _TABLE.groupindex[f"k{n}"] + 1, warn)
           for n, (kind, _, warn) in enumerate(_GRAMMAR)}
 _OFFSET = itemgetter(1)  # of a Lexeme
 _PLAIN = {k: kind for k, (kind, _, warn) in _RULES.items() if kind and not warn}
+# a line break that ends a directive: one no backslash continues
+_LINE_END = re.compile(r"(?<!\\)(?<!\\\r)\n")
+# a directive line that holds no comment, character literal, raw string,
+# backslash or unterminated string: it ends at its line break
+_SIMPLE_DIRECTIVE = re.compile(r'#[^\n/\\\'"R]*(?:(?:R(?!")|"[^"\n\\]*")[^\n/\\\'"R]*)*\n')
 
 
 def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Lexeme], list[Lexeme]]:
     """The lexemes of source text and its ``//$`` comments, in source order.
-    An unterminated token is reported as a warning and scanning goes on."""
+    An unterminated token, or a ``//$`` on a directive line, is reported as
+    a warning and scanning goes on."""
     lexemes, markers = [], []
     add, new = lexemes.append, tuple.__new__  # new skips NamedTuple's __new__
     plain, finditer = _PLAIN.get, _TABLE.finditer
-    line, counted, pos = 1, 0, 0  # line: that of offset counted, the last reported
+    found: list[tuple[int, str, str]] = []  # the offset, code and message of each warning
+    pos = 0
     while pos is not None:  # restarted past each directive
         for m in finditer(text, pos):
             k = m.lastindex
@@ -114,18 +123,42 @@ def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Lexeme], l
                 if lexemes and text.find("\n", lexemes[-1].offset + len(lexemes[-1].text), i) < 0:
                     add(new(Lexeme, ("#", i, LexKind.PUNCT)))
                     continue
-                pos = _DIRECTIVE.match(text, i).end()
+                simple = _SIMPLE_DIRECTIVE.match(text, i)
+                pos = simple.end() if simple else _directive_end(text, i, found)
                 break
             if warn and m.group(inner) is None:
-                line, counted = line + text.count("\n", counted, i), i
-                diags.append(warning(warn[0], warn[1], file, line))
+                found.append((i, *warn))
             if kind is not None:
                 add(new(Lexeme, (m[k], i, kind)))
             elif text.startswith("//$", i):
                 markers.append(new(Lexeme, (m[k], i, None)))
         else:
             pos = None
+    line, counted = 1, 0  # line: that of offset counted
+    for i, code, message in found:
+        line, counted = line + text.count("\n", counted, i), i
+        diags.append(warning(code, message, file, line))
     return lexemes, markers
+
+
+def _directive_end(text: str, i: int, found: list[tuple[int, str, str]]) -> int:
+    """The offset past the directive whose '#' is at i. Its pieces are read
+    by _TABLE: it ends after the first line break between them that no
+    backslash continues, or at the end of the text. The warnings of its
+    pieces go to found."""
+    for m in _TABLE.finditer(text, i + 1):
+        k = m.lastindex
+        if end := _LINE_END.search(text, m.start(), m.start(k) if k else m.end()):
+            return end.end()
+        if k is None:
+            break
+        _, inner, warn = _RULES[k]
+        j = m.start(k)
+        if warn and m.group(inner) is None:
+            found.append((j, *warn))
+        elif text.startswith("//$", j):
+            found.append((j, "unplaced-marker", "'//$' on a preprocessor line; not drawn"))
+    return len(text)
 
 
 def line_code_map(lexemes: list[Lexeme], line_starts: list[int]) -> set[int]:

@@ -9,8 +9,11 @@ from hypothesis import settings
 from flowdoc.flowdb import url_unquote
 
 # Property tests draw the same examples on every run, with no time limit per
-# example and no example database.
+# example and no example database. The "seeded" profile draws from the seed
+# given with --hypothesis-seed instead:
+#   pytest --hypothesis-profile=seeded --hypothesis-seed=3
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.register_profile("seeded", settings.get_profile("tier1"), derandomize=False)
 settings.load_profile("tier1")
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -269,6 +269,25 @@ class TestPipeline:
                             f"function body; not drawn [unplaced-marker]\n"]
         assert tree[Path("s.flowdb")] == b"ok\ts.html#ok\t0\n"
 
+    def test_a_marker_on_a_directive_line_is_reported_once(self, tmp_path, capsys):
+        path = tmp_path / "s.cpp"
+        path.write_text("void ok() {\n//$ drawn\n#ifdef X  //$ only with X\ng();\n#endif\n}\n")
+        errs, tree = self.each_phase(tmp_path, capsys, str(path))
+        assert errs == 4 * [f"{path}:3: warning: '//$' on a preprocessor line; not drawn "
+                            f"[unplaced-marker]\n"]
+        assert tree[Path("aux_files/s__ok__zoom0.txt")] == (
+            b"@startuml\nstart\n:drawn;\nstop\n@enduml\n")
+
+    def test_a_block_comment_from_a_directive_line_hides_no_code(self, tmp_path, capsys):
+        path = tmp_path / "s.cpp"
+        path.write_text("#define X 1 /* start\n that runs on { and on\n*/\n"
+                        "void f() {\n //$ a\n g();\n}")
+        err, tree = self.all_and_phased(tmp_path, capsys, str(path))
+        assert err == ""
+        assert tree[Path("s.flowdb")] == b"f\ts.html#f\t0\n"
+        assert tree[Path("aux_files/s__f__zoom0.txt")] == (
+            b"@startuml\nstart\n:a;\nstop\n@enduml\n")
+
     def test_a_highlight_past_two_bodies_is_drawn_in_the_first(self, tmp_path, capsys):
         # the marker is past b's body: x() goes to a, whose body it is in;
         # b is a declarator, and g() in b's body is reported, not dropped

@@ -221,20 +221,6 @@ class TestStatementTrees:
         assert [c.kind for c in root.children] == [
             StmtKind.PLAIN, StmtKind.PLAIN, StmtKind.RETURN]
 
-    def test_if_else_chain_is_one_node(self):
-        root = self.parse(
-            "if (a) {\nx();\n}\nelse if (b) {\ny();\n}\nelse {\nz();\n}")
-        node = root.children[0]
-        assert node.kind is StmtKind.IF
-        assert len(node.children) == 3
-        assert [arm.condition_text for arm in node.children] == ["a", "b", None]
-
-    def test_if_without_else(self):
-        node = self.parse("if (a > 0) {\nx();\n}").children[0]
-        assert node.kind is StmtKind.IF
-        assert len(node.children) == 1
-        assert node.children[0].condition_text == "a > 0"
-
     def test_unbraced_arms_are_wrapped(self):
         node = self.parse("if (a)\nx();\nelse\ny();").children[0]
         assert [c.kind for c in node.children] == [StmtKind.BLOCK, StmtKind.BLOCK]
@@ -243,23 +229,6 @@ class TestStatementTrees:
     def test_condition_text_verbatim_interior(self):
         node = self.parse("if (a > 0 &&\n    b < 2) {\nx();\n}").children[0]
         assert node.children[0].condition_text == "a > 0 &&\n    b < 2"
-
-    def test_while_loop(self):
-        node = self.parse("while (n--) {\nx();\n}").children[0]
-        assert node.kind is StmtKind.WHILE
-        assert node.condition_text == "n--"
-        assert len(node.children) == 1
-
-    def test_for_loop_full_header(self):
-        node = self.parse("for (int i = 0; i < n; ++i) {\nx();\n}").children[0]
-        assert node.kind is StmtKind.FOR
-        assert node.condition_text == "int i = 0; i < n; ++i"
-
-    def test_do_while(self):
-        node = self.parse("do {\nx();\n} while (more());").children[0]
-        assert node.kind is StmtKind.DO_WHILE
-        assert node.condition_text == "more()"
-        assert len(node.keywords) == 2  # 'do' and the trailing 'while'
 
     def test_switch_is_opaque(self):
         root = self.parse("switch (k) {\ncase 1: x(); break;\ndefault: break;\n}")

@@ -7,7 +7,7 @@ import stat
 
 import pytest
 
-from flowdoc import ioutil
+from flowdoc import cli, ioutil
 from flowdoc.cli import main
 
 from conftest import FIXTURES
@@ -68,6 +68,22 @@ def test_a_failed_write_names_the_output_not_its_temp_file(tmp_path):
     assert (failed.value.filename, failed.value.strerror) == (
         str(target), os.strerror(errno.ENOTDIR))
     assert ".tmp" not in str(failed.value)
+
+
+def test_the_temporary_file_of_the_longest_bounded_output_has_a_valid_name(
+        tmp_path, monkeypatch):
+    temporary, replace = [], os.replace
+
+    def spy(src, dst):
+        temporary.append(os.path.basename(src))
+        replace(src, dst)
+
+    monkeypatch.setattr(ioutil.os, "replace", spy)
+    # the longest name the output tree holds: a cut stem's database
+    target = tmp_path / (cli._bounded("s" * 300, ".flowdb") + ".flowdb")
+    assert len(target.name) == 255 - ioutil.TMP_SUFFIX_BYTES
+    assert ioutil.atomic_write_text(target, "x\n").read_text() == "x\n"
+    assert [len(os.fsencode(name)) for name in temporary] == [255]
 
 
 def test_an_existing_target_is_replaced(tmp_path):

@@ -11,8 +11,8 @@ forms (long zoom digit runs among them), ``#if`` lines, ``<``/``>`` around
 - no function gets more than ``MAX_ZOOM + 1`` zoom levels, and each
   level's diagram is a subsequence of the next level's, so its actions are
   among the next level's;
-- each inserted deep construct gives at most one ``nesting-too-deep``
-  warning;
+- each inserted deep construct, which later mutations keep out of, gives
+  at most one ``nesting-too-deep`` warning;
 - every ``//$`` of the mutated file is drawn or reported, no two outputs
   differ only in case, and no link or image in the tree is broken.
 
@@ -67,11 +67,26 @@ mutation = st.one_of(
 
 
 def mutate(text, mutations):
+    """text with each mutation applied at its share of the length. A later
+    mutation never goes inside an inserted deep construct: an insertion is
+    moved to just before it, a deletion to just after it. So each construct
+    stays whole and can put at most one statement past the nesting bound."""
+    deep = []  # the [start, end) of each deep construct inserted
     for (kind, piece), at in mutations:
         k = int(at * len(text))
         if kind == "line":
-            k = text.rfind("\n", 0, k) + 1
             piece += "\n"
+        while True:
+            if kind == "line":
+                k = text.rfind("\n", 0, k) + 1
+            inside = [(a, b) for a, b in deep if a < k < b or kind == "delete" and a == k < b]
+            if not inside:
+                break
+            k = inside[0][1] if kind == "delete" else inside[0][0]
+        grow = -(k < len(text)) if kind == "delete" else len(piece)
+        deep = [(a + grow * (a >= k), b + grow * (a >= k)) for a, b in deep]
+        if kind == "deep":
+            deep.append((k, k + len(piece)))
         text = text[:k] + piece + text[k + (kind == "delete"):]
     return text
 

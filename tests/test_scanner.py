@@ -19,8 +19,8 @@ def lexed(text, file="<input>", diags=None):
     return scan(text, file, diags if diags is not None else [])
 
 
-def texts(text):
-    return [lex.text for lex in lexed(text)[0]]
+def texts(text, diags=None):
+    return [lex.text for lex in lexed(text, diags=diags)[0]]
 
 
 def lits(text):
@@ -208,7 +208,18 @@ class TestPreprocessor:
         assert lexed("/* c */ #define Y 2\n") == ([], [])
 
     def test_a_comment_in_a_directive_is_no_marker(self):
-        assert lexed("#if X //$ no\n//$ yes\n") == ([], [Lexeme("//$ yes", 13, None)])
+        diags = []
+        assert lexed("#if X //$ no\n//$ yes\n", "f.cpp", diags) == (
+            [], [Lexeme("//$ yes", 13, None)])
+        assert diags == [warning("unplaced-marker", "'//$' on a preprocessor line; not drawn",
+                                 "f.cpp", 1)]
+
+    def test_a_literal_or_a_comment_on_a_directive_is_read_whole(self):
+        diags = []
+        assert texts('#define S "a /* b" // c /*\nx;\n#error don\'t\ny;\n', diags=diags) == [
+            "x", ";", "y", ";"]
+        assert diags == [warning("unterminated-char", "unterminated character literal",
+                                 "<input>", 3)]
 
 
 class _CountingTable:
@@ -253,6 +264,10 @@ _CODE_WORDS = ["x", "foo_1", "étape", "u8", "R", "::", "->", "(", ")", "{", "}"
                ";", "+", "*", "<", " / ", "a # b", "1'000'000", "0xFF'AA",
                "0b1010'1010", "3.14'15", ".5'0", "\t", "\n", "\r\n"]
 _ESCAPES = ["\\n", '\\"', "\\'", "\\\\", "\\\n", "\\\r\n"]
+# what a directive may hold: a line break only in a block comment, a
+# literal or a backslash continuation
+_IN_DIRECTIVE = ["a", " ", "é", "#", "$", "(", "\\\n", "\\\r\n", '"x /* y"', "'}'",
+                 '"a\\\nb"', "/* // \n */", "/**/", "/* \\ */"]
 _INSIDE = ["a", "F", "0", " ", "(", ")", "/", "*", "$", "#", "//$", "/*", "é"]
 
 
@@ -299,11 +314,10 @@ _PIECES = st.one_of(
               st.text(st.sampled_from("ab_{}+*9é"), max_size=16),
               st.lists(st.sampled_from(['a', ')', ')"', '"', "'", "//$", "\n", "("]),
                        max_size=6).map("".join)).filter(_closes_at_its_end).map(_raw),
-    st.tuples(st.lists(st.text(st.sampled_from('ab "/*$\'#é'), max_size=8),
-                       min_size=1, max_size=3),
-              st.sampled_from(["\\\n", "\\\r\n"]),
+    st.tuples(st.lists(st.sampled_from(_IN_DIRECTIVE), max_size=8).map("".join),
+              st.sampled_from(["", "// a /* b", "//$ x"]),
               st.sampled_from(["\n", "\r\n"])).map(
-        lambda t: [(_DIRECTIVE, "#" + t[1].join(t[0]) + t[2])]),
+        lambda t: [(_DIRECTIVE, "#" + "".join(t))]),
 )
 
 
@@ -330,15 +344,23 @@ def test_pieces_of_known_kind_scan_back_to_themselves(groups):
         else:
             expected.append((kind, text, src.count("\n") + 1, len(src)))
         src += text
-    diags = []
+    diags, expected_diags = [], []
     assert lexed(src, "p.cpp", diags) == derived([Tok(*t) for t in expected])
-    assert diags == []
+    for kind, text, line, _ in expected:
+        if kind == _DIRECTIVE and "//$" in text:
+            at = line + text.count("\n", 0, text.index("//$"))
+            expected_diags.append(warning("unplaced-marker", "'//$' on a preprocessor line; "
+                                          "not drawn", "p.cpp", at))
+    assert diags == expected_diags
 
 
 # The two-pass reference the one-pass scanner replaced: tokens first, a quote
 # being a digit separator when the word characters and dots before it start a
 # number or follow another separator; then each Code token lexed on its own.
-# Its tokens are lossless: their texts concatenate to the source.
+# A directive is one token: from its '#', the tokens after it are read by the
+# same rules, through the first line break in the code between them that no
+# backslash continues. Its tokens are lossless: their texts concatenate to
+# the source.
 _REF_RULES = [rule for rule in scanner._GRAMMAR if rule[0] in (None, LIT)]
 _REF_TABLE = re.compile("|".join(f"(?P<k{n}>{rule[1]})" for n, rule in enumerate(_REF_RULES)))
 _SPECIAL = re.compile(r'["\'/#]')
@@ -348,10 +370,33 @@ _LEXEME_RE = re.compile(rf"\s*(?:({IDENT})|(\.?[0-9](?:[\w.']|[eEpP][+-])*)|(::|
 _LEX_KIND = (None, WORD, NUM, PUNCT)
 
 
+def _line_end(text, lo, hi):
+    """The offset past the first line break in text[lo:hi] that comes after
+    no backslash (or backslash and carriage return), else None."""
+    for k in range(lo, hi):
+        if text[k] == "\n" and not text.endswith(("\\", "\\\r"), 0, k):
+            return k + 1
+    return None
+
+
 def two_pass(text, file, diags):
-    tokens, line, pos, run_start, line_has_code, n = [], 1, 0, 0, False, len(text)
-    while (special := _SPECIAL.search(text, pos)) is not None:
-        i = special.start()
+    tokens, pos, run_start, line_has_code, n = [], 0, 0, False, len(text)
+    directive = None  # the offset of the '#' of the directive being read
+
+    def line(i):
+        return text.count("\n", 0, i) + 1
+
+    while True:
+        special = _SPECIAL.search(text, pos)
+        i = n if special is None else special.start()
+        if directive is not None:
+            end = _line_end(text, run_start, i) or (n if special is None else None)
+            if end is not None:
+                tokens.append(Tok(_DIRECTIVE, text[directive:end], line(directive), directive))
+                directive, pos, run_start, line_has_code = None, end, end, False
+                continue
+        if special is None:
+            break
         pos = i + 1
         c = text[i]
         if c == "'" and 0 < i < n - 1 and text[i - 1] in _HEX and text[i + 1] in _HEX:
@@ -365,24 +410,32 @@ def two_pass(text, file, diags):
             continue
         _, _, warn = _REF_RULES[int(m.lastgroup[1:])]
         kind = m.group()[:2] if m.group()[:2] in (_LINE, _BLOCK) else c
-        if c == "#" or kind == _BLOCK:
+        if directive is None and (c == "#" or kind == _BLOCK):
             nl = text.rfind("\n", run_start, i)
             line_has_code = (bool(text[max(nl + 1, run_start):i].strip())
                              or (nl < 0 and line_has_code))
             if c == "#" and line_has_code:
                 continue
-        if run_start < i:
-            tokens.append(Tok(_CODE, text[run_start:i], line, run_start))
-            line += text[run_start:i].count("\n")
         if warn and m.group(m.lastindex + 1) is None:
-            diags.append(warning(warn[0], warn[1], file, line))
-        tokens.append(Tok(kind, m.group(), line, i))
-        line += m.group().count("\n")
+            diags.append(warning(warn[0], warn[1], file, line(i)))
+        if directive is not None:
+            if m.group().startswith("//$"):
+                diags.append(warning("unplaced-marker", "'//$' on a preprocessor line; "
+                                     "not drawn", file, line(i)))
+            pos = run_start = m.end()
+            continue
+        if run_start < i:
+            tokens.append(Tok(_CODE, text[run_start:i], line(run_start), run_start))
+        if c == "#":
+            directive = i
+            pos = run_start = i + 1
+            continue
+        tokens.append(Tok(kind, m.group(), line(i), i))
         pos = run_start = m.end()
         if kind != _BLOCK or "\n" in m.group():
             line_has_code = c in "\"'"
     if run_start < n:
-        tokens.append(Tok(_CODE, text[run_start:], line, run_start))
+        tokens.append(Tok(_CODE, text[run_start:], line(run_start), run_start))
     return tokens
 
 
