@@ -1,6 +1,7 @@
 """The ``//$`` annotation comment language.
 
-Marker grammar, applied to a line comment's text:
+Marker grammar, applied to a line comment's text, from which each backslash
+and the line break it continues are removed, as C++ splices lines:
 
     //$            action at zoom 0
     //$N           action at zoom N (digits attached to the marker)
@@ -46,6 +47,8 @@ class Annotation(NamedTuple):
 # without its surrounding whitespace
 _MARKER_RE = re.compile(r"//\$(\d*)\s*(<parallel>)?\s*(.*?)\s*\Z", re.S)
 _DESC_RE = re.compile(r"\[\s*(\S.*?)\s*\]\Z", re.S)
+# a backslash and the line break it continues, in a comment that runs on
+_SPLICE = re.compile(r"\\\r?\n")
 MAX_ZOOM = 99
 _DESC_WORDS = {"if", "else", "while", "for", "do", "return"}
 
@@ -72,7 +75,8 @@ def collect(view: CodeStream, defs: Sequence[FunctionDef]
     markers, lx = view.markers, view.lexemes
     held: dict[int, list[Annotation | CallSite]] = {}
     for k, tok in enumerate(markers):
-        digits, parallel, text = _MARKER_RE.match(tok.text).groups()
+        spliced = _SPLICE.sub("", tok.text) if "\n" in tok.text else tok.text
+        digits, parallel, text = _MARKER_RE.match(spliced).groups()
         line = view.line(tok.offset)
         home = body_holding(defs, tok.offset)
         if line in view.code_lines:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import stat
-import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,6 +34,10 @@ from . import activity_ir, flowdb, html_emit, plantuml_emit
 from .diagnostics import Diagnostic, Severity, error, warning
 from .flowdb import SOURCE_SUFFIXES
 from .ioutil import TMP_SUFFIX_BYTES, atomic_write_text
+
+# the subprocess module, imported by the first run that renders; a name of
+# this module so that flowbench's tracer can patch it to count render processes
+subprocess = None
 
 _PHASES = (
     ("build-db", "analyze sources and write flow databases"),
@@ -188,11 +191,16 @@ def _phase_render(paths: list[Path], args: argparse.Namespace,
 
     Results are read in the order of ``paths``, so the warnings come in
     diagram order whichever render finishes first. A command that fails to
-    start is reported once, and nothing after it.
+    start is reported once, and nothing after it. ``subprocess`` is imported
+    here, into the module-level name ``render`` calls through, so a run that
+    renders nothing never loads it.
     """
     if not args.render_cmd:
         return
     # imported here: they would slow down the start of every run without renders
+    global subprocess
+    if subprocess is None:
+        import subprocess
     import shlex
     from concurrent.futures import ThreadPoolExecutor
     try:

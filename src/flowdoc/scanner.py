@@ -8,21 +8,23 @@ than the lexemes and the markers.
 
 One table of patterns is matched after any whitespace: an identifier, a
 pp-number, punctuation (``::``, ``->`` or one character), a comment, a
-literal or a ``#``. The first three and each literal are the lexemes;
-a line comment that starts with ``//$`` is a marker. A line comment runs up
-to the line break (a ``\r`` before it stays out), a block comment up to the
-first ``*/``. A string or character literal runs up to the same unescaped
-quote, a backslash escaping the next character or ``\r\n``; an encoding
-prefix (``u8'a'``, ``L"x"``) is an identifier. A ``"`` right after ``R``,
-``u8R``, ``uR``, ``UR`` or ``LR`` as a whole identifier (not ``FOOR"`` or
-``éR"``) opens a raw string: a delimiter of at most 16 characters, ``(``,
-and all up to ``)``, the delimiter and ``"``. A ``#`` with only whitespace
-and comments before it on its line opens a directive; any other ``#`` is
-punctuation. A directive's pieces are read by the same table, as C++
-removes comments before it runs directives: it runs through the first line
-break that no comment or literal holds and no backslash continues, so a
-block comment that opens on it ends it only where the comment ends. Its
-lexemes are dropped, and a ``//$`` comment on it is reported, not returned.
+literal or a ``#``. The first three and each literal are the lexemes; a line
+comment that starts with ``//$`` is a marker. A line comment runs up to the
+first line break that no backslash continues (a ``\r`` before it stays out),
+as C++ splices lines before it removes comments; a block comment runs up to
+the first ``*/``. A string or character literal runs up to the same
+unescaped quote, a backslash escaping the next character or ``\r\n``; an
+encoding prefix (``u8'a'``, ``L"x"``) is an identifier. A ``"`` right after
+``R``, ``u8R``, ``uR``, ``UR`` or ``LR`` as a whole identifier (not
+``FOOR"`` or ``éR"``) opens a raw string: a delimiter of at most 16
+characters, ``(``, and all up to ``)``, the delimiter and ``"``. A ``#``
+with only whitespace and comments before it on its line opens a directive;
+any other ``#`` is punctuation. A directive's pieces are read by the same
+table, as C++ removes comments before it runs directives: it runs through
+the first line break that no comment or literal holds and no backslash
+continues, so a block comment that opens on it ends it only where the
+comment ends. Its lexemes are dropped, and a ``//$`` comment on it is
+reported, not returned.
 
 A pp-number is a digit, or ``.`` and a digit, then word characters and dots.
 A ``'`` in it between two hex digits is a digit separator (``1'000'000``,
@@ -73,7 +75,7 @@ _GRAMMAR = (
     (LexKind.NUM, r"(?<![\w.])\.?[0-9][\w.]*(?:(?<=[0-9A-Fa-f])'(?=[0-9A-Fa-f])[\w.]*)*"
                   r"|\.[0-9][\w.]*", None),
     (LexKind.PUNCT, r"::|->|[^\s\"'/#]", None),
-    (None, r"//[^\r\n]*(?:\r(?!\n|\Z)[^\r\n]*)*", None),
+    (None, r"//[^\r\n]*(?:(?:\r(?!\n|\Z)|(?<=\\)\r?\n)[^\r\n]*)*", None),
     (None, r"/\*(?s:.*?)(?:(\*/)|\Z)",
      ("unterminated-block-comment", "unterminated block comment")),
     (LexKind.LIT,

@@ -288,6 +288,31 @@ class TestPipeline:
         assert tree[Path("aux_files/s__f__zoom0.txt")] == (
             b"@startuml\nstart\n:a;\nstop\n@enduml\n")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_line_comment_that_ends_in_a_backslash_hides_the_next_line(
+            self, tmp_path, capsys, newline):
+        # C++ splices lines before it removes comments: g(); is comment
+        path = tmp_path / "t.cpp"
+        path.write_bytes(("void g() {\n//$ do g\n}\n"
+                          "void f() {\n//$ start\n// a note \\\ng();  //$\n}\n")
+                         .replace("\n", newline).encode())
+        err, tree = self.all_and_phased(tmp_path, capsys, str(path))
+        assert err == ""
+        assert tree[Path("aux_files/t__f__zoom0.txt")] == (
+            b"@startuml\nstart\n:start;\nstop\n@enduml\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_an_action_that_ends_in_a_backslash_runs_on(self, tmp_path, capsys, newline):
+        path = tmp_path / "t.cpp"
+        path.write_bytes(("void f() {\n//$2 check the \\\ninput\\\n  twice\n"
+                          "run();\n//$ [done?] \\\n\nif (ok) {\n//$2 stop\n}\n}\n")
+                         .replace("\n", newline).encode())
+        err, tree = self.all_and_phased(tmp_path, capsys, str(path))
+        assert err == ""
+        assert tree[Path("aux_files/t__f__zoom2.txt")] == (
+            b"@startuml\nstart\n:check the input  twice;\n"
+            b"if (done?) then (yes)\n:stop;\nendif\nstop\n@enduml\n")
+
     def test_a_highlight_past_two_bodies_is_drawn_in_the_first(self, tmp_path, capsys):
         # the marker is past b's body: x() goes to a, whose body it is in;
         # b is a declarator, and g() in b's body is reported, not dropped

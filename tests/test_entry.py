@@ -33,11 +33,12 @@ def tree(out):
 
 
 def test_start_up_and_a_plain_run_import_nothing_they_do_not_use(tmp_path):
-    unused = ("html", "shlex", "glob", "concurrent.futures", "unicodedata")
+    unused = ("html", "shlex", "glob", "concurrent.futures", "unicodedata",
+              "subprocess")
     code = f"""if True:
         import json, sys
         import argparse, bisect, collections.abc, enum, math, os, pathlib
-        import re, subprocess, typing
+        import re, typing
         stdlib = set(sys.modules)  # whatever these load by themselves
         seen = []
         import flowdoc.cli
@@ -95,7 +96,12 @@ def test_no_text_is_read_or_written_in_the_locale_encoding(tmp_path):
         runs.append((proc.returncode, proc.stderr, tree(out)))
         shutil.rmtree(out)
     assert runs[0] == runs[1]
-    assert runs[0][:2] == (0, "") and "aux_files/main__main__zoom0.svg" in runs[0][2]
+    status, err, out_tree = runs[0]
+    assert (status, err) == (0, "")
+    # each diagram rendered, through the subprocess module the render phase imports
+    diagrams = [p for p in out_tree if p.endswith(".txt")]
+    assert "aux_files/main__main__zoom0.txt" in diagrams
+    assert all(out_tree.get(p[:-4] + ".svg") == out_tree[p] for p in diagrams)
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch):

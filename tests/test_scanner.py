@@ -70,6 +70,19 @@ class TestLineComments:
     def test_crlf_stays_out_of_comment(self):
         assert marker_texts("x; //$ note\r\ny;\n") == ["//$ note"]
 
+    def test_a_backslash_continues_a_comment_onto_the_next_line(self):
+        # C++ splices lines before it removes comments
+        src = "void f() {\n//$ start\n// a note \\\ng();  //$\n}"
+        assert texts(src) == ["void", "f", "(", ")", "{", "}"]
+        assert marker_texts(src) == ["//$ start"]
+        assert texts("x; // a \\\r\ny;\r\nz;\r\n") == ["x", ";", "z", ";"]
+        assert texts("// a \\\n\\\r\nb\nc") == ["c"]
+
+    def test_a_marker_that_ends_in_a_backslash_runs_on(self):
+        assert lexed("//$ step \\\nmore\ny;\n") == (
+            [("y", 16, WORD), (";", 17, PUNCT)], [Lexeme("//$ step \\\nmore", 0, None)])
+        assert marker_texts("//$ a \\\r\nb\r\n") == ["//$ a \\\r\nb"]
+
     def test_annotation_marker_preserved(self):
         assert marker_texts("//$2 step one\n") == ["//$2 step one"]
 
@@ -302,10 +315,13 @@ def _closes_at_its_end(t):
 _PIECES = st.one_of(
     st.lists(st.sampled_from(_CODE_WORDS), min_size=1, max_size=6).map(
         lambda ws: [(_CODE, " ".join(ws) + " ")]),
+    # lines a backslash splices, the last not ending in one
     st.tuples(st.sampled_from(["//", "//$", "//$2 "]),
-              st.text(st.sampled_from("ab $/*\"'#\\"), max_size=8),
+              st.lists(st.text(st.sampled_from("ab $/*\"'#\\"), max_size=8),
+                       min_size=1, max_size=3).filter(lambda t: not t[-1].endswith("\\")),
+              st.sampled_from(["\\\n", "\\\r\n"]),
               st.sampled_from(["\n", "\r\n"])).map(
-        lambda t: [(_LINE, t[0] + t[1]), (_CODE, t[2])]),
+        lambda t: [(_LINE, t[0] + t[2].join(t[1])), (_CODE, t[3])]),
     st.text(st.sampled_from("ab /*\n\"'#$"), max_size=10).filter(
         lambda b: "*/" not in b).map(lambda b: [(_BLOCK, f"/*{b}*/")]),
     _literal('"', _STRING),
@@ -315,7 +331,7 @@ _PIECES = st.one_of(
               st.lists(st.sampled_from(['a', ')', ')"', '"', "'", "//$", "\n", "("]),
                        max_size=6).map("".join)).filter(_closes_at_its_end).map(_raw),
     st.tuples(st.lists(st.sampled_from(_IN_DIRECTIVE), max_size=8).map("".join),
-              st.sampled_from(["", "// a /* b", "//$ x"]),
+              st.sampled_from(["", "// a /* b", "//$ x", "// c \\\n d", "// e \\\r\n"]),
               st.sampled_from(["\n", "\r\n"])).map(
         lambda t: [(_DIRECTIVE, "#" + "".join(t))]),
 )
@@ -359,9 +375,11 @@ def test_pieces_of_known_kind_scan_back_to_themselves(groups):
 # number or follow another separator; then each Code token lexed on its own.
 # A directive is one token: from its '#', the tokens after it are read by the
 # same rules, through the first line break in the code between them that no
-# backslash continues. Its tokens are lossless: their texts concatenate to
-# the source.
-_REF_RULES = [rule for rule in scanner._GRAMMAR if rule[0] in (None, LIT)]
+# backslash continues. A line comment ends at such a line break too, found
+# by _comment_end, not by the scanner's pattern. Its tokens are lossless:
+# their texts concatenate to the source.
+_REF_RULES = [(None, "//", None) if rule[1].startswith("//") else rule
+              for rule in scanner._GRAMMAR if rule[0] in (None, LIT)]
 _REF_TABLE = re.compile("|".join(f"(?P<k{n}>{rule[1]})" for n, rule in enumerate(_REF_RULES)))
 _SPECIAL = re.compile(r'["\'/#]')
 _NUMBER_START = re.compile(r"\.?[0-9]")
@@ -377,6 +395,15 @@ def _line_end(text, lo, hi):
         if text[k] == "\n" and not text.endswith(("\\", "\\\r"), 0, k):
             return k + 1
     return None
+
+
+def _comment_end(text, i):
+    """The end of the line comment at i: at the first line break that no
+    backslash continues, or at the end of the text, less a carriage return
+    right before it."""
+    end = _line_end(text, i, len(text))
+    end = len(text) if end is None else end - 1
+    return end - 1 if text[end - 1] == "\r" else end
 
 
 def two_pass(text, file, diags):
@@ -408,8 +435,10 @@ def two_pass(text, file, diags):
         m = _REF_TABLE.match(text, i)
         if m is None:
             continue
+        end = _comment_end(text, i) if m.group() == _LINE else m.end()
+        piece = text[i:end]
         _, _, warn = _REF_RULES[int(m.lastgroup[1:])]
-        kind = m.group()[:2] if m.group()[:2] in (_LINE, _BLOCK) else c
+        kind = piece[:2] if piece[:2] in (_LINE, _BLOCK) else c
         if directive is None and (c == "#" or kind == _BLOCK):
             nl = text.rfind("\n", run_start, i)
             line_has_code = (bool(text[max(nl + 1, run_start):i].strip())
@@ -419,10 +448,10 @@ def two_pass(text, file, diags):
         if warn and m.group(m.lastindex + 1) is None:
             diags.append(warning(warn[0], warn[1], file, line(i)))
         if directive is not None:
-            if m.group().startswith("//$"):
+            if piece.startswith("//$"):
                 diags.append(warning("unplaced-marker", "'//$' on a preprocessor line; "
                                      "not drawn", file, line(i)))
-            pos = run_start = m.end()
+            pos = run_start = end
             continue
         if run_start < i:
             tokens.append(Tok(_CODE, text[run_start:i], line(run_start), run_start))
@@ -430,9 +459,9 @@ def two_pass(text, file, diags):
             directive = i
             pos = run_start = i + 1
             continue
-        tokens.append(Tok(kind, m.group(), line(i), i))
-        pos = run_start = m.end()
-        if kind != _BLOCK or "\n" in m.group():
+        tokens.append(Tok(kind, piece, line(i), i))
+        pos = run_start = end
+        if kind != _BLOCK or "\n" in piece:
             line_has_code = c in "\"'"
     if run_start < n:
         tokens.append(Tok(_CODE, text[run_start:], line(run_start), run_start))
