@@ -32,8 +32,7 @@ is a subgraph of the next deeper one, and a construct shell is never empty.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Sequence
-from typing import NamedTuple
+from collections import namedtuple
 
 from .annotations import Annotation
 from .cxx_structure import Stmt, StmtKind
@@ -41,35 +40,16 @@ from .diagnostics import Diagnostic, warning
 from .flowdb import AnnotatedFunction, FlowDb
 
 
-class ActionNode(NamedTuple):
-    text: str
-    zoom: int = 0
-    parallel: bool = False
-    calls: Sequence[tuple[str, str | None]] = ()  # (display, href or None)
-
-
-class BranchArm(NamedTuple):
-    label: str | None  # None only for an undescribed else arm
-    body: list
-    is_else: bool = False
-
-
-class BranchNode(NamedTuple):
-    arms: list[BranchArm]
-
-
-class LoopNode(NamedTuple):
-    post_test: bool  # a do-while, else a while or for
-    label: str
-    body: list
-
-
-class ForkNode(NamedTuple):
-    actions: list[ActionNode]  # all at one zoom level, at least two
-
-
-class StopNode(NamedTuple):
-    text: str | None = None
+# calls: (display, href or None) pairs
+ActionNode = namedtuple("ActionNode", "text zoom parallel calls", defaults=(0, False, ()))
+# label None only for an undescribed else arm
+BranchArm = namedtuple("BranchArm", "label body is_else", defaults=(False,))
+BranchNode = namedtuple("BranchNode", "arms")
+# post_test: a do-while, else a while or for
+LoopNode = namedtuple("LoopNode", "post_test label body")
+# actions: ActionNodes all at one zoom level, at least two
+ForkNode = namedtuple("ForkNode", "actions")
+StopNode = namedtuple("StopNode", "text", defaults=(None,))
 
 
 ActivityNode = ActionNode | BranchNode | LoopNode | ForkNode | StopNode

@@ -25,22 +25,18 @@ is an action or a description, and a highlight is the ``CallSite``s it draws.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from .cxx_structure import CallSite, CodeStream, FunctionDef, body_holding, detect_calls
 from .diagnostics import warning
 
 
-class Annotation(NamedTuple):
-    """An action, or a description bound to the keyword at offset target."""
-    text: str
-    line: int
-    offset: int  # of the '//$' marker
-    zoom: int = 0
-    parallel: bool = False
-    target: int | None = None
-    keyword: str | None = None
+class Annotation(namedtuple("Annotation", "text line offset zoom parallel target keyword",
+                            defaults=(0, False, None, None))):
+    """An action, or a description bound to the keyword at offset target;
+    offset is that of the '//$' marker."""
+    __slots__ = ()
 
 
 # zoom digits touching the marker, an optional leading tag, then the text

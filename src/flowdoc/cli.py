@@ -22,12 +22,12 @@ interpreter teardown; in-process callers use ``main``.
 
 from __future__ import annotations
 
-import argparse
 import os
 import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from . import activity_ir, flowdb, html_emit, plantuml_emit
@@ -47,7 +47,10 @@ _PHASES = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser: the reference for ``_read_argv``, and the only
+    writer of help, the version and usage errors."""
+    import argparse  # a run's command line is read without it
     parser = argparse.ArgumentParser(
         prog="flowdoc",
         description="Generate interlinked activity diagrams and HTML pages "
@@ -78,6 +81,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)``'s namespace when argv is COMMAND,
+    then --werror, --quiet, --out-dir V and --render-cmd V (or OPTION=V)
+    around one run of SOURCEs, no V or SOURCE starting with '-'; else None."""
+    if not argv or argv[0] not in dict(_PHASES):
+        return None
+    args = SimpleNamespace(command=argv[0], sources=[], out_dir=None,
+                           render_cmd=None, werror=False, quiet=False)
+    rest, after = iter(argv[1:]), False  # after: an option followed SOURCEs
+    for arg in rest:
+        if not arg.startswith("-"):
+            if after:  # a second run of SOURCEs, which argparse rejects
+                return None
+            args.sources.append(arg)
+            continue
+        after = bool(args.sources)
+        name, eq, value = arg.partition("=")
+        if name in ("--werror", "--quiet") and not eq:
+            setattr(args, name[2:], True)
+        elif name in ("--out-dir", "--render-cmd"):
+            value = value if eq else next(rest, "-")  # "-": no V follows
+            if value.startswith("-"):
+                return None
+            setattr(args, name[2:].replace("-", "_"), value)
+        else:
+            return None
+    return args
+
+
 def _file_id(path: str | Path) -> tuple[int, int] | None:
     """(st_dev, st_ino) of a regular file, None for anything else."""
     try:
@@ -98,7 +130,7 @@ def _expand_sources(patterns: list[str],
         if (fid := _file_id(p)) is not None:
             out.setdefault(fid, str(p))
             continue
-        if p.is_dir():
+        if is_dir := pattern != "" and p.is_dir():  # Path("") is "."
             found = sorted(str(q) for q in p.rglob("*") if q.suffix in SOURCE_SUFFIXES)
         else:
             import glob as _glob  # only patterns need it
@@ -106,7 +138,7 @@ def _expand_sources(patterns: list[str],
         hits = [(fid, h) for h in found if (fid := _file_id(h)) is not None]
         for fid, h in hits:
             out.setdefault(fid, h)
-        if not hits and not p.is_dir():  # an empty directory is no error
+        if not hits and not is_dir:  # an empty directory is no error
             diags.append(error("io-error", f"no source matches '{pattern}'", pattern))
     kept = []
     for src in out.values():
@@ -185,8 +217,7 @@ def _render_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _phase_render(paths: list[Path], args: argparse.Namespace,
-                  diags: list[Diagnostic]) -> None:
+def _phase_render(paths: list[Path], args, diags: list[Diagnostic]) -> None:
     """Run the render command once per diagram, up to one per CPU at a time.
 
     Results are read in the order of ``paths``, so the warnings come in
@@ -255,7 +286,7 @@ def _bounded(name: str, longest: str) -> str:
 
 # ---------------------------------------------------------------------------
 
-def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
+def run(args, diags: list[Diagnostic]) -> None:
     """The pipeline: the phase ``args.command`` names, or all three in order.
 
     ``args`` is ``main``'s namespace with ``sources`` expanded to files
@@ -341,14 +372,17 @@ def run(args: argparse.Namespace, diags: list[Diagnostic]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    if not args.sources and args.command != "makehtml":
-        print(f"flowdoc {args.command}: at least one SOURCE is required",
-              file=sys.stderr)
+    argv = sys.argv[1:] if argv is None else argv
+    if (args := _read_argv(argv)) is None:  # help, version, usage errors
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
+    problem = ("at least one SOURCE is required"
+               if not args.sources and args.command != "makehtml" else
+               "--out-dir must not be empty" if args.out_dir == "" else None)
+    if problem:
+        print(f"flowdoc {args.command}: {problem}", file=sys.stderr)
         return 2
 
     diags: list[Diagnostic] = []

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 from operator import attrgetter
-from typing import NamedTuple
 
 from .diagnostics import Diagnostic, warning
 from .scanner import _OFFSET, LexKind, line_code_map, scan
@@ -103,19 +103,12 @@ class CodeStream:
         return bisect.bisect_left(self.lexemes, offset, key=_OFFSET)
 
 
-class FunctionDef(NamedTuple):
-    qualified_name: str
-    signature_text: str
-    body_start: int  # offset of '{'
-    body_end: int    # offset of the matching '}'
-    file: str
-
-
-class CallSite(NamedTuple):
-    callee_text: str        # as written, e.g. "vinciaOBJ->shower"
-    normalized_name: str    # lookup key, e.g. "shower" or "VINCIA::shower"
-    line: int
-    offset: int             # of the chain's first lexeme
+# body_start: the offset of '{', body_end that of the matching '}'
+FunctionDef = namedtuple("FunctionDef",
+                         "qualified_name signature_text body_start body_end file")
+# callee_text as written, e.g. "vinciaOBJ->shower"; normalized_name the lookup
+# key, e.g. "shower" or "VINCIA::shower"; offset that of the chain's first lexeme
+CallSite = namedtuple("CallSite", "callee_text normalized_name line offset")
 
 
 class StmtKind(Enum):
@@ -127,19 +120,18 @@ class StmtKind(Enum):
     RETURN = "return"
 
 
-class Stmt(NamedTuple):
+class Stmt(namedtuple("Stmt", "kind span condition_text children keywords",
+                      defaults=(None, (), ()))):
     """One statement. An If's children are its arms, in order: Blocks that
-    carry their own condition (None for a bare else) and keyword."""
-    kind: StmtKind
-    # the offsets of the first and last lexeme; a body's root spans its
-    # braces, and an arm starts right after its header, so it holds the
-    # comments between them
-    span: tuple[int, int]
-    condition_text: str | None = None  # of a loop or an If arm
-    children: tuple[Stmt, ...] = ()
-    # offsets of the keywords a description binds to: the arm's 'if' or
-    # 'else', the loop's keyword ('do' and its 'while'), 'return'
-    keywords: tuple[int, ...] = ()
+    carry their own condition (None for a bare else) and keyword.
+
+    ``span`` holds the offsets of the first and last lexeme; a body's root
+    spans its braces, and an arm starts right after its header, so it holds
+    the comments between them. ``condition_text`` is a loop's or an If
+    arm's. ``keywords`` are the offsets of those a description binds to:
+    the arm's 'if' or 'else', the loop's ('do' and its 'while'), 'return'.
+    """
+    __slots__ = ()
 
 
 # Blocks nested deeper than this below a function body are kept as one
@@ -165,10 +157,7 @@ _DECLARATOR = (("::",), True, False)
 _CALLEE = (("::", ".", "->"), False, True)
 
 
-class _Scope(NamedTuple):
-    kind: str  # 'namespace' | 'class' | 'extern'
-    name: str | None
-    open_line: int
+_Scope = namedtuple("_Scope", "kind name open_line")  # kind 'namespace', 'class' or 'extern'
 
 
 def find_definitions(view: CodeStream) -> list[FunctionDef]:

@@ -8,8 +8,8 @@ diagnostic means for the exit code (errors fail the run, warnings only under
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 
 class Severity(Enum):
@@ -17,12 +17,9 @@ class Severity(Enum):
     ERROR = "error"
 
 
-class Diagnostic(NamedTuple):
-    severity: Severity
-    code: str
-    message: str
-    file: str | None = None
-    line: int | None = None
+class Diagnostic(namedtuple("Diagnostic", "severity code message file line",
+                            defaults=(None, None))):
+    __slots__ = ()
 
     def format(self) -> str:
         """Render as ``file:line: severity: message [code]``."""

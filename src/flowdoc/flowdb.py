@@ -14,12 +14,12 @@ re-reading the other sources.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from . import annotations as _annotations
 from . import cxx_structure as _cxx
-from .cxx_structure import CallSite, FunctionDef, Stmt
+from .cxx_structure import CallSite, FunctionDef
 from .diagnostics import Diagnostic, error, warning
 from .ioutil import atomic_write_text
 
@@ -48,19 +48,11 @@ def url_unquote(url: str) -> str:
         m[0].replace("%", "")).decode(errors="replace"), url)
 
 
-class FlowDbEntry(NamedTuple):
-    qualified_name: str
-    html_path: str  # the page as a URL, url_quote'd
-    anchor: str
-    max_zoom: int
-
-
-class AnnotatedFunction(NamedTuple):
-    fn: FunctionDef
-    anchor: str
-    annotations: tuple[_annotations.Annotation | CallSite, ...]  # from annotations.collect
-    max_zoom: int
-    body: Stmt  # the statement tree, from parse_body
+# html_path: the page as a URL, url_quote'd
+FlowDbEntry = namedtuple("FlowDbEntry", "qualified_name html_path anchor max_zoom")
+# fn: a FunctionDef; annotations: its Annotations and CallSites, from
+# annotations.collect; body: its Stmt tree, from parse_body
+AnnotatedFunction = namedtuple("AnnotatedFunction", "fn anchor annotations max_zoom body")
 
 
 def annotated_functions(view: _cxx.CodeStream, defs: list[FunctionDef],

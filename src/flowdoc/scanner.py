@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections import namedtuple
 from enum import Enum
 from operator import itemgetter
-from typing import NamedTuple
 
 from .diagnostics import Diagnostic, warning
 
@@ -53,10 +53,7 @@ class LexKind(Enum):
     LIT = "lit"
 
 
-class Lexeme(NamedTuple):
-    text: str
-    offset: int
-    kind: LexKind | None  # None for a '//$' marker
+Lexeme = namedtuple("Lexeme", "text offset kind")  # kind: a LexKind, None for a '//$' marker
 
 
 # An identifier is a run of Unicode word characters (\w) that does not start
@@ -107,7 +104,7 @@ def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Lexeme], l
     An unterminated token, or a ``//$`` on a directive line, is reported as
     a warning and scanning goes on."""
     lexemes, markers = [], []
-    add, new = lexemes.append, tuple.__new__  # new skips NamedTuple's __new__
+    add, new = lexemes.append, tuple.__new__  # new skips namedtuple's __new__
     plain, finditer = _PLAIN.get, _TABLE.finditer
     found: list[tuple[int, str, str]] = []  # the offset, code and message of each warning
     pos = 0

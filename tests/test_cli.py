@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import os
 import re
 import shlex
@@ -9,6 +11,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowdoc import activity_ir, cli, cxx_structure, flowdb, plantuml_emit
 from flowdoc.cli import main
@@ -28,6 +32,16 @@ def files_of(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+_COMMAND = st.sampled_from(["build-db", "makeflows", "makehtml", "all"])
+# a name with and without a leading '-'
+_NAME = st.one_of(st.sampled_from(["a", "b.cpp", "all", "x=y", "a b", "-x", "-a b"]),
+                  st.text("ab-= ", max_size=3))
+_OPTION = st.sampled_from(["--werror", "--quiet", "--out-dir", "--render-cmd"])
+_ARG = st.one_of(
+    _COMMAND, _OPTION, _NAME, st.builds("{}={}".format, _OPTION, _NAME),
+    st.sampled_from(["--out", "-h", "--help", "--version", "--", "-", "-1", ""]))
+
+
 class TestArgHandling:
     def test_version_exits_zero(self, capsys):
         assert run_cli("--version", capsys=capsys)[0] == 0
@@ -42,6 +56,51 @@ class TestArgHandling:
         code, err = run_cli("build-db", capsys=capsys)
         assert code == 2
         assert "at least one SOURCE" in err
+
+    @pytest.mark.parametrize("argv", [["all", "a", "--out-dir", ""], ["all", "a", "--out-dir="],
+                                      ["all", "a", "--out", ""]])
+    def test_an_empty_out_dir_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, capsys=capsys) == (
+            2, "flowdoc all: --out-dir must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_source_matches_nothing(self, tmp_path, monkeypatch, capsys):
+        """'' is no name for the current directory: it is reported, and the
+        other sources still run."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stray.cpp").write_text("void f() {\n//$ step\n}\n")
+        code, err = run_cli("all", "", str(FIXTURES / "lang" / "hello.cpp"),
+                            "--out-dir", "out", capsys=capsys)
+        assert (code, err) == (1, "error: no source matches '' [io-error]\n")
+        assert (tmp_path / "out" / "hello.html").is_file()
+        assert not (tmp_path / "out" / "stray.html").exists()
+
+    def test_a_second_run_of_sources_is_argparse_s_usage_error(self, capsys):
+        code, err = run_cli("all", "a", "--werror", "b", capsys=capsys)
+        assert code == 2
+        assert err.startswith("usage: flowdoc")
+        assert err.endswith("flowdoc: error: unrecognized arguments: b\n")
+
+    @given(st.lists(_ARG, max_size=7).flatmap(
+        lambda rest: st.tuples(st.one_of(_COMMAND, _ARG), st.just(rest))))
+    @example(("all", ["a", "--werror", "b"]))
+    @example(("makehtml", ["--out-dir=o", "--render-cmd", "r", "--quiet", "a", "b"]))
+    @example(("all", ["--out-dir=", "", "--werror"]))
+    @settings(max_examples=500)
+    def test_a_command_line_is_read_as_argparse_reads_it(self, drawn):
+        """The reader argparse stands behind either declines a command line
+        or gives exactly the namespace argparse gives."""
+        argv = [drawn[0], *drawn[1]]
+        fast = cli._read_argv(argv)
+        if fast is None:
+            return
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                expected = vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                expected = err.getvalue()
+        assert vars(fast) == expected
 
     def test_makehtml_allows_no_sources(self, tmp_path, capsys):
         code, err = run_cli("makehtml", "--out-dir", str(tmp_path),

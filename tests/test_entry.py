@@ -34,11 +34,10 @@ def tree(out):
 
 def test_start_up_and_a_plain_run_import_nothing_they_do_not_use(tmp_path):
     unused = ("html", "shlex", "glob", "concurrent.futures", "unicodedata",
-              "subprocess")
+              "subprocess", "argparse", "gettext")
     code = f"""if True:
         import json, sys
-        import argparse, bisect, collections.abc, enum, math, os, pathlib
-        import re, typing
+        import bisect, collections.abc, enum, math, os, pathlib, re
         stdlib = set(sys.modules)  # whatever these load by themselves
         seen = []
         import flowdoc.cli
@@ -47,11 +46,14 @@ def test_start_up_and_a_plain_run_import_nothing_they_do_not_use(tmp_path):
         flowdoc.cli.main(["all", {DEMO!r}, "--out-dir", {str(tmp_path)!r}])
         seen.append(sorted(m for m in {unused!r}
                            if m in sys.modules and m not in stdlib))
-        print(json.dumps(seen))
+        print(json.dumps(seen), flush=True)
+        flowdoc.cli.main(["--help"])  # argparse, which only help and errors need
         """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert json.loads(proc.stdout) == [[], []]
+    seen, help_text = proc.stdout.split("\n", 1)
+    assert json.loads(seen) == [[], []]
+    assert help_text.startswith("usage: flowdoc")
 
 
 @pytest.mark.parametrize("argv, status", [

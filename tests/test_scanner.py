@@ -78,6 +78,14 @@ class TestLineComments:
         assert texts("x; // a \\\r\ny;\r\nz;\r\n") == ["x", ";", "z", ";"]
         assert texts("// a \\\n\\\r\nb\nc") == ["c"]
 
+    def test_a_backslash_before_blanks_continues_no_comment(self):
+        # GCC and C++23 (P2223) splice these lines too; flowdoc reads the
+        # line break as the comment's end (README "Limitations")
+        src = "void f() {\n//$ start\n// a note \\ \ng();  //$\n}"
+        assert texts(src) == ["void", "f", "(", ")", "{", "g", "(", ")", ";", "}"]
+        assert marker_texts(src) == ["//$ start", "//$"]
+        assert texts("x; // a \\\t\r\ny;\r\n") == ["x", ";", "y", ";"]
+
     def test_a_marker_that_ends_in_a_backslash_runs_on(self):
         assert lexed("//$ step \\\nmore\ny;\n") == (
             [("y", 16, WORD), (";", 17, PUNCT)], [Lexeme("//$ step \\\nmore", 0, None)])
