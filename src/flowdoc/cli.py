@@ -26,14 +26,13 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
 from . import activity_ir, flowdb, html_emit, plantuml_emit
 from .diagnostics import Diagnostic, Severity, error, warning
 from .flowdb import SOURCE_SUFFIXES
-from .ioutil import TMP_SUFFIX_BYTES, atomic_write_text
+from .ioutil import TMP_SUFFIX_BYTES, atomic_write_text, dir_prefix, plain_path
 
 # the subprocess module, imported by the first run that renders; a name of
 # this module so that flowbench's tracer can patch it to count render processes
@@ -110,7 +109,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def _file_id(path: str | Path) -> tuple[int, int] | None:
+def _file_id(path: str) -> tuple[int, int] | None:
     """(st_dev, st_ino) of a regular file, None for anything else."""
     try:
         st = os.stat(path)
@@ -126,12 +125,14 @@ def _expand_sources(patterns: list[str],
     is not UTF-8 is reported and left out."""
     out: dict[tuple[int, int], str] = {}
     for pattern in patterns:
-        p = Path(pattern)
+        p = plain_path(pattern)
         if (fid := _file_id(p)) is not None:
-            out.setdefault(fid, str(p))
+            out.setdefault(fid, p)
             continue
-        if is_dir := pattern != "" and p.is_dir():  # Path("") is "."
-            found = sorted(str(q) for q in p.rglob("*") if q.suffix in SOURCE_SUFFIXES)
+        if is_dir := pattern != "" and os.path.isdir(p):  # "" is spelled "."
+            # Path(p).rglob("*")'s entries whose Path(name).suffix is a source's
+            found = sorted(dir_prefix(top) + name for top, dirs, files in os.walk(p)
+                           for name in dirs + files if name[1:].endswith(SOURCE_SUFFIXES))
         else:
             import glob as _glob  # only patterns need it
             found = sorted(_glob.glob(pattern, recursive=True))
@@ -143,7 +144,7 @@ def _expand_sources(patterns: list[str],
     kept = []
     for src in out.values():
         try:
-            Path(src).name.encode()  # undecodable bytes are read as surrogates
+            os.path.basename(src).encode()  # undecodable bytes are read as surrogates
             kept.append(src)
         except UnicodeEncodeError:  # its outputs' names and links could not be written
             diags.append(error("io-error", "cannot read source: its file name is not UTF-8", src))
@@ -168,11 +169,13 @@ def _stem_groups(sources: list[str], diags: list[Diagnostic]
     groups: dict[str, tuple[str, list[str]]] = {}
     first: dict[tuple[str, bool], str] = {}
     for src in sources:
-        p = Path(src)
-        key = _name_key(p.stem)
-        stem, group = groups.setdefault(key, (p.stem, []))
-        other = first.setdefault((key, p.suffix in (".h", ".hpp", ".hh")), src)
-        if other == src and stem != p.stem:
+        name = src[src.rfind("/") + 1:]
+        i = name.rfind(".")  # where Path(src).stem and .suffix split name
+        base, suffix = (name[:i], name[i:]) if 0 < i < len(name) - 1 else (name, "")
+        key = _name_key(base)
+        stem, group = groups.setdefault(key, (base, []))
+        other = first.setdefault((key, suffix in (".h", ".hpp", ".hh")), src)
+        if other == src and stem != base:
             other = group[0]
         group.append(src)
         if other != src:
@@ -206,7 +209,7 @@ def _isolated(file: str, diags: list[Diagnostic]):
         diags.append(error(
             "internal-error",
             f"internal error ({type(exc).__name__} at "
-            f"{Path(frame.filename).name}:{frame.lineno}: {exc}); "
+            f"{os.path.basename(frame.filename)}:{frame.lineno}: {exc}); "
             f"this stem's output is incomplete", file))
 
 
@@ -217,7 +220,7 @@ def _render_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _phase_render(paths: list[Path], args, diags: list[Diagnostic]) -> None:
+def _phase_render(paths: list[str], args, diags: list[Diagnostic]) -> None:
     """Run the render command once per diagram, up to one per CPU at a time.
 
     Results are read in the order of ``paths``, so the warnings come in
@@ -242,8 +245,8 @@ def _phase_render(paths: list[Path], args, diags: list[Diagnostic]) -> None:
     if not any("{input}" in a for a in args_template):
         args_template.append("{input}")
 
-    def render(path: Path) -> subprocess.CompletedProcess | OSError:
-        argv = [a.replace("{input}", str(path)) for a in args_template]
+    def render(path: str) -> subprocess.CompletedProcess | OSError:
+        argv = [a.replace("{input}", path) for a in args_template]
         try:
             return subprocess.run(argv, capture_output=True, encoding="utf-8",
                                   errors="replace")
@@ -254,17 +257,13 @@ def _phase_render(paths: list[Path], args, diags: list[Diagnostic]) -> None:
     try:
         for path, proc in zip(paths, pool.map(render, paths)):
             if isinstance(proc, OSError):
-                failed = f"render command failed to start: {proc}"
-                diags.append(warning("render-failed", failed))
+                diags.append(warning("render-failed", f"render command failed to start: {proc}"))
                 return
             if proc.returncode != 0:
-                out = proc.stderr or proc.stdout or ""
-                detail = out.strip().splitlines()
+                detail = (proc.stderr or proc.stdout or "").strip().splitlines()
                 suffix = f": {detail[0]}" if detail else ""
-                diags.append(warning(
-                    "render-failed",
-                    f"render command exited with status {proc.returncode} "
-                    f"for {path.name}{suffix}"))
+                diags.append(warning("render-failed", f"render command exited with status "
+                                     f"{proc.returncode} for {os.path.basename(path)}{suffix}"))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -290,7 +289,7 @@ def run(args, diags: list[Diagnostic]) -> None:
     """The pipeline: the phase ``args.command`` names, or all three in order.
 
     ``args`` is ``main``'s namespace with ``sources`` expanded to files
-    (None when makehtml was given no SOURCE) and ``out_dir`` a Path. Each
+    (None when makehtml was given no SOURCE) and ``out_dir`` a str. Each
     source is analyzed once, and each function's activity tree is built and
     rendered once: makeflows writes those diagram texts and makehtml embeds
     the same texts in the pages. An unexpected failure in one stem spares
@@ -306,18 +305,18 @@ def run(args, diags: list[Diagnostic]) -> None:
     function's diagrams. Paths are owned by ``_name_key``, so no two
     outputs differ only in case or Unicode normalization.
     """
-    out = args.out_dir
-    index = out / "index.html"
-    owner = {_name_key(str(index)): "the index"}  # by output path's _name_key
+    pre = dir_prefix(args.out_dir)  # every output's path is pre + its name
+    index = pre + "index.html"
+    owner = {_name_key(index): "the index"}  # by output path's _name_key
 
-    def claim(path: Path, file: str) -> str:
+    def claim(path: str, file: str) -> str:
         """The first source to name path, file if none did."""
-        return owner.setdefault(_name_key(str(path)), file)
+        return owner.setdefault(_name_key(path), file)
 
     stems, texts = [], {}  # texts: the databases this run writes, by path
     for stem, group in _stem_groups(args.sources or [], diags):
         base = _bounded(stem, ".flowdb")
-        file, db_path, page = group[0], out / f"{base}.flowdb", out / f"{base}.html"
+        file, db_path, page = group[0], f"{pre}{base}.flowdb", f"{pre}{base}.html"
         db_owned = claim(db_path, file) == file
         owned = claim(page, file) == file
         annotated = None
@@ -325,7 +324,7 @@ def run(args, diags: list[Diagnostic]) -> None:
             annotated = flowdb.analyze_stem(group, diags)
             if annotated is not None and args.command in ("build-db", "all"):
                 if annotated and not owned:
-                    diags.append(warning("output-collision", f"'{page.name}' is already an output "
+                    diags.append(warning("output-collision", f"'{base}.html' is already an output "
                                          f"of {claim(page, file)}; this stem gets no page and its "
                                          "functions are neither indexed nor linked", file))
                 if db_owned:
@@ -333,12 +332,12 @@ def run(args, diags: list[Diagnostic]) -> None:
         stems.append((stem, file, page, annotated))
     if args.command == "build-db":
         return
-    db = flowdb.load_merge(out, diags, texts)
+    db = flowdb.load_merge(args.out_dir, diags, texts)
     pages = []  # per stem: its functions, each with its diagrams as (path, text, owned)
     for stem, file, page, annotated in stems:
         funcs = []
         with _isolated(file, diags):  # the stem's list in full, or none of it
-            funcs = [(af, [(out / "aux_files" / f"{base}__zoom{zoom}.txt", text)
+            funcs = [(af, [(f"{pre}aux_files/{base}__zoom{zoom}.txt", text)
                            for zoom, text in enumerate(plantuml_emit.render_function(
                                activity_ir.build_activity(af, db, diags), af.max_zoom))])
                      for af in annotated or ()
@@ -354,7 +353,7 @@ def run(args, diags: list[Diagnostic]) -> None:
                         paths.append(atomic_write_text(path, text))
                     else:
                         diags.append(warning(
-                            "output-collision", f"'{path.relative_to(out).as_posix()}' is "
+                            "output-collision", f"'{path[len(pre):]}' is "
                             f"already an output of {claim(path, file)}; not written again", file))
         if not any(annotated for *_, annotated in stems):
             diags.append(warning("no-annotated-functions",
@@ -367,7 +366,7 @@ def run(args, diags: list[Diagnostic]) -> None:
                 with _isolated(file, diags):
                     html_emit.emit_page(page, stem, funcs)
         if args.sources is None or any(a is not None for *_, a in stems):
-            with _isolated(str(index), diags):
+            with _isolated(index, diags):
                 html_emit.emit_index(db, index)
 
 
@@ -388,8 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     diags: list[Diagnostic] = []
     args.sources = (_expand_sources(args.sources, diags)
                     if args.sources else None)  # makehtml indexes out_dir
-    args.out_dir = Path(args.out_dir or os.environ.get("FLOWDOC_OUT")
-                        or "flowdoc")
+    args.out_dir = args.out_dir or os.environ.get("FLOWDOC_OUT") or "flowdoc"
     run(args, diags)
 
     sys.stderr.write("".join(

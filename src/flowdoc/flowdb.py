@@ -13,15 +13,15 @@ re-reading the other sources.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
-from pathlib import Path
 
 from . import annotations as _annotations
 from . import cxx_structure as _cxx
 from .cxx_structure import CallSite, FunctionDef
 from .diagnostics import Diagnostic, error, warning
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, dir_prefix, plain_path
 
 SOURCE_SUFFIXES = (".cpp", ".cc", ".cxx", ".C", ".h", ".hpp", ".hh")
 
@@ -83,7 +83,7 @@ def annotated_functions(view: _cxx.CodeStream, defs: list[FunctionDef],
     return out
 
 
-def analyze_source(source_path: str | Path, diags: list[Diagnostic],
+def analyze_source(source_path: str | os.PathLike, diags: list[Diagnostic],
                    taken: dict[str, int]) -> list[AnnotatedFunction] | None:
     """Read, scan and lex one file once, then recognize its definitions,
     collect its annotations and parse each annotated body.
@@ -91,18 +91,19 @@ def analyze_source(source_path: str | Path, diags: list[Diagnostic],
     Returns the annotated functions; the lexed view is dropped on return.
     Returns None (with an error diagnostic) when the file cannot be read.
     """
-    path = Path(source_path)
+    path = plain_path(source_path)  # diagnostics name it so
     try:
-        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is no code
+        with open(path, encoding="utf-8-sig") as file:  # a leading BOM is no code
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
-        diags.append(error("io-error", f"cannot read source: {exc}", str(path)))
+        diags.append(error("io-error", f"cannot read source: {exc}", path))
         return None
-    view = _cxx.CodeStream(text, str(path), diags)
+    view = _cxx.CodeStream(text, path, diags)
     defs = _cxx.find_definitions(view)
     return annotated_functions(view, defs, _annotations.collect(view, defs), taken)
 
 
-def analyze_stem(source_paths: list[str | Path],
+def analyze_stem(source_paths: list[str | os.PathLike],
                  diags: list[Diagnostic]) -> list[AnnotatedFunction] | None:
     """The annotated functions of the sources sharing one stem (typically a
     header and its .cpp), which share one anchor namespace; None when none
@@ -113,16 +114,15 @@ def analyze_stem(source_paths: list[str | Path],
     return [af for functions in readable for af in functions] if readable else None
 
 
-def write_db(db_path: Path, page: Path, annotated: list[AnnotatedFunction],
-             texts: dict[Path, str]) -> Path:
+def write_db(db_path: str | os.PathLike, page: str | os.PathLike,
+             annotated: list[AnnotatedFunction], texts: dict[str, str]):
     """Write db_path for one stem's functions, documented on page, its text
     first put in ``texts`` by path, for ``load_merge`` even if the write fails."""
-    url = url_quote(page.name)
-    texts[db_path] = "".join(sorted(
+    url = url_quote(os.path.basename(page))
+    text = texts[os.fspath(db_path)] = "".join(sorted(
         f"{af.fn.qualified_name}\t{url}#{af.anchor}\t{af.max_zoom}\n"
         for af in annotated))
-    atomic_write_text(db_path, texts[db_path])
-    return db_path
+    return atomic_write_text(db_path, text)
 
 
 class FlowDb:
@@ -163,10 +163,11 @@ class FlowDb:
 _DB_LINE_RE = re.compile(r"^(\S[^\t]*)\t([^\t#]+\.html)#(\w+)\t([0-9]{1,2})$")
 
 
-def load_merge(db_dir: str | Path, diags: list[Diagnostic],
-               texts: dict[Path, str]) -> FlowDb:
-    """Merge the databases ``texts`` holds by path and every other
-    ``*.flowdb`` under db_dir, in the order of their paths.
+def load_merge(db_dir: str | os.PathLike, diags: list[Diagnostic],
+               texts: dict[str, str]) -> FlowDb:
+    """Merge the databases ``texts`` holds by path and every other entry
+    of db_dir, if it can be listed, whose name ends in ``.flowdb``, in the
+    order of their paths, spelled as ``Path(db_dir) / name``.
 
     Malformed lines are skipped with a diagnostic. When one qualified name
     has several entries (overloads on one page, or definitions on several
@@ -174,13 +175,18 @@ def load_merge(db_dir: str | Path, diags: list[Diagnostic],
     wins and the collision is reported.
     """
     merged: dict[str, FlowDbEntry] = {}
-    for db_file in sorted(texts.keys() | Path(db_dir).glob("*.flowdb")):
+    pre = dir_prefix(db_dir)
+    try:
+        found = {pre + name for name in os.listdir(pre or ".") if name.endswith(".flowdb")}
+    except (OSError, ValueError):  # missing, not a directory, unreadable
+        found = set()
+    for db_file in sorted(texts.keys() | found):
         try:
-            content = (texts[db_file] if db_file in texts
-                       else db_file.read_text(encoding="utf-8"))
+            if (content := texts.get(db_file)) is None:
+                with open(db_file, encoding="utf-8") as file:
+                    content = file.read()
         except (OSError, UnicodeDecodeError) as exc:
-            diags.append(error("io-error", f"cannot read database: {exc}",
-                               str(db_file)))
+            diags.append(error("io-error", f"cannot read database: {exc}", db_file))
             continue
         for lineno, raw in enumerate(content.split("\n"), start=1):
             if not raw:
@@ -190,14 +196,11 @@ def load_merge(db_dir: str | Path, diags: list[Diagnostic],
                 cut = f"... ({len(raw)} characters)" if len(raw) > 60 else ""
                 diags.append(warning("malformed-db-line",
                                      f"malformed database line: {raw[:60]!r}{cut}",
-                                     str(db_file), lineno))
+                                     db_file, lineno))
                 continue
-            entry = FlowDbEntry(m.group(1), m.group(2), m.group(3),
-                                int(m.group(4)))
-            current = merged.get(entry.qualified_name)
-            if current is None:
-                merged[entry.qualified_name] = entry
-            elif (entry.html_path, entry.anchor) != (current.html_path, current.anchor):
+            entry = FlowDbEntry(*m.group(1, 2, 3), int(m[4]))
+            current = merged.setdefault(entry.qualified_name, entry)
+            if (entry.html_path, entry.anchor) != (current.html_path, current.anchor):
                 keep = current if current.html_path <= entry.html_path else entry
                 merged[entry.qualified_name] = keep
                 where = (f"more than once on {keep.html_path}; links go to "
@@ -207,5 +210,5 @@ def load_merge(db_dir: str | Path, diags: list[Diagnostic],
                 diags.append(warning(
                     "duplicate-definition",
                     f"'{entry.qualified_name}' is documented {where}",
-                    str(db_file), lineno))
+                    db_file, lineno))
     return FlowDb(merged)

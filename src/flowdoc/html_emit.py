@@ -11,7 +11,7 @@ every run; nothing in the output directory is treated as input except the
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from .activity_ir import collapse_ws
 from .flowdb import AnnotatedFunction, FlowDb, url_quote, url_unquote
@@ -44,13 +44,14 @@ def _head(title: str) -> str:
     )
 
 
-def emit_page(page: Path, stem: str, funcs: list[tuple[AnnotatedFunction, list]]) -> Path:
-    """Write one stem's page, titled by the stem, and return its path.
+def emit_page(page: str | os.PathLike, stem: str, funcs: list[tuple[AnnotatedFunction, list]]):
+    """Write one stem's page, titled by the stem, and return page as given.
 
     Each function comes with its diagrams, level 0 first, as (path, text,
-    owned). A diagram not ``owned`` is another stem's output, so its image
-    is left out and its text shown in its place.
+    owned), each path a ``.txt`` under the page's directory, spelled as the
+    page is. A diagram not ``owned`` is another stem's: its text stands in for its ``.svg``.
     """
+    skip = os.fspath(page).rfind("/") + 1  # the page's directory and its '/'
     parts = [_head(stem)]
     parts.append('<nav><a href="index.html">index</a></nav>\n')
     parts.append(f"<h1>{_escape(stem)}</h1>\n")
@@ -60,7 +61,7 @@ def emit_page(page: Path, stem: str, funcs: list[tuple[AnnotatedFunction, list]]
         parts.append(f"<p><code>{_escape(sig)}</code></p>\n")
         for zoom, (path, text, owned) in enumerate(diagrams):
             pre = f"<pre>{_escape(text)}</pre>\n"  # embedded twice
-            svg = url_quote(path.with_suffix(".svg").relative_to(page.parent).as_posix())
+            svg = url_quote(os.fspath(path)[skip:].rpartition(".")[0] + ".svg")
             image = (f'<object type="image/svg+xml" data="{_escape(svg)}">\n'
                      f"{pre}</object>\n") if owned else pre
             parts.append(
@@ -72,7 +73,7 @@ def emit_page(page: Path, stem: str, funcs: list[tuple[AnnotatedFunction, list]]
     return atomic_write_text(page, "".join(parts))
 
 
-def emit_index(db: FlowDb, path: Path) -> Path:
+def emit_index(db: FlowDb, path: str | os.PathLike):
     """Write the index at path: every documented function, grouped by page."""
     parts = [_head("flow documentation")]
     parts.append("<h1>flow documentation</h1>\n")
@@ -85,12 +86,9 @@ def emit_index(db: FlowDb, path: Path) -> Path:
         parts.append(f'<h2><a href="{_escape(page)}">'
                      f"{_escape(url_unquote(page))}</a></h2>\n<ul>\n")
         for entry in sorted(by_page[page], key=lambda e: (e.qualified_name, e.anchor)):
-            zooms = ("zoom 0" if entry.max_zoom == 0
-                     else f"zoom 0&ndash;{entry.max_zoom}")
-            parts.append(
-                f'<li><a href="{_escape(page)}'
-                f'#{entry.anchor}">{_escape(entry.qualified_name)}</a>'
-                f" ({zooms})</li>\n")
+            zooms = "zoom 0" if entry.max_zoom == 0 else f"zoom 0&ndash;{entry.max_zoom}"
+            parts.append(f'<li><a href="{_escape(page)}#{entry.anchor}">'
+                         f"{_escape(entry.qualified_name)}</a> ({zooms})</li>\n")
         parts.append("</ul>\n")
     parts.append("</body>\n</html>\n")
     return atomic_write_text(path, "".join(parts))

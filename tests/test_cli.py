@@ -172,6 +172,48 @@ class TestSourceExpansion:
         assert twice == once
         assert files_of(tmp_path / "two") == files_of(tmp_path / "one")
 
+    def test_a_directory_gives_the_sources_rglob_lists(self, tmp_path, monkeypatch):
+        """The entries ``Path(d).rglob('*')`` lists whose suffix is a source's:
+        hidden files and directories are searched, a symlinked directory is
+        not descended, a symlinked file is a source under its own name, and
+        a directory or a dangling link named like a source is none."""
+        src = tmp_path / "src"
+        for name in ("a.cpp", "..cc", ".d.hpp", ".hidden/h.cpp", "dir.cpp/in.h",
+                     "sub/b.hh", "up.C", ".hpp", "low.c", "a.CPP", "notes.txt",
+                     "../outside.cpp", "../linked/r.cpp"):
+            (src / name).parent.mkdir(parents=True, exist_ok=True)
+            (src / name).write_text("void f() {}\n")
+        (src / "ln.cpp").symlink_to(tmp_path / "outside.cpp")
+        (src / "link").symlink_to(tmp_path / "linked", target_is_directory=True)
+        (src / "dangling.cpp").symlink_to(tmp_path / "missing.cpp")
+        found = ["..cc", ".d.hpp", ".hidden/h.cpp", "a.cpp", "dir.cpp/in.h", "ln.cpp",
+                 "sub/b.hh", "up.C"]
+        diags = []
+        assert cli._expand_sources([str(src)], diags) == [f"{src}/{f}" for f in found]
+        monkeypatch.chdir(tmp_path)
+        assert cli._expand_sources(["./src/"], diags) == [f"src/{f}" for f in found]
+        monkeypatch.chdir(src)
+        assert cli._expand_sources(["."], diags) == found
+        assert diags == []
+
+    def test_sources_and_the_out_dir_are_named_as_pathlib_spells_them(
+            self, tmp_path, monkeypatch, capsys):
+        """'./src/' and '--out-dir ./odd//' give the diagnostics and the tree
+        that 'src' and '--out-dir out' give: a no-link names a source, and a
+        duplicate-definition names a database in the out directory."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "a.cpp").write_text("void f() {\n//$ one\ng();  //$\n}\n")
+        (tmp_path / "src" / "b.cpp").write_text("void f() {\n//$ two\n}\n")
+        odd = run_cli("all", "./src/", "--out-dir", "./odd//", capsys=capsys)
+        plain = run_cli("all", "src", "--out-dir", "out", capsys=capsys)
+        assert plain == (0, "out/b.flowdb:1: warning: 'f' is documented on more than "
+                            "one page; links go to a.html [duplicate-definition]\n"
+                            "src/a.cpp:3: warning: no diagram found for call 'g'; "
+                            "shown without a link [no-link]\n")
+        assert (odd[0], odd[1].replace("odd/", "out/")) == plain
+        assert files_of(tmp_path / "odd") == files_of(tmp_path / "out")
+
     def test_a_source_whose_name_is_not_utf8_is_left_out(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()

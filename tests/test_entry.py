@@ -18,6 +18,7 @@ from flowdoc.cli import main
 from conftest import FIXTURES
 
 DEMO, XLINK = str(FIXTURES / "demo"), str(FIXTURES / "xlink")
+SRC = str(FIXTURES.parents[1] / "src")
 
 
 def flowdoc(*argv):
@@ -34,10 +35,10 @@ def tree(out):
 
 def test_start_up_and_a_plain_run_import_nothing_they_do_not_use(tmp_path):
     unused = ("html", "shlex", "glob", "concurrent.futures", "unicodedata",
-              "subprocess", "argparse", "gettext")
+              "subprocess", "argparse", "gettext", "pathlib")
     code = f"""if True:
         import json, sys
-        import bisect, collections.abc, enum, math, os, pathlib, re
+        import bisect, collections.abc, enum, math, os, re
         stdlib = set(sys.modules)  # whatever these load by themselves
         seen = []
         import flowdoc.cli
@@ -49,8 +50,10 @@ def test_start_up_and_a_plain_run_import_nothing_they_do_not_use(tmp_path):
         print(json.dumps(seen), flush=True)
         flowdoc.cli.main(["--help"])  # argparse, which only help and errors need
         """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+    # -S: without site, which may load some of these modules on its own
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
     seen, help_text = proc.stdout.split("\n", 1)
     assert json.loads(seen) == [[], []]
     assert help_text.startswith("usage: flowdoc")

@@ -1,3 +1,5 @@
+import errno
+import os
 import sys
 
 import pytest
@@ -211,6 +213,27 @@ class TestLoadMerge:
         assert [(d.code, d.line, d.message) for d in diags] == [
             ("duplicate-definition", 2,
              "'f' is documented more than once on o.html; links go to o.html#f")]
+
+    def test_every_entry_named_flowdb_is_read_as_glob_lists_it(self, tmp_path):
+        """The entries ``Path(out).glob('*.flowdb')`` lists: a hidden one is
+        read, a directory and a dangling symlink are each an io-error, and a
+        name is matched with its case. A directory that is missing, or not a
+        directory, holds no database."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".x.flowdb").write_text("f\tx.html#f\t0\n", encoding="utf-8")
+        (out / "X.FLOWDB").write_text("not a database line\n", encoding="utf-8")
+        (out / "d.flowdb").mkdir()
+        (out / "dangle.flowdb").symlink_to(tmp_path / "missing")
+        diags = []
+        assert load_merge(out, diags, {}).entries == {"f": FlowDbEntry("f", "x.html", "f", 0)}
+        assert [(d.code, d.file, d.message) for d in diags] == [
+            ("io-error", str(out / name), f"cannot read database: [Errno {code}] "
+                                          f"{os.strerror(code)}: '{out / name}'")
+            for name, code in (("d.flowdb", errno.EISDIR), ("dangle.flowdb", errno.ENOENT))]
+        for no_dir in (tmp_path / "missing", out / ".x.flowdb"):
+            assert load_merge(no_dir, diags, {}).entries == {}
+        assert len(diags) == 2
 
     def test_merge_across_files(self, tmp_path):
         out = tmp_path / "out"

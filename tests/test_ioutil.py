@@ -60,6 +60,48 @@ def test_a_write_that_raises_leaves_nothing(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "sub") == []
 
 
+def test_a_short_write_is_continued_until_the_file_is_whole(tmp_path, monkeypatch):
+    write, sizes = os.write, []
+
+    def short(fd, data):
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(ioutil.os, "write", short)
+    target, text = tmp_path / "page.html", "héllo, " * 5 + "\n"
+    assert ioutil.atomic_write_text(target, text) == target
+    assert target.read_bytes() == text.encode("utf-8")
+    assert sum(sizes) == len(text.encode("utf-8")) and max(sizes) == 7
+    assert os.listdir(tmp_path) == ["page.html"]
+
+
+def test_a_full_disk_leaves_no_temporary_file_and_names_the_output(tmp_path, monkeypatch):
+    fds = []
+
+    def full(fd, data):
+        fds.append(fd)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(ioutil.os, "write", full)
+    target = tmp_path / "page.html"
+    with pytest.raises(OSError) as failed:
+        ioutil.atomic_write_text(target, "text")
+    assert (failed.value.errno, failed.value.filename) == (errno.ENOSPC, str(target))
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(OSError):  # the temporary file's descriptor is closed
+        os.fstat(fds[0])
+
+
+def test_a_deleted_working_directory_is_an_error_not_a_retry(tmp_path, monkeypatch):
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    with pytest.raises(FileNotFoundError) as failed:
+        ioutil.atomic_write_text("page.html", "text")
+    assert failed.value.filename == "page.html"
+
+
 def test_a_failed_write_names_the_output_not_its_temp_file(tmp_path):
     (tmp_path / "file").write_text("")
     target = tmp_path / "file" / "page.html"

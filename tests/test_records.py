@@ -1,5 +1,5 @@
 """The record types: immutable values stay immutable and compare by value,
-and importing flowdoc pulls in neither ``dataclasses`` nor ``typing``."""
+and importing flowdoc pulls in none of ``dataclasses``, ``typing`` and ``pathlib``."""
 
 import os
 import subprocess
@@ -77,7 +77,7 @@ def test_import_loads_no_dataclasses_typing_or_argparse():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import flowdoc.cli, sys; print([m for m in ('dataclasses', 'typing', 'argparse')"
-         " if m in sys.modules])"],
+         "import flowdoc.cli, sys; print([m for m in ('dataclasses', 'typing', 'argparse',"
+         " 'pathlib') if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
