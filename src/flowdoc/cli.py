@@ -121,8 +121,8 @@ def _file_id(path: str) -> tuple[int, int] | None:
 def _expand_sources(patterns: list[str],
                     diags: list[Diagnostic]) -> list[str]:
     """The files the patterns name, in order, each once under its first
-    spelling: a file reached by two paths is one source. A file whose name
-    is not UTF-8 is reported and left out."""
+    spelling as plain_path gives it: a file reached by two paths is one
+    source. A file whose name is not UTF-8 is reported and left out."""
     out: dict[tuple[int, int], str] = {}
     for pattern in patterns:
         p = plain_path(pattern)
@@ -135,7 +135,7 @@ def _expand_sources(patterns: list[str],
                            for name in dirs + files if name[1:].endswith(SOURCE_SUFFIXES))
         else:
             import glob as _glob  # only patterns need it
-            found = sorted(_glob.glob(pattern, recursive=True))
+            found = [plain_path(h) for h in sorted(_glob.glob(pattern, recursive=True))]
         hits = [(fid, h) for h in found if (fid := _file_id(h)) is not None]
         for fid, h in hits:
             out.setdefault(fid, h)

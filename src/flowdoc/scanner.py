@@ -94,9 +94,6 @@ _OFFSET = itemgetter(1)  # of a Lexeme
 _PLAIN = {k: kind for k, (kind, _, warn) in _RULES.items() if kind and not warn}
 # a line break that ends a directive: one no backslash continues
 _LINE_END = re.compile(r"(?<!\\)(?<!\\\r)\n")
-# a directive line that holds no comment, character literal, raw string,
-# backslash or unterminated string: it ends at its line break
-_SIMPLE_DIRECTIVE = re.compile(r'#[^\n/\\\'"R]*(?:(?:R(?!")|"[^"\n\\]*")[^\n/\\\'"R]*)*\n')
 
 
 def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Lexeme], list[Lexeme]]:
@@ -104,60 +101,38 @@ def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Lexeme], l
     An unterminated token, or a ``//$`` on a directive line, is reported as
     a warning and scanning goes on."""
     lexemes, markers = [], []
-    add, new = lexemes.append, tuple.__new__  # new skips namedtuple's __new__
-    plain, finditer = _PLAIN.get, _TABLE.finditer
+    add, new, plain = lexemes.append, tuple.__new__, _PLAIN.get  # new skips namedtuple's __new__
     found: list[tuple[int, str, str]] = []  # the offset, code and message of each warning
-    pos = 0
-    while pos is not None:  # restarted past each directive
-        for m in finditer(text, pos):
-            k = m.lastindex
-            if (kind := plain(k)) is not None:
-                add(new(Lexeme, (m[k], m.start(k), kind)))
-                continue
-            if k is None:  # the end of the text
-                continue
-            kind, inner, warn = _RULES[k]
-            i = m.start(k)
-            if text[i] == "#":  # after a lexeme on its line, punctuation
-                if lexemes and text.find("\n", lexemes[-1].offset + len(lexemes[-1].text), i) < 0:
-                    add(new(Lexeme, ("#", i, LexKind.PUNCT)))
-                    continue
-                simple = _SIMPLE_DIRECTIVE.match(text, i)
-                pos = simple.end() if simple else _directive_end(text, i, found)
-                break
-            if warn and m.group(inner) is None:
-                found.append((i, *warn))
-            if kind is not None:
-                add(new(Lexeme, (m[k], i, kind)))
-            elif text.startswith("//$", i):
-                markers.append(new(Lexeme, (m[k], i, None)))
-        else:
-            pos = None
+    directive = False  # whether the piece m matched is on a directive
+    for m in _TABLE.finditer(text):
+        k = m.lastindex
+        if directive:  # until a line break in the whitespace before a piece
+            directive = _LINE_END.search(text, m.start(), m.start(k or 0)) is None
+        elif (kind := plain(k)) is not None:
+            add(new(Lexeme, (m[k], m.start(k), kind)))
+            continue
+        if k is None:  # the end of the text
+            continue
+        kind, inner, warn = _RULES[k]
+        i = m.start(k)
+        if warn and m.group(inner) is None:
+            found.append((i, *warn))
+        if text[i] == "#" and not directive:  # punctuation after a lexeme on its line
+            last = lexemes[-1] if lexemes else None
+            directive = last is None or text.find("\n", last.offset + len(last.text), i) >= 0
+            kind = None if directive else LexKind.PUNCT
+        if directive:
+            if text.startswith("//$", i):
+                found.append((i, "unplaced-marker", "'//$' on a preprocessor line; not drawn"))
+        elif kind is not None:
+            add(new(Lexeme, (m[k], i, kind)))
+        elif text.startswith("//$", i):
+            markers.append(new(Lexeme, (m[k], i, None)))
     line, counted = 1, 0  # line: that of offset counted
     for i, code, message in found:
         line, counted = line + text.count("\n", counted, i), i
         diags.append(warning(code, message, file, line))
     return lexemes, markers
-
-
-def _directive_end(text: str, i: int, found: list[tuple[int, str, str]]) -> int:
-    """The offset past the directive whose '#' is at i. Its pieces are read
-    by _TABLE: it ends after the first line break between them that no
-    backslash continues, or at the end of the text. The warnings of its
-    pieces go to found."""
-    for m in _TABLE.finditer(text, i + 1):
-        k = m.lastindex
-        if end := _LINE_END.search(text, m.start(), m.start(k) if k else m.end()):
-            return end.end()
-        if k is None:
-            break
-        _, inner, warn = _RULES[k]
-        j = m.start(k)
-        if warn and m.group(inner) is None:
-            found.append((j, *warn))
-        elif text.startswith("//$", j):
-            found.append((j, "unplaced-marker", "'//$' on a preprocessor line; not drawn"))
-    return len(text)
 
 
 def line_code_map(lexemes: list[Lexeme], line_starts: list[int]) -> set[int]:

@@ -196,6 +196,18 @@ class TestSourceExpansion:
         assert cli._expand_sources(["."], diags) == found
         assert diags == []
 
+    def test_a_glob_hit_is_named_one_way_in_every_diagnostic(
+            self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "a.cpp").write_text("void f() {\n//$ call\ng();  //$\n}\n")
+        (tmp_path / "src" / "A.cpp").write_text("void h() {\n//$ x\ny();\n}\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("all", "./src//*.cpp", "--out-dir", "o", capsys=capsys) == (0, (
+            "src/a.cpp: warning: src/A.cpp and src/a.cpp share one stem, database and page "
+            "[stem-collision]\n"
+            "src/a.cpp:3: warning: no diagram found for call 'g'; shown without a link "
+            "[no-link]\n"))
+
     def test_sources_and_the_out_dir_are_named_as_pathlib_spells_them(
             self, tmp_path, monkeypatch, capsys):
         """'./src/' and '--out-dir ./odd//' give the diagnostics and the tree

@@ -203,9 +203,12 @@ class TestRawStrings:
 class TestPreprocessor:
     def test_directive_consumes_line(self):
         assert texts("#define X 1\nint x;\n") == ["int", "x", ";"]
+        assert lexed("int x;\n#endif // X") == (
+            [("int", 0, WORD), ("x", 4, WORD), (";", 5, PUNCT)], [])
 
     def test_continuation(self):
         assert texts("#define M(a) \\\n    (a)\nint y;\n") == ["int", "y", ";"]
+        assert texts("#define M(a) \\\r\n    (a)\r\nint y;\r\n") == ["int", "y", ";"]
 
     def test_indented_directive(self):
         assert lexed("    #pragma once\n") == ([], [])
@@ -241,6 +244,11 @@ class TestPreprocessor:
             "x", ";", "y", ";"]
         assert diags == [warning("unterminated-char", "unterminated character literal",
                                  "<input>", 3)]
+        diags = []
+        assert texts('#if A /* b\nc */ d\ne;\n#error "open\nf;\n', diags=diags) == [
+            "e", ";", "f", ";"]
+        assert diags == [warning("unterminated-string", "unterminated string literal",
+                                 "<input>", 4)]
 
 
 class _CountingTable:
