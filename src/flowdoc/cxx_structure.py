@@ -43,6 +43,7 @@ from .scanner import _OFFSET, LexKind, line_code_map, scan
 
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
 _BRACKETS = frozenset("()[]{}<>")
+_DECLARATION_PUNCT = frozenset("(){};:")
 
 
 class CodeStream:
@@ -166,71 +167,60 @@ def find_definitions(view: CodeStream) -> list[FunctionDef]:
     The restricted pattern is: optional template header, return-type tokens,
     a ``::``-qualified identifier (``~`` allowed for destructors), a balanced
     parameter list, optional trailing specifiers or a constructor initializer
-    list, then ``{``. Each body is skipped to the partner of its ``{``, so
-    nothing inside a function can be mistaken for another definition.
+    list, then ``{``. The one walk over a declaration marks the ``(`` of each
+    top-level group it steps over and each stray ``)``, and its groups are
+    read from these marks. Each body is skipped to the partner of its ``{``,
+    so nothing inside a function can be mistaken for another definition.
     """
-    lx = view.lexemes
+    lx, partner = view.lexemes, view.partner
     defs: list[FunctionDef] = []
     scopes: list[_Scope] = []
     start = 0  # the pending declaration is lx[start:i]
+    marks: list[int] = []  # the '(' of each of its groups and each stray ')'
     unbalanced = 0  # the line of the first brace found unmatched
     i = 0
     n = len(lx)
     while i < n:
         t = lx[i].text
-        if lx[i].kind is LexKind.PUNCT:
-            if t == "(":
-                # the group stays in the declaration; an unclosed one ends it
-                i = view.partner.get(i, n - 1) + 1
+        if t not in _DECLARATION_PUNCT:
+            i += 1
+            continue
+        if t == "(" or t == ")":
+            # a group stays in the declaration, an unclosed one ends it
+            marks.append(i)
+            i = partner.get(i, n - 1) + 1 if t == "(" else i + 1
+            continue
+        if t == "{":
+            decision, payload = _analyze_buffer(view, start, i, marks)
+            close = partner.get(i)
+            if decision in ("namespace", "class", "extern"):
+                scopes.append(_Scope(decision, payload, view.line(lx[i].offset)))
+                close = i  # step past the '{' alone; its '}' pops the scope
+            elif close is None:
+                unbalanced = unbalanced or view.line(lx[i].offset)
+                close = n - 1
+            if decision == "initializer":  # it stays in the declaration, its parentheses marked
+                marks += [k for k in range(i + 1, close) if lx[k].text in ("(", ")")]
+                i = close + 1
                 continue
-            if t == ";":
-                i += 1
-                start = i
-                continue
-            if t == "{":
-                decision, payload = _analyze_buffer(view, start, i)
-                brace_line = view.line(lx[i].offset)
-                close = view.partner.get(i)
-                if decision in ("namespace", "class", "extern"):
-                    scopes.append(_Scope(decision, payload, brace_line))
-                    close = i  # step past the '{' alone; its '}' pops the scope
-                elif close is None:
-                    unbalanced = unbalanced or brace_line
-                if decision == "function":
-                    chain, ctor_init = payload
-                    if ctor_init and (lx[i - 1].kind is LexKind.WORD
-                                      or lx[i - 1].text == ">"):
-                        # in a constructor initializer list, a '{' after an
-                        # identifier or a closing '>' opens a member
-                        # initializer, not the body; after ')' or '}' it is
-                        # the body. The group stays in the declaration.
-                        i = n if close is None else close + 1
-                        continue
-                    qualifiers = [s.name for s in scopes if s.name]
-                    qname = "::".join(qualifiers + [chain])
-                    signature = view.source[lx[start].offset:lx[i].offset].strip()
-                    defs.append(FunctionDef(qname, signature, lx[i].offset,
-                                            lx[-1 if close is None else close].offset,
-                                            view.file))
-                # a body, or an opaque enum body, initializer, lambda: skipped whole
-                i = n if close is None else close + 1
-                start = i
-                continue
-            if t == "}":
-                if scopes:
-                    scopes.pop()
-                else:
-                    unbalanced = unbalanced or view.line(lx[i].offset)
-                i += 1
-                start = i
-                continue
-            if (t == ":" and i - start == 1 and scopes
-                    and scopes[-1].kind == "class"
-                    and lx[start].text in _ACCESS):
-                i += 1
-                start = i
-                continue
-        i += 1
+            if decision == "function":
+                qualifiers = [s.name for s in scopes if s.name]
+                signature = view.source[lx[start].offset:lx[i].offset].strip()
+                defs.append(FunctionDef("::".join(qualifiers + [payload]), signature,
+                                        lx[i].offset, lx[close].offset, view.file))
+            i = close  # a body, or an opaque enum body, initializer, lambda: skipped whole
+        elif t == "}":
+            if scopes:
+                scopes.pop()
+            else:
+                unbalanced = unbalanced or view.line(lx[i].offset)
+        elif t == ":" and not (i - start == 1 and scopes and scopes[-1].kind == "class"
+                               and lx[start].text in _ACCESS):
+            i += 1
+            continue
+        i += 1  # the declaration ends
+        start = i
+        marks = []
 
     if unbalanced or scopes:
         view.diags.append(warning("unbalanced-braces", "unbalanced braces", view.file,
@@ -238,12 +228,12 @@ def find_definitions(view: CodeStream) -> list[FunctionDef]:
     return defs
 
 
-def _analyze_buffer(view: CodeStream, s: int, e: int):
-    """Classify the pending declaration lexemes [s, e), which end at a '{'.
+def _analyze_buffer(view: CodeStream, s: int, e: int, marks: list[int]):
+    """Classify the pending declaration lexemes [s, e), which end at a '{',
+    given the marks of its walk (``find_definitions``).
 
-    Returns one of ("function", (name_chain, has_ctor_init)),
-    ("namespace", name|None), ("class", name|None), ("extern", None),
-    ("opaque", None).
+    Returns ("function" or "initializer", name_chain), ("namespace" or
+    "class", name|None) or ("extern" or "opaque", None).
     """
     lx = view.lexemes
     s = _past_attributes(view, s, e)
@@ -252,9 +242,25 @@ def _analyze_buffer(view: CodeStream, s: int, e: int):
     if s >= e:
         return "opaque", None
 
-    fn = _match_function(view, s, e)
-    if fn is not None:
-        return "function", fn
+    # The top-level groups of [s, e): a mark before s or inside the last
+    # group starts none. A group across s, a stray ')' or a group still open
+    # at the '{' leaves no function to match.
+    groups, reach = [], s
+    for k in marks:
+        close = view.partner.get(k, e) if lx[k].text == "(" else -1
+        if k >= reach and k < close < e:
+            groups.append((k, close))
+            reach = close + 1
+        elif k >= reach or close >= reach:
+            groups = ()
+            break
+    # Earlier groups first: in "Foo::Foo(int n) : m_(n) {" the parameter
+    # list is the first top-level group, the rest are member initializers.
+    for op, cl in groups:
+        decision = _trailing(view, cl + 1, e)
+        chain = _name_chain(view, s, op, _DECLARATOR) if decision else None
+        if chain is not None:
+            return decision, chain[1]
 
     toks = lx[s:e]
     head = toks[0].text
@@ -268,60 +274,35 @@ def _analyze_buffer(view: CodeStream, s: int, e: int):
     for idx, t in enumerate(toks):
         if t.text == "enum":
             return "opaque", None
-        if t.text in _CLASS_KEYS:
-            limit = len(toks)
-            for k in range(idx + 1, len(toks)):
-                if toks[k].text == ":":
-                    limit = k
+        if t.text in _CLASS_KEYS:  # named by its last word before any base clause
+            name = None
+            for w in toks[idx + 1:]:
+                if w.text == ":":
                     break
-            words = [w for w in toks[idx + 1:limit]
-                     if w.kind is LexKind.WORD and w.text != "final"]
-            return "class", (words[-1].text if words else None)
+                if w.kind is LexKind.WORD and w.text != "final":
+                    name = w.text
+            return "class", name
     return "opaque", None
 
 
-def _match_function(view: CodeStream, s: int, e: int):
-    """(name_chain, has_ctor_init) when the declaration lexemes [s, e) match
-    the restricted definition pattern, else None."""
-    lx = view.lexemes
-    groups: list[tuple[int, int]] = []  # the top-level (...) groups
-    k = s
-    while k < e:
-        if lx[k].text == "(":
-            close = view.partner.get(k, e)
-            if close >= e:
-                return None
-            groups.append((k, close))
-            k = close + 1
-        elif lx[k].text == ")":
-            return None
-        else:
-            k += 1
-
-    # Earlier groups first: in "Foo::Foo(int n) : m_(n) {" the parameter
-    # list is the first top-level group, the rest are member initializers.
-    for op, cl in groups:
-        ok, ctor_init = _trailing_ok(view, cl + 1, e)
-        chain = _name_chain(view, s, op, _DECLARATOR) if ok else None
-        if chain is not None:
-            return chain[1], ctor_init
-    return None
-
-
-def _trailing_ok(view: CodeStream, k: int, e: int) -> tuple[bool, bool]:
+def _trailing(view: CodeStream, k: int, e: int) -> str | None:
+    """What the lexemes [k, e) after a parameter list make of the '{' at e:
+    "function" or "initializer", else None."""
     lx = view.lexemes
     while (k := _past_attributes(view, k, e)) < e:
         t = lx[k].text
-        if t == ":":
-            return True, True   # constructor initializer list
+        if t == ":":  # a constructor initializer list: a '{' after a word or
+            # a closing '>' opens a member initializer, after ')' or '}' the body
+            member = lx[e - 1].kind is LexKind.WORD or lx[e - 1].text == ">"
+            return "initializer" if member else "function"
         if t == "->":
-            return True, False  # trailing return type
+            return "function"  # trailing return type
         if t not in _TRAILING_WORDS and t != "&":
-            return False, False
+            return None
         k += 1
         if t in ("noexcept", "throw") and k < e and lx[k].text == "(":
             k = min(view.partner.get(k, e) + 1, e)
-    return True, False
+    return "function"
 
 
 def _past_attributes(view: CodeStream, k: int, e: int) -> int:

@@ -18,12 +18,14 @@ encoding prefix (``u8'a'``, ``L"x"``) is an identifier. A ``"`` right after
 ``R``, ``u8R``, ``uR``, ``UR`` or ``LR`` as a whole identifier (not
 ``FOOR"`` or ``éR"``) opens a raw string: a delimiter of at most 16
 characters, ``(``, and all up to ``)``, the delimiter and ``"``. A ``#``
-with only whitespace and comments before it on its line opens a directive;
-any other ``#`` is punctuation. A directive's pieces are read by the same
-table, as C++ removes comments before it runs directives: it runs through
-the first line break that no comment or literal holds and no backslash
-continues, so a block comment that opens on it ends it only where the
-comment ends. Its lexemes are dropped, and a ``//$`` comment on it is
+that no lexeme precedes on its logical line opens a directive; any other
+``#`` is punctuation. As in C++, where a comment is one space and a
+backslash before a line break splices two lines, a line break in a comment
+or after a backslash starts no new line. A directive's pieces are read by
+the same table, as C++ removes comments before it runs directives: it runs
+through the first line break that no comment or literal holds and no
+backslash continues, so a block comment that opens on it ends it only where
+the comment ends. Its lexemes are dropped, and a ``//$`` comment on it is
 reported, not returned.
 
 A pp-number is a digit, or ``.`` and a digit, then word characters and dots.
@@ -117,9 +119,17 @@ def scan(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[Lexeme], l
         i = m.start(k)
         if warn and m.group(inner) is None:
             found.append((i, *warn))
-        if text[i] == "#" and not directive:  # punctuation after a lexeme on its line
-            last = lexemes[-1] if lexemes else None
-            directive = last is None or text.find("\n", last.offset + len(last.text), i) >= 0
+        if text[i] == "#" and not directive:  # punctuation after a lexeme on its line,
+            # which a line break ends only in the whitespace between pieces (a
+            # comment is one space) and only where no backslash continues it;
+            # a backslash lexeme that splices lines away is none
+            last = len(lexemes)
+            while last and text.startswith(("\\\n", "\\\r\n"), lexemes[last - 1].offset):
+                last -= 1
+            after = lexemes[last - 1].offset + len(lexemes[last - 1].text) if last else None
+            directive = after is None or any(
+                _LINE_END.search(text, p.start(), p.start(p.lastindex or 0))
+                for p in _TABLE.finditer(text, after, i + 1))
             kind = None if directive else LexKind.PUNCT
         if directive:
             if text.startswith("//$", i):

@@ -110,6 +110,12 @@ class TestDefinitionRecognition:
     @pytest.mark.parametrize("src,expected", [
         ("template <class T void f() {\n}\n", []),  # an unclosed template header
         ("A::A() : m{ ( } {\n}\n", []),  # a group left open before the '{'
+        ("A::A() : m{ ) } {\n}\n", []),  # a stray ')' in a member initializer
+        ("A::A() : m{f(1)}, n(g()) {\n}\n", ["A::A"]),  # groups in and after one
+        ("A::A() : base<int>{x}, m(a.b()) {\n}\n", ["A::A"]),
+        ('int f() [[deprecated("x")]] {\n}\n', ["f"]),  # a group in a trailing attribute
+        ("struct alignas(8) S {\nvoid m() {\n}\n};\n", ["S::m"]),  # a group in a class head
+        ("std::function<void(int)> make() {\n}\n", ["make"]),  # one in the return type
         ("template <int N = (1> 2)> void f() {\n}\n", ["f"]),  # a '>' inside (...)
         ("int (f)() {\n}\n", []),  # a parenthesized declarator
         ("int f() [[nodiscard]] {\n}\n", ["f"]),  # a trailing attribute
@@ -560,6 +566,7 @@ _RETURNS = ["void ", "int ", "std::vector<int> ", "const T& ", "unsigned long ",
 _PARAMS = ["()", "(int x)", "(const A& a, int n = (1 > 2))"]
 _TRAILERS = ["const", "&", "noexcept", "noexcept(sizeof(T) > 2)", "override",
              "final"]
+_INITS = ["", " : m(1)", " : m{1}, n(f(2))", " : base<int>{x}, m(a.b())"]
 _UNRECOGNIZED = [
     "A::operator bool() const", "A::operator std::string()",
     'long double operator"" _km(long double x)',
@@ -579,8 +586,7 @@ def _definitions(draw):
         return draw(st.sampled_from(_UNRECOGNIZED)), None
     if shape == "constructor":
         scope = draw(st.sampled_from(["", "ns::"]))
-        init = draw(st.sampled_from(["", " : m(1)", " : m{1}, n(f(2))",
-                                     " : base<int>{x}, m(a.b())"]))
+        init = draw(st.sampled_from(_INITS))
         return f"{scope}A::A{params}{init}", scope + "A::A"
     if shape == "destructor":
         scope = draw(st.sampled_from(["", "ns::"]))

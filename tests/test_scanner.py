@@ -2,7 +2,7 @@ import re
 import string
 from typing import NamedTuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowdoc import scanner
@@ -231,6 +231,17 @@ class TestPreprocessor:
     def test_directive_after_block_comment_on_same_line(self):
         assert lexed("/* c */ #define Y 2\n") == ([], [])
 
+    def test_a_hash_on_the_logical_line_of_a_lexeme_is_punctuation(self):
+        # a comment is one space and a backslash splices the line break after
+        # it: neither line break starts a line, so g++ -E keeps both as code
+        assert texts("int x; /* a\n */ #define Y 1\nint z;") == [
+            "int", "x", ";", "#", "define", "Y", "1", "int", "z", ";"]
+        assert texts("int x \\\n#define Y 1\n;") == [
+            "int", "x", "\\", "#", "define", "Y", "1", ";"]
+        assert texts("x;\n/* a\n*/ #define Y\nz;") == ["x", ";", "z", ";"]
+        # a backslash that splices its line break away is no code before it
+        assert texts("x;\n\\\n#define Y\nz;") == ["x", ";", "\\", "z", ";"]
+
     def test_a_comment_in_a_directive_is_no_marker(self):
         diags = []
         assert lexed("#if X //$ no\n//$ yes\n", "f.cpp", diags) == (
@@ -258,8 +269,8 @@ class _CountingTable:
     def __init__(self, table):
         self.table, self.drawn = table, 0
 
-    def finditer(self, text, pos=0):
-        for m in self.table.finditer(text, pos):
+    def finditer(self, text, *bounds):
+        for m in self.table.finditer(text, *bounds):
             self.drawn += m.end() - m.start()
             yield m
 
@@ -367,8 +378,9 @@ def test_pieces_of_known_kind_scan_back_to_themselves(groups):
         elif kind == _CODE:
             code_on_line = bool(text.rsplit("\n", 1)[-1].strip()) or (
                 code_on_line and "\n" not in text)
-        elif "\n" in text:
-            code_on_line = False  # after a directive or a comment across lines
+        elif kind == _DIRECTIVE:  # it runs through a line break
+            code_on_line = False
+        # a comment leaves it as it is: across lines or not, it is one space
     expected, src = [], ""
     for kind, text in pieces:
         if kind == _CODE and expected and expected[-1][0] == _CODE:
@@ -456,9 +468,11 @@ def two_pass(text, file, diags):
         _, _, warn = _REF_RULES[int(m.lastgroup[1:])]
         kind = piece[:2] if piece[:2] in (_LINE, _BLOCK) else c
         if directive is None and (c == "#" or kind == _BLOCK):
-            nl = text.rfind("\n", run_start, i)
-            line_has_code = (bool(text[max(nl + 1, run_start):i].strip())
-                             or (nl < 0 and line_has_code))
+            # code after the last line break of the run that no backslash continues
+            nl = max((k for k in range(run_start, i) if text[k] == "\n"
+                      and not text.endswith(("\\", "\\\r"), 0, k)), default=-1)
+            code = re.sub(r"\\\r?\n", "", text[max(nl + 1, run_start):i])  # less splices
+            line_has_code = bool(code.strip()) or (nl < 0 and line_has_code)
             if c == "#" and line_has_code:
                 continue
         if warn and m.group(m.lastindex + 1) is None:
@@ -477,7 +491,7 @@ def two_pass(text, file, diags):
             continue
         tokens.append(Tok(kind, piece, line(i), i))
         pos = run_start = end
-        if kind != _BLOCK or "\n" in piece:
+        if kind != _BLOCK:  # a block comment, across lines or not, is one space
             line_has_code = c in "\"'"
     if run_start < n:
         tokens.append(Tok(_CODE, text[run_start:], line(run_start), run_start))
@@ -522,6 +536,9 @@ _FRAGMENTS = ['"', "'", '"s"', "'c'", 'R"x(', ')x"', 'R"(', ')"', "u8'", "u8", "
 
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join))
+@example("int x; /* a\n */ #define Y 1\nint z;")  # a '#' after a comment across lines
+@example("int x \\\n#define Y 1\n;")  # and after a spliced line break
+@example("x;\n\\\n#define Y 1\n;")  # but not after a lone splice
 def test_one_pass_equals_the_two_pass_reference(src):
     diags, expected_diags = [], []
     tokens = two_pass(src, "p.cpp", expected_diags)
